@@ -17,7 +17,7 @@
 //! experiment change, never a by-product.
 
 use vardelay_engine::optimize::{run_campaign, OptimizationCampaign};
-use vardelay_engine::SweepOptions;
+use vardelay_engine::{run_sweep, Sweep, SweepOptions};
 
 const SPEC: &str = include_str!("golden/campaign_spec.json");
 const GOLDEN: &str = include_str!("golden/campaign_result.json");
@@ -35,6 +35,57 @@ fn campaign_result_bytes_are_frozen() {
             GOLDEN,
             "campaign bytes drifted at {workers} workers — the timing kernel is no longer \
              a pure optimization (see this test's module docs before regenerating)"
+        );
+    }
+}
+
+const MATRIX_SPEC: &str = include_str!("golden/mc_matrix_spec.json");
+const MATRIX_GOLDEN: &str = include_str!("golden/mc_matrix_result.json");
+const MATRIX_CAMPAIGN_SPEC: &str = include_str!("golden/mc_matrix_campaign_spec.json");
+const MATRIX_CAMPAIGN_GOLDEN: &str = include_str!("golden/mc_matrix_campaign_result.json");
+
+/// Monte-Carlo matrix byte identity: every combination the validator
+/// accepts of {moments, gate-level `pipeline`, gate-level `netlist`} ×
+/// {v1, v2, v3} × {plain, antithetic, stratified, sobol, blockade}, at
+/// 300 trials per scenario (two engine blocks, the second ending on a
+/// ragged v3 pass). Regenerate like the campaign golden:
+///
+/// ```text
+/// cargo run --release -- sweep crates/engine/tests/golden/mc_matrix_spec.json \
+///     --out crates/engine/tests/golden/mc_matrix_result.json
+/// ```
+#[test]
+fn mc_matrix_result_bytes_are_frozen() {
+    let sweep = Sweep::from_json(MATRIX_SPEC).expect("matrix spec parses");
+    assert_eq!(sweep.expand().len(), 45, "3 backends x 3 kernels x 5 plans");
+    for workers in [1usize, 4] {
+        let res = run_sweep(&sweep, &SweepOptions::sequential().with_workers(workers))
+            .expect("matrix sweep runs");
+        assert_eq!(
+            res.to_json(),
+            MATRIX_GOLDEN,
+            "mc-matrix bytes drifted at {workers} workers"
+        );
+    }
+}
+
+/// The frozen verification fold shapes, pinned per kernel: v1
+/// antithetic (1024-trial chunks into one running fold), v2 plain (one
+/// full-range call) with in-loop netlist yield, v2 stratified stopped
+/// early by `ci_half_width`, v3 plain with in-loop netlist yield, and
+/// v3 blockade (each chunk merged separately). Regenerate with
+/// `vardelay optimize crates/engine/tests/golden/mc_matrix_campaign_spec.json
+/// --out crates/engine/tests/golden/mc_matrix_campaign_result.json`.
+#[test]
+fn mc_matrix_campaign_bytes_are_frozen() {
+    let campaign = OptimizationCampaign::from_json(MATRIX_CAMPAIGN_SPEC).expect("spec parses");
+    for workers in [1usize, 4] {
+        let res = run_campaign(&campaign, &SweepOptions::sequential().with_workers(workers))
+            .expect("matrix campaign runs");
+        assert_eq!(
+            res.to_json(),
+            MATRIX_CAMPAIGN_GOLDEN,
+            "mc-matrix campaign bytes drifted at {workers} workers"
         );
     }
 }
