@@ -1,31 +1,31 @@
 //! Criterion bench: per-trial cost of the gate-level Monte-Carlo hot
-//! path before and after the workspace refactor.
+//! path.
 //!
-//! Two layers of comparison on the paper's Table-1 chain pipeline
-//! (5 stages × depth 8, combined variation — the worst case for the
-//! allocator, since every trial draws die + region values and times 40
-//! gates):
+//! Two layers on the paper's Table-1 chain pipeline (5 stages × depth 8,
+//! combined variation — the worst case for the allocator, since every
+//! trial draws die + region values and times 40 gates):
 //!
-//! * `trial/*` — the runners head to head on identical seeds:
-//!   `alloc` is `PipelineMc::run_block` (fresh vectors every trial),
-//!   `workspace` is `PreparedPipelineMc::run_block` (scratch buffers
-//!   reused, loads and nominal delays precomputed). Identical numerics
-//!   — the bench asserts the statistics match bit for bit — so the
-//!   entire delta is allocation + redundant delay-model work.
-//! * `sweep/*` — the same scenario through `run_sweep` at 1/2/4/8
-//!   workers on the `pipeline` (allocating) vs `netlist` (workspace)
-//!   backend.
+//! * `trial_block_256` — one 256-trial plain block through
+//!   `PreparedPipelineMc::run_block_plan` (scratch buffers reused, loads
+//!   and nominal delays precomputed). The bench first asserts the block's
+//!   statistics match a `PipelineMc::sample_trial` oracle loop (fresh
+//!   vectors every trial) bit for bit.
+//! * `sweep` — the same scenario through `run_sweep` at 1/2/4/8 workers.
+//!   The `pipeline` and `netlist` backends run the same code on
+//!   gate-level scenarios, so one backend is timed.
 //!
 //! Run: `cargo bench -p vardelay-bench --bench netlist_hot_path`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 use vardelay_circuit::{CellLibrary, LatchParams, StagedPipeline};
 use vardelay_engine::{
     run_sweep, BackendSpec, CircuitSpec, KernelSpec, LatchSpec, PipelineSpec, Scenario, Sweep,
     SweepOptions, TrialPlanSpec, VariationSpec,
 };
-use vardelay_mc::{PipelineBlockStats, PipelineMc, PreparedPipelineMc};
+use vardelay_mc::{PipelineBlockStats, PipelineMc, PreparedPipelineMc, TrialPlan};
 use vardelay_process::VariationConfig;
 
 fn seed_of(t: u64) -> u64 {
@@ -40,28 +40,26 @@ fn bench_trial(c: &mut Criterion) {
         None,
     );
     let prepared = PreparedPipelineMc::new(&mc, &pipeline);
+    let plain = TrialPlan::plain();
 
-    // Identical numerics first: the speedup must be a pure optimization.
+    // Identical numerics first: the prepared path must be a pure
+    // optimization of the reference trial loop.
     let mut a = PipelineBlockStats::new(5, &[]);
-    mc.run_block(&pipeline, 0..256, seed_of, &mut a);
+    for t in 0..256 {
+        let (stages, maxd) = mc.sample_trial(&pipeline, &mut StdRng::seed_from_u64(seed_of(t)));
+        a.record(&stages, maxd);
+    }
     let mut b = PipelineBlockStats::new(5, &[]);
     let mut ws = prepared.workspace();
-    prepared.run_block(&mut ws, 0..256, seed_of, &mut b);
+    prepared.run_block_plan(&mut ws, 0..256, seed_of, plain, &mut b);
     assert_eq!(a, b, "workspace path must be bit-identical");
 
     let mut group = c.benchmark_group("hot_path/trial_block_256");
     group.sample_size(20);
-    group.bench_function("alloc (PipelineMc)", |bch| {
-        bch.iter(|| {
-            let mut stats = PipelineBlockStats::new(5, &[]);
-            mc.run_block(black_box(&pipeline), 0..256, seed_of, &mut stats);
-            stats
-        })
-    });
     group.bench_function("workspace (PreparedPipelineMc)", |bch| {
         bch.iter(|| {
             let mut stats = PipelineBlockStats::new(5, &[]);
-            prepared.run_block(&mut ws, 0..256, seed_of, &mut stats);
+            prepared.run_block_plan(&mut ws, 0..256, seed_of, plain, &mut stats);
             stats
         })
     });
@@ -72,10 +70,10 @@ fn bench_trial(c: &mut Criterion) {
     );
 }
 
-fn chain_scenario(backend: BackendSpec) -> Scenario {
+fn chain_scenario() -> Scenario {
     Scenario {
         kernel: KernelSpec::default(),
-        label: format!("5x8 {}", backend.keyword()),
+        label: "5x8 netlist".to_owned(),
         pipeline: PipelineSpec::Circuits {
             stages: vec![
                 CircuitSpec::Chain {
@@ -95,39 +93,34 @@ fn chain_scenario(backend: BackendSpec) -> Scenario {
         trial_plan: TrialPlanSpec::default(),
         yield_targets: vec![],
         auto_target_sigmas: vec![1.2],
-        backend,
+        backend: BackendSpec::Netlist,
         histogram_bins: 0,
     }
 }
 
-fn bench_sweep_backends(c: &mut Criterion) {
-    for backend in [BackendSpec::Pipeline, BackendSpec::Netlist] {
-        let sweep = Sweep {
-            name: "hot-path".to_owned(),
-            seed: 41,
-            scenarios: vec![chain_scenario(backend)],
-            grid: None,
-        };
-        let baseline = run_sweep(&sweep, &SweepOptions::sequential())
-            .expect("valid spec")
-            .to_json();
-        let name = format!("hot_path/sweep_{}", backend.keyword());
-        let mut group = c.benchmark_group(&name);
-        group.sample_size(10);
-        for &workers in &[1usize, 2, 4, 8] {
-            let run = run_sweep(&sweep, &SweepOptions { workers }).expect("valid spec");
-            assert_eq!(run.to_json(), baseline, "determinism at {workers} workers");
-            group.bench_with_input(
-                BenchmarkId::from_parameter(workers),
-                &workers,
-                |bch, &workers| {
-                    bch.iter(|| run_sweep(black_box(&sweep), &SweepOptions { workers }))
-                },
-            );
-        }
-        group.finish();
+fn bench_sweep(c: &mut Criterion) {
+    let sweep = Sweep {
+        name: "hot-path".to_owned(),
+        seed: 41,
+        scenarios: vec![chain_scenario()],
+        grid: None,
+    };
+    let baseline = run_sweep(&sweep, &SweepOptions::sequential())
+        .expect("valid spec")
+        .to_json();
+    let mut group = c.benchmark_group("hot_path/sweep");
+    group.sample_size(10);
+    for &workers in &[1usize, 2, 4, 8] {
+        let run = run_sweep(&sweep, &SweepOptions { workers }).expect("valid spec");
+        assert_eq!(run.to_json(), baseline, "determinism at {workers} workers");
+        group.bench_with_input(
+            BenchmarkId::from_parameter(workers),
+            &workers,
+            |bch, &workers| bch.iter(|| run_sweep(black_box(&sweep), &SweepOptions { workers })),
+        );
     }
+    group.finish();
 }
 
-criterion_group!(benches, bench_trial, bench_sweep_backends);
+criterion_group!(benches, bench_trial, bench_sweep);
 criterion_main!(benches);

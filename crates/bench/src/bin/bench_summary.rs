@@ -356,10 +356,11 @@ fn main() {
     );
     let prepared = PreparedPipelineMc::new(&mc, &pipe);
     let mut ws = prepared.workspace();
+    let plain = TrialPlan::plain();
     let trials = 8_192u64;
     let verify_ms = median_ms(|| {
         let mut stats = PipelineBlockStats::new(pipe.stage_count(), &[150.0]);
-        prepared.run_block(&mut ws, 0..trials, |t| t ^ 0xBE7C, &mut stats);
+        prepared.run_block_plan(&mut ws, 0..trials, |t| t ^ 0xBE7C, plain, &mut stats);
         std::hint::black_box(stats);
     });
     let trials_per_sec = trials as f64 / (verify_ms / 1e3);
@@ -375,7 +376,7 @@ fn main() {
     let mut ws_v2 = prepared_v2.workspace();
     let verify_v2_ms = median_ms(|| {
         let mut stats = PipelineBlockStats::new(pipe.stage_count(), &[150.0]);
-        prepared_v2.run_block(&mut ws_v2, 0..trials, |t| t ^ 0xBE7C, &mut stats);
+        prepared_v2.run_block_plan(&mut ws_v2, 0..trials, |t| t ^ 0xBE7C, plain, &mut stats);
         std::hint::black_box(stats);
     });
     let trials_per_sec_v2 = trials as f64 / (verify_v2_ms / 1e3);
@@ -391,7 +392,7 @@ fn main() {
     let mut ws_v3 = prepared_v3.workspace();
     let verify_v3_ms = median_ms(|| {
         let mut stats = PipelineBlockStats::new(pipe.stage_count(), &[150.0]);
-        prepared_v3.run_block(&mut ws_v3, 0..trials, |t| t ^ 0xBE7C, &mut stats);
+        prepared_v3.run_block_plan(&mut ws_v3, 0..trials, |t| t ^ 0xBE7C, plain, &mut stats);
         std::hint::black_box(stats);
     });
     let trials_per_sec_v3 = trials as f64 / (verify_v3_ms / 1e3);
@@ -459,10 +460,11 @@ fn main() {
     let prepared_plans = PreparedPipelineMc::new(&mc_plans, &plans_pipe);
     let mut ws_plans = prepared_plans.workspace();
     let mut probe = PipelineBlockStats::new(plans_pipe.stage_count(), &[]);
-    prepared_plans.run_block(
+    prepared_plans.run_block_plan(
         &mut ws_plans,
         0..8_192,
         |t| counter_seed(0xA5ED, t),
+        plain,
         &mut probe,
     );
     let (mu, sd) = (probe.pipeline().mean(), probe.pipeline().sample_sd());
@@ -470,31 +472,20 @@ fn main() {
 
     let plan_budget = 1_024u64;
     let plan_replicates = 24u64;
-    let mut yield_variance = |plan: Option<TrialPlan>| -> f64 {
+    let mut yield_variance = |plan: TrialPlan| -> f64 {
         let mut est = vardelay_stats::RunningStats::new();
         for r in 0..plan_replicates {
             let mut stats = PipelineBlockStats::new(plans_pipe.stage_count(), &[body_target]);
             let seed_of = |t: u64| counter_seed(0xA5ED ^ (r + 1), t);
-            match plan {
-                None => {
-                    prepared_plans.run_block(&mut ws_plans, 0..plan_budget, seed_of, &mut stats)
-                }
-                Some(p) => prepared_plans.run_block_plan(
-                    &mut ws_plans,
-                    0..plan_budget,
-                    seed_of,
-                    p,
-                    &mut stats,
-                ),
-            }
+            prepared_plans.run_block_plan(&mut ws_plans, 0..plan_budget, seed_of, plan, &mut stats);
             est.push(stats.yield_estimate(0).value);
         }
         est.sample_variance()
     };
-    let var_plain = yield_variance(None);
-    let vrf_antithetic = var_plain / yield_variance(Some(TrialPlan::of(TrialStrategy::Antithetic)));
-    let vrf_stratified = var_plain / yield_variance(Some(TrialPlan::of(TrialStrategy::Stratified)));
-    let vrf_sobol = var_plain / yield_variance(Some(TrialPlan::of(TrialStrategy::Sobol)));
+    let var_plain = yield_variance(plain);
+    let vrf_antithetic = var_plain / yield_variance(TrialPlan::of(TrialStrategy::Antithetic));
+    let vrf_stratified = var_plain / yield_variance(TrialPlan::of(TrialStrategy::Stratified));
+    let vrf_sobol = var_plain / yield_variance(TrialPlan::of(TrialStrategy::Sobol));
 
     // --- High-sigma: blockade resolves 99.9% where plain MC cannot. ---
     // Both estimators get the same 4k-trial budget against a target in
@@ -506,7 +497,7 @@ fn main() {
     let hs_budget = 4_096u64;
     let hs_seed = |t: u64| counter_seed(0x515A, t);
     let mut plain_hs = PipelineBlockStats::new(plans_pipe.stage_count(), &[hs_target]);
-    prepared_plans.run_block(&mut ws_plans, 0..hs_budget, hs_seed, &mut plain_hs);
+    prepared_plans.run_block_plan(&mut ws_plans, 0..hs_budget, hs_seed, plain, &mut plain_hs);
     let plain_hs_yield = plain_hs.yield_estimate(0).value;
     let plain_hs_hw = plain_hs.yield_half_width(0);
     let mut blockade_hs =

@@ -1,7 +1,9 @@
 //! The pipeline delay model: `T_P = max_i SD_i` (eqs. 3–6).
 
 use serde::{Deserialize, Serialize};
-use vardelay_stats::{max_of, CorrelationMatrix, MultivariateNormal, Normal};
+use vardelay_stats::{
+    max_of, CorrelationMatrix, DrawOverlay, MultivariateNormal, Normal, NormalFill,
+};
 
 use crate::error::CoreError;
 use crate::stage::StageDelay;
@@ -171,84 +173,39 @@ impl Pipeline {
 
     /// Monte-Carlo estimate of each stage's *criticality* — the probability
     /// that stage `i` is the slowest — by sampling the joint stage-delay
-    /// distribution. Deterministic given `seed`.
+    /// distribution with the v1 scalar normal fill. Deterministic given
+    /// `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `trials == 0` or the correlation matrix is not PSD.
     pub fn criticality_probabilities(&self, trials: usize, seed: u64) -> Vec<f64> {
-        assert!(trials > 0, "need at least one trial");
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let means: Vec<f64> = self.stages.iter().map(StageDelay::mean).collect();
-        let sds: Vec<f64> = self.stages.iter().map(StageDelay::sd).collect();
-        let mvn = MultivariateNormal::from_correlation(&means, &sds, &self.correlation)
-            .expect("stage correlation matrix must be PSD");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut wins = vec![0usize; self.stages.len()];
-        for _ in 0..trials {
-            let x = mvn.sample(&mut rng);
-            let (mut argmax, mut best) = (0usize, f64::NEG_INFINITY);
-            for (i, &v) in x.iter().enumerate() {
-                if v > best {
-                    best = v;
-                    argmax = i;
-                }
-            }
-            wins[argmax] += 1;
-        }
-        wins.into_iter().map(|w| w as f64 / trials as f64).collect()
+        self.criticality_probabilities_with(NormalFill::Scalar, trials, seed)
     }
 
-    /// The **v2-kernel** criticality estimator: the same win-counting
-    /// Monte-Carlo as [`Pipeline::criticality_probabilities`], but the
-    /// joint samples come from the batch pair-producing Box–Muller fill
-    /// ([`MultivariateNormal::sample_into_v2`]) and the per-trial
-    /// allocations are hoisted into reused buffers. Deterministic given
-    /// `seed`; *not* byte-compatible with the v1 estimator — selecting
-    /// it is a kernel-contract change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials == 0` or the correlation matrix is not PSD.
-    pub fn criticality_probabilities_v2(&self, trials: usize, seed: u64) -> Vec<f64> {
-        assert!(trials > 0, "need at least one trial");
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let means: Vec<f64> = self.stages.iter().map(StageDelay::mean).collect();
-        let sds: Vec<f64> = self.stages.iter().map(StageDelay::sd).collect();
-        let mvn = MultivariateNormal::from_correlation(&means, &sds, &self.correlation)
-            .expect("stage correlation matrix must be PSD");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut wins = vec![0usize; self.stages.len()];
-        let mut z = Vec::new();
-        let mut x = Vec::new();
-        for _ in 0..trials {
-            mvn.sample_into_v2(&mut rng, &mut z, &mut x);
-            let (mut argmax, mut best) = (0usize, f64::NEG_INFINITY);
-            for (i, &v) in x.iter().enumerate() {
-                if v > best {
-                    best = v;
-                    argmax = i;
-                }
-            }
-            wins[argmax] += 1;
-        }
-        wins.into_iter().map(|w| w as f64 / trials as f64).collect()
-    }
-
-    /// The **v3-kernel** criticality estimator: identical win-counting
-    /// loop to [`Pipeline::criticality_probabilities_v2`], but the joint
-    /// samples come from the batch inverse-CDF fill
-    /// ([`MultivariateNormal::sample_into_v3`]) — the wide kernel's
-    /// normal source. Deterministic given `seed`; a distinct byte stream
-    /// from both v1 and v2 (win counts are integers, so the lane-fold
-    /// part of the v3 contract does not apply here).
+    /// [`Pipeline::criticality_probabilities`] with the v3 kernel's
+    /// inverse-CDF normal fill.
     ///
     /// # Panics
     ///
     /// Panics if `trials == 0` or the correlation matrix is not PSD.
     pub fn criticality_probabilities_v3(&self, trials: usize, seed: u64) -> Vec<f64> {
+        self.criticality_probabilities_with(NormalFill::InvCdf, trials, seed)
+    }
+
+    /// The criticality estimator under any trial kernel's normal `fill`.
+    /// Each fill is its own deterministic byte stream given `seed`; win
+    /// counts are integers, so no lane fold applies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trials == 0` or the correlation matrix is not PSD.
+    pub fn criticality_probabilities_with(
+        &self,
+        fill: NormalFill,
+        trials: usize,
+        seed: u64,
+    ) -> Vec<f64> {
         assert!(trials > 0, "need at least one trial");
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -261,7 +218,7 @@ impl Pipeline {
         let mut z = Vec::new();
         let mut x = Vec::new();
         for _ in 0..trials {
-            mvn.sample_into_v3(&mut rng, &mut z, &mut x);
+            mvn.sample_into(fill, &DrawOverlay::IDENTITY, &mut rng, &mut z, &mut x);
             let (mut argmax, mut best) = (0usize, f64::NEG_INFINITY);
             for (i, &v) in x.iter().enumerate() {
                 if v > best {
@@ -364,8 +321,11 @@ mod tests {
         let p =
             Pipeline::independent(vec![sd(190.0, 5.0), sd(205.0, 5.0), sd(195.0, 5.0)]).unwrap();
         let v1 = p.criticality_probabilities(20_000, 3);
-        let v2 = p.criticality_probabilities_v2(20_000, 3);
-        assert_eq!(v2, p.criticality_probabilities_v2(20_000, 3));
+        let v2 = p.criticality_probabilities_with(NormalFill::BoxMullerPairs, 20_000, 3);
+        assert_eq!(
+            v2,
+            p.criticality_probabilities_with(NormalFill::BoxMullerPairs, 20_000, 3)
+        );
         let total: f64 = v2.iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
         // Different stream, same distribution: win fractions agree to MC

@@ -30,7 +30,7 @@ use vardelay_circuit::power::{pipeline_power, PowerParams};
 use vardelay_circuit::{CellLibrary, StagedPipeline};
 use vardelay_core::design_space::DesignSpace;
 use vardelay_core::stage_yield_target;
-use vardelay_mc::{PipelineBlockStats, PipelineMc, PreparedPipelineMc, TrialWorkspace};
+use vardelay_mc::{PipelineMc, PreparedPipelineMc, TrialWorkspace};
 use vardelay_opt::{
     AnalyticYieldEval, GlobalPipelineOptimizer, NetlistMcYieldEval, OptimizationGoal, SizingConfig,
     StatisticalSizer, TargetDelayPolicy, MAX_EVAL_TRIALS,
@@ -865,19 +865,14 @@ fn execute_run(
                 .value(spec.verify_trials as f64);
             let prepared = PreparedPipelineMc::new(&mc, pipe);
             let seed_of = |t| trial_seed(p.id ^ salt, t);
-            // Plain verification keeps the exact pre-plan fixed-budget
-            // path (and its bytes). Variance-reduced plans route through
-            // the chunked CI-driven loop with `verify_trials` as the
-            // ceiling. The v3 kernel's chunk-wise fold contract instead
-            // fans every plan out across the worker pool (bit-identical
-            // to the sequential fold at any worker count); plain plans
-            // still run the full budget — the CI stop rule only applies
-            // to variance-reduced plans, like the other kernels.
-            let (trials_run, stats) = if spec.kernel == K::V3 {
-                let ci = (!vplan.is_plain())
-                    .then_some(spec.verify_plan.ci_half_width)
-                    .flatten();
-                let v = crate::verify::verify_yield_pooled(
+            // The v3 kernel's chunk-wise fold contract fans verification
+            // out across the worker pool (bit-identical to the sequential
+            // fold at any worker count); v1/v2 run the sequential fold.
+            // Either way `verify_trials` is the ceiling and the CI stop
+            // rule (variance-reduced plans only) may end it early.
+            let ci = spec.verify_plan.ci_half_width;
+            let v = if spec.kernel == K::V3 {
+                crate::verify::verify_yield_pooled(
                     &prepared,
                     vplan,
                     spec.verify_trials,
@@ -887,25 +882,20 @@ fn execute_run(
                     &[target],
                     verify_workers,
                     p.id,
-                );
-                (v.trials, v.stats)
-            } else if vplan.is_plain() {
-                let mut stats = PipelineBlockStats::new(pipe.stage_count(), &[target]);
-                prepared.run_block(ws, 0..spec.verify_trials, seed_of, &mut stats);
-                (spec.verify_trials, stats)
+                )
             } else {
-                let v = vardelay_opt::verify_yield(
+                vardelay_opt::verify_yield(
                     &prepared,
                     ws,
                     vplan,
                     spec.verify_trials,
-                    spec.verify_plan.ci_half_width,
+                    ci,
                     seed_of,
                     pipe.stage_count(),
                     &[target],
-                );
-                (v.trials, v.stats)
+                )
             };
+            let (trials_run, stats) = (v.trials, v.stats);
             vardelay_obs::counter(kernel_counter, trials_run);
             if let Some(name) = strategy_counter {
                 vardelay_obs::counter(name, trials_run);

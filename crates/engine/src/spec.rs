@@ -26,16 +26,16 @@ use crate::seed::fnv1a64;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BackendSpec {
     /// The staged-pipeline Monte-Carlo substrate: joint-Gaussian stage
-    /// sampling for moment-form scenarios, [`vardelay_mc::PipelineMc`]
-    /// for gate-level ones. The engine's original behavior.
+    /// sampling for moment-form scenarios, and the same prepared
+    /// gate-level path as `Netlist` for gate-level ones (the two
+    /// keywords produce the same bytes there).
     #[default]
     Pipeline,
     /// Gate-level Monte-Carlo on the allocation-free prepared path
     /// ([`vardelay_mc::PreparedPipelineMc`]): every trial samples a die
     /// through the process sampler and times real netlists with
-    /// workspace-reused buffers. Statistically identical to `Pipeline`
-    /// on the same circuits, and the backend of choice for large trial
-    /// budgets and [`CircuitSpec`] workloads.
+    /// workspace-reused buffers. Rejects moment-form scenarios, which
+    /// have no gates.
     Netlist,
     /// Closed-form Clark/SSTA evaluation only — no sampling. Pairs with
     /// a Monte-Carlo twin of the same scenario to put model-vs-MC deltas

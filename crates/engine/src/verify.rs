@@ -85,11 +85,7 @@ pub fn verify_yield_pooled(
                 .key(obs_key)
                 .value((end - start) as f64);
             let mut chunk = template.fresh_like();
-            if plan.is_plain() {
-                prepared.run_block(ws, start..end, &seed_of, &mut chunk);
-            } else {
-                prepared.run_block_plan(ws, start..end, &seed_of, plan, &mut chunk);
-            }
+            prepared.run_block_plan(ws, start..end, &seed_of, plan, &mut chunk);
             chunk
         },
         |k, chunk| {
@@ -132,7 +128,13 @@ mod tests {
         let prepared = PreparedPipelineMc::new(&mc, &p);
         let mut ws = TrialWorkspace::new();
         let mut probe = PipelineBlockStats::new(p.stage_count(), &[]);
-        prepared.run_block(&mut ws, 0..512, |t| counter_seed(7, t), &mut probe);
+        prepared.run_block_plan(
+            &mut ws,
+            0..512,
+            |t| counter_seed(7, t),
+            TrialPlan::plain(),
+            &mut probe,
+        );
         let target = probe.pipeline().mean();
         (p, mc, target)
     }

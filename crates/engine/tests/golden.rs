@@ -1,3 +1,7 @@
+//! Golden byte identity. The Monte-Carlo matrix goldens (below) pin
+//! every backend × kernel × trial plan and each kernel's verification
+//! fold shape; they were generated before the samplers were unified.
+//!
 //! Campaign-golden byte identity: the checked-in result file was
 //! generated **before** the incremental timing kernel landed, so this
 //! test is the refactor's contract made executable — the kernel (and

@@ -17,6 +17,10 @@
 //! in distinct journal entries per kernel, but a spec's seeds never move
 //! when the kernel changes.
 
+use vardelay_stats::NormalFill;
+
+use crate::results::PipelineBlockStats;
+
 /// Which trial-kernel contract a Monte-Carlo runner executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TrialKernel {
@@ -57,6 +61,72 @@ impl TrialKernel {
             TrialKernel::V1 => "v1",
             TrialKernel::V2 => "v2",
             TrialKernel::V3 => "v3",
+        }
+    }
+
+    /// The normal fill this kernel draws die-level and joint-Gaussian
+    /// normals with: scalar Box–Muller (v1), pair-producing Box–Muller
+    /// (v2), or inverse-CDF (v3).
+    pub fn normal_fill(self) -> NormalFill {
+        match self {
+            TrialKernel::V1 => NormalFill::Scalar,
+            TrialKernel::V2 => NormalFill::BoxMullerPairs,
+            TrialKernel::V3 => NormalFill::InvCdf,
+        }
+    }
+}
+
+/// A kernel's frozen statistics fold over one block call.
+///
+/// v1 records every trial straight into the block's statistics, so a
+/// sequence of calls accumulates exactly like one call over the joined
+/// range. v2 and v3 accumulate trial `t` into lane `t % lanes`
+/// ([`V2_LANES`] / [`V3_LANES`]) and merge the lanes into the
+/// statistics in ascending lane order at [`LaneFold::finish`], so a
+/// call's bytes are a pure function of its trial range. Weighted
+/// statistics (blockade) record each trial's importance weight.
+#[derive(Debug)]
+pub struct LaneFold<'a> {
+    kernel: TrialKernel,
+    stats: &'a mut PipelineBlockStats,
+    lanes: Vec<PipelineBlockStats>,
+}
+
+impl<'a> LaneFold<'a> {
+    /// Starts `kernel`'s fold into `stats`.
+    pub fn new(kernel: TrialKernel, stats: &'a mut PipelineBlockStats) -> Self {
+        let lanes = match kernel {
+            TrialKernel::V1 => 0,
+            TrialKernel::V2 => V2_LANES,
+            TrialKernel::V3 => V3_LANES,
+        };
+        let lanes = (0..lanes).map(|_| stats.fresh_like()).collect();
+        LaneFold {
+            kernel,
+            stats,
+            lanes,
+        }
+    }
+
+    /// Records trial `t`: its stage delays, pipeline delay and
+    /// importance weight (ignored unless the statistics are weighted).
+    pub fn record(&mut self, t: u64, stage_delays: &[f64], maxd: f64, weight: f64) {
+        let into = match self.kernel {
+            TrialKernel::V1 => &mut *self.stats,
+            TrialKernel::V2 => &mut self.lanes[(t % V2_LANES as u64) as usize],
+            TrialKernel::V3 => &mut self.lanes[(t % V3_LANES as u64) as usize],
+        };
+        if into.has_weighted_tail() {
+            into.record_weighted(stage_delays, maxd, weight);
+        } else {
+            into.record(stage_delays, maxd);
+        }
+    }
+
+    /// Merges the lanes into the statistics in ascending lane order.
+    pub fn finish(self) {
+        for lane in &self.lanes {
+            self.stats.merge(lane);
         }
     }
 }

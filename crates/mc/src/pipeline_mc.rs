@@ -11,7 +11,7 @@ use vardelay_stats::RunningStats;
 
 use crate::engine::NetlistMc;
 use crate::kernel::TrialKernel;
-use crate::results::{McConfig, McResult, PipelineBlockStats};
+use crate::results::{McConfig, McResult};
 
 /// Results of a pipeline Monte-Carlo campaign.
 #[derive(Debug, Clone)]
@@ -68,8 +68,8 @@ impl PipelineMc {
         self
     }
 
-    /// Selects the trial-kernel contract for block runs; prepared
-    /// runners compiled from this runner inherit it.
+    /// Selects the trial-kernel contract that prepared runners compiled
+    /// from this runner execute.
     pub fn with_kernel(mut self, kernel: TrialKernel) -> Self {
         self.kernel = kernel;
         self
@@ -86,7 +86,9 @@ impl PipelineMc {
     }
 
     /// One pipeline trial: per-stage delays (including latch overhead)
-    /// and their max.
+    /// and their max, allocating fresh vectors. The reference v1 trial:
+    /// [`crate::PreparedPipelineMc`] reproduces it bit for bit under the
+    /// plain plan, and its tests use it as the oracle.
     pub fn sample_trial(&self, pipeline: &StagedPipeline, rng: &mut StdRng) -> (Vec<f64>, f64) {
         let die = self.inner.sampler().sample_die(rng);
         let latch = pipeline.latch();
@@ -102,67 +104,6 @@ impl PipelineMc {
             stage_delays.push(sd);
         }
         (stage_delays, max_d)
-    }
-
-    /// Runs trials `trials.start..trials.end` of a campaign whose
-    /// per-trial RNG streams are defined by `seed_of(trial_index)`,
-    /// folding each trial into `stats`.
-    ///
-    /// Every trial gets a fresh [`StdRng`] from its own seed, so each
-    /// trial's *samples* are identical however the campaign's trial
-    /// range is split into blocks; with a fixed block partition and
-    /// in-order merging this is what gives the sweep engine's worker
-    /// pool worker-count-independent output.
-    ///
-    /// Under the v2 kernel the block is delegated to a freshly compiled
-    /// [`crate::PreparedPipelineMc`] (which defines the v2 arithmetic),
-    /// so both runners produce the same v2 bytes per seed — the same
-    /// equivalence the v1 kernel maintains, at the cost of a per-call
-    /// compile. Hot paths should hold a prepared runner directly.
-    pub fn run_block(
-        &self,
-        pipeline: &StagedPipeline,
-        trials: std::ops::Range<u64>,
-        seed_of: impl Fn(u64) -> u64,
-        stats: &mut PipelineBlockStats,
-    ) {
-        match self.kernel {
-            TrialKernel::V1 => {
-                for t in trials {
-                    let mut rng = StdRng::seed_from_u64(seed_of(t));
-                    let (stages, maxd) = self.sample_trial(pipeline, &mut rng);
-                    stats.record(&stages, maxd);
-                }
-            }
-            TrialKernel::V2 | TrialKernel::V3 => {
-                let prepared = crate::PreparedPipelineMc::new(self, pipeline);
-                let mut ws = prepared.workspace();
-                prepared.run_block(&mut ws, trials, seed_of, stats);
-            }
-        }
-    }
-
-    /// Runs a trial range under a [`crate::TrialPlan`] — the plan-aware
-    /// variant of [`PipelineMc::run_block`]. The plain plan routes to
-    /// `run_block` itself (byte-frozen); any other plan delegates to a
-    /// freshly compiled [`crate::PreparedPipelineMc`], which defines the
-    /// plan arithmetic for both kernels — so the prepared and unprepared
-    /// runners produce the same plan bytes per seed. Hot paths should
-    /// hold a prepared runner directly.
-    pub fn run_block_plan(
-        &self,
-        pipeline: &StagedPipeline,
-        trials: std::ops::Range<u64>,
-        seed_of: impl Fn(u64) -> u64,
-        plan: crate::TrialPlan,
-        stats: &mut PipelineBlockStats,
-    ) {
-        if plan.is_plain() {
-            return self.run_block(pipeline, trials, seed_of, stats);
-        }
-        let prepared = crate::PreparedPipelineMc::new(self, pipeline);
-        let mut ws = prepared.workspace();
-        prepared.run_block_plan(&mut ws, trials, seed_of, plan, stats);
     }
 
     /// Runs a full campaign.

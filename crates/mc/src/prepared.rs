@@ -11,11 +11,15 @@
 //! [`TrialWorkspace`] of scratch buffers, reused across every trial a
 //! worker runs).
 //!
-//! The RNG consumption order and floating-point arithmetic are kept
-//! **identical** to [`PipelineMc`], so for the same per-trial seeds the
+//! Every gate-level Monte-Carlo surface runs through one entry point,
+//! [`PreparedPipelineMc::run_block_plan`]: one per-trial sampler per
+//! trial kernel, each consuming the trial plan as a draw overlay (plain
+//! is the identity overlay), folded by the kernel's [`LaneFold`]. Under
+//! the v1 kernel and the plain plan the RNG consumption order and
+//! floating-point arithmetic are **identical** to
+//! [`PipelineMc::sample_trial`], so for the same per-trial seeds the
 //! prepared runner produces bit-identical statistics — a property the
-//! test suite asserts, which is what lets the sweep engine offer it as a
-//! backend without weakening any determinism guarantee.
+//! test suite asserts against that reference loop.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,8 +32,9 @@ use vardelay_stats::batch::{
     sample_standard_normal_inv_cdf,
 };
 use vardelay_stats::normal::sample_standard_normal;
+use vardelay_stats::{DrawOverlay, NormalFill};
 
-use crate::kernel::{TrialKernel, V2_LANES, V3_LANES, V3_WIDTH};
+use crate::kernel::{LaneFold, TrialKernel, V3_WIDTH};
 use crate::pipeline_mc::PipelineMc;
 use crate::results::PipelineBlockStats;
 use crate::strategy::{PlanSampler, TrialPlan};
@@ -117,7 +122,7 @@ struct WideScratch {
     sd: Vec<f64>,
     /// Per-lane pipeline delays (max over stages).
     maxd: [f64; V3_WIDTH],
-    /// Per-lane importance weights (plan path only).
+    /// Per-lane importance weights (`1.0` unless the plan shifts).
     weight: [f64; V3_WIDTH],
     /// Per-lane generators parked after the die/latch draws so the
     /// gate-normal rows can be filled with interleaved streams
@@ -341,138 +346,24 @@ impl PreparedPipelineMc {
         ws
     }
 
-    /// One trial into the workspace; returns the pipeline delay. The
+    /// One **v1-kernel** trial into the workspace under the plan's draw
+    /// `overlay`; returns `(pipeline delay, importance weight)`. The
     /// per-stage delays are left in the workspace's stage buffer.
-    fn sample_trial(&self, ws: &mut TrialWorkspace, rng: &mut StdRng) -> f64 {
-        self.sampler.sample_die_into(rng, &mut ws.z, &mut ws.die);
-        let mut max_d = f64::NEG_INFINITY;
-        for (s, stage) in self.stages.iter().enumerate() {
-            let shared = ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
-                0
-            } else {
-                stage.region
-            });
-            ws.slowdown.clear();
-            if stage.rand_sigma.is_empty() {
-                let f = self.lib.vth_slowdown_factor(shared);
-                ws.slowdown.resize(stage.netlist.gate_count(), f);
-            } else {
-                ws.slowdown.extend(stage.rand_sigma.iter().map(|&sig| {
-                    let rand = sig * sample_standard_normal(rng);
-                    self.lib.vth_slowdown_factor(shared + rand)
-                }));
-            }
-            arrival_times_into(
-                &stage.netlist,
-                &stage.nominal,
-                Some(&ws.slowdown),
-                &mut ws.at,
-            );
-            let comb = stage
-                .netlist
-                .outputs()
-                .iter()
-                .map(|o| ws.at[o.0])
-                .fold(0.0, f64::max);
-            let overhead = self.latch.overhead_ps()
-                + self.latch.overhead_sigma_ps() * sample_standard_normal(rng);
-            let sd = comb + overhead;
-            max_d = max_d.max(sd);
-            ws.stage_delays[s] = sd;
-        }
-        ws.reuses += 1;
-        max_d
-    }
-
-    /// One **v2-kernel** trial into the workspace; returns the pipeline
-    /// delay. Same spec semantics as [`Self::sample_trial`] — same seed
-    /// derivation, same component model, same deterministic timing — but
-    /// batch-shaped arithmetic: the die's normals come from one pair-
-    /// producing Box–Muller fill, each stage's per-gate normals from a
-    /// structure-of-arrays inverse-CDF fill (one uniform per gate), the
-    /// slowdown factor from the frozen polynomial kernels, and the latch
-    /// overhead normal is drawn **only when the latch has jitter** (v1
-    /// draws and discards it when sigma is zero).
-    fn sample_trial_v2(&self, ws: &mut TrialWorkspace, rng: &mut StdRng) -> f64 {
-        self.sampler.sample_die_into_v2(rng, &mut ws.z, &mut ws.die);
-        // One up-front inverse-CDF fill covers every stage's per-gate
-        // normals (one u64 each, stage order). Each normal depends only
-        // on its own u64, so the values are identical to per-stage fills
-        // — batching just amortizes the fill's fixed costs. Latch
-        // overhead draws (below) consume the RNG *after* this block.
-        ws.normals.resize(self.rand_total, 0.0);
-        fill_standard_normals_inv_cdf(rng, &mut ws.normals);
-        let latch_sigma = self.latch.overhead_sigma_ps();
-        let mut max_d = f64::NEG_INFINITY;
-        let mut rand_off = 0usize;
-        for (s, stage) in self.stages.iter().enumerate() {
-            let shared = ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
-                0
-            } else {
-                stage.region
-            });
-            if stage.rand_sigma.is_empty() {
-                ws.slowdown.clear();
-                let f = self.lib.vth_slowdown_factor_v2(shared);
-                ws.slowdown.resize(stage.netlist.gate_count(), f);
-            } else {
-                let gates = stage.rand_sigma.len();
-                let z = &ws.normals[rand_off..rand_off + gates];
-                rand_off += gates;
-                ws.slowdown.resize(gates, 0.0);
-                self.lib.vth_slowdown_factors_v2_into(
-                    shared,
-                    &stage.rand_sigma,
-                    z,
-                    &mut ws.slowdown,
-                );
-            }
-            arrival_times_into(
-                &stage.netlist,
-                &stage.nominal,
-                Some(&ws.slowdown),
-                &mut ws.at,
-            );
-            let comb = stage
-                .netlist
-                .outputs()
-                .iter()
-                .map(|o| ws.at[o.0])
-                .fold(0.0, f64::max);
-            let mut overhead = self.latch.overhead_ps();
-            if latch_sigma != 0.0 {
-                overhead += latch_sigma * sample_standard_normal_inv_cdf(rng);
-            }
-            let sd = comb + overhead;
-            max_d = max_d.max(sd);
-            ws.stage_delays[s] = sd;
-        }
-        ws.reuses += 1;
-        max_d
-    }
-
-    /// Number of die-level standard-normal dims one trial draws (the
-    /// inter-die normal plus the correlated-region normals) — the dims a
-    /// stratified or Sobol trial plan overrides.
-    pub fn die_dims(&self) -> usize {
-        usize::from(self.sampler.variation().has_inter()) + self.sampler.region_value_count()
-    }
-
-    /// One **plan-modified** v1 trial: [`Self::sample_trial`] with the
-    /// strategy overlay (antithetic `sign` on every produced normal,
-    /// `lead` overrides on the die-level dims, inter-die mean `shift`).
-    /// Returns `(pipeline delay, importance weight)`.
-    fn sample_trial_plan(
+    ///
+    /// Scalar Box–Muller normals drawn one at a time in trial order (die,
+    /// then per stage its gate normals and the latch-overhead normal) and
+    /// exact `powf` slowdown factors — the [`PipelineMc::sample_trial`]
+    /// stream, which the identity overlay reproduces bit for bit.
+    fn sample_trial(
         &self,
         ws: &mut TrialWorkspace,
         rng: &mut StdRng,
-        sign: f64,
-        lead: &[f64],
-        shift: f64,
+        overlay: &DrawOverlay<'_>,
     ) -> (f64, f64) {
         let weight =
             self.sampler
-                .sample_die_into_plan(rng, sign, lead, shift, &mut ws.z, &mut ws.die);
+                .sample_die_with(NormalFill::Scalar, overlay, rng, &mut ws.z, &mut ws.die);
+        let sign = overlay.sign;
         let mut max_d = f64::NEG_INFINITY;
         for (s, stage) in self.stages.iter().enumerate() {
             let shared = ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
@@ -512,20 +403,35 @@ impl PreparedPipelineMc {
         (max_d, weight)
     }
 
-    /// One **plan-modified** v2 trial: [`Self::sample_trial_v2`] with
-    /// the strategy overlay. Returns `(pipeline delay, importance
-    /// weight)`.
-    fn sample_trial_v2_plan(
+    /// One **v2-kernel** trial into the workspace under the plan's draw
+    /// `overlay`; returns `(pipeline delay, importance weight)`. Same
+    /// spec semantics as [`Self::sample_trial`] — same seed derivation,
+    /// same component model, same deterministic timing — but
+    /// batch-shaped arithmetic: the die's normals come from one pair-
+    /// producing Box–Muller fill, each stage's per-gate normals from a
+    /// structure-of-arrays inverse-CDF fill (one uniform per gate), the
+    /// slowdown factor from the frozen polynomial kernels, and the latch
+    /// overhead normal is drawn **only when the latch has jitter** (v1
+    /// draws and discards it when sigma is zero).
+    fn sample_trial_v2(
         &self,
         ws: &mut TrialWorkspace,
         rng: &mut StdRng,
-        sign: f64,
-        lead: &[f64],
-        shift: f64,
+        overlay: &DrawOverlay<'_>,
     ) -> (f64, f64) {
-        let weight =
-            self.sampler
-                .sample_die_into_v2_plan(rng, sign, lead, shift, &mut ws.z, &mut ws.die);
+        let weight = self.sampler.sample_die_with(
+            NormalFill::BoxMullerPairs,
+            overlay,
+            rng,
+            &mut ws.z,
+            &mut ws.die,
+        );
+        let sign = overlay.sign;
+        // One up-front inverse-CDF fill covers every stage's per-gate
+        // normals (one u64 each, stage order). Each normal depends only
+        // on its own u64, so the values are identical to per-stage fills
+        // — batching just amortizes the fill's fixed costs. Latch
+        // overhead draws (below) consume the RNG *after* this block.
         ws.normals.resize(self.rand_total, 0.0);
         fill_standard_normals_inv_cdf(rng, &mut ws.normals);
         if sign != 1.0 {
@@ -582,63 +488,37 @@ impl PreparedPipelineMc {
         (max_d, weight)
     }
 
-    /// Fill phase of one **v3-kernel** pass of `seeds.len() <= V3_WIDTH`
-    /// trials, then the shared compute phase. Leaves lane `i`'s stage
-    /// delays in `ws.wide.sd[s * V3_WIDTH + i]` and its pipeline delay
-    /// in `ws.wide.maxd[i]`.
+    /// Number of die-level standard-normal dims one trial draws (the
+    /// inter-die normal plus the correlated-region normals) — the dims a
+    /// stratified or Sobol trial plan overrides.
+    pub fn die_dims(&self) -> usize {
+        usize::from(self.sampler.variation().has_inter()) + self.sampler.region_value_count()
+    }
+
+    /// Fill phase of one **v3-kernel** pass over trials
+    /// `start..start + w` (`w <= V3_WIDTH`), then the shared compute
+    /// phase. Leaves lane `i`'s stage delays in
+    /// `ws.wide.sd[s * V3_WIDTH + i]`, its pipeline delay in
+    /// `ws.wide.maxd[i]` and its importance weight in `ws.wide.weight[i]`.
+    /// `ps` is advanced in ascending trial order, as the [`PlanSampler`]
+    /// contract requires; each lane's overlay applies to every normal it
+    /// draws (die, latch and gate).
     ///
     /// The v3 RNG consumption order per trial is part of the contract
     /// and deliberately differs from v2: die draws (batch inverse-CDF,
     /// not Box–Muller), then **all** latch-jitter normals up front (one
     /// per stage, only when the latch has jitter; v2 interleaves them
     /// after each stage), then every gate normal in one FMA-fused batch
-    /// inverse-CDF fill ([`fill_standard_normals_inv_cdf_fma`]). The
-    /// fused fill consumes the RNG exactly like the v2 fill (one `u64`
-    /// per normal, tail fixups re-rolling per element) but evaluates the
-    /// quantile through `mul_add`-fused Acklam polynomials — correctly
-    /// rounded on every target, so its bytes are stable across dispatch
-    /// targets yet never interchangeable with v2's. Each lane consumes
-    /// only its own seeded RNG, so a trial's values are a pure function
-    /// of its index — pass grouping (including the ragged final pass)
-    /// cannot reach the result bytes.
-    fn sample_pass_v3(&self, ws: &mut TrialWorkspace, seeds: &[u64]) {
-        debug_assert!(seeds.len() <= V3_WIDTH);
-        let latch_sigma = self.latch.overhead_sigma_ps();
-        ws.wide.rngs.clear();
-        for (lane, &seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(seed);
-            self.sampler
-                .sample_die_into_v3(&mut rng, &mut ws.z, &mut ws.die);
-            for (s, stage) in self.stages.iter().enumerate() {
-                ws.wide.shared[s * V3_WIDTH + lane] =
-                    ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
-                        0
-                    } else {
-                        stage.region
-                    });
-            }
-            if latch_sigma != 0.0 {
-                for s in 0..self.stages.len() {
-                    ws.wide.latch[s * V3_WIDTH + lane] = sample_standard_normal_inv_cdf(&mut rng);
-                }
-            }
-            ws.wide.rngs.push(rng);
-        }
-        let wide = &mut ws.wide;
-        fill_standard_normals_inv_cdf_fma_multi(
-            &mut wide.rngs,
-            &mut wide.z_rows[..seeds.len() * self.rand_total],
-        );
-        self.compute_pass_v3(ws, seeds.len());
-    }
-
-    /// Plan-modified fill phase of one v3 pass: [`Self::sample_pass_v3`]
-    /// with the strategy overlay (antithetic `sign` on every produced
-    /// normal, `lead` overrides on the die-level dims, inter-die mean
-    /// `shift`). Lane `i`'s importance weight lands in
-    /// `ws.wide.weight[i]`. `ps` is advanced in ascending trial order,
-    /// as the [`PlanSampler`] contract requires.
-    fn sample_pass_v3_plan(
+    /// inverse-CDF fill ([`fill_standard_normals_inv_cdf_fma_multi`]).
+    /// The fused fill consumes the RNG exactly like the v2 fill (one
+    /// `u64` per normal, tail fixups re-rolling per element) but
+    /// evaluates the quantile through `mul_add`-fused Acklam polynomials
+    /// — correctly rounded on every target, so its bytes are stable
+    /// across dispatch targets yet never interchangeable with v2's. Each
+    /// lane consumes only its own seeded RNG, so a trial's values are a
+    /// pure function of its index — pass grouping (including the ragged
+    /// final pass) cannot reach the result bytes.
+    fn sample_pass_v3(
         &self,
         ws: &mut TrialWorkspace,
         ps: &mut PlanSampler,
@@ -651,14 +531,13 @@ impl PreparedPipelineMc {
         let mut signs = [1.0f64; V3_WIDTH];
         ws.wide.rngs.clear();
         for (lane, sign_slot) in signs.iter_mut().enumerate().take(w) {
-            let (seed_index, sign) = ps.prepare_trial(start + lane as u64);
-            *sign_slot = sign;
+            let (seed_index, overlay) = ps.prepare_trial(start + lane as u64);
+            *sign_slot = overlay.sign;
             let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
-            ws.wide.weight[lane] = self.sampler.sample_die_into_v3_plan(
+            ws.wide.weight[lane] = self.sampler.sample_die_with(
+                NormalFill::InvCdf,
+                &overlay,
                 &mut rng,
-                sign,
-                ps.lead(),
-                ps.shift(),
                 &mut ws.z,
                 &mut ws.die,
             );
@@ -673,7 +552,7 @@ impl PreparedPipelineMc {
             if latch_sigma != 0.0 {
                 for s in 0..self.stages.len() {
                     ws.wide.latch[s * V3_WIDTH + lane] =
-                        sign * sample_standard_normal_inv_cdf(&mut rng);
+                        overlay.sign * sample_standard_normal_inv_cdf(&mut rng);
                 }
             }
             ws.wide.rngs.push(rng);
@@ -794,13 +673,13 @@ impl PreparedPipelineMc {
     }
 
     /// Monte-Carlo pipeline yield at one target delay: runs the given
-    /// trial range and returns the fraction of trials whose pipeline
-    /// delay met `target_ps`, with its 95% Wilson interval. This is the
-    /// yield-at-target-delay evaluation the optimization campaigns use
-    /// both as a pluggable sizing-loop backend and to cross-check the
+    /// trial range (plain plan) and returns the fraction of trials whose
+    /// pipeline delay met `target_ps`, with its 95% Wilson interval. This
+    /// is the yield-at-target-delay evaluation the optimization campaigns
+    /// use both as a pluggable sizing-loop backend and to cross-check the
     /// analytic yield prediction (the paper's Table II "actual yield"
     /// column) — same hot path, same bit-reproducibility, as a sweep's
-    /// netlist backend.
+    /// gate-level backend.
     ///
     /// # Panics
     ///
@@ -814,31 +693,49 @@ impl PreparedPipelineMc {
     ) -> crate::results::YieldEstimate {
         assert!(!trials.is_empty(), "yield estimate needs trials");
         let mut stats = PipelineBlockStats::new(self.stage_count(), &[target_ps]);
-        self.run_block(ws, trials, seed_of, &mut stats);
+        self.run_block_plan(ws, trials, seed_of, TrialPlan::plain(), &mut stats);
         stats.yield_estimate(0)
     }
 
-    /// Runs trials `trials.start..trials.end` with per-trial seeds
-    /// `seed_of(trial_index)`, folding each trial into `stats` — the
-    /// [`crate::PipelineMc::run_block`] contract, minus the per-trial
-    /// allocations. Under the v1 kernel this is bit-identical to
-    /// `PipelineMc` for the same seeds; under the v2 kernel trial `t`
-    /// is accumulated into lane `t % V2_LANES` and the lanes are folded
-    /// into `stats` in ascending lane order at the end of the call, so
-    /// v2 output is a pure function of the trial range — identical
-    /// however the campaign splits ranges across workers or shards, as
-    /// long as the block boundaries themselves are fixed.
+    /// Runs trials `trials.start..trials.end` under a [`TrialPlan`], with
+    /// per-trial seeds `seed_of(seed_index)`, folding each trial into
+    /// `stats` — the one Monte-Carlo entry point of every gate-level
+    /// backend, campaign verifier and in-loop yield evaluation.
+    ///
+    /// Each trial's draw overlay comes from a [`PlanSampler`] keyed on
+    /// `seed_of(0)` — a pure function of the spec, so all workers,
+    /// shards and resumed runs agree; the plain plan is the identity
+    /// overlay, which leaves every drawn bit as the unmodified stream
+    /// produced it. The kernel's sampler then runs the trial and its
+    /// [`LaneFold`] records it: under v1, straight into `stats`
+    /// (bit-identical to [`PipelineMc::sample_trial`] for the same seeds
+    /// under the plain plan); under v2/v3 through the kernel's fixed
+    /// lanes, folded in ascending order at the end of the call, so the
+    /// output is a pure function of the trial range — identical however
+    /// ranges are split across workers or shards, as long as the block
+    /// boundaries themselves are fixed.
+    ///
+    /// Weighted plans ([`TrialPlan::is_weighted`]) require `stats` built
+    /// with [`PipelineBlockStats::with_weighted_tail`]; unweighted plans
+    /// require it absent.
     ///
     /// # Panics
     ///
-    /// Panics if `stats` was built for a different stage count.
-    pub fn run_block(
+    /// Panics if `stats` was built for a different stage count or its
+    /// weighted-tail configuration does not match the plan.
+    pub fn run_block_plan(
         &self,
         ws: &mut TrialWorkspace,
         trials: std::ops::Range<u64>,
         seed_of: impl Fn(u64) -> u64,
+        plan: TrialPlan,
         stats: &mut PipelineBlockStats,
     ) {
+        assert_eq!(
+            stats.has_weighted_tail(),
+            plan.is_weighted(),
+            "stats weighted-tail configuration does not match the plan"
+        );
         self.prepare_workspace(ws);
         // The zero-allocation contract, made checkable: after the
         // workspace is warm, no buffer may move for the rest of the
@@ -865,173 +762,53 @@ impl PreparedPipelineMc {
             )
         };
         let warm = fingerprint(ws);
-        match self.kernel {
-            TrialKernel::V1 => {
-                for t in trials {
-                    let mut rng = StdRng::seed_from_u64(seed_of(t));
-                    let maxd = self.sample_trial(ws, &mut rng);
-                    stats.record(&ws.stage_delays, maxd);
-                    debug_assert_eq!(
-                        fingerprint(ws),
-                        warm,
-                        "hot-path buffer reallocated mid-block"
-                    );
-                }
-            }
-            TrialKernel::V2 => {
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V2_LANES).map(|_| stats.fresh_like()).collect();
-                for t in trials {
-                    let mut rng = StdRng::seed_from_u64(seed_of(t));
-                    let maxd = self.sample_trial_v2(ws, &mut rng);
-                    lanes[(t % V2_LANES as u64) as usize].record(&ws.stage_delays, maxd);
-                    debug_assert_eq!(
-                        fingerprint(ws),
-                        warm,
-                        "hot-path buffer reallocated mid-block"
-                    );
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
-            }
-            TrialKernel::V3 => {
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V3_LANES).map(|_| stats.fresh_like()).collect();
-                let mut seeds = [0u64; V3_WIDTH];
-                let mut t = trials.start;
-                while t < trials.end {
-                    let w = ((trials.end - t) as usize).min(V3_WIDTH);
-                    for (i, s) in seeds[..w].iter_mut().enumerate() {
-                        *s = seed_of(t + i as u64);
-                    }
-                    self.sample_pass_v3(ws, &seeds[..w]);
-                    for i in 0..w {
-                        for s in 0..self.stages.len() {
-                            ws.stage_delays[s] = ws.wide.sd[s * V3_WIDTH + i];
-                        }
-                        let ti = t + i as u64;
-                        lanes[(ti % V3_LANES as u64) as usize]
-                            .record(&ws.stage_delays, ws.wide.maxd[i]);
-                    }
-                    ws.reuses += w as u64;
-                    t += w as u64;
-                    debug_assert_eq!(
-                        fingerprint(ws),
-                        warm,
-                        "hot-path buffer reallocated mid-block"
-                    );
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
-            }
-        }
-    }
-
-    /// Runs a trial range under a [`TrialPlan`] — the plan-aware variant
-    /// of [`Self::run_block`].
-    ///
-    /// The **plain** plan routes to [`Self::run_block`] itself (the
-    /// byte-frozen path: plain bytes are contractually inert whether or
-    /// not the plan machinery is compiled in). A non-plain plan derives
-    /// each trial's modifications from a [`PlanSampler`] keyed on
-    /// `seed_of(0)` — a pure function of the spec, so all workers,
-    /// shards, and resumed runs agree — and otherwise preserves the
-    /// kernel contract unchanged (v1 scalar order; v2 lane folding, with
-    /// weighted sums merging by addition per lane).
-    ///
-    /// Weighted plans ([`TrialPlan::is_weighted`]) require `stats` built
-    /// with [`PipelineBlockStats::with_weighted_tail`]; unweighted plans
-    /// require it absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stats` was built for a different stage count or its
-    /// weighted-tail configuration does not match the plan.
-    pub fn run_block_plan(
-        &self,
-        ws: &mut TrialWorkspace,
-        trials: std::ops::Range<u64>,
-        seed_of: impl Fn(u64) -> u64,
-        plan: TrialPlan,
-        stats: &mut PipelineBlockStats,
-    ) {
-        if plan.is_plain() {
-            return self.run_block(ws, trials, seed_of, stats);
-        }
-        assert_eq!(
-            stats.has_weighted_tail(),
-            plan.is_weighted(),
-            "stats weighted-tail configuration does not match the plan"
-        );
-        self.prepare_workspace(ws);
         let mut ps = PlanSampler::new(plan, self.die_dims(), seed_of(0));
-        let weighted = plan.is_weighted();
+        let mut fold = LaneFold::new(self.kernel, stats);
         match self.kernel {
-            TrialKernel::V1 => {
+            TrialKernel::V1 | TrialKernel::V2 => {
                 for t in trials {
-                    let (seed_index, sign) = ps.prepare_trial(t);
+                    let (seed_index, overlay) = ps.prepare_trial(t);
                     let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
-                    let (maxd, w) =
-                        self.sample_trial_plan(ws, &mut rng, sign, ps.lead(), ps.shift());
-                    if weighted {
-                        stats.record_weighted(&ws.stage_delays, maxd, w);
+                    let (maxd, w) = if self.kernel == TrialKernel::V1 {
+                        self.sample_trial(ws, &mut rng, &overlay)
                     } else {
-                        stats.record(&ws.stage_delays, maxd);
-                    }
-                }
-            }
-            TrialKernel::V2 => {
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V2_LANES).map(|_| stats.fresh_like()).collect();
-                for t in trials {
-                    let (seed_index, sign) = ps.prepare_trial(t);
-                    let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
-                    let (maxd, w) =
-                        self.sample_trial_v2_plan(ws, &mut rng, sign, ps.lead(), ps.shift());
-                    let lane = &mut lanes[(t % V2_LANES as u64) as usize];
-                    if weighted {
-                        lane.record_weighted(&ws.stage_delays, maxd, w);
-                    } else {
-                        lane.record(&ws.stage_delays, maxd);
-                    }
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
+                        self.sample_trial_v2(ws, &mut rng, &overlay)
+                    };
+                    fold.record(t, &ws.stage_delays, maxd, w);
+                    debug_assert_eq!(
+                        fingerprint(ws),
+                        warm,
+                        "hot-path buffer reallocated mid-block"
+                    );
                 }
             }
             TrialKernel::V3 => {
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V3_LANES).map(|_| stats.fresh_like()).collect();
                 let mut t = trials.start;
                 while t < trials.end {
                     let w = ((trials.end - t) as usize).min(V3_WIDTH);
-                    self.sample_pass_v3_plan(ws, &mut ps, t, w, &seed_of);
+                    self.sample_pass_v3(ws, &mut ps, t, w, &seed_of);
                     for i in 0..w {
                         for s in 0..self.stages.len() {
                             ws.stage_delays[s] = ws.wide.sd[s * V3_WIDTH + i];
                         }
-                        let ti = t + i as u64;
-                        let lane = &mut lanes[(ti % V3_LANES as u64) as usize];
-                        if weighted {
-                            lane.record_weighted(
-                                &ws.stage_delays,
-                                ws.wide.maxd[i],
-                                ws.wide.weight[i],
-                            );
-                        } else {
-                            lane.record(&ws.stage_delays, ws.wide.maxd[i]);
-                        }
+                        fold.record(
+                            t + i as u64,
+                            &ws.stage_delays,
+                            ws.wide.maxd[i],
+                            ws.wide.weight[i],
+                        );
                     }
                     ws.reuses += w as u64;
                     t += w as u64;
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
+                    debug_assert_eq!(
+                        fingerprint(ws),
+                        warm,
+                        "hot-path buffer reallocated mid-block"
+                    );
                 }
             }
         }
+        fold.finish();
     }
 }
 
@@ -1049,9 +826,34 @@ mod tests {
         t.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(17)
     }
 
-    /// The refactor's load-bearing property: the prepared runner is a
-    /// pure optimization of `PipelineMc::run_block` — same seeds, same
-    /// bits — under every variation mode.
+    /// A plain-plan block on the prepared runner.
+    fn run(
+        prepared: &PreparedPipelineMc,
+        ws: &mut TrialWorkspace,
+        trials: std::ops::Range<u64>,
+        stats: &mut PipelineBlockStats,
+    ) {
+        prepared.run_block_plan(ws, trials, seed_of, TrialPlan::plain(), stats);
+    }
+
+    /// The reference v1 trial loop: [`PipelineMc::sample_trial`] with
+    /// fresh vectors every trial, recorded in trial order.
+    fn oracle(
+        mc: &PipelineMc,
+        p: &StagedPipeline,
+        trials: std::ops::Range<u64>,
+        stats: &mut PipelineBlockStats,
+    ) {
+        for t in trials {
+            let mut rng = StdRng::seed_from_u64(seed_of(t));
+            let (stages, maxd) = mc.sample_trial(p, &mut rng);
+            stats.record(&stages, maxd);
+        }
+    }
+
+    /// The refactor's load-bearing property: the prepared runner's plain
+    /// v1 path is a pure optimization of the `PipelineMc::sample_trial`
+    /// loop — same seeds, same bits — under every variation mode.
     #[test]
     fn prepared_matches_pipeline_mc_bit_for_bit() {
         for var in [
@@ -1066,11 +868,11 @@ mod tests {
 
             let targets = [150.0, 200.0];
             let mut a = PipelineBlockStats::new(p.stage_count(), &targets);
-            mc.run_block(&p, 0..300, seed_of, &mut a);
+            oracle(&mc, &p, 0..300, &mut a);
 
             let mut b = PipelineBlockStats::new(p.stage_count(), &targets);
             let mut ws = prepared.workspace();
-            prepared.run_block(&mut ws, 0..300, seed_of, &mut b);
+            run(&prepared, &mut ws, 0..300, &mut b);
 
             assert_eq!(a, b, "prepared path diverged under {var:?}");
         }
@@ -1089,7 +891,7 @@ mod tests {
         let target = 200.0;
         let est = prepared.yield_at_target(&mut ws, target, 0..500, seed_of);
         let mut want = PipelineBlockStats::new(p.stage_count(), &[target]);
-        mc.run_block(&p, 0..500, seed_of, &mut want);
+        oracle(&mc, &p, 0..500, &mut want);
         assert_eq!(est, want.yield_estimate(0));
         assert!(est.lo <= est.value && est.value <= est.hi);
     }
@@ -1117,8 +919,8 @@ mod tests {
         let fresh = PreparedPipelineMc::new(&mc, &p1);
         let mut a = PipelineBlockStats::new(4, &[150.0]);
         let mut b = PipelineBlockStats::new(4, &[150.0]);
-        prepared.run_block(&mut prepared.workspace(), 0..200, seed_of, &mut a);
-        fresh.run_block(&mut fresh.workspace(), 0..200, seed_of, &mut b);
+        run(&prepared, &mut prepared.workspace(), 0..200, &mut a);
+        run(&fresh, &mut fresh.workspace(), 0..200, &mut b);
         assert_eq!(a, b, "reprepared stage diverged from fresh compile");
 
         // A stage-count change falls back to a full rebuild.
@@ -1128,8 +930,8 @@ mod tests {
         let fresh5 = PreparedPipelineMc::new(&mc, &p5);
         let mut a = PipelineBlockStats::new(5, &[150.0]);
         let mut b = PipelineBlockStats::new(5, &[150.0]);
-        prepared.run_block(&mut prepared.workspace(), 0..200, seed_of, &mut a);
-        fresh5.run_block(&mut fresh5.workspace(), 0..200, seed_of, &mut b);
+        run(&prepared, &mut prepared.workspace(), 0..200, &mut a);
+        run(&fresh5, &mut fresh5.workspace(), 0..200, &mut b);
         assert_eq!(a, b);
     }
 
@@ -1144,8 +946,8 @@ mod tests {
         let prepared = PreparedPipelineMc::new(&mc, &p);
         let mut ws = prepared.workspace();
         let mut stats = PipelineBlockStats::new(p.stage_count(), &[]);
-        prepared.run_block(&mut ws, 0..64, seed_of, &mut stats);
-        prepared.run_block(&mut ws, 64..128, seed_of, &mut stats);
+        run(&prepared, &mut ws, 0..64, &mut stats);
+        run(&prepared, &mut ws, 64..128, &mut stats);
         assert_eq!(
             ws.reuses(),
             128,
@@ -1155,8 +957,8 @@ mod tests {
     }
 
     /// The v2 contract in miniature: a block's v2 bytes are a pure
-    /// function of its trial range — fresh or reused workspace, prepared
-    /// or unprepared runner, the same range produces identical bits.
+    /// function of its trial range — fresh or reused workspace, the same
+    /// range produces identical bits.
     #[test]
     fn v2_block_bytes_are_a_pure_function_of_the_range() {
         for var in [
@@ -1174,17 +976,12 @@ mod tests {
             let targets = [150.0, 200.0];
             let mut a = PipelineBlockStats::new(p.stage_count(), &targets);
             let mut ws = prepared.workspace();
-            prepared.run_block(&mut ws, 256..512, seed_of, &mut a);
+            run(&prepared, &mut ws, 256..512, &mut a);
 
             // Same range again, same (now warm) workspace.
             let mut b = PipelineBlockStats::new(p.stage_count(), &targets);
-            prepared.run_block(&mut ws, 256..512, seed_of, &mut b);
+            run(&prepared, &mut ws, 256..512, &mut b);
             assert_eq!(a, b, "v2 block not reproducible under {var:?}");
-
-            // The unprepared runner delegates to the same v2 arithmetic.
-            let mut c = PipelineBlockStats::new(p.stage_count(), &targets);
-            mc.run_block(&p, 256..512, seed_of, &mut c);
-            assert_eq!(a, c, "PipelineMc v2 diverged from prepared under {var:?}");
         }
     }
 
@@ -1204,8 +1001,8 @@ mod tests {
         let target = [115.0];
         let mut s1 = PipelineBlockStats::new(p.stage_count(), &target);
         let mut s2 = PipelineBlockStats::new(p.stage_count(), &target);
-        p1.run_block(&mut p1.workspace(), 0..n, seed_of, &mut s1);
-        p2.run_block(&mut p2.workspace(), 0..n, seed_of, &mut s2);
+        run(&p1, &mut p1.workspace(), 0..n, &mut s1);
+        run(&p2, &mut p2.workspace(), 0..n, &mut s2);
         assert_ne!(s1, s2, "the kernels must be distinct byte streams");
 
         let (m1, m2) = (s1.pipeline().mean(), s2.pipeline().mean());
@@ -1237,16 +1034,16 @@ mod tests {
         let prepared = PreparedPipelineMc::new(&mc, &p);
         let mut ws = prepared.workspace();
         let mut stats = PipelineBlockStats::new(p.stage_count(), &[]);
-        prepared.run_block(&mut ws, 0..64, seed_of, &mut stats);
-        prepared.run_block(&mut ws, 64..128, seed_of, &mut stats);
+        run(&prepared, &mut ws, 0..64, &mut stats);
+        run(&prepared, &mut ws, 64..128, &mut stats);
         assert_eq!(ws.reuses(), 128, "v2 hot path must not reallocate");
         assert_eq!(stats.trials(), 128);
     }
 
     /// The v3 contract in miniature: a block's v3 bytes are a pure
-    /// function of its trial range — fresh or reused workspace, prepared
-    /// or unprepared runner, aligned or ragged range (a final pass
-    /// narrower than [`V3_WIDTH`] must not perturb any lane's bits).
+    /// function of its trial range — fresh or reused workspace, aligned
+    /// or ragged range (a final pass narrower than [`V3_WIDTH`] must not
+    /// perturb any lane's bits).
     #[test]
     fn v3_block_bytes_are_a_pure_function_of_the_range() {
         for var in [
@@ -1266,18 +1063,13 @@ mod tests {
             let range = 256..517u64;
             let mut a = PipelineBlockStats::new(p.stage_count(), &targets);
             let mut ws = prepared.workspace();
-            prepared.run_block(&mut ws, range.clone(), seed_of, &mut a);
+            run(&prepared, &mut ws, range.clone(), &mut a);
             assert_eq!(a.trials(), 261);
 
             // Same range again, same (now warm) workspace.
             let mut b = PipelineBlockStats::new(p.stage_count(), &targets);
-            prepared.run_block(&mut ws, range.clone(), seed_of, &mut b);
+            run(&prepared, &mut ws, range.clone(), &mut b);
             assert_eq!(a, b, "v3 block not reproducible under {var:?}");
-
-            // The unprepared runner delegates to the same v3 arithmetic.
-            let mut c = PipelineBlockStats::new(p.stage_count(), &targets);
-            mc.run_block(&p, range, seed_of, &mut c);
-            assert_eq!(a, c, "PipelineMc v3 diverged from prepared under {var:?}");
         }
     }
 
@@ -1294,7 +1086,7 @@ mod tests {
             let mc = PipelineMc::new(CellLibrary::default(), var, None).with_kernel(kernel);
             let prepared = PreparedPipelineMc::new(&mc, &p);
             let mut s = PipelineBlockStats::new(p.stage_count(), &target);
-            prepared.run_block(&mut prepared.workspace(), 0..n, seed_of, &mut s);
+            run(&prepared, &mut prepared.workspace(), 0..n, &mut s);
             s
         };
         let s3 = stats_for(TrialKernel::V3);
@@ -1334,16 +1126,15 @@ mod tests {
         let prepared = PreparedPipelineMc::new(&mc, &p);
         let mut ws = prepared.workspace();
         let mut stats = PipelineBlockStats::new(p.stage_count(), &[]);
-        prepared.run_block(&mut ws, 0..64, seed_of, &mut stats);
-        prepared.run_block(&mut ws, 64..128, seed_of, &mut stats);
+        run(&prepared, &mut ws, 0..64, &mut stats);
+        run(&prepared, &mut ws, 64..128, &mut stats);
         assert_eq!(ws.reuses(), 128, "v3 hot path must not reallocate");
         assert_eq!(stats.trials(), 128);
     }
 
     /// The trial-plan contract in miniature: for every strategy × kernel,
-    /// a block's bytes are a pure function of the trial range, the
-    /// unprepared runner delegates to the same arithmetic, and the bytes
-    /// are never the plain bytes.
+    /// a block's bytes are a pure function of the trial range, and the
+    /// bytes are never the plain bytes.
     #[test]
     fn plan_blocks_are_reproducible_and_never_plain_bytes() {
         use crate::strategy::{TrialPlan, TrialStrategy};
@@ -1375,13 +1166,9 @@ mod tests {
                 let mut b = make();
                 prepared.run_block_plan(&mut ws, 0..256, seed_of, plan, &mut b);
                 assert_eq!(a, b, "{strategy:?}/{kernel:?} not reproducible");
-                // The unprepared runner produces the same plan bytes.
-                let mut c = make();
-                mc.run_block_plan(&p, 0..256, seed_of, plan, &mut c);
-                assert_eq!(a, c, "PipelineMc diverged for {strategy:?}/{kernel:?}");
                 // Never the plain bytes.
                 let mut plain = PipelineBlockStats::new(p.stage_count(), &targets);
-                prepared.run_block(&mut prepared.workspace(), 0..256, seed_of, &mut plain);
+                run(&prepared, &mut prepared.workspace(), 0..256, &mut plain);
                 assert_ne!(
                     a.pipeline(),
                     plain.pipeline(),
@@ -1403,7 +1190,7 @@ mod tests {
         let prepared = PreparedPipelineMc::new(&mc, &p);
         let n = 8192u64;
         let mut plain = PipelineBlockStats::new(p.stage_count(), &[]);
-        prepared.run_block(&mut prepared.workspace(), 0..n, seed_of, &mut plain);
+        run(&prepared, &mut prepared.workspace(), 0..n, &mut plain);
         // Variance reduction compares at a ~90% target; the blockade
         // (whose shift targets the deep tail) compares at mean + 3σ,
         // the regime it exists for.
@@ -1412,7 +1199,7 @@ mod tests {
             plain.pipeline().mean() + 3.0 * plain.pipeline().sample_sd(),
         ];
         let mut plain = PipelineBlockStats::new(p.stage_count(), &targets);
-        prepared.run_block(&mut prepared.workspace(), 0..n, seed_of, &mut plain);
+        run(&prepared, &mut prepared.workspace(), 0..n, &mut plain);
         for strategy in [
             TrialStrategy::Antithetic,
             TrialStrategy::Stratified,
@@ -1456,14 +1243,14 @@ mod tests {
         let large = PreparedPipelineMc::new(&mc, &pipe(5, 9));
         let mut ws = small.workspace();
         let mut s1 = PipelineBlockStats::new(2, &[]);
-        small.run_block(&mut ws, 0..32, seed_of, &mut s1);
+        run(&small, &mut ws, 0..32, &mut s1);
         // Re-using the same workspace for a bigger pipeline must grow it
         // and still produce the reference numbers.
         let mut s2 = PipelineBlockStats::new(5, &[]);
-        large.run_block(&mut ws, 0..32, seed_of, &mut s2);
+        run(&large, &mut ws, 0..32, &mut s2);
         let p = pipe(5, 9);
         let mut want = PipelineBlockStats::new(5, &[]);
-        mc.run_block(&p, 0..32, seed_of, &mut want);
+        oracle(&mc, &p, 0..32, &mut want);
         assert_eq!(s2, want);
     }
 }

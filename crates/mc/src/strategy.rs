@@ -9,9 +9,13 @@
 //! byte-identical to plain Monte-Carlo (it agrees statistically, at
 //! matched confidence intervals, in fewer trials).
 //!
-//! The plan modifies only the *leading die-level* draws of each trial
-//! (the inter-die normal, then the correlated-region normals, or the
-//! stage normals of the moments backend) and leaves the rest of the
+//! A plan is a *draw overlay* ([`DrawOverlay`]: sign, leading-dim
+//! overrides, mean shift) that each kernel's one sampler applies to the
+//! normals it draws; plain Monte-Carlo is the identity overlay, which
+//! leaves every drawn bit untouched. The overlay modifies only the
+//! *leading die-level* draws of each trial (the inter-die normal, then
+//! the correlated-region normals, or the stage normals of the moments
+//! backend), apart from the antithetic sign, and leaves the rest of the
 //! stream to the plain counter-based RNG:
 //!
 //! * **antithetic** — trial `2k+1` replays trial `2k`'s stream with
@@ -36,7 +40,7 @@
 
 use vardelay_stats::sobol::{sobol_shift, SobolSequence, SOBOL_MAX_DIMS};
 use vardelay_stats::strata::{permute256, stratified_uniform, stratum_key};
-use vardelay_stats::{inv_cap_phi, splitmix64_mix, uniform_open_from_u64};
+use vardelay_stats::{inv_cap_phi, splitmix64_mix, uniform_open_from_u64, DrawOverlay};
 
 /// Stratified plans partition trials into aligned blocks of this many
 /// strata. Equal to the sweep engine's scheduling block (`BLOCK_TRIALS`)
@@ -112,13 +116,6 @@ impl TrialPlan {
         }
     }
 
-    /// Whether this is the plain plan (callers must route to the
-    /// byte-frozen plain code path, not to a no-op modification —
-    /// the plain bytes are contractually inert).
-    pub fn is_plain(&self) -> bool {
-        self.strategy == TrialStrategy::Plain
-    }
-
     /// Whether trials under this plan carry importance weights.
     pub fn is_weighted(&self) -> bool {
         self.strategy == TrialStrategy::Blockade
@@ -131,9 +128,10 @@ impl Default for TrialPlan {
     }
 }
 
-/// Per-block driver deriving each trial's stream modifications under a
-/// non-plain plan: the seed index to replay, the global sign, the
-/// leading-dim overrides, and the mean shift.
+/// Per-block driver deriving each trial's stream modifications: the
+/// seed index to replay and the trial's [`DrawOverlay`] (sign,
+/// leading-dim overrides, mean shift). Under the plain plan every trial
+/// replays its own seed with the identity overlay.
 ///
 /// Everything it produces is a pure function of
 /// `(plan, stream key, global trial index)` — the stream key itself is
@@ -159,13 +157,7 @@ impl PlanSampler {
     /// [`SOBOL_MAX_DIMS`]. `seed0` must be the runner's counter seed for
     /// trial index 0 (`seed_of(0)`), from which the plan's scramble /
     /// permutation / jitter streams are derived.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the plain plan: plain runs the byte-frozen unmodified
-    /// path and must never be driven through a sampler.
     pub fn new(plan: TrialPlan, dims: usize, seed0: u64) -> Self {
-        assert!(!plan.is_plain(), "plain plan has no sampler");
         let dims = match plan.strategy {
             TrialStrategy::Stratified | TrialStrategy::Sobol => dims.min(SOBOL_MAX_DIMS),
             _ => 0,
@@ -187,30 +179,20 @@ impl PlanSampler {
         }
     }
 
-    /// The plan being driven.
-    pub fn plan(&self) -> TrialPlan {
-        self.plan
-    }
-
-    /// Derives trial `t`'s modifications. Returns `(seed_index, sign)`:
-    /// seed the trial RNG from `seed_of(seed_index)` and multiply every
-    /// produced standard normal by `sign`. The leading-dim overrides are
-    /// left in [`PlanSampler::lead`] and the mean shift in
-    /// [`PlanSampler::shift`].
-    pub fn prepare_trial(&mut self, t: u64) -> (u64, f64) {
-        match self.plan.strategy {
-            TrialStrategy::Plain => unreachable!("plain plan has no sampler"),
-            TrialStrategy::Antithetic => {
-                // Pair (2k, 2k+1): the odd trial replays the even seed
-                // reflected. STRATA_BLOCK-aligned scheduling blocks are
-                // even-sized, so a pair never straddles a block.
-                self.lead.clear();
-                (t & !1, if t & 1 == 0 { 1.0 } else { -1.0 })
-            }
+    /// Derives trial `t`'s modifications. Returns the seed index to
+    /// replay (seed the trial RNG from `seed_of(seed_index)`) and the
+    /// overlay to apply to every normal the trial draws.
+    pub fn prepare_trial(&mut self, t: u64) -> (u64, DrawOverlay<'_>) {
+        self.lead.clear();
+        let (seed_index, sign) = match self.plan.strategy {
+            TrialStrategy::Plain | TrialStrategy::Blockade => (t, 1.0),
+            // Pair (2k, 2k+1): the odd trial replays the even seed
+            // reflected. STRATA_BLOCK-aligned scheduling blocks are
+            // even-sized, so a pair never straddles a block.
+            TrialStrategy::Antithetic => (t & !1, if t & 1 == 0 { 1.0 } else { -1.0 }),
             TrialStrategy::Stratified => {
                 let block = t / STRATA_BLOCK;
                 let slot = (t % STRATA_BLOCK) as u8;
-                self.lead.clear();
                 for d in 0..self.dims {
                     let key = stratum_key(self.stream_key, block, d);
                     let stratum = u64::from(permute256(key, slot));
@@ -224,34 +206,23 @@ impl PlanSampler {
             }
             TrialStrategy::Sobol => {
                 let seq = self.sobol.as_ref().expect("sobol plan has a sequence");
-                self.lead.clear();
                 for d in 0..self.dims {
                     let u = seq.scrambled_uniform(d, t, self.shifts[d]);
                     self.lead.push(inv_cap_phi(u));
                 }
                 (t, 1.0)
             }
-            TrialStrategy::Blockade => {
-                self.lead.clear();
-                (t, 1.0)
-            }
-        }
-    }
-
-    /// Leading-dim standard-normal overrides for the trial last passed
-    /// to [`PlanSampler::prepare_trial`] (empty when the plan overrides
-    /// nothing).
-    pub fn lead(&self) -> &[f64] {
-        &self.lead
-    }
-
-    /// Mean shift applied to the inter-die (first) normal, in sigmas
-    /// (0 for unweighted plans).
-    pub fn shift(&self) -> f64 {
-        match self.plan.strategy {
+        };
+        let shift = match self.plan.strategy {
             TrialStrategy::Blockade => self.plan.shift_sigmas,
             _ => 0.0,
-        }
+        };
+        let overlay = DrawOverlay {
+            sign,
+            lead: &self.lead,
+            shift,
+        };
+        (seed_index, overlay)
     }
 }
 
@@ -267,7 +238,7 @@ mod tests {
         assert_eq!(TrialStrategy::Stratified.name(), "stratified");
         assert_eq!(TrialStrategy::Sobol.name(), "sobol");
         assert_eq!(TrialStrategy::Blockade.name(), "blockade");
-        assert!(TrialPlan::default().is_plain());
+        assert_eq!(TrialPlan::default().strategy, TrialStrategy::Plain);
         assert!(!TrialPlan::default().is_weighted());
         assert!(TrialPlan::of(TrialStrategy::Blockade).is_weighted());
     }
@@ -275,13 +246,12 @@ mod tests {
     #[test]
     fn antithetic_pairs_share_seed_index_and_reflect() {
         let mut ps = PlanSampler::new(TrialPlan::of(TrialStrategy::Antithetic), 5, 42);
-        let (s0, g0) = ps.prepare_trial(10);
-        let (s1, g1) = ps.prepare_trial(11);
-        assert_eq!(s0, 10);
+        let (s0, o0) = ps.prepare_trial(10);
+        assert_eq!((s0, o0.sign), (10, 1.0));
+        let (s1, o1) = ps.prepare_trial(11);
         assert_eq!(s1, 10, "odd trial must replay its even partner");
-        assert_eq!(g0, 1.0);
-        assert_eq!(g1, -1.0);
-        assert!(ps.lead().is_empty());
+        assert_eq!(o1.sign, -1.0);
+        assert!(o1.lead.is_empty());
         // Pairs never straddle a block boundary: the pair of the last
         // even trial of a block is in the same block.
         assert_eq!((STRATA_BLOCK - 1) & !1, STRATA_BLOCK - 2);
@@ -293,8 +263,7 @@ mod tests {
         for d in 0..2usize {
             let mut seen = [false; STRATA_BLOCK as usize];
             for t in 0..STRATA_BLOCK {
-                ps.prepare_trial(t);
-                let u = vardelay_stats::cap_phi(ps.lead()[d]);
+                let u = vardelay_stats::cap_phi(ps.prepare_trial(t).1.lead[d]);
                 let cell = ((u * STRATA_BLOCK as f64) as usize).min(STRATA_BLOCK as usize - 1);
                 assert!(!seen[cell], "dim {d}: stratum {cell} hit twice");
                 seen[cell] = true;
@@ -306,32 +275,36 @@ mod tests {
     fn sobol_overrides_are_index_addressed() {
         let mut a = PlanSampler::new(TrialPlan::of(TrialStrategy::Sobol), 3, 99);
         let mut b = PlanSampler::new(TrialPlan::of(TrialStrategy::Sobol), 3, 99);
-        a.prepare_trial(5000);
-        b.prepare_trial(5000);
-        assert_eq!(a.lead(), b.lead(), "same index must give same point");
-        b.prepare_trial(5001);
-        assert_ne!(a.lead(), b.lead());
-        // A different stream key re-scrambles the points.
         let mut c = PlanSampler::new(TrialPlan::of(TrialStrategy::Sobol), 3, 100);
-        c.prepare_trial(5000);
-        assert_ne!(a.lead(), c.lead());
+        let point = a.prepare_trial(5000).1.lead.to_vec();
+        assert_eq!(
+            b.prepare_trial(5000).1.lead,
+            &point[..],
+            "same index must give same point"
+        );
+        assert_ne!(b.prepare_trial(5001).1.lead, &point[..]);
+        // A different stream key re-scrambles the points.
+        assert_ne!(c.prepare_trial(5000).1.lead, &point[..]);
     }
 
     #[test]
     fn blockade_shifts_without_overriding() {
         let mut ps = PlanSampler::new(TrialPlan::of(TrialStrategy::Blockade), 4, 1);
-        let (s, g) = ps.prepare_trial(33);
-        assert_eq!((s, g), (33, 1.0));
-        assert!(ps.lead().is_empty());
-        assert_eq!(ps.shift(), DEFAULT_SHIFT_SIGMAS);
+        let (s, o) = ps.prepare_trial(33);
+        assert_eq!((s, o.sign), (33, 1.0));
+        assert!(o.lead.is_empty());
+        assert_eq!(o.shift, DEFAULT_SHIFT_SIGMAS);
         let mut st = PlanSampler::new(TrialPlan::of(TrialStrategy::Stratified), 4, 1);
-        st.prepare_trial(33);
-        assert_eq!(st.shift(), 0.0);
+        assert_eq!(st.prepare_trial(33).1.shift, 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "plain plan has no sampler")]
-    fn plain_plan_rejects_a_sampler() {
-        let _ = PlanSampler::new(TrialPlan::plain(), 1, 0);
+    fn plain_plan_is_the_identity_overlay() {
+        let mut ps = PlanSampler::new(TrialPlan::plain(), 5, 0);
+        for t in [0u64, 1, 255, 256, 70_001] {
+            let (s, o) = ps.prepare_trial(t);
+            assert_eq!(s, t);
+            assert_eq!(o, DrawOverlay::IDENTITY);
+        }
     }
 }

@@ -626,14 +626,15 @@ pub fn metrics_json(info: &RunInfo<'_>, agg: &Aggregate) -> String {
         agg.counter("cache/bytes_saved"),
     ));
     // Trials are counted per kernel version ("trials" = v1, "trials_v2"
-    // = v2) so throughput can be attributed to the kernel that produced
-    // it; the top-level totals fold both together.
+    // = v2, "trials_v3" = v3) so throughput can be attributed to the
+    // kernel that produced it; the top-level totals fold them together.
     let trials_v1 = agg.counter("trials");
     let trials_v2 = agg.counter("trials_v2");
-    let trials = trials_v1 + trials_v2;
+    let trials_v3 = agg.counter("trials_v3");
+    let trials = trials_v1 + trials_v2 + trials_v3;
     out.push_str(&format!("  \"trials\": {trials},\n"));
     out.push_str(&format!(
-        "  \"trials_by_kernel\": {{\"v1\": {trials_v1}, \"v2\": {trials_v2}}},\n"
+        "  \"trials_by_kernel\": {{\"v1\": {trials_v1}, \"v2\": {trials_v2}, \"v3\": {trials_v3}}},\n"
     ));
     // Trial-plan attribution: each non-plain strategy counts its trials
     // under its own counter (in addition to the kernel counter above);
@@ -732,7 +733,12 @@ mod tests {
     #[test]
     fn disabled_api_is_inert() {
         // No session active: spans and counters must record nothing.
+        // Holding the session lock keeps a concurrently running test's
+        // session from being active (and collecting these events).
         {
+            let _no_session = SESSION_LOCK
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             let _sp = span("t", "noop").key(1).value(2.0);
             counter("noop", 5);
             instant("t", "mark", None);
@@ -782,7 +788,10 @@ mod tests {
             main_tid = LOCAL.with(|l| l.borrow().tid);
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    let _sp = span("t", "worker");
+                    drop(span("t", "worker"));
+                    // A scoped thread's destructors may still be pending
+                    // when the scope unblocks; flush as the pools do.
+                    flush_thread();
                 });
             });
         }
@@ -870,6 +879,7 @@ mod tests {
             counter("trials", 256);
             let _sp2 = span("mc", "block_v2").value(512.0);
             counter("trials_v2", 512);
+            counter("trials_v3", 256);
             let _sp3 = span("mc", "block_stratified").value(256.0);
             counter("trials", 256);
             counter("trials_stratified", 256);
@@ -899,14 +909,14 @@ mod tests {
         assert!(json.contains("\"torn_tail_normalized\": true"));
         assert!(json.contains("\"mc/block\""));
         assert!(json.contains("\"mc/block_v2\""));
-        // The top-level total folds both kernels' trial counters; the
+        // The top-level total folds every kernel's trial counter; the
         // per-kernel split is reported alongside.
-        assert!(json.contains("\"trials\": 1024"));
-        assert!(json.contains("\"trials_by_kernel\": {\"v1\": 512, \"v2\": 512}"));
+        assert!(json.contains("\"trials\": 1280"));
+        assert!(json.contains("\"trials_by_kernel\": {\"v1\": 512, \"v2\": 512, \"v3\": 256}"));
         // Strategy attribution: the stratified trials came out of the
         // kernel totals, plain is the remainder.
         assert!(json.contains(
-            "\"trials_by_strategy\": {\"plain\": 768, \"antithetic\": 0, \
+            "\"trials_by_strategy\": {\"plain\": 1024, \"antithetic\": 0, \
              \"stratified\": 256, \"sobol\": 0, \"blockade\": 0}"
         ));
         assert!(json.contains("\"effective_samples\": 100"));

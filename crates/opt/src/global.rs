@@ -347,11 +347,7 @@ impl GlobalPipelineOptimizer {
                 .map(|n| StageDelay::from_normal(*n))
                 .collect();
             let p = Pipeline::new(stages, timing.correlation.clone()).expect("dims");
-            match self.kernel {
-                TrialKernel::V1 => p.criticality_probabilities(20_000, 0xC817),
-                TrialKernel::V2 => p.criticality_probabilities_v2(20_000, 0xC817),
-                TrialKernel::V3 => p.criticality_probabilities_v3(20_000, 0xC817),
-            }
+            p.criticality_probabilities_with(self.kernel.normal_fill(), 20_000, 0xC817)
         };
         let crit0 = criticality(&timing0);
         let crit_f = criticality(&timing_f);

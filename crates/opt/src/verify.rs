@@ -11,7 +11,9 @@
 //! did run, and the early-stop decision replays identically on every
 //! machine and worker count.
 
-use vardelay_mc::{PipelineBlockStats, PreparedPipelineMc, TrialKernel, TrialPlan, TrialWorkspace};
+use vardelay_mc::{
+    PipelineBlockStats, PreparedPipelineMc, TrialKernel, TrialPlan, TrialStrategy, TrialWorkspace,
+};
 
 /// Trials per verification chunk. A multiple of the 256-trial strategy
 /// block, so chunk boundaries never split an antithetic pair or a
@@ -55,23 +57,25 @@ pub fn verify_yield(
     if plan.is_weighted() {
         stats = stats.with_weighted_tail();
     }
-    // The v1/v2 verification bytes are frozen as one continuous
-    // accumulation over the chunk sequence. The v3 kernel's contract is
-    // instead *defined* chunk-wise: every chunk accumulates into a
-    // fresh block and merges in ascending order, which is what lets the
-    // engine dispatch chunks across its worker pool and still reproduce
-    // this sequential fold bit-for-bit at any worker count.
-    let chunk_fold = prepared.kernel() == TrialKernel::V3;
+    // The frozen fold shapes. The v3 kernel's contract is *defined*
+    // chunk-wise: every chunk accumulates into a fresh block and merges
+    // in ascending order, which is what lets the engine dispatch chunks
+    // across its worker pool and still reproduce this sequential fold
+    // bit-for-bit at any worker count. The v1/v2 bytes are frozen as one
+    // continuous accumulation: plain plans (which never stop early) as
+    // one full-range call, every other plan as chunk calls into the one
+    // running fold. Under v1 the two coincide; v2's lanes fold per call.
+    let kernel = prepared.kernel();
+    let chunk_trials = match (kernel, plan.strategy) {
+        (TrialKernel::V1 | TrialKernel::V2, TrialStrategy::Plain) => budget,
+        _ => VERIFY_CHUNK_TRIALS,
+    };
     let mut done = 0;
     while done < budget {
-        let end = (done + VERIFY_CHUNK_TRIALS).min(budget);
-        if chunk_fold {
+        let end = (done + chunk_trials).min(budget);
+        if kernel == TrialKernel::V3 {
             let mut chunk = stats.fresh_like();
-            if plan.is_plain() {
-                prepared.run_block(ws, done..end, &seed_of, &mut chunk);
-            } else {
-                prepared.run_block_plan(ws, done..end, &seed_of, plan, &mut chunk);
-            }
+            prepared.run_block_plan(ws, done..end, &seed_of, plan, &mut chunk);
             stats.merge(&chunk);
         } else {
             prepared.run_block_plan(ws, done..end, &seed_of, plan, &mut stats);
@@ -107,7 +111,13 @@ mod tests {
         let prepared = PreparedPipelineMc::new(&mc, &p);
         let mut ws = TrialWorkspace::new();
         let mut probe = PipelineBlockStats::new(p.stage_count(), &[]);
-        prepared.run_block(&mut ws, 0..512, |t| counter_seed(7, t), &mut probe);
+        prepared.run_block_plan(
+            &mut ws,
+            0..512,
+            |t| counter_seed(7, t),
+            TrialPlan::plain(),
+            &mut probe,
+        );
         let target = probe.pipeline().mean();
         (p, mc, target)
     }

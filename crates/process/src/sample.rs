@@ -8,9 +8,8 @@
 
 use rand::Rng;
 
-use vardelay_stats::batch::{fill_standard_normals_bm, fill_standard_normals_inv_cdf};
 use vardelay_stats::normal::sample_standard_normal;
-use vardelay_stats::strata::mean_shift_weight;
+use vardelay_stats::{DrawOverlay, NormalFill};
 
 use crate::pelgrom::pelgrom_sigma;
 use crate::spatial::{DiePosition, SpatialCorrelator, SpatialGrid};
@@ -118,270 +117,47 @@ impl ProcessSampler {
         }
     }
 
-    /// Allocation-free variant of [`ProcessSampler::sample_die`]: draws
-    /// one die's shared components into `die`, using `z` as scratch for
-    /// the iid region normals. Both buffers are resized on first use and
-    /// reused untouched afterwards, so a Monte-Carlo loop that passes the
-    /// same buffers performs no per-trial heap allocation. The RNG
-    /// consumption and arithmetic are identical to `sample_die`, so the
-    /// two produce bit-identical samples from the same stream.
+    /// Allocation-free variant of [`ProcessSampler::sample_die`]: the v1
+    /// (scalar-fill, plain) case of [`ProcessSampler::sample_die_with`].
     pub fn sample_die_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         z: &mut Vec<f64>,
         die: &mut DieSample,
     ) {
-        die.global_dvth = if self.variation.has_inter() {
-            self.variation.sigma_vth_inter_v() * sample_standard_normal(rng)
-        } else {
-            0.0
-        };
-        if self.variation.has_systematic() {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            z.resize(corr.region_count(), 0.0);
-            die.region_dvth.resize(corr.region_count(), 0.0);
-            for zi in z.iter_mut() {
-                *zi = sample_standard_normal(rng);
-            }
-            corr.correlate_into(z, &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
+        self.sample_die_with(NormalFill::Scalar, &DrawOverlay::IDENTITY, rng, z, die);
     }
 
-    /// The **trial-plan** die sampler (v1 kernel): the strategy-modified
-    /// variant of [`ProcessSampler::sample_die_into`]. The RNG is
-    /// consumed exactly as the plain sampler does (one draw per die-level
-    /// dim, in the same order) and the modifications are overlaid on the
-    /// stream:
-    ///
-    /// * each die-level standard normal becomes
-    ///   `sign * lead.get(dim).unwrap_or(drawn)` — `lead` carries the
-    ///   stratified/Sobol overrides for the leading dims (dim 0 is the
-    ///   inter-die normal when configured, then the region normals), and
-    ///   `sign` is the antithetic reflection (always `1.0` when `lead`
-    ///   is non-empty);
-    /// * when `shift != 0` and an inter-die component is configured, the
-    ///   inter-die normal is mean-shifted by `shift` sigmas and the
-    ///   trial's importance weight (the returned value) is the
-    ///   likelihood ratio `exp(-shift·z - shift²/2)`; otherwise the
-    ///   weight is `1.0`.
-    pub fn sample_die_into_plan<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sign: f64,
-        lead: &[f64],
-        shift: f64,
-        z: &mut Vec<f64>,
-        die: &mut DieSample,
-    ) -> f64 {
-        let mut weight = 1.0;
-        let mut dim = 0usize;
-        die.global_dvth = if self.variation.has_inter() {
-            let drawn = sample_standard_normal(rng);
-            let mut n0 = sign * lead.get(dim).copied().unwrap_or(drawn);
-            dim += 1;
-            if shift != 0.0 {
-                weight = mean_shift_weight(shift, n0);
-                n0 += shift;
-            }
-            self.variation.sigma_vth_inter_v() * n0
-        } else {
-            0.0
-        };
-        if self.variation.has_systematic() {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            z.resize(corr.region_count(), 0.0);
-            die.region_dvth.resize(corr.region_count(), 0.0);
-            for zi in z.iter_mut() {
-                let drawn = sample_standard_normal(rng);
-                *zi = sign * lead.get(dim).copied().unwrap_or(drawn);
-                dim += 1;
-            }
-            corr.correlate_into(z, &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
-        weight
-    }
-
-    /// The **trial-plan** die sampler under the v2 kernel: fills the
-    /// die-level normals exactly as [`ProcessSampler::sample_die_into_v2`]
-    /// (one batch Box–Muller fill), then overlays the plan modifications
-    /// — leading-dim overrides, antithetic sign, inter-die mean shift —
-    /// with the same semantics as
-    /// [`ProcessSampler::sample_die_into_plan`]. Returns the trial's
-    /// importance weight.
-    pub fn sample_die_into_v2_plan<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sign: f64,
-        lead: &[f64],
-        shift: f64,
-        z: &mut Vec<f64>,
-        die: &mut DieSample,
-    ) -> f64 {
-        let n_inter = usize::from(self.variation.has_inter());
-        let regions = self.region_value_count();
-        if n_inter + regions == 0 {
-            die.global_dvth = 0.0;
-            die.region_dvth.clear();
-            return 1.0;
-        }
-        z.resize(n_inter + regions, 0.0);
-        fill_standard_normals_bm(rng, z);
-        for (zi, &l) in z.iter_mut().zip(lead) {
-            *zi = l;
-        }
-        if sign != 1.0 {
-            for zi in z.iter_mut() {
-                *zi *= sign;
-            }
-        }
-        let mut weight = 1.0;
-        die.global_dvth = if n_inter == 1 {
-            let mut n0 = z[0];
-            if shift != 0.0 {
-                weight = mean_shift_weight(shift, n0);
-                n0 += shift;
-            }
-            self.variation.sigma_vth_inter_v() * n0
-        } else {
-            0.0
-        };
-        if regions > 0 {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            die.region_dvth.resize(regions, 0.0);
-            corr.correlate_into(&z[n_inter..], &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
-        weight
-    }
-
-    /// The **v2-kernel** die sampler: same component semantics as
-    /// [`ProcessSampler::sample_die_into`] (inter-die shift first, then
-    /// the correlated region values), but every normal comes from one
-    /// batch pair-producing Box–Muller fill over the whole die — the
-    /// inter-die draw and the iid region draws share lanes, consuming
-    /// `2·ceil(count/2)` uniforms total instead of `2·count`. Different
-    /// (but equally deterministic) bytes than the v1 sampler; `z` must
-    /// be the same scratch buffer across calls for the zero-allocation
-    /// contract, and is sized to `region_count + 1` here.
-    pub fn sample_die_into_v2<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        z: &mut Vec<f64>,
-        die: &mut DieSample,
-    ) {
-        let n_inter = usize::from(self.variation.has_inter());
-        let regions = self.region_value_count();
-        if n_inter + regions == 0 {
-            die.global_dvth = 0.0;
-            die.region_dvth.clear();
-            return;
-        }
-        z.resize(n_inter + regions, 0.0);
-        fill_standard_normals_bm(rng, z);
-        die.global_dvth = if n_inter == 1 {
-            self.variation.sigma_vth_inter_v() * z[0]
-        } else {
-            0.0
-        };
-        if regions > 0 {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            die.region_dvth.resize(regions, 0.0);
-            corr.correlate_into(&z[n_inter..], &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
-    }
-
-    /// The **v3-kernel** die sampler: same component semantics and draw
-    /// order as [`ProcessSampler::sample_die_into_v2`], but every normal
-    /// comes from one batch **inverse-CDF** fill — the wide kernel draws
-    /// all of a trial's normals (die, latch, gate) through the same
-    /// branch-free transform so the whole fill phase stays vectorizable.
-    /// One uniform per normal; different (but equally deterministic)
-    /// bytes than both the v1 and v2 samplers whenever a die-level
-    /// component is configured.
+    /// The v3 (inverse-CDF fill, plain) case of
+    /// [`ProcessSampler::sample_die_with`].
     pub fn sample_die_into_v3<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         z: &mut Vec<f64>,
         die: &mut DieSample,
     ) {
-        let n_inter = usize::from(self.variation.has_inter());
-        let regions = self.region_value_count();
-        if n_inter + regions == 0 {
-            die.global_dvth = 0.0;
-            die.region_dvth.clear();
-            return;
-        }
-        z.resize(n_inter + regions, 0.0);
-        fill_standard_normals_inv_cdf(rng, z);
-        die.global_dvth = if n_inter == 1 {
-            self.variation.sigma_vth_inter_v() * z[0]
-        } else {
-            0.0
-        };
-        if regions > 0 {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            die.region_dvth.resize(regions, 0.0);
-            corr.correlate_into(&z[n_inter..], &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
+        self.sample_die_with(NormalFill::InvCdf, &DrawOverlay::IDENTITY, rng, z, die);
     }
 
-    /// The **trial-plan** die sampler under the v3 kernel: fills the
-    /// die-level normals exactly as [`ProcessSampler::sample_die_into_v3`]
-    /// (one batch inverse-CDF fill), then overlays the plan modifications
-    /// — leading-dim overrides, antithetic sign, inter-die mean shift —
-    /// with the same semantics as
-    /// [`ProcessSampler::sample_die_into_plan`]. Returns the trial's
-    /// importance weight.
-    pub fn sample_die_into_v3_plan<R: Rng + ?Sized>(
+    /// Draws one die's shared components into `die`, the one die sampler
+    /// every trial kernel and trial plan runs through.
+    ///
+    /// The die-level standard normals — the inter-die normal when
+    /// configured, then one iid normal per correlated region — are drawn
+    /// into `z` in that order by `fill` (the kernel's normal source), then
+    /// the plan's `overlay` is applied: leading-dim overrides and the
+    /// antithetic sign on every die-level normal, and the mean shift on
+    /// the inter-die normal only (no inter-die component, no shift). The
+    /// region normals are then correlated and scaled. Returns the trial's
+    /// importance weight: the likelihood ratio of the shift, else `1.0`.
+    ///
+    /// `z` is scratch sized to `regions + 1` at most; passing the same
+    /// buffers across calls keeps a Monte-Carlo loop allocation-free.
+    pub fn sample_die_with<R: Rng + ?Sized>(
         &self,
+        fill: NormalFill,
+        overlay: &DrawOverlay<'_>,
         rng: &mut R,
-        sign: f64,
-        lead: &[f64],
-        shift: f64,
         z: &mut Vec<f64>,
         die: &mut DieSample,
     ) -> f64 {
@@ -393,23 +169,12 @@ impl ProcessSampler {
             return 1.0;
         }
         z.resize(n_inter + regions, 0.0);
-        fill_standard_normals_inv_cdf(rng, z);
-        for (zi, &l) in z.iter_mut().zip(lead) {
-            *zi = l;
-        }
-        if sign != 1.0 {
-            for zi in z.iter_mut() {
-                *zi *= sign;
-            }
-        }
+        fill.fill(rng, z);
+        overlay.apply(z);
         let mut weight = 1.0;
         die.global_dvth = if n_inter == 1 {
-            let mut n0 = z[0];
-            if shift != 0.0 {
-                weight = mean_shift_weight(shift, n0);
-                n0 += shift;
-            }
-            self.variation.sigma_vth_inter_v() * n0
+            weight = overlay.shift_weight(&mut z[0]);
+            self.variation.sigma_vth_inter_v() * z[0]
         } else {
             0.0
         };
@@ -466,6 +231,52 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vardelay_stats::RunningStats;
+
+    fn with<R: Rng + ?Sized>(
+        s: &ProcessSampler,
+        fill: NormalFill,
+        overlay: (f64, &[f64], f64),
+        rng: &mut R,
+        z: &mut Vec<f64>,
+        die: &mut DieSample,
+    ) -> f64 {
+        let (sign, lead, shift) = overlay;
+        s.sample_die_with(fill, &DrawOverlay { sign, lead, shift }, rng, z, die)
+    }
+
+    /// The historical per-kernel die bodies: v1 draws the inter-die
+    /// normal, then each region normal, one scalar call at a time; v2/v3
+    /// fill every die-level normal in one batch call.
+    fn reference(s: &ProcessSampler, fill: NormalFill, rng: &mut StdRng) -> DieSample {
+        let n_inter = usize::from(s.variation.has_inter());
+        let regions = s.region_value_count();
+        let mut z = vec![0.0; n_inter + regions];
+        if fill == NormalFill::Scalar {
+            for zi in z.iter_mut() {
+                *zi = sample_standard_normal(rng);
+            }
+        } else {
+            fill.fill(rng, &mut z);
+        }
+        let mut region_dvth = vec![0.0; regions];
+        if regions > 0 {
+            s.correlator
+                .as_ref()
+                .unwrap()
+                .correlate_into(&z[n_inter..], &mut region_dvth);
+            for v in &mut region_dvth {
+                *v *= s.variation.sigma_vth_sys_v();
+            }
+        }
+        DieSample {
+            global_dvth: if n_inter == 1 {
+                s.variation.sigma_vth_inter_v() * z[0]
+            } else {
+                0.0
+            },
+            region_dvth,
+        }
+    }
 
     #[test]
     fn no_variation_samples_zero() {
@@ -535,7 +346,14 @@ mod tests {
         let mut inter = RunningStats::new();
         let mut region0 = RunningStats::new();
         for _ in 0..30_000 {
-            s.sample_die_into_v2(&mut rng, &mut z, &mut die);
+            with(
+                &s,
+                NormalFill::BoxMullerPairs,
+                (1.0, &[], 0.0),
+                &mut rng,
+                &mut z,
+                &mut die,
+            );
             inter.push(die.global_dvth);
             region0.push(die.region_dvth[0]);
         }
@@ -545,7 +363,14 @@ mod tests {
 
         // No variation: nothing drawn, nothing allocated.
         let none = ProcessSampler::new(VariationConfig::none(), None);
-        none.sample_die_into_v2(&mut rng, &mut z, &mut die);
+        with(
+            &none,
+            NormalFill::BoxMullerPairs,
+            (1.0, &[], 0.0),
+            &mut rng,
+            &mut z,
+            &mut die,
+        );
         assert_eq!(die.global_dvth, 0.0);
         assert!(die.region_dvth.is_empty());
     }
@@ -575,7 +400,14 @@ mod tests {
         for seed in 0..8u64 {
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into_v2(&mut r1, &mut z, &mut a);
+            with(
+                &s,
+                NormalFill::BoxMullerPairs,
+                (1.0, &[], 0.0),
+                &mut r1,
+                &mut z,
+                &mut a,
+            );
             s.sample_die_into_v3(&mut r2, &mut z, &mut b);
             assert_ne!(a, b, "v3 die bytes must not coincide with v2");
         }
@@ -589,33 +421,25 @@ mod tests {
 
     #[test]
     fn plan_sampler_with_identity_mods_matches_plain_bit_for_bit() {
-        // sign 1, no overrides, no shift: the plan sampler must replay
-        // the plain stream exactly (weight 1, identical bits) under both
-        // kernels' fills.
+        // sign 1, no overrides, no shift: the one die sampler must replay
+        // each kernel's historical plain stream exactly (weight 1,
+        // identical bits).
         let s = ProcessSampler::new(VariationConfig::combined(20.0, 35.0, 15.0), None);
-        let mut za = Vec::new();
-        let mut zb = Vec::new();
-        let mut a = DieSample::default();
+        let mut z = Vec::new();
         let mut b = DieSample::default();
-        for seed in 0..20u64 {
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into(&mut r1, &mut za, &mut a);
-            let w = s.sample_die_into_plan(&mut r2, 1.0, &[], 0.0, &mut zb, &mut b);
-            assert_eq!(w, 1.0);
-            assert_eq!(a, b);
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into_v2(&mut r1, &mut za, &mut a);
-            let w = s.sample_die_into_v2_plan(&mut r2, 1.0, &[], 0.0, &mut zb, &mut b);
-            assert_eq!(w, 1.0);
-            assert_eq!(a, b);
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into_v3(&mut r1, &mut za, &mut a);
-            let w = s.sample_die_into_v3_plan(&mut r2, 1.0, &[], 0.0, &mut zb, &mut b);
-            assert_eq!(w, 1.0);
-            assert_eq!(a, b);
+        for fill in [
+            NormalFill::Scalar,
+            NormalFill::BoxMullerPairs,
+            NormalFill::InvCdf,
+        ] {
+            for seed in 0..20u64 {
+                let mut r1 = StdRng::seed_from_u64(seed);
+                let mut r2 = StdRng::seed_from_u64(seed);
+                let a = reference(&s, fill, &mut r1);
+                let w = with(&s, fill, (1.0, &[], 0.0), &mut r2, &mut z, &mut b);
+                assert_eq!(w, 1.0);
+                assert_eq!(a, b, "{fill:?}");
+            }
         }
     }
 
@@ -631,8 +455,22 @@ mod tests {
         for seed in [3u64, 0xA5A5] {
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into_plan(&mut r1, 1.0, &[], 0.0, &mut za, &mut a);
-            s.sample_die_into_plan(&mut r2, -1.0, &[], 0.0, &mut zb, &mut b);
+            with(
+                &s,
+                NormalFill::Scalar,
+                (1.0, &[], 0.0),
+                &mut r1,
+                &mut za,
+                &mut a,
+            );
+            with(
+                &s,
+                NormalFill::Scalar,
+                (-1.0, &[], 0.0),
+                &mut r2,
+                &mut zb,
+                &mut b,
+            );
             assert_eq!(a.global_dvth, -b.global_dvth);
             for (x, y) in a.region_dvth.iter().zip(&b.region_dvth) {
                 assert_eq!(*x, -*y, "region values must reflect");
@@ -646,7 +484,14 @@ mod tests {
         let mut z = Vec::new();
         let mut die = DieSample::default();
         let mut rng = StdRng::seed_from_u64(9);
-        let w = s.sample_die_into_plan(&mut rng, 1.0, &[2.5], 0.0, &mut z, &mut die);
+        let w = with(
+            &s,
+            NormalFill::Scalar,
+            (1.0, &[2.5], 0.0),
+            &mut rng,
+            &mut z,
+            &mut die,
+        );
         assert_eq!(w, 1.0);
         assert!((die.global_dvth - 0.040 * 2.5).abs() < 1e-15);
     }
@@ -662,7 +507,14 @@ mod tests {
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
             s.sample_die_into(&mut r1, &mut z, &mut plain);
-            let w = s.sample_die_into_plan(&mut r2, 1.0, &[], shift, &mut z, &mut shifted);
+            let w = with(
+                &s,
+                NormalFill::Scalar,
+                (1.0, &[], shift),
+                &mut r2,
+                &mut z,
+                &mut shifted,
+            );
             let z0 = plain.global_dvth / 0.040;
             assert!((shifted.global_dvth - 0.040 * (z0 + shift)).abs() < 1e-12);
             let want = vardelay_stats::mean_shift_weight(shift, z0);

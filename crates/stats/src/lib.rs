@@ -12,6 +12,8 @@
 //! * [`matrix`] — small dense symmetric matrices and Cholesky factorization.
 //! * [`correlation`] — validated correlation matrices and builders.
 //! * [`mvn`] — sampling from multivariate normal distributions.
+//! * [`draw`] — the per-kernel normal fill and the trial-plan draw
+//!   overlay every Monte-Carlo sampler consumes.
 //! * [`descriptive`] — streaming moments (Welford), quantiles, histograms.
 //! * [`mix`] — SplitMix64 bit-mixing for counter-based Monte-Carlo
 //!   seeding (shared by the sweep engine and the MC runners).
@@ -46,6 +48,7 @@ pub mod batch;
 pub mod clark;
 pub mod correlation;
 pub mod descriptive;
+pub mod draw;
 pub mod ks;
 pub mod matrix;
 pub mod mix;
@@ -61,6 +64,7 @@ pub use batch::{
 pub use clark::{max_of, max_of_with_order, max_pair, MaxPairMoments};
 pub use correlation::CorrelationMatrix;
 pub use descriptive::{Histogram, Quantiles, RunningStats};
+pub use draw::{DrawOverlay, NormalFill};
 pub use matrix::SymMatrix;
 pub use mix::{counter_seed, splitmix64_mix};
 pub use mvn::MultivariateNormal;

@@ -6,8 +6,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::correlation::CorrelationMatrix;
+use crate::draw::{DrawOverlay, NormalFill};
 use crate::matrix::{Cholesky, MatrixError, SymMatrix};
-use crate::normal::sample_standard_normal;
 
 /// Error constructing a [`MultivariateNormal`].
 #[derive(Debug, Clone, PartialEq)]
@@ -114,187 +114,43 @@ impl MultivariateNormal {
         &self.mean
     }
 
-    /// Draws one correlated sample vector.
+    /// Draws one correlated sample vector (scalar fill, no overlay).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        let z: Vec<f64> = (0..self.dim())
-            .map(|_| sample_standard_normal(rng))
-            .collect();
-        let mut y = self.chol.transform(&z);
-        for (yi, mi) in y.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-        y
+        let (mut z, mut out) = (Vec::new(), Vec::new());
+        self.sample_into(
+            NormalFill::Scalar,
+            &DrawOverlay::IDENTITY,
+            rng,
+            &mut z,
+            &mut out,
+        );
+        out
     }
 
-    /// Allocation-free variant of [`MultivariateNormal::sample`]: draws
-    /// one correlated vector into `out`, using `z` as scratch for the
-    /// iid normals. Both buffers are resized on first use; the RNG
-    /// consumption and arithmetic are identical to `sample`, so the two
-    /// produce bit-identical vectors from the same stream.
-    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, z: &mut Vec<f64>, out: &mut Vec<f64>) {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        for zi in z.iter_mut() {
-            *zi = sample_standard_normal(rng);
-        }
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-    }
-
-    /// The **v2-kernel** correlated sampler: like
-    /// [`MultivariateNormal::sample_into`] but the iid normals come from
-    /// the batch pair-producing Box–Muller fill
-    /// ([`crate::batch::fill_standard_normals_bm`]) — half of v1's
-    /// uniform consumption, different (but equally deterministic) bytes.
-    /// Used by Monte-Carlo surfaces that run under the versioned `v2`
-    /// trial-kernel contract; v1 callers must keep using `sample` /
-    /// `sample_into`.
-    pub fn sample_into_v2<R: Rng + ?Sized>(
+    /// Allocation-free correlated sampler: fills `z` with iid normals
+    /// through `fill`, applies the trial plan's `overlay` (leading-dim
+    /// overrides and sign, then the mean shift of the first normal), and
+    /// writes `mean + L z` into `out`. Returns the trial's importance
+    /// weight (`1.0` unless the overlay shifts). Both buffers are resized
+    /// on first use, so a loop that reuses them allocates nothing.
+    pub fn sample_into<R: Rng + ?Sized>(
         &self,
+        fill: NormalFill,
+        overlay: &DrawOverlay<'_>,
         rng: &mut R,
-        z: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        crate::batch::fill_standard_normals_bm(rng, z);
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-    }
-
-    /// The **trial-plan** correlated sampler: like
-    /// [`MultivariateNormal::sample_into`] but with the strategy
-    /// modifications overlaid on the iid normals before the Cholesky
-    /// transform — each `z_d` becomes `sign * lead.get(d).unwrap_or(drawn)`
-    /// (the RNG is consumed exactly as the plain sampler), and when
-    /// `shift != 0` the first normal is mean-shifted by `shift` with the
-    /// likelihood-ratio weight returned. The plain plan must keep using
-    /// `sample` / `sample_into`, whose bytes are frozen.
-    pub fn sample_into_plan<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sign: f64,
-        lead: &[f64],
-        shift: f64,
         z: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> f64 {
         z.resize(self.dim(), 0.0);
         out.resize(self.dim(), 0.0);
-        for (d, zi) in z.iter_mut().enumerate() {
-            let drawn = sample_standard_normal(rng);
-            *zi = sign * lead.get(d).copied().unwrap_or(drawn);
-        }
-        let weight = self.apply_shift(shift, z);
+        fill.fill(rng, z);
+        overlay.apply(z);
+        let weight = z.first_mut().map_or(1.0, |z0| overlay.shift_weight(z0));
         self.chol.transform_into(z, out);
         for (yi, mi) in out.iter_mut().zip(&self.mean) {
             *yi += mi;
         }
         weight
-    }
-
-    /// The **trial-plan** sampler under the v2 kernel: the batch
-    /// Box–Muller fill of [`MultivariateNormal::sample_into_v2`] with the
-    /// same modification overlay as
-    /// [`MultivariateNormal::sample_into_plan`]. Returns the trial's
-    /// importance weight.
-    pub fn sample_into_v2_plan<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sign: f64,
-        lead: &[f64],
-        shift: f64,
-        z: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) -> f64 {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        crate::batch::fill_standard_normals_bm(rng, z);
-        for (zi, &l) in z.iter_mut().zip(lead) {
-            *zi = l;
-        }
-        if sign != 1.0 {
-            for zi in z.iter_mut() {
-                *zi *= sign;
-            }
-        }
-        let weight = self.apply_shift(shift, z);
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-        weight
-    }
-
-    /// The **v3-kernel** correlated sampler: like
-    /// [`MultivariateNormal::sample_into_v2`] but the iid normals come
-    /// from the batch inverse-CDF fill
-    /// ([`crate::batch::fill_standard_normals_inv_cdf`]) — one uniform
-    /// per normal through a branch-free transform, different (but
-    /// equally deterministic) bytes than both v1 and v2. Used by
-    /// Monte-Carlo surfaces running under the versioned `v3` wide-kernel
-    /// contract.
-    pub fn sample_into_v3<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        z: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        crate::batch::fill_standard_normals_inv_cdf(rng, z);
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-    }
-
-    /// The **trial-plan** sampler under the v3 kernel: the batch
-    /// inverse-CDF fill of [`MultivariateNormal::sample_into_v3`] with
-    /// the same modification overlay as
-    /// [`MultivariateNormal::sample_into_plan`]. Returns the trial's
-    /// importance weight.
-    pub fn sample_into_v3_plan<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sign: f64,
-        lead: &[f64],
-        shift: f64,
-        z: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) -> f64 {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        crate::batch::fill_standard_normals_inv_cdf(rng, z);
-        for (zi, &l) in z.iter_mut().zip(lead) {
-            *zi = l;
-        }
-        if sign != 1.0 {
-            for zi in z.iter_mut() {
-                *zi *= sign;
-            }
-        }
-        let weight = self.apply_shift(shift, z);
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-        weight
-    }
-
-    /// Mean-shifts `z[0]` by `shift` sigmas and returns the likelihood
-    /// ratio (1.0 when `shift == 0` or the distribution is empty).
-    fn apply_shift(&self, shift: f64, z: &mut [f64]) -> f64 {
-        if shift == 0.0 || z.is_empty() {
-            return 1.0;
-        }
-        let w = crate::strata::mean_shift_weight(shift, z[0]);
-        z[0] += shift;
-        w
     }
 
     /// Draws `n` samples, returned row-wise.
@@ -393,6 +249,17 @@ mod tests {
         assert!((rho - 0.6).abs() < 0.02, "rho {rho}");
     }
 
+    /// The historical sampler body: draw, transform, add the mean.
+    fn reference(mvn: &MultivariateNormal, fill: NormalFill, rng: &mut StdRng) -> Vec<f64> {
+        let mut z = vec![0.0; mvn.dim()];
+        fill.fill(rng, &mut z);
+        let mut y = mvn.chol.transform(&z);
+        for (yi, mi) in y.iter_mut().zip(&mvn.mean) {
+            *yi += mi;
+        }
+        y
+    }
+
     #[test]
     fn sample_into_matches_sample_bit_for_bit() {
         let corr = CorrelationMatrix::uniform(3, 0.4).unwrap();
@@ -400,11 +267,26 @@ mod tests {
             .unwrap();
         let mut r1 = StdRng::seed_from_u64(17);
         let mut r2 = StdRng::seed_from_u64(17);
+        let mut r3 = StdRng::seed_from_u64(17);
         let (mut z, mut out) = (Vec::new(), Vec::new());
         for _ in 0..50 {
             let want = mvn.sample(&mut r1);
-            mvn.sample_into(&mut r2, &mut z, &mut out);
+            mvn.sample_into(
+                NormalFill::Scalar,
+                &DrawOverlay::IDENTITY,
+                &mut r2,
+                &mut z,
+                &mut out,
+            );
             assert_eq!(want, out);
+            let z3: Vec<f64> = (0..3)
+                .map(|_| crate::normal::sample_standard_normal(&mut r3))
+                .collect();
+            let mut y = mvn.chol.transform(&z3);
+            for (yi, mi) in y.iter_mut().zip(&mvn.mean) {
+                *yi += mi;
+            }
+            assert_eq!(want, y);
         }
     }
 
@@ -416,7 +298,13 @@ mod tests {
         let (mut z, mut out) = (Vec::new(), Vec::new());
         let mut xs = Vec::new();
         for _ in 0..60_000 {
-            mvn.sample_into_v2(&mut rng, &mut z, &mut out);
+            mvn.sample_into(
+                NormalFill::BoxMullerPairs,
+                &DrawOverlay::IDENTITY,
+                &mut rng,
+                &mut z,
+                &mut out,
+            );
             xs.push(out.clone());
         }
         let st = sample_stats(&xs);
@@ -438,20 +326,20 @@ mod tests {
         let corr = CorrelationMatrix::uniform(3, 0.5).unwrap();
         let mvn = MultivariateNormal::from_correlation(&[1.0, 2.0, 3.0], &[0.5, 1.0, 2.0], &corr)
             .unwrap();
-        let (mut z, mut a, mut b) = (Vec::new(), Vec::new(), Vec::new());
-        for seed in 0..20u64 {
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            mvn.sample_into(&mut r1, &mut z, &mut a);
-            let w = mvn.sample_into_plan(&mut r2, 1.0, &[], 0.0, &mut z, &mut b);
-            assert_eq!(w, 1.0);
-            assert_eq!(a, b);
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            mvn.sample_into_v2(&mut r1, &mut z, &mut a);
-            let w = mvn.sample_into_v2_plan(&mut r2, 1.0, &[], 0.0, &mut z, &mut b);
-            assert_eq!(w, 1.0);
-            assert_eq!(a, b);
+        let (mut z, mut b) = (Vec::new(), Vec::new());
+        for fill in [
+            NormalFill::Scalar,
+            NormalFill::BoxMullerPairs,
+            NormalFill::InvCdf,
+        ] {
+            for seed in 0..20u64 {
+                let mut r1 = StdRng::seed_from_u64(seed);
+                let mut r2 = StdRng::seed_from_u64(seed);
+                let a = reference(&mvn, fill, &mut r1);
+                let w = mvn.sample_into(fill, &DrawOverlay::IDENTITY, &mut r2, &mut z, &mut b);
+                assert_eq!(w, 1.0);
+                assert_eq!(a, b, "{fill:?}");
+            }
         }
     }
 
@@ -460,20 +348,23 @@ mod tests {
         let corr = CorrelationMatrix::uniform(2, 0.3).unwrap();
         let mvn = MultivariateNormal::from_correlation(&[10.0, 20.0], &[1.0, 2.0], &corr).unwrap();
         let (mut z, mut a, mut b) = (Vec::new(), Vec::new(), Vec::new());
+        let overlay = |sign, lead, shift| DrawOverlay { sign, lead, shift };
+        let fill = NormalFill::Scalar;
         // Antithetic reflection symmetry: the reflected draw mirrors the
         // original around the mean, exactly.
         let mut r1 = StdRng::seed_from_u64(77);
         let mut r2 = StdRng::seed_from_u64(77);
-        mvn.sample_into_plan(&mut r1, 1.0, &[], 0.0, &mut z, &mut a);
-        mvn.sample_into_plan(&mut r2, -1.0, &[], 0.0, &mut z, &mut b);
+        mvn.sample_into(fill, &overlay(1.0, &[], 0.0), &mut r1, &mut z, &mut a);
+        mvn.sample_into(fill, &overlay(-1.0, &[], 0.0), &mut r2, &mut z, &mut b);
         for ((x, y), m) in a.iter().zip(&b).zip([10.0, 20.0]) {
             assert!(((x - m) + (y - m)).abs() < 1e-12, "{x} and {y} around {m}");
         }
         // Lead override pins the first normal.
+        let lead = [1.5, -0.5];
         let mut r = StdRng::seed_from_u64(5);
-        mvn.sample_into_plan(&mut r, 1.0, &[1.5, -0.5], 0.0, &mut z, &mut a);
+        mvn.sample_into(fill, &overlay(1.0, &lead, 0.0), &mut r, &mut z, &mut a);
         let mut r = StdRng::seed_from_u64(5);
-        let w = mvn.sample_into_plan(&mut r, 1.0, &[1.5, -0.5], 2.0, &mut z, &mut b);
+        let w = mvn.sample_into(fill, &overlay(1.0, &lead, 2.0), &mut r, &mut z, &mut b);
         // Shift moves z0 by 2 sigmas through the Cholesky first column
         // and carries the likelihood ratio of the pre-shift normal.
         assert!((w - crate::strata::mean_shift_weight(2.0, 1.5)).abs() < 1e-12);

@@ -101,9 +101,10 @@ fn render(
     for (name, v) in counters {
         out.push_str(&format!("counter {name}: {v}\n"));
         // Trial counters are per kernel version: "trials" is the v1
-        // kernel, "trials_v2" the batch kernel. Both get a wall-rate
-        // line so per-kernel throughput is visible side by side.
-        if (name == "trials" || name == "trials_v2") && wall_ms > 0.0 {
+        // kernel, "trials_v2" the batch kernel, "trials_v3" the wide
+        // kernel. Each gets a wall-rate line so per-kernel throughput is
+        // visible side by side.
+        if matches!(name.as_str(), "trials" | "trials_v2" | "trials_v3") && wall_ms > 0.0 {
             out.push_str(&format!(
                 "counter {name} rate: {:.0}/s of wall\n",
                 *v / (wall_ms / 1e3)
@@ -180,10 +181,12 @@ fn from_metrics(v: &Value) -> Result<String, CliError> {
         extra.push(format!("trials/s (recorded): {rate:.0}"));
     }
     if let Some(by_kernel) = v.get("trials_by_kernel") {
-        let v1 = get_num(by_kernel, "v1").unwrap_or(0.0);
-        let v2 = get_num(by_kernel, "v2").unwrap_or(0.0);
-        if v1 > 0.0 || v2 > 0.0 {
-            extra.push(format!("trials by kernel: v1 {v1:.0}, v2 {v2:.0}"));
+        let n = |k| get_num(by_kernel, k).unwrap_or(0.0);
+        let (v1, v2, v3) = (n("v1"), n("v2"), n("v3"));
+        if v1 > 0.0 || v2 > 0.0 || v3 > 0.0 {
+            extra.push(format!(
+                "trials by kernel: v1 {v1:.0}, v2 {v2:.0}, v3 {v3:.0}"
+            ));
         }
     }
     if let Some(Value::Object(fields)) = v.get("trials_by_strategy") {
@@ -318,16 +321,16 @@ mod tests {
             "kind": "campaign", "name": "t", "workers": 2, "wall_ms": 100.0,
             "units": {"total": 6, "executed": 2, "resumed": 1, "cached": 3, "torn_tail_normalized": true},
             "cache": {"hits": 3, "misses": 2, "hit_rate": 0.6, "bytes_saved": 420},
-            "steps": 2, "trials": 4000,
-            "trials_by_kernel": {"v1": 1000, "v2": 3000},
-            "trials_by_strategy": {"plain": 3000, "antithetic": 0, "stratified": 0, "sobol": 0, "blockade": 1000},
+            "steps": 2, "trials": 6000,
+            "trials_by_kernel": {"v1": 1000, "v2": 3000, "v3": 2000},
+            "trials_by_strategy": {"plain": 5000, "antithetic": 0, "stratified": 0, "sobol": 0, "blockade": 1000},
             "effective_samples": 380,
             "trials_per_sec": 40000.0,
             "phases": {
                 "mc/verify": {"count": 4, "total_ms": 60.0, "mean_us": 15000.0, "value_sum": 4000.0},
                 "opt/size_stage": {"count": 9, "total_ms": 30.0, "mean_us": 3333.3, "value_sum": 90.0}
             },
-            "counters": {"trials": 1000, "trials_v2": 3000},
+            "counters": {"trials": 1000, "trials_v2": 3000, "trials_v3": 2000},
             "worker_util": [{"tid": 1, "lifetime_ms": 100.0, "busy_ms": 90.0, "utilization": 0.9}],
             "events_dropped": 0
         }"#;
@@ -344,9 +347,12 @@ mod tests {
             out.contains("cache: 3 hits, 2 misses (60.0% hit rate), 420 result bytes"),
             "{out}"
         );
-        assert!(out.contains("trials by kernel: v1 1000, v2 3000"), "{out}");
         assert!(
-            out.contains("trials by strategy: plain 3000, blockade 1000"),
+            out.contains("trials by kernel: v1 1000, v2 3000, v3 2000"),
+            "{out}"
+        );
+        assert!(
+            out.contains("trials by strategy: plain 5000, blockade 1000"),
             "{out}"
         );
         assert!(
@@ -355,6 +361,10 @@ mod tests {
         );
         assert!(
             out.contains("counter trials_v2 rate: 30000/s of wall"),
+            "{out}"
+        );
+        assert!(
+            out.contains("counter trials_v3 rate: 20000/s of wall"),
             "{out}"
         );
         assert!(out.contains("worker tid 1"), "{out}");
