@@ -354,52 +354,28 @@ fn main() {
         ],
         LatchParams::tg_msff_70nm(),
     );
-    let prepared = PreparedPipelineMc::new(&mc, &pipe);
-    let mut ws = prepared.workspace();
     let plain = TrialPlan::plain();
     let trials = 8_192u64;
-    let verify_ms = median_ms(|| {
-        let mut stats = PipelineBlockStats::new(pipe.stage_count(), &[150.0]);
-        prepared.run_block_plan(&mut ws, 0..trials, |t| t ^ 0xBE7C, plain, &mut stats);
-        std::hint::black_box(stats);
-    });
-    let trials_per_sec = trials as f64 / (verify_ms / 1e3);
-
-    // --- v2 batch-kernel throughput, same pipeline, same process. ---
-    let mc_v2 = PipelineMc::new(
-        CellLibrary::default(),
-        VariationConfig::random_only(35.0),
-        None,
-    )
-    .with_kernel(TrialKernel::V2);
-    let prepared_v2 = PreparedPipelineMc::new(&mc_v2, &pipe);
-    let mut ws_v2 = prepared_v2.workspace();
-    let verify_v2_ms = median_ms(|| {
-        let mut stats = PipelineBlockStats::new(pipe.stage_count(), &[150.0]);
-        prepared_v2.run_block_plan(&mut ws_v2, 0..trials, |t| t ^ 0xBE7C, plain, &mut stats);
-        std::hint::black_box(stats);
-    });
-    let trials_per_sec_v2 = trials as f64 / (verify_v2_ms / 1e3);
-
-    // --- v3 wide-kernel throughput, same pipeline, same process. ---
-    let mc_v3 = PipelineMc::new(
-        CellLibrary::default(),
-        VariationConfig::random_only(35.0),
-        None,
-    )
-    .with_kernel(TrialKernel::V3);
-    let prepared_v3 = PreparedPipelineMc::new(&mc_v3, &pipe);
-    let mut ws_v3 = prepared_v3.workspace();
-    let verify_v3_ms = median_ms(|| {
-        let mut stats = PipelineBlockStats::new(pipe.stage_count(), &[150.0]);
-        prepared_v3.run_block_plan(&mut ws_v3, 0..trials, |t| t ^ 0xBE7C, plain, &mut stats);
-        std::hint::black_box(stats);
-    });
-    let trials_per_sec_v3 = trials as f64 / (verify_v3_ms / 1e3);
+    // v1 (scalar), v2 (batch) and v3 (wide) kernels: same pipeline, same
+    // process, measured in that order.
+    let trials_per_sec_of = |kernel: TrialKernel| {
+        let prepared = PreparedPipelineMc::new(&mc.clone().with_kernel(kernel), &pipe);
+        let mut ws = prepared.workspace();
+        let ms = median_ms(|| {
+            let mut stats = PipelineBlockStats::new(pipe.stage_count(), &[150.0]);
+            prepared.run_block_plan(&mut ws, 0..trials, |t| t ^ 0xBE7C, plain, &mut stats);
+            std::hint::black_box(stats);
+        });
+        trials as f64 / (ms / 1e3)
+    };
+    let trials_per_sec = trials_per_sec_of(TrialKernel::V1);
+    let trials_per_sec_v2 = trials_per_sec_of(TrialKernel::V2);
+    let trials_per_sec_v3 = trials_per_sec_of(TrialKernel::V3);
 
     // --- Pooled v3 verification: sequential fold vs the worker pool. ---
     // Bytes must match on every host; the speedup is only meaningful
     // (and only gated) when there are cores to spread over.
+    let prepared_v3 = PreparedPipelineMc::new(&mc.clone().with_kernel(TrialKernel::V3), &pipe);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let pool_budget = 16_384u64;
     let pool_seed = |t: u64| counter_seed(0xBE7C, t);

@@ -21,11 +21,11 @@
 //!   cartesian grid expansion, stable content-hash scenario IDs, a
 //!   spec-selected simulation [`BackendSpec`] and named [`CircuitSpec`]
 //!   workloads.
-//! * [`sim`] — the backend contract ([`sim::Simulator`]) and the three
-//!   shipped backends: staged-pipeline MC (original behavior),
-//!   gate-level MC on the allocation-free prepared path, and the
-//!   moment-form Gaussian sampler; the closed-form `analytic` backend
-//!   runs no trials at all.
+//! * [`sim`] — the backend contract ([`sim::Simulator`]) and its two
+//!   simulators: gate-level MC on the allocation-free prepared path
+//!   (both the `pipeline` and `netlist` keywords) and the moment-form
+//!   Gaussian sampler; the closed-form `analytic` backend runs no
+//!   trials at all.
 //! * [`seed`] — counter-based per-trial seeding
 //!   (`hash(scenario_id, trial_index)`), making every trial's RNG
 //!   stream independent of scheduling.

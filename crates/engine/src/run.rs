@@ -32,7 +32,7 @@ use crate::result::{
     AnalyticSummary, McSummary, McYield, ModelFromMc, ScenarioResult, SweepResult, TargetYield,
 };
 use crate::seed::fnv1a64;
-use crate::sim::{MvnSim, Simulator};
+use crate::sim::{GateLevelSim, MvnSim, Simulator};
 use crate::spec::{BackendSpec, PipelineSpec, Scenario, StrategySpec, Sweep, VariationSpec};
 use crate::workload::{run_workload, StepContext, Workload, WorkloadOptions};
 
@@ -370,11 +370,11 @@ pub(crate) fn prepare(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, E
                             "scenario '{label}': moments not Monte-Carlo-samplable: {e}"
                         ))
                     })?;
-                Some(Box::new(
-                    MvnSim::new(mvn)
-                        .with_kernel(scenario.kernel.to_kernel())
-                        .with_plan(scenario.trial_plan.to_plan()),
-                ))
+                Some(Box::new(MvnSim::new(
+                    mvn,
+                    scenario.kernel.to_kernel(),
+                    scenario.trial_plan.to_plan(),
+                )))
             } else {
                 None
             };
@@ -397,12 +397,10 @@ pub(crate) fn prepare(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, E
             let sim: Option<Box<dyn Simulator>> = (scenario.trials > 0).then(|| {
                 let mc = PipelineMc::new(CellLibrary::default(), variation, None)
                     .with_kernel(scenario.kernel.to_kernel());
-                crate::sim::gate_level_backend(
-                    scenario.backend,
-                    mc,
-                    staged,
-                    scenario.trial_plan.to_plan(),
-                )
+                // The `pipeline` and `netlist` keywords both run the
+                // prepared gate-level path; `analytic` rejected trials.
+                let plan = scenario.trial_plan.to_plan();
+                Box::new(GateLevelSim::new(&mc, &staged, plan)) as _
             });
             (pipe, timing.correlation, gates, sim)
         }

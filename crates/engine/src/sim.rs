@@ -37,30 +37,6 @@ use vardelay_mc::{
 use vardelay_stats::MultivariateNormal;
 
 use crate::seed::trial_seed;
-use crate::spec::BackendSpec;
-
-/// Builds the gate-level simulator a scenario's `backend` keyword
-/// selects for `staged` — the one place the spec-level backend choice
-/// is mapped onto an executable [`Simulator`].
-///
-/// # Panics
-///
-/// Panics on [`BackendSpec::Analytic`]: the closed-form backend runs no
-/// trials, so scenario preparation must never ask for a simulator for
-/// it (it rejects `trials > 0` first).
-pub(crate) fn gate_level_backend(
-    backend: BackendSpec,
-    mc: PipelineMc,
-    staged: StagedPipeline,
-    plan: TrialPlan,
-) -> Box<dyn Simulator> {
-    match backend {
-        BackendSpec::Pipeline | BackendSpec::Netlist => {
-            Box::new(GateLevelSim::new(&mc, &staged).with_plan(plan))
-        }
-        BackendSpec::Analytic => unreachable!("the analytic backend rejects trials"),
-    }
-}
 
 /// A scenario's simulation backend, prepared and ready to run trial
 /// blocks.
@@ -91,29 +67,12 @@ pub struct MvnSim {
 }
 
 impl MvnSim {
-    /// Wraps a stage-delay joint distribution (v1 trial kernel, plain
-    /// trial plan).
-    pub fn new(mvn: MultivariateNormal) -> Self {
-        MvnSim {
-            mvn,
-            kernel: TrialKernel::default(),
-            plan: TrialPlan::plain(),
-        }
-    }
-
-    /// Selects the trial-kernel contract: the kernel's normal fill draws
-    /// the iid normals and its [`LaneFold`] folds the statistics — same
-    /// seeds, different (frozen) bytes per kernel.
-    pub fn with_kernel(mut self, kernel: TrialKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Selects the trial-plan contract: a draw overlay on the leading
-    /// stage dimensions (plain is the identity overlay).
-    pub fn with_plan(mut self, plan: TrialPlan) -> Self {
-        self.plan = plan;
-        self
+    /// Wraps a stage-delay joint distribution. The trial kernel's normal
+    /// fill draws the iid normals and its [`LaneFold`] folds the
+    /// statistics; the trial plan is a draw overlay on the leading stage
+    /// dimensions (plain is the identity overlay).
+    pub fn new(mvn: MultivariateNormal, kernel: TrialKernel, plan: TrialPlan) -> Self {
+        MvnSim { mvn, kernel, plan }
     }
 }
 
@@ -150,18 +109,12 @@ pub struct GateLevelSim {
 }
 
 impl GateLevelSim {
-    /// Compiles `staged` for workspace-reusing trials (plain plan).
-    pub fn new(mc: &PipelineMc, staged: &StagedPipeline) -> Self {
+    /// Compiles `staged` for workspace-reusing trials under `plan`.
+    pub fn new(mc: &PipelineMc, staged: &StagedPipeline, plan: TrialPlan) -> Self {
         GateLevelSim {
             prepared: PreparedPipelineMc::new(mc, staged),
-            plan: TrialPlan::plain(),
+            plan,
         }
-    }
-
-    /// Selects the trial-plan contract.
-    pub fn with_plan(mut self, plan: TrialPlan) -> Self {
-        self.plan = plan;
-        self
     }
 }
 
@@ -194,7 +147,7 @@ mod tests {
             VariationConfig::random_only(35.0),
             None,
         );
-        let sim = GateLevelSim::new(&mc, &staged);
+        let sim = GateLevelSim::new(&mc, &staged, TrialPlan::plain());
         let mut ws = TrialWorkspace::new();
         let mut stats = PipelineBlockStats::new(2, &[]);
         for b in 0..4u64 {

@@ -24,7 +24,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vardelay_circuit::{CellLibrary, LatchParams, Netlist, StagedPipeline};
-use vardelay_process::spatial::DiePosition;
 use vardelay_process::{pelgrom_sigma, DieSample, ProcessSampler};
 use vardelay_ssta::sta::{arrival_times_into, nominal_gate_delays};
 use vardelay_stats::batch::{
@@ -53,6 +52,19 @@ struct PreparedStage {
     region: usize,
 }
 
+impl PreparedStage {
+    /// Combinational delay under per-gate `slowdown` factors: arrival
+    /// times into `at`, then the latest primary output.
+    fn comb_delay(&self, slowdown: &[f64], at: &mut Vec<f64>) -> f64 {
+        arrival_times_into(&self.netlist, &self.nominal, Some(slowdown), at);
+        self.netlist
+            .outputs()
+            .iter()
+            .map(|o| at[o.0])
+            .fold(0.0, f64::max)
+    }
+}
+
 /// Reusable per-worker scratch buffers for [`PreparedPipelineMc`].
 ///
 /// Create one per worker thread with
@@ -64,8 +76,8 @@ struct PreparedStage {
 /// across a block.
 #[derive(Debug, Clone, Default)]
 pub struct TrialWorkspace {
-    /// iid standard normals for the spatial regions (the v2 kernel also
-    /// uses one extra slot for the inter-die draw).
+    /// The die-level standard normals: the inter-die draw, then one per
+    /// spatial region.
     z: Vec<f64>,
     /// The die sample (its region vector is reused).
     die: DieSample,
@@ -142,6 +154,27 @@ impl TrialWorkspace {
     pub fn reuses(&self) -> u64 {
         self.reuses
     }
+
+    /// Every scratch buffer, in a fixed order — what the zero-allocation
+    /// checks watch for capacity growth and storage moves.
+    fn buffers(&self) -> [&Vec<f64>; 13] {
+        let w = &self.wide;
+        [
+            &self.z,
+            &self.die.region_dvth,
+            &self.normals,
+            &self.slowdown,
+            &self.at,
+            &self.stage_delays,
+            &w.z_rows,
+            &w.dvth,
+            &w.shared,
+            &w.latch,
+            &w.slow,
+            &w.at,
+            &w.sd,
+        ]
+    }
 }
 
 /// A [`StagedPipeline`] compiled for repeated zero-allocation trials.
@@ -164,25 +197,17 @@ impl PreparedPipelineMc {
     /// here, never again per trial.
     pub fn new(mc: &PipelineMc, pipeline: &StagedPipeline) -> Self {
         let inner = mc.netlist_mc();
-        let lib = inner.library().clone();
-        let sampler = inner.sampler().clone();
-        let output_load = inner.output_load();
-        let stages = pipeline
-            .stages()
-            .iter()
-            .zip(pipeline.positions())
-            .map(|(netlist, pos)| Self::prepare_stage(&lib, &sampler, output_load, netlist, *pos))
-            .collect::<Vec<PreparedStage>>();
-        let rand_total = stages.iter().map(|s| s.rand_sigma.len()).sum();
-        PreparedPipelineMc {
-            lib,
-            sampler,
-            stages,
-            rand_total,
+        let mut prepared = PreparedPipelineMc {
+            lib: inner.library().clone(),
+            sampler: inner.sampler().clone(),
+            stages: Vec::new(),
+            rand_total: 0,
             latch: pipeline.latch(),
-            output_load,
+            output_load: inner.output_load(),
             kernel: mc.kernel(),
-        }
+        };
+        prepared.reprepare(pipeline);
+        prepared
     }
 
     /// The trial-kernel contract this runner executes (inherited from
@@ -191,17 +216,10 @@ impl PreparedPipelineMc {
         self.kernel
     }
 
-    /// Compiles one stage: the per-gate precomputation `new` and
-    /// `reprepare` share.
-    fn prepare_stage(
-        lib: &CellLibrary,
-        sampler: &ProcessSampler,
-        output_load: f64,
-        netlist: &Netlist,
-        pos: DiePosition,
-    ) -> PreparedStage {
-        let variation = sampler.variation();
-        let nominal = nominal_gate_delays(netlist, lib, output_load);
+    /// Compiles one stage in `region`: its per-gate nominal delays and
+    /// Pelgrom sigmas.
+    fn prepare_stage(&self, netlist: &Netlist, region: usize) -> PreparedStage {
+        let variation = self.sampler.variation();
         let rand_sigma = if variation.has_random() {
             netlist
                 .gates()
@@ -218,9 +236,9 @@ impl PreparedPipelineMc {
         };
         PreparedStage {
             netlist: netlist.clone(),
-            nominal,
+            nominal: nominal_gate_delays(netlist, &self.lib, self.output_load),
             rand_sigma,
-            region: sampler.region_of(pos),
+            region,
         }
     }
 
@@ -234,32 +252,23 @@ impl PreparedPipelineMc {
     /// bit-exact); a stage-count change falls back to a full rebuild.
     pub fn reprepare(&mut self, pipeline: &StagedPipeline) {
         self.latch = pipeline.latch();
-        if self.stages.len() != pipeline.stage_count() {
-            self.stages = pipeline
-                .stages()
-                .iter()
-                .zip(pipeline.positions())
-                .map(|(netlist, pos)| {
-                    Self::prepare_stage(&self.lib, &self.sampler, self.output_load, netlist, *pos)
-                })
-                .collect();
-            self.rand_total = self.stages.iter().map(|s| s.rand_sigma.len()).sum();
-            return;
+        let mut old = std::mem::take(&mut self.stages);
+        if old.len() != pipeline.stage_count() {
+            old.clear();
         }
-        for (i, (netlist, pos)) in pipeline
+        let mut old = old.into_iter();
+        self.stages = pipeline
             .stages()
             .iter()
             .zip(pipeline.positions())
-            .enumerate()
-        {
-            let region = self.sampler.region_of(*pos);
-            if self.stages[i].netlist != *netlist {
-                self.stages[i] =
-                    Self::prepare_stage(&self.lib, &self.sampler, self.output_load, netlist, *pos);
-            } else if self.stages[i].region != region {
-                self.stages[i].region = region;
-            }
-        }
+            .map(|(netlist, pos)| {
+                let region = self.sampler.region_of(*pos);
+                match old.next() {
+                    Some(stage) if stage.netlist == *netlist => PreparedStage { region, ..stage },
+                    _ => self.prepare_stage(netlist, region),
+                }
+            })
+            .collect();
         self.rand_total = self.stages.iter().map(|s| s.rand_sigma.len()).sum();
     }
 
@@ -272,11 +281,7 @@ impl PreparedPipelineMc {
     /// enough). Grow-only, so one workspace can serve interleaved blocks
     /// of different scenarios without reallocating per block.
     pub fn prepare_workspace(&self, ws: &mut TrialWorkspace) {
-        let grow = |v: &mut Vec<f64>, n: usize| {
-            if v.capacity() < n {
-                v.reserve(n - v.len());
-            }
-        };
+        let grow = |v: &mut Vec<f64>, n: usize| v.reserve(n.saturating_sub(v.len()));
         let max_gates = self
             .stages
             .iter()
@@ -290,36 +295,13 @@ impl PreparedPipelineMc {
             .max()
             .unwrap_or(0);
         let regions = self.sampler.region_value_count();
-        let caps = |ws: &TrialWorkspace| {
-            (
-                (
-                    ws.z.capacity(),
-                    ws.die.region_dvth.capacity(),
-                    ws.normals.capacity(),
-                    ws.slowdown.capacity(),
-                    ws.at.capacity(),
-                    ws.stage_delays.capacity(),
-                ),
-                (
-                    ws.wide.z_rows.capacity(),
-                    ws.wide.dvth.capacity(),
-                    ws.wide.shared.capacity(),
-                    ws.wide.latch.capacity(),
-                    ws.wide.slow.capacity(),
-                    ws.wide.at.capacity(),
-                    ws.wide.sd.capacity(),
-                ),
-            )
-        };
-        let before = caps(ws);
-        // +1: the v2 kernel shares the buffer between the inter-die draw
-        // and the region draws.
+        let before = ws.buffers().map(Vec::capacity);
+        // +1: the inter-die draw shares the buffer with the region draws.
         grow(&mut ws.z, regions + 1);
         grow(&mut ws.die.region_dvth, regions);
         grow(&mut ws.normals, max_gates.max(self.rand_total));
         grow(&mut ws.slowdown, max_gates);
         grow(&mut ws.at, max_signals);
-        grow(&mut ws.stage_delays, self.stages.len());
         ws.stage_delays.resize(self.stages.len(), 0.0);
         if self.kernel == TrialKernel::V3 {
             // The wide buffers are indexed, not pushed, so they carry
@@ -334,7 +316,7 @@ impl PreparedPipelineMc {
             ws.wide.at.resize(max_signals * V3_WIDTH, 0.0);
             ws.wide.sd.resize(stages * V3_WIDTH, 0.0);
         }
-        if before != caps(ws) {
+        if before != ws.buffers().map(Vec::capacity) {
             ws.reuses = 0;
         }
     }
@@ -366,11 +348,7 @@ impl PreparedPipelineMc {
         let sign = overlay.sign;
         let mut max_d = f64::NEG_INFINITY;
         for (s, stage) in self.stages.iter().enumerate() {
-            let shared = ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
-                0
-            } else {
-                stage.region
-            });
+            let shared = ws.die.shared_dvth(stage.region);
             ws.slowdown.clear();
             if stage.rand_sigma.is_empty() {
                 let f = self.lib.vth_slowdown_factor(shared);
@@ -381,18 +359,7 @@ impl PreparedPipelineMc {
                     self.lib.vth_slowdown_factor(shared + rand)
                 }));
             }
-            arrival_times_into(
-                &stage.netlist,
-                &stage.nominal,
-                Some(&ws.slowdown),
-                &mut ws.at,
-            );
-            let comb = stage
-                .netlist
-                .outputs()
-                .iter()
-                .map(|o| ws.at[o.0])
-                .fold(0.0, f64::max);
+            let comb = stage.comb_delay(&ws.slowdown, &mut ws.at);
             let overhead = self.latch.overhead_ps()
                 + self.latch.overhead_sigma_ps() * (sign * sample_standard_normal(rng));
             let sd = comb + overhead;
@@ -443,11 +410,7 @@ impl PreparedPipelineMc {
         let mut max_d = f64::NEG_INFINITY;
         let mut rand_off = 0usize;
         for (s, stage) in self.stages.iter().enumerate() {
-            let shared = ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
-                0
-            } else {
-                stage.region
-            });
+            let shared = ws.die.shared_dvth(stage.region);
             if stage.rand_sigma.is_empty() {
                 ws.slowdown.clear();
                 let f = self.lib.vth_slowdown_factor_v2(shared);
@@ -464,18 +427,7 @@ impl PreparedPipelineMc {
                     &mut ws.slowdown,
                 );
             }
-            arrival_times_into(
-                &stage.netlist,
-                &stage.nominal,
-                Some(&ws.slowdown),
-                &mut ws.at,
-            );
-            let comb = stage
-                .netlist
-                .outputs()
-                .iter()
-                .map(|o| ws.at[o.0])
-                .fold(0.0, f64::max);
+            let comb = stage.comb_delay(&ws.slowdown, &mut ws.at);
             let mut overhead = self.latch.overhead_ps();
             if latch_sigma != 0.0 {
                 overhead += latch_sigma * (sign * sample_standard_normal_inv_cdf(rng));
@@ -542,12 +494,7 @@ impl PreparedPipelineMc {
                 &mut ws.die,
             );
             for (s, stage) in self.stages.iter().enumerate() {
-                ws.wide.shared[s * V3_WIDTH + lane] =
-                    ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
-                        0
-                    } else {
-                        stage.region
-                    });
+                ws.wide.shared[s * V3_WIDTH + lane] = ws.die.shared_dvth(stage.region);
             }
             if latch_sigma != 0.0 {
                 for s in 0..self.stages.len() {
@@ -740,27 +687,7 @@ impl PreparedPipelineMc {
         // The zero-allocation contract, made checkable: after the
         // workspace is warm, no buffer may move for the rest of the
         // block.
-        let fingerprint = |ws: &TrialWorkspace| {
-            (
-                (
-                    ws.z.as_ptr(),
-                    ws.die.region_dvth.as_ptr(),
-                    ws.normals.as_ptr(),
-                    ws.slowdown.as_ptr(),
-                    ws.at.as_ptr(),
-                    ws.stage_delays.as_ptr(),
-                ),
-                (
-                    ws.wide.z_rows.as_ptr(),
-                    ws.wide.dvth.as_ptr(),
-                    ws.wide.shared.as_ptr(),
-                    ws.wide.latch.as_ptr(),
-                    ws.wide.slow.as_ptr(),
-                    ws.wide.at.as_ptr(),
-                    ws.wide.sd.as_ptr(),
-                ),
-            )
-        };
+        let fingerprint = |ws: &TrialWorkspace| ws.buffers().map(Vec::as_ptr);
         let warm = fingerprint(ws);
         let mut ps = PlanSampler::new(plan, self.die_dims(), seed_of(0));
         let mut fold = LaneFold::new(self.kernel, stats);

@@ -102,10 +102,7 @@ pub struct TrialPlan {
 impl TrialPlan {
     /// The plain plan — the byte-frozen pre-plan behavior.
     pub fn plain() -> Self {
-        TrialPlan {
-            strategy: TrialStrategy::Plain,
-            shift_sigmas: DEFAULT_SHIFT_SIGMAS,
-        }
+        TrialPlan::of(TrialStrategy::Plain)
     }
 
     /// A plan for `strategy` with default parameters.

@@ -84,7 +84,8 @@ USAGE:
       --workers. A summary table goes to stdout; completed scenarios
       stream to --out as JSONL and the final aggregate JSON atomically
       replaces it. Each scenario picks its simulator with the backend
-      field: pipeline (staged-pipeline MC, the default), netlist
+      field: pipeline (the default: joint-Gaussian sampling for Moments
+      stages, the netlist path for gate-level ones), netlist
       (gate-level MC on the zero-allocation hot path; supports
       CircuitSpec stages: Chain/Alu1/Alu2/Decoder/Random/Iscas), or
       analytic (closed-form SSTA/Clark, no trials). The kernel field
