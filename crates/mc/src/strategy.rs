@@ -125,7 +125,7 @@ impl Default for TrialPlan {
     }
 }
 
-/// Per-block driver deriving each trial's stream modifications: the
+/// Per-block sampler deriving each trial's stream modifications: the
 /// seed index to replay and the trial's [`DrawOverlay`] (sign,
 /// leading-dim overrides, mean shift). Under the plain plan every trial
 /// replays its own seed with the identity overlay.
