@@ -37,72 +37,34 @@ use vardelay_opt::{
 };
 use vardelay_ssta::SstaEngine;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::plan::{CampaignPlan, RunPlan};
 use crate::result::{BaselineOutcome, CampaignResult, McVerification, OptimizationRunResult};
 use crate::run::{build_model_from_mc, EngineError, SweepOptions, MAX_TRIALS};
 use crate::seed::{fnv1a64, trial_seed};
 use crate::spec::{
-    trials_from_value, trials_to_value, KernelSpec, PipelineSpec, StrategySpec, TrialPlanSpec,
-    VariationSpec,
+    is_default, keyword_enum, trials_from_value, trials_to_value, KernelSpec, PipelineSpec,
+    StrategySpec, TrialPlanSpec, VariationSpec,
 };
 use crate::workload::{run_workload, StepContext, Workload, WorkloadOptions};
 
-/// Which backend measures pipeline yield *inside* the sizing loop.
-///
-/// Serialized in lowercase and omitted when it is the default, like a
-/// scenario's `backend` field. Unlike that field, the yield backend is
-/// **experiment-defining**: Monte-Carlo feedback can steer the global
-/// budget adjustment differently than the analytic model, so it is part
-/// of the run's content hash.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum YieldBackendSpec {
-    /// The paper flow: closed-form Clark/SSTA yield (eq. 9).
-    #[default]
-    Analytic,
-    /// Gate-level Monte-Carlo on the prepared zero-allocation hot path,
-    /// `eval_trials` counter-seeded trials per yield query.
-    Netlist,
-}
-
-impl YieldBackendSpec {
-    /// The lowercase spec keyword.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            YieldBackendSpec::Analytic => "analytic",
-            YieldBackendSpec::Netlist => "netlist",
-        }
-    }
-
-    /// Parses a lowercase spec keyword.
+keyword_enum! {
+    /// Which backend measures pipeline yield *inside* the sizing loop.
     ///
-    /// # Errors
-    ///
-    /// Returns a message listing the valid keywords.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "analytic" => Ok(YieldBackendSpec::Analytic),
-            "netlist" => Ok(YieldBackendSpec::Netlist),
-            other => Err(format!(
-                "unknown yield backend '{other}' (use analytic|netlist)"
-            )),
-        }
-    }
-}
-
-impl Serialize for YieldBackendSpec {
-    fn to_value(&self) -> Value {
-        Value::String(self.keyword().to_owned())
-    }
-}
-
-impl Deserialize for YieldBackendSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::String(s) => YieldBackendSpec::parse(s).map_err(serde::Error::new),
-            _ => Err(serde::Error::new("yield_backend must be a string")),
-        }
+    /// Serialized in lowercase and omitted when it is the default, like a
+    /// scenario's `backend` field. Unlike that field, the yield backend is
+    /// **experiment-defining**: Monte-Carlo feedback can steer the global
+    /// budget adjustment differently than the analytic model, so it is part
+    /// of the run's content hash.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub enum YieldBackendSpec("yield backend") {
+        /// The paper flow: closed-form Clark/SSTA yield (eq. 9).
+        #[default]
+        Analytic = "analytic",
+        /// Gate-level Monte-Carlo on the prepared zero-allocation hot path,
+        /// `eval_trials` counter-seeded trials per yield query.
+        Netlist = "netlist",
     }
 }
 
@@ -121,10 +83,49 @@ pub const DEFAULT_EVAL_TRIALS: u64 = 2_048;
 /// Default Monte-Carlo trials verifying the final (and baseline) yield.
 pub const DEFAULT_VERIFY_TRIALS: u64 = 4_096;
 
+fn default_rounds() -> usize {
+    DEFAULT_ROUNDS
+}
+
+fn is_default_rounds(rounds: &usize) -> bool {
+    *rounds == DEFAULT_ROUNDS
+}
+
+fn default_eval_trials() -> u64 {
+    DEFAULT_EVAL_TRIALS
+}
+
+fn is_default_eval_trials(trials: &u64) -> bool {
+    *trials == DEFAULT_EVAL_TRIALS
+}
+
+/// The optional `verify_trials` key: a verification budget and its plan,
+/// omitted only when the count is [`DEFAULT_VERIFY_TRIALS`] *and* the
+/// plan is plain (`#[serde(with = "verify_trials", pair = verify_plan)]`).
+mod verify_trials {
+    use super::{trials_from_value, trials_to_value, TrialPlanSpec, DEFAULT_VERIFY_TRIALS};
+    use serde::{Error, Value};
+
+    pub(super) fn to_value(count: &u64, plan: &TrialPlanSpec) -> Option<Value> {
+        (*count != DEFAULT_VERIFY_TRIALS || !plan.is_default())
+            .then(|| trials_to_value(*count, plan))
+    }
+
+    pub(super) fn from_value(v: Option<&Value>) -> Result<(u64, TrialPlanSpec), Error> {
+        v.map_or(
+            Ok((DEFAULT_VERIFY_TRIALS, TrialPlanSpec::default())),
+            trials_from_value,
+        )
+    }
+}
+
 /// One optimization run: a pipeline, a yield target, how the target
 /// delay is chosen, what the optimizer is asked to do, and how yield is
 /// measured while it does it.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Optional fields are omitted when they hold their defaults, so a
+/// campaign written before a knob existed keeps its bytes and run IDs.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizeSpec {
     /// Display label (also part of the run's content hash).
     pub label: String,
@@ -141,118 +142,32 @@ pub struct OptimizeSpec {
     /// minimize-area).
     pub goal: OptimizationGoal,
     /// Outer sizing rounds (Fig. 9 step 7 repetitions).
+    #[serde(default = "default_rounds", skip_serializing_if = "is_default_rounds")]
     pub rounds: usize,
     /// Which backend measures pipeline yield inside the sizing loop.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub yield_backend: YieldBackendSpec,
     /// Which trial-kernel contract runs every Monte-Carlo surface of
     /// the run (in-loop evaluation, criticality, verification).
+    #[serde(default, skip_serializing_if = "is_default")]
     pub kernel: KernelSpec,
     /// Monte-Carlo trials per in-loop yield query (netlist backend).
+    #[serde(
+        default = "default_eval_trials",
+        skip_serializing_if = "is_default_eval_trials"
+    )]
     pub eval_trials: u64,
     /// Monte-Carlo trials verifying the optimized and baseline designs
     /// at the target (`0` skips verification). When `verify_plan`
     /// requests a confidence half-width, this is a **ceiling**:
     /// verification stops at the first chunk boundary where the 95%
     /// interval is tight enough.
+    #[serde(with = "verify_trials", pair = verify_plan)]
     pub verify_trials: u64,
     /// Trial plan for the verification streams (the in-loop evaluation
     /// always runs plain MC). Serialized inside `verify_trials`, the
     /// way a scenario's plan rides inside `trials`.
     pub verify_plan: TrialPlanSpec,
-}
-
-// Hand-written like Scenario's serde: optional fields are omitted when
-// they hold their defaults and unknown keys are rejected, so a typo'd
-// field can never silently run a different optimization.
-impl Serialize for OptimizeSpec {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("label".to_owned(), self.label.to_value()),
-            ("pipeline".to_owned(), self.pipeline.to_value()),
-            ("variation".to_owned(), self.variation.to_value()),
-            ("yield_target".to_owned(), self.yield_target.to_value()),
-            ("target_delay".to_owned(), self.target_delay.to_value()),
-            ("goal".to_owned(), self.goal.to_value()),
-        ];
-        if self.rounds != DEFAULT_ROUNDS {
-            fields.push(("rounds".to_owned(), self.rounds.to_value()));
-        }
-        if self.yield_backend != YieldBackendSpec::default() {
-            fields.push(("yield_backend".to_owned(), self.yield_backend.to_value()));
-        }
-        if self.kernel != KernelSpec::default() {
-            fields.push(("kernel".to_owned(), self.kernel.to_value()));
-        }
-        if self.eval_trials != DEFAULT_EVAL_TRIALS {
-            fields.push(("eval_trials".to_owned(), self.eval_trials.to_value()));
-        }
-        if self.verify_trials != DEFAULT_VERIFY_TRIALS || !self.verify_plan.is_default() {
-            fields.push((
-                "verify_trials".to_owned(),
-                trials_to_value(self.verify_trials, &self.verify_plan),
-            ));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for OptimizeSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        const KNOWN: [&str; 11] = [
-            "label",
-            "pipeline",
-            "variation",
-            "yield_target",
-            "target_delay",
-            "goal",
-            "rounds",
-            "yield_backend",
-            "kernel",
-            "eval_trials",
-            "verify_trials",
-        ];
-        if let Value::Object(fields) = v {
-            for (key, _) in fields {
-                if !KNOWN.contains(&key.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown optimize field `{key}` (expected one of {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let opt = |key: &str| v.get(key);
-        let (verify_trials, verify_plan) = match opt("verify_trials") {
-            Some(v) => trials_from_value(v)?,
-            None => (DEFAULT_VERIFY_TRIALS, TrialPlanSpec::default()),
-        };
-        Ok(OptimizeSpec {
-            label: Deserialize::from_value(v.field("label")?)?,
-            pipeline: Deserialize::from_value(v.field("pipeline")?)?,
-            variation: Deserialize::from_value(v.field("variation")?)?,
-            yield_target: Deserialize::from_value(v.field("yield_target")?)?,
-            target_delay: Deserialize::from_value(v.field("target_delay")?)?,
-            goal: Deserialize::from_value(v.field("goal")?)?,
-            rounds: opt("rounds")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or(DEFAULT_ROUNDS),
-            yield_backend: opt("yield_backend")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            kernel: opt("kernel")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            eval_trials: opt("eval_trials")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or(DEFAULT_EVAL_TRIALS),
-            verify_trials,
-            verify_plan,
-        })
-    }
 }
 
 impl OptimizeSpec {
@@ -277,8 +192,9 @@ impl OptimizeSpec {
 }
 
 /// Cartesian run grid: pipelines × yield targets × target-delay policies
-/// × goals × variations, with shared execution knobs.
-#[derive(Debug, Clone, PartialEq)]
+/// × goals × variations, with shared execution knobs (serialized like
+/// [`OptimizeSpec`]'s).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizeGridSpec {
     /// Pipelines to optimize.
     pub pipelines: Vec<PipelineSpec>,
@@ -291,105 +207,25 @@ pub struct OptimizeGridSpec {
     /// Variation configurations to sweep.
     pub variations: Vec<VariationSpec>,
     /// Outer sizing rounds stamped on every generated run.
+    #[serde(default = "default_rounds", skip_serializing_if = "is_default_rounds")]
     pub rounds: usize,
     /// In-loop yield backend stamped on every generated run.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub yield_backend: YieldBackendSpec,
     /// Trial-kernel contract stamped on every generated run.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub kernel: KernelSpec,
     /// In-loop yield trials stamped on every generated run.
+    #[serde(
+        default = "default_eval_trials",
+        skip_serializing_if = "is_default_eval_trials"
+    )]
     pub eval_trials: u64,
     /// Verification trials stamped on every generated run.
+    #[serde(with = "verify_trials", pair = verify_plan)]
     pub verify_trials: u64,
     /// Verification trial plan stamped on every generated run.
     pub verify_plan: TrialPlanSpec,
-}
-
-impl Serialize for OptimizeGridSpec {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("pipelines".to_owned(), self.pipelines.to_value()),
-            ("yield_targets".to_owned(), self.yield_targets.to_value()),
-            ("target_delays".to_owned(), self.target_delays.to_value()),
-            ("goals".to_owned(), self.goals.to_value()),
-            ("variations".to_owned(), self.variations.to_value()),
-        ];
-        if self.rounds != DEFAULT_ROUNDS {
-            fields.push(("rounds".to_owned(), self.rounds.to_value()));
-        }
-        if self.yield_backend != YieldBackendSpec::default() {
-            fields.push(("yield_backend".to_owned(), self.yield_backend.to_value()));
-        }
-        if self.kernel != KernelSpec::default() {
-            fields.push(("kernel".to_owned(), self.kernel.to_value()));
-        }
-        if self.eval_trials != DEFAULT_EVAL_TRIALS {
-            fields.push(("eval_trials".to_owned(), self.eval_trials.to_value()));
-        }
-        if self.verify_trials != DEFAULT_VERIFY_TRIALS || !self.verify_plan.is_default() {
-            fields.push((
-                "verify_trials".to_owned(),
-                trials_to_value(self.verify_trials, &self.verify_plan),
-            ));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for OptimizeGridSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        const KNOWN: [&str; 10] = [
-            "pipelines",
-            "yield_targets",
-            "target_delays",
-            "goals",
-            "variations",
-            "rounds",
-            "yield_backend",
-            "kernel",
-            "eval_trials",
-            "verify_trials",
-        ];
-        if let Value::Object(fields) = v {
-            for (key, _) in fields {
-                if !KNOWN.contains(&key.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown optimize grid field `{key}` (expected one of {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let opt = |key: &str| v.get(key);
-        let (verify_trials, verify_plan) = match opt("verify_trials") {
-            Some(v) => trials_from_value(v)?,
-            None => (DEFAULT_VERIFY_TRIALS, TrialPlanSpec::default()),
-        };
-        Ok(OptimizeGridSpec {
-            pipelines: Deserialize::from_value(v.field("pipelines")?)?,
-            yield_targets: Deserialize::from_value(v.field("yield_targets")?)?,
-            target_delays: Deserialize::from_value(v.field("target_delays")?)?,
-            goals: Deserialize::from_value(v.field("goals")?)?,
-            variations: Deserialize::from_value(v.field("variations")?)?,
-            rounds: opt("rounds")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or(DEFAULT_ROUNDS),
-            yield_backend: opt("yield_backend")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            kernel: opt("kernel")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            eval_trials: opt("eval_trials")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or(DEFAULT_EVAL_TRIALS),
-            verify_trials,
-            verify_plan,
-        })
-    }
 }
 
 /// Short goal keyword for generated labels and plan rows.
@@ -442,7 +278,7 @@ impl OptimizeGridSpec {
 }
 
 /// A full optimization campaign: explicit runs plus an optional grid.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizationCampaign {
     /// Campaign name (reported in results).
     pub name: String,
@@ -452,39 +288,6 @@ pub struct OptimizationCampaign {
     pub runs: Vec<OptimizeSpec>,
     /// Grid expansion appended after the explicit list.
     pub grid: Option<OptimizeGridSpec>,
-}
-
-impl Serialize for OptimizationCampaign {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_owned(), self.name.to_value()),
-            ("seed".to_owned(), self.seed.to_value()),
-            ("runs".to_owned(), self.runs.to_value()),
-            ("grid".to_owned(), self.grid.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for OptimizationCampaign {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        const KNOWN: [&str; 4] = ["name", "seed", "runs", "grid"];
-        if let Value::Object(fields) = v {
-            for (key, _) in fields {
-                if !KNOWN.contains(&key.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown campaign field `{key}` (expected one of {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        Ok(OptimizationCampaign {
-            name: Deserialize::from_value(v.field("name")?)?,
-            seed: Deserialize::from_value(v.field("seed")?)?,
-            runs: Deserialize::from_value(v.field("runs")?)?,
-            grid: Deserialize::from_value(v.field("grid")?)?,
-        })
-    }
 }
 
 impl OptimizationCampaign {
@@ -1274,22 +1077,5 @@ mod tests {
             &|s| s.verify_plan.ci_half_width = Some(0.75),
             "ci_half_width",
         );
-    }
-
-    #[test]
-    fn misspelled_campaign_fields_are_rejected() {
-        let json = OptimizationCampaign::example()
-            .to_json()
-            .replace("\"goal\"", "\"gaol\"");
-        let err = OptimizationCampaign::from_json(&json).unwrap_err();
-        assert!(err.to_string().contains("gaol"), "{err}");
-        let json = OptimizationCampaign::example()
-            .to_json()
-            .replace("\"yield_targets\"", "\"yield_tragets\"");
-        assert!(OptimizationCampaign::from_json(&json).is_err());
-        assert!(YieldBackendSpec::parse("spice").is_err());
-        for b in [YieldBackendSpec::Analytic, YieldBackendSpec::Netlist] {
-            assert_eq!(YieldBackendSpec::parse(b.keyword()).unwrap(), b);
-        }
     }
 }

@@ -17,145 +17,140 @@ use vardelay_process::VariationConfig;
 
 use crate::seed::fnv1a64;
 
-/// Which simulator executes a scenario's trials.
-///
-/// Serialized in lowercase (`"backend": "netlist"`); omitted from the
-/// serialized form when it is the default, so pre-backend sweep specs
-/// keep both their JSON shape **and** their content-hash scenario IDs —
-/// an existing spec reproduces its historical results bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BackendSpec {
-    /// The staged-pipeline Monte-Carlo substrate: joint-Gaussian stage
-    /// sampling for moment-form scenarios, and the same prepared
-    /// gate-level path as `Netlist` for gate-level ones (the two
-    /// keywords produce the same bytes there).
-    #[default]
-    Pipeline,
-    /// Gate-level Monte-Carlo on the allocation-free prepared path
-    /// ([`vardelay_mc::PreparedPipelineMc`]): every trial samples a die
-    /// through the process sampler and times real netlists with
-    /// workspace-reused buffers. Rejects moment-form scenarios, which
-    /// have no gates.
-    Netlist,
-    /// Closed-form Clark/SSTA evaluation only — no sampling. Pairs with
-    /// a Monte-Carlo twin of the same scenario to put model-vs-MC deltas
-    /// in one sweep result. Requires `trials == 0`.
-    Analytic,
+/// Declares a spec keyword enum from its variant list: each variant
+/// with its lowercase JSON keyword, plus `ALL`, `keyword`, `parse`,
+/// `keyword_list` and a serde form that is the bare keyword string, so
+/// help text, parse errors and the wire format all derive from one
+/// table. `$what` names the enum in error messages.
+macro_rules! keyword_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident($what:literal) {
+            $($(#[$vmeta:meta])* $variant:ident = $keyword:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$($keyword),+].len()] = [$($name::$variant),+];
+
+            /// The valid keyword set as a `|`-separated list, for help
+            /// text and error messages.
+            pub fn keyword_list() -> String {
+                Self::ALL.map(Self::keyword).join("|")
+            }
+
+            /// The lowercase spec keyword.
+            pub fn keyword(self) -> &'static str {
+                match self {
+                    $($name::$variant => $keyword,)+
+                }
+            }
+
+            /// Parses a lowercase spec keyword.
+            ///
+            /// # Errors
+            ///
+            /// Returns a message listing the valid keywords.
+            pub fn parse(s: &str) -> Result<Self, String> {
+                Self::ALL.into_iter().find(|k| k.keyword() == s).ok_or_else(|| {
+                    format!(concat!("unknown ", $what, " '{}' (use {})"), s, Self::keyword_list())
+                })
+            }
+        }
+
+        impl ::serde::Serialize for $name {
+            fn to_value(&self) -> ::serde::Value {
+                ::serde::Value::String(self.keyword().to_owned())
+            }
+        }
+
+        impl ::serde::Deserialize for $name {
+            fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {
+                match v {
+                    ::serde::Value::String(s) => Self::parse(s).map_err(::serde::Error::new),
+                    _ => Err(::serde::Error::new(concat!($what, " must be a string"))),
+                }
+            }
+        }
+    };
+}
+pub(crate) use keyword_enum;
+
+/// Whether `v` holds its type's default — the `skip_serializing_if`
+/// predicate of every field that is omitted at its default.
+pub(crate) fn is_default<T: Default + PartialEq>(v: &T) -> bool {
+    *v == T::default()
 }
 
-impl BackendSpec {
-    /// The lowercase spec keyword.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            BackendSpec::Pipeline => "pipeline",
-            BackendSpec::Netlist => "netlist",
-            BackendSpec::Analytic => "analytic",
-        }
-    }
-
-    /// Parses a lowercase spec keyword.
+keyword_enum! {
+    /// Which simulator executes a scenario's trials.
     ///
-    /// # Errors
+    /// Serialized in lowercase (`"backend": "netlist"`); omitted from the
+    /// serialized form when it is the default, so pre-backend sweep specs
+    /// keep both their JSON shape **and** their content-hash scenario IDs —
+    /// an existing spec reproduces its historical results bit for bit.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub enum BackendSpec("backend") {
+        /// The staged-pipeline Monte-Carlo substrate: joint-Gaussian stage
+        /// sampling for moment-form scenarios, and the same prepared
+        /// gate-level path as `Netlist` for gate-level ones (the two
+        /// keywords produce the same bytes there).
+        #[default]
+        Pipeline = "pipeline",
+        /// Gate-level Monte-Carlo on the allocation-free prepared path
+        /// ([`vardelay_mc::PreparedPipelineMc`]): every trial samples a die
+        /// through the process sampler and times real netlists with
+        /// workspace-reused buffers. Rejects moment-form scenarios, which
+        /// have no gates.
+        Netlist = "netlist",
+        /// Closed-form Clark/SSTA evaluation only — no sampling. Pairs with
+        /// a Monte-Carlo twin of the same scenario to put model-vs-MC deltas
+        /// in one sweep result. Requires `trials == 0`.
+        Analytic = "analytic",
+    }
+}
+
+keyword_enum! {
+    /// Which **trial-kernel contract** executes a scenario's Monte-Carlo
+    /// arithmetic (see `vardelay_mc::TrialKernel`).
     ///
-    /// Returns a message listing the valid keywords.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "pipeline" => Ok(BackendSpec::Pipeline),
-            "netlist" => Ok(BackendSpec::Netlist),
-            "analytic" => Ok(BackendSpec::Analytic),
-            other => Err(format!(
-                "unknown backend '{other}' (use pipeline|netlist|analytic)"
-            )),
-        }
+    /// Serialized in lowercase (`"kernel": "v2"`); omitted from the
+    /// serialized form when it is the default, so pre-kernel sweep specs
+    /// keep both their JSON shape **and** their content-hash scenario IDs.
+    /// Like `backend`, the kernel is excluded from scenario identity: the
+    /// same spec content and sweep seed derive the same per-trial RNG
+    /// seeds under either kernel — only the trial arithmetic (and hence
+    /// the result bytes) differs, and each kernel is byte-stable against
+    /// itself. `ALL` lists the kernels oldest first, mirroring
+    /// `vardelay_mc::TrialKernel::ALL`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub enum KernelSpec("kernel") {
+        /// The original scalar trial kernel — every historical result's
+        /// byte contract.
+        #[default]
+        V1 = "v1",
+        /// The batch structure-of-arrays kernel: pair-producing Box–Muller
+        /// die sampling, inverse-CDF gate normals, polynomial slowdown
+        /// factors, lane-folded statistics. ~3.5× the trial throughput of
+        /// `v1` under its own (equally frozen) byte contract.
+        V2 = "v2",
+        /// The wide lane-major kernel: all normals of a 16-trial pass are
+        /// generated up front (batch inverse-CDF, die draws included), then
+        /// every stage and gate is visited once per pass over contiguous
+        /// per-lane rows; statistics fold over 16 lanes. Higher throughput
+        /// than `v2` under its own (equally frozen) byte contract, and the
+        /// only kernel whose campaign verification fans out across the
+        /// worker pool.
+        V3 = "v3",
     }
-}
-
-impl Serialize for BackendSpec {
-    fn to_value(&self) -> Value {
-        Value::String(self.keyword().to_owned())
-    }
-}
-
-impl Deserialize for BackendSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::String(s) => BackendSpec::parse(s).map_err(serde::Error::new),
-            _ => Err(serde::Error::new("backend must be a string")),
-        }
-    }
-}
-
-/// Which **trial-kernel contract** executes a scenario's Monte-Carlo
-/// arithmetic (see `vardelay_mc::TrialKernel`).
-///
-/// Serialized in lowercase (`"kernel": "v2"`); omitted from the
-/// serialized form when it is the default, so pre-kernel sweep specs
-/// keep both their JSON shape **and** their content-hash scenario IDs.
-/// Like `backend`, the kernel is excluded from scenario identity: the
-/// same spec content and sweep seed derive the same per-trial RNG
-/// seeds under either kernel — only the trial arithmetic (and hence
-/// the result bytes) differs, and each kernel is byte-stable against
-/// itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum KernelSpec {
-    /// The original scalar trial kernel — every historical result's
-    /// byte contract.
-    #[default]
-    V1,
-    /// The batch structure-of-arrays kernel: pair-producing Box–Muller
-    /// die sampling, inverse-CDF gate normals, polynomial slowdown
-    /// factors, lane-folded statistics. ~3.5× the trial throughput of
-    /// `v1` under its own (equally frozen) byte contract.
-    V2,
-    /// The wide lane-major kernel: all normals of a 16-trial pass are
-    /// generated up front (batch inverse-CDF, die draws included), then
-    /// every stage and gate is visited once per pass over contiguous
-    /// per-lane rows; statistics fold over 16 lanes. Higher throughput
-    /// than `v2` under its own (equally frozen) byte contract, and the
-    /// only kernel whose campaign verification fans out across the
-    /// worker pool.
-    V3,
 }
 
 impl KernelSpec {
-    /// Every kernel keyword, oldest first — mirrors
-    /// `vardelay_mc::TrialKernel::ALL`, so help text and parse errors
-    /// derived from this list can never go stale against the kernel
-    /// enum.
-    pub const ALL: [KernelSpec; 3] = [KernelSpec::V1, KernelSpec::V2, KernelSpec::V3];
-
-    /// The valid keyword set as a `|`-separated list (`"v1|v2|v3"`),
-    /// for help text and error messages.
-    pub fn keyword_list() -> String {
-        Self::ALL
-            .iter()
-            .map(|k| k.keyword())
-            .collect::<Vec<_>>()
-            .join("|")
-    }
-
-    /// The lowercase spec keyword.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            KernelSpec::V1 => "v1",
-            KernelSpec::V2 => "v2",
-            KernelSpec::V3 => "v3",
-        }
-    }
-
-    /// Parses a lowercase spec keyword.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the valid keywords.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .iter()
-            .copied()
-            .find(|k| k.keyword() == s)
-            .ok_or_else(|| format!("unknown kernel '{s}' (use {})", Self::keyword_list()))
-    }
-
     /// The `vardelay-mc` kernel this spec keyword selects.
     pub fn to_kernel(self) -> vardelay_mc::TrialKernel {
         match self {
@@ -166,80 +161,38 @@ impl KernelSpec {
     }
 }
 
-impl Serialize for KernelSpec {
-    fn to_value(&self) -> Value {
-        Value::String(self.keyword().to_owned())
+keyword_enum! {
+    /// Which **trial-plan contract** shapes a scenario's Monte-Carlo draws
+    /// (see `vardelay_mc::TrialStrategy`): how the counter-based per-trial
+    /// streams are turned into samples, orthogonal to the kernel that
+    /// executes the arithmetic.
+    ///
+    /// Like `kernel`, the strategy is excluded from scenario identity — it
+    /// changes how draws are shaped, not what is simulated — and each
+    /// strategy is a versioned deterministic contract, byte-stable against
+    /// itself at any worker/shard/resume configuration.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub enum StrategySpec("trial strategy") {
+        /// Independent per-trial draws — every historical result's byte
+        /// contract.
+        #[default]
+        Plain = "plain",
+        /// Antithetic pairs: trial `2k+1` negates every normal of trial
+        /// `2k`.
+        Antithetic = "antithetic",
+        /// Latin-hypercube stratification of the leading (die-level)
+        /// dimensions, one stratum per trial per 256-trial block.
+        Stratified = "stratified",
+        /// Scrambled Sobol quasi-Monte-Carlo points on the leading
+        /// dimensions, indexed by global trial number.
+        Sobol = "sobol",
+        /// Statistical blockade: mean-shifted inter-die sampling with
+        /// likelihood-ratio reweighting, for deep-tail yield targets.
+        Blockade = "blockade",
     }
-}
-
-impl Deserialize for KernelSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::String(s) => KernelSpec::parse(s).map_err(serde::Error::new),
-            _ => Err(serde::Error::new("kernel must be a string")),
-        }
-    }
-}
-
-/// Which **trial-plan contract** shapes a scenario's Monte-Carlo draws
-/// (see `vardelay_mc::TrialStrategy`): how the counter-based per-trial
-/// streams are turned into samples, orthogonal to the kernel that
-/// executes the arithmetic.
-///
-/// Like `kernel`, the strategy is excluded from scenario identity — it
-/// changes how draws are shaped, not what is simulated — and each
-/// strategy is a versioned deterministic contract, byte-stable against
-/// itself at any worker/shard/resume configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StrategySpec {
-    /// Independent per-trial draws — every historical result's byte
-    /// contract.
-    #[default]
-    Plain,
-    /// Antithetic pairs: trial `2k+1` negates every normal of trial
-    /// `2k`.
-    Antithetic,
-    /// Latin-hypercube stratification of the leading (die-level)
-    /// dimensions, one stratum per trial per 256-trial block.
-    Stratified,
-    /// Scrambled Sobol quasi-Monte-Carlo points on the leading
-    /// dimensions, indexed by global trial number.
-    Sobol,
-    /// Statistical blockade: mean-shifted inter-die sampling with
-    /// likelihood-ratio reweighting, for deep-tail yield targets.
-    Blockade,
 }
 
 impl StrategySpec {
-    /// The lowercase spec keyword.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            StrategySpec::Plain => "plain",
-            StrategySpec::Antithetic => "antithetic",
-            StrategySpec::Stratified => "stratified",
-            StrategySpec::Sobol => "sobol",
-            StrategySpec::Blockade => "blockade",
-        }
-    }
-
-    /// Parses a lowercase spec keyword.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the valid keywords.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "plain" => Ok(StrategySpec::Plain),
-            "antithetic" => Ok(StrategySpec::Antithetic),
-            "stratified" => Ok(StrategySpec::Stratified),
-            "sobol" => Ok(StrategySpec::Sobol),
-            "blockade" => Ok(StrategySpec::Blockade),
-            other => Err(format!(
-                "unknown trial strategy '{other}' (use plain|antithetic|stratified|sobol|blockade)"
-            )),
-        }
-    }
-
     /// The `vardelay-mc` strategy this spec keyword selects.
     pub fn to_strategy(self) -> vardelay_mc::TrialStrategy {
         match self {
@@ -248,21 +201,6 @@ impl StrategySpec {
             StrategySpec::Stratified => vardelay_mc::TrialStrategy::Stratified,
             StrategySpec::Sobol => vardelay_mc::TrialStrategy::Sobol,
             StrategySpec::Blockade => vardelay_mc::TrialStrategy::Blockade,
-        }
-    }
-}
-
-impl Serialize for StrategySpec {
-    fn to_value(&self) -> Value {
-        Value::String(self.keyword().to_owned())
-    }
-}
-
-impl Deserialize for StrategySpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::String(s) => StrategySpec::parse(s).map_err(serde::Error::new),
-            _ => Err(serde::Error::new("trial strategy must be a string")),
         }
     }
 }
@@ -355,6 +293,17 @@ impl TrialPlanSpec {
     }
 }
 
+/// The object form of a trial budget with a non-default plan.
+#[derive(Serialize, Deserialize)]
+struct TrialsObject {
+    count: u64,
+    strategy: StrategySpec,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    shift_sigmas: Option<f64>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    ci_half_width: Option<f64>,
+}
+
 /// Serializes a trial budget with its plan: the bare count when the
 /// plan is the default (existing specs keep their bytes), else an
 /// object carrying the strategy and its knobs.
@@ -362,54 +311,43 @@ pub(crate) fn trials_to_value(count: u64, plan: &TrialPlanSpec) -> Value {
     if plan.is_default() {
         return count.to_value();
     }
-    let mut fields = vec![
-        ("count".to_owned(), count.to_value()),
-        ("strategy".to_owned(), plan.strategy.to_value()),
-    ];
-    if let Some(s) = plan.shift_sigmas {
-        fields.push(("shift_sigmas".to_owned(), s.to_value()));
+    TrialsObject {
+        count,
+        strategy: plan.strategy,
+        shift_sigmas: plan.shift_sigmas,
+        ci_half_width: plan.ci_half_width,
     }
-    if let Some(hw) = plan.ci_half_width {
-        fields.push(("ci_half_width".to_owned(), hw.to_value()));
-    }
-    Value::Object(fields)
+    .to_value()
 }
 
 /// Parses a trial budget in either form: a bare count (plain plan) or
 /// `{"count": N, "strategy": "...", "shift_sigmas"?: S,
-/// "ci_half_width"?: H}`. Unknown keys are rejected, like every other
-/// spec object.
+/// "ci_half_width"?: H}`.
 pub(crate) fn trials_from_value(v: &Value) -> Result<(u64, TrialPlanSpec), serde::Error> {
-    if let Value::Object(fields) = v {
-        const KNOWN: [&str; 4] = ["count", "strategy", "shift_sigmas", "ci_half_width"];
-        for (key, _) in fields {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(serde::Error::new(format!(
-                    "unknown trials field `{key}` (expected one of {})",
-                    KNOWN.join(", ")
-                )));
-            }
-        }
-        let count = Deserialize::from_value(v.field("count")?)?;
-        let strategy = Deserialize::from_value(v.field("strategy")?)?;
-        let shift_sigmas = v
-            .get("shift_sigmas")
-            .map(Deserialize::from_value)
-            .transpose()?;
-        let ci_half_width = v
-            .get("ci_half_width")
-            .map(Deserialize::from_value)
-            .transpose()?;
-        Ok((
-            count,
-            TrialPlanSpec {
-                strategy,
-                shift_sigmas,
-                ci_half_width,
-            },
-        ))
-    } else {
-        Ok((Deserialize::from_value(v)?, TrialPlanSpec::default()))
+    if !matches!(v, Value::Object(_)) {
+        return Ok((Deserialize::from_value(v)?, TrialPlanSpec::default()));
+    }
+    let t = TrialsObject::from_value(v)?;
+    let plan = TrialPlanSpec {
+        strategy: t.strategy,
+        shift_sigmas: t.shift_sigmas,
+        ci_half_width: t.ci_half_width,
+    };
+    Ok((t.count, plan))
+}
+
+/// The required `trials` key of scenarios and grids: a trial count and
+/// its plan (`#[serde(with = "crate::spec::trials", pair = trial_plan)]`).
+pub(crate) mod trials {
+    use super::{trials_from_value, trials_to_value, TrialPlanSpec};
+    use serde::{Error, Value};
+
+    pub(crate) fn to_value(count: &u64, plan: &TrialPlanSpec) -> Option<Value> {
+        Some(trials_to_value(*count, plan))
+    }
+
+    pub(crate) fn from_value(v: Option<&Value>) -> Result<(u64, TrialPlanSpec), Error> {
+        trials_from_value(v.ok_or_else(|| Error::missing_field("trials"))?)
     }
 }
 
@@ -887,7 +825,14 @@ impl PipelineSpec {
 
 /// One point of the sweep: pipeline × variation × trial budget ×
 /// simulation backend.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `backend`, `kernel` and `histogram_bins` are *omitted* when they
+/// hold their defaults and optional when reading, as is the plan inside
+/// `trials`. A spec written before those fields existed therefore parses
+/// unchanged AND serializes to the same bytes, which keeps its
+/// content-hash scenario IDs — and with them every per-trial RNG stream —
+/// bit-stable.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Display label (also part of the scenario's content hash).
     pub label: String,
@@ -896,6 +841,7 @@ pub struct Scenario {
     /// Process-variation configuration.
     pub variation: VariationSpec,
     /// Monte-Carlo trials; `0` evaluates the analytic model only.
+    #[serde(with = "crate::spec::trials", pair = trial_plan)]
     pub trials: u64,
     /// Trial-plan contract shaping the Monte-Carlo draws (serialized
     /// inside the `trials` value; the default keeps the bare count).
@@ -907,100 +853,16 @@ pub struct Scenario {
     /// placing targets in the upper body of the distribution.
     pub auto_target_sigmas: Vec<f64>,
     /// Which simulator runs the trials.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub backend: BackendSpec,
     /// Which trial-kernel contract runs the trials.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub kernel: KernelSpec,
     /// When positive, stream a fixed-range histogram of the pipeline
     /// delay (bounds derived from the analytic model) into the result —
     /// distribution shape without retained samples.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub histogram_bins: usize,
-}
-
-// Serialization is written by hand (the vendored serde derive has no
-// `#[serde(default)]`): `backend` and `histogram_bins` are *omitted*
-// when they hold their defaults and optional when reading. A
-// pre-backend spec therefore parses unchanged AND serializes to the
-// same bytes, which keeps its content-hash scenario IDs — and with them
-// every per-trial RNG stream — bit-stable across this engine revision.
-impl Serialize for Scenario {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("label".to_owned(), self.label.to_value()),
-            ("pipeline".to_owned(), self.pipeline.to_value()),
-            ("variation".to_owned(), self.variation.to_value()),
-            (
-                "trials".to_owned(),
-                trials_to_value(self.trials, &self.trial_plan),
-            ),
-            ("yield_targets".to_owned(), self.yield_targets.to_value()),
-            (
-                "auto_target_sigmas".to_owned(),
-                self.auto_target_sigmas.to_value(),
-            ),
-        ];
-        if self.backend != BackendSpec::default() {
-            fields.push(("backend".to_owned(), self.backend.to_value()));
-        }
-        if self.kernel != KernelSpec::default() {
-            fields.push(("kernel".to_owned(), self.kernel.to_value()));
-        }
-        if self.histogram_bins != 0 {
-            fields.push(("histogram_bins".to_owned(), self.histogram_bins.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for Scenario {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        // The optional fields make typos dangerous: a misspelled
-        // `backend` would silently fall back to the default and run a
-        // different experiment. Reject unknown keys outright.
-        const KNOWN: [&str; 9] = [
-            "label",
-            "pipeline",
-            "variation",
-            "trials",
-            "yield_targets",
-            "auto_target_sigmas",
-            "backend",
-            "kernel",
-            "histogram_bins",
-        ];
-        if let Value::Object(fields) = v {
-            for (key, _) in fields {
-                if !KNOWN.contains(&key.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown scenario field `{key}` (expected one of {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let opt = |key: &str| v.get(key);
-        let (trials, trial_plan) = trials_from_value(v.field("trials")?)?;
-        Ok(Scenario {
-            label: Deserialize::from_value(v.field("label")?)?,
-            pipeline: Deserialize::from_value(v.field("pipeline")?)?,
-            variation: Deserialize::from_value(v.field("variation")?)?,
-            trials,
-            trial_plan,
-            yield_targets: Deserialize::from_value(v.field("yield_targets")?)?,
-            auto_target_sigmas: Deserialize::from_value(v.field("auto_target_sigmas")?)?,
-            backend: opt("backend")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            kernel: opt("kernel")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            histogram_bins: opt("histogram_bins")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or(0),
-        })
-    }
 }
 
 impl Scenario {
@@ -1032,8 +894,9 @@ impl Scenario {
 }
 
 /// Cartesian scenario grid: stage counts × logic depths × sizes ×
-/// variations.
-#[derive(Debug, Clone, PartialEq)]
+/// variations. Serialized like [`Scenario`]: defaults omitted on write
+/// (pre-backend grid specs keep their bytes), optional on read.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSpec {
     /// Pipeline stage counts `N_S` to sweep.
     pub stage_counts: Vec<usize>,
@@ -1046,6 +909,7 @@ pub struct GridSpec {
     /// Latch used by every generated pipeline.
     pub latch: LatchSpec,
     /// Monte-Carlo trials per scenario; `0` for analytic-only.
+    #[serde(with = "crate::spec::trials", pair = trial_plan)]
     pub trials: u64,
     /// Trial-plan contract stamped on every generated scenario
     /// (serialized inside the `trials` value).
@@ -1055,100 +919,14 @@ pub struct GridSpec {
     /// Analytic-derived targets (see [`Scenario::auto_target_sigmas`]).
     pub auto_target_sigmas: Vec<f64>,
     /// Simulation backend stamped on every generated scenario.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub backend: BackendSpec,
     /// Trial-kernel contract stamped on every generated scenario.
+    #[serde(default, skip_serializing_if = "is_default")]
     pub kernel: KernelSpec,
     /// Histogram bins stamped on every generated scenario (0 = none).
+    #[serde(default, skip_serializing_if = "is_default")]
     pub histogram_bins: usize,
-}
-
-// Hand-written like Scenario's: defaults omitted on write (pre-backend
-// grid specs keep their bytes), optional on read, unknown keys rejected
-// so a misspelled field can never silently select the wrong simulator.
-impl Serialize for GridSpec {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("stage_counts".to_owned(), self.stage_counts.to_value()),
-            ("logic_depths".to_owned(), self.logic_depths.to_value()),
-            ("sizes".to_owned(), self.sizes.to_value()),
-            ("variations".to_owned(), self.variations.to_value()),
-            ("latch".to_owned(), self.latch.to_value()),
-            (
-                "trials".to_owned(),
-                trials_to_value(self.trials, &self.trial_plan),
-            ),
-            ("yield_targets".to_owned(), self.yield_targets.to_value()),
-            (
-                "auto_target_sigmas".to_owned(),
-                self.auto_target_sigmas.to_value(),
-            ),
-        ];
-        if self.backend != BackendSpec::default() {
-            fields.push(("backend".to_owned(), self.backend.to_value()));
-        }
-        if self.kernel != KernelSpec::default() {
-            fields.push(("kernel".to_owned(), self.kernel.to_value()));
-        }
-        if self.histogram_bins != 0 {
-            fields.push(("histogram_bins".to_owned(), self.histogram_bins.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for GridSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        const KNOWN: [&str; 11] = [
-            "stage_counts",
-            "logic_depths",
-            "sizes",
-            "variations",
-            "latch",
-            "trials",
-            "yield_targets",
-            "auto_target_sigmas",
-            "backend",
-            "kernel",
-            "histogram_bins",
-        ];
-        if let Value::Object(fields) = v {
-            for (key, _) in fields {
-                if !KNOWN.contains(&key.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown grid field `{key}` (expected one of {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let (trials, trial_plan) = trials_from_value(v.field("trials")?)?;
-        Ok(GridSpec {
-            stage_counts: Deserialize::from_value(v.field("stage_counts")?)?,
-            logic_depths: Deserialize::from_value(v.field("logic_depths")?)?,
-            sizes: Deserialize::from_value(v.field("sizes")?)?,
-            variations: Deserialize::from_value(v.field("variations")?)?,
-            latch: Deserialize::from_value(v.field("latch")?)?,
-            trials,
-            trial_plan,
-            yield_targets: Deserialize::from_value(v.field("yield_targets")?)?,
-            auto_target_sigmas: Deserialize::from_value(v.field("auto_target_sigmas")?)?,
-            backend: v
-                .get("backend")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            kernel: v
-                .get("kernel")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            histogram_bins: v
-                .get("histogram_bins")
-                .map(Deserialize::from_value)
-                .transpose()?
-                .unwrap_or(0),
-        })
-    }
 }
 
 impl GridSpec {
@@ -1186,7 +964,7 @@ impl GridSpec {
 }
 
 /// A full sweep: explicit scenarios plus an optional grid.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Sweep {
     /// Sweep name (reported in results).
     pub name: String,
@@ -1196,41 +974,6 @@ pub struct Sweep {
     pub scenarios: Vec<Scenario>,
     /// Grid expansion appended after the explicit list.
     pub grid: Option<GridSpec>,
-}
-
-// Hand-written for the same reason as Scenario/GridSpec: a top-level
-// typo must fail the parse, not silently vanish.
-impl Serialize for Sweep {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_owned(), self.name.to_value()),
-            ("seed".to_owned(), self.seed.to_value()),
-            ("scenarios".to_owned(), self.scenarios.to_value()),
-            ("grid".to_owned(), self.grid.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Sweep {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        const KNOWN: [&str; 4] = ["name", "seed", "scenarios", "grid"];
-        if let Value::Object(fields) = v {
-            for (key, _) in fields {
-                if !KNOWN.contains(&key.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown sweep field `{key}` (expected one of {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        Ok(Sweep {
-            name: Deserialize::from_value(v.field("name")?)?,
-            seed: Deserialize::from_value(v.field("seed")?)?,
-            scenarios: Deserialize::from_value(v.field("scenarios")?)?,
-            grid: Deserialize::from_value(v.field("grid")?)?,
-        })
-    }
 }
 
 impl Sweep {
@@ -1689,18 +1432,6 @@ mod tests {
     }
 
     #[test]
-    fn misspelled_scenario_fields_are_rejected() {
-        // `"backed": "netlist"` must not silently run the default
-        // backend — the validate lint exists to catch exactly this.
-        let mut sweep = Sweep::example();
-        sweep.grid = None;
-        sweep.scenarios.truncate(1);
-        let json = sweep.to_json().replace("\"trials\"", "\"trails\"");
-        let err = Sweep::from_json(&json).unwrap_err();
-        assert!(err.to_string().contains("trails"), "{err}");
-    }
-
-    #[test]
     fn misspelled_nested_fields_are_rejected_too() {
         // Unknown-key rejection must reach derived types: a stray key
         // inside a circuit spec is a typo'd experiment, not noise.
@@ -1765,18 +1496,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn backend_keywords_roundtrip() {
-        for b in [
-            BackendSpec::Pipeline,
-            BackendSpec::Netlist,
-            BackendSpec::Analytic,
-        ] {
-            assert_eq!(BackendSpec::parse(b.keyword()).unwrap(), b);
-        }
-        assert!(BackendSpec::parse("spice").is_err());
     }
 
     #[test]

@@ -39,7 +39,7 @@ use vardelay_circuit::{parse_bench, write_bench, CellLibrary, Netlist};
 use vardelay_core::{Pipeline, StageDelay};
 use vardelay_engine::{
     checkpoint_line, plan_workload, run_units, Checkpoint, EngineError, KernelSpec, Shard,
-    Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
+    StrategySpec, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
 };
 use vardelay_process::VariationConfig;
 use vardelay_ssta::SstaEngine;
@@ -57,10 +57,12 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// The help text. The kernel keyword lists are generated from
-/// [`KernelSpec::ALL`], so help can never drift from the parser again.
+/// The help text. The kernel and strategy keyword lists are generated
+/// from [`KernelSpec::ALL`] and [`StrategySpec::ALL`], so help can never
+/// drift from the parser again.
 pub fn help() -> String {
     let kernels = KernelSpec::keyword_list();
+    let strategies = StrategySpec::keyword_list();
     format!(
         "\
 vardelay — statistical pipeline delay & yield (DATE 2005 reproduction)
@@ -148,7 +150,7 @@ USAGE:
       vs to execute and the adjusted cost estimate.
 
   vardelay sweep example [--backend netlist] [--kernel {kernels}]
-                         [--strategy antithetic|stratified|sobol|blockade]
+                         [--strategy {strategies}]
       Print an example sweep spec (JSON) to adapt; --backend netlist
       emits a gate-level template (circuit-spec pipelines, an analytic
       model twin for model-vs-MC deltas); --kernel stamps that trial
@@ -892,7 +894,7 @@ pub fn sweep_validate_cmd(spec_text: &str, mut opts: Vec<String>) -> Result<Stri
 
 /// `sweep example` subcommand: the spec template for a backend,
 /// optionally stamped with a trial-kernel version (`--kernel v2`), or a
-/// trial-plan template (`--strategy antithetic|stratified|sobol|blockade`).
+/// trial-plan template (`--strategy`, one of [`StrategySpec::keyword_list`]).
 pub fn sweep_example_cmd(mut opts: Vec<String>) -> Result<String, CliError> {
     let backend = take_opt(&mut opts, "--backend")?;
     let kernel = take_opt(&mut opts, "--kernel")?;
@@ -907,7 +909,7 @@ pub fn sweep_example_cmd(mut opts: Vec<String>) -> Result<String, CliError> {
     }
     let mut sweep = match (strategy.as_deref(), backend.as_deref()) {
         (Some(s), _) => {
-            let s = vardelay_engine::StrategySpec::parse(s).map_err(CliError)?;
+            let s = StrategySpec::parse(s).map_err(CliError)?;
             vardelay_engine::Sweep::example_trial_plan(s)
         }
         (None, None | Some("pipeline")) => vardelay_engine::Sweep::example(),
@@ -1175,6 +1177,7 @@ mod tests {
         for cmd in ["analyze", "yield", "generate", "sweep", "optimize"] {
             assert!(h.contains(cmd));
         }
+        assert!(h.contains("[--strategy plain|antithetic|stratified|sobol|blockade]"));
     }
 
     #[test]
