@@ -1078,4 +1078,21 @@ mod tests {
             "ci_half_width",
         );
     }
+
+    #[test]
+    fn misspelled_campaign_fields_are_rejected() {
+        let json = OptimizationCampaign::example()
+            .to_json()
+            .replace("\"goal\"", "\"gaol\"");
+        let err = OptimizationCampaign::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("gaol"), "{err}");
+        let json = OptimizationCampaign::example()
+            .to_json()
+            .replace("\"yield_targets\"", "\"yield_tragets\"");
+        assert!(OptimizationCampaign::from_json(&json).is_err());
+        assert!(YieldBackendSpec::parse("spice").is_err());
+        for b in [YieldBackendSpec::Analytic, YieldBackendSpec::Netlist] {
+            assert_eq!(YieldBackendSpec::parse(b.keyword()).unwrap(), b);
+        }
+    }
 }

@@ -1432,6 +1432,18 @@ mod tests {
     }
 
     #[test]
+    fn misspelled_scenario_fields_are_rejected() {
+        // `"backed": "netlist"` must not silently run the default
+        // backend — the validate lint exists to catch exactly this.
+        let mut sweep = Sweep::example();
+        sweep.grid = None;
+        sweep.scenarios.truncate(1);
+        let json = sweep.to_json().replace("\"trials\"", "\"trails\"");
+        let err = Sweep::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("trails"), "{err}");
+    }
+
+    #[test]
     fn misspelled_nested_fields_are_rejected_too() {
         // Unknown-key rejection must reach derived types: a stray key
         // inside a circuit spec is a typo'd experiment, not noise.
