@@ -821,6 +821,10 @@ impl<R: Serialize + Deserialize> vardelay_engine::ResultCache<R> for UnitCache {
         Ok(Some(result))
     }
 
+    fn contains(&self, key: u64) -> bool {
+        self.store.borrow().contains(key, self.contract)
+    }
+
     fn store(&self, key: u64, result: &R) -> Result<(), EngineError> {
         let _sp = vardelay_obs::span("io", "cache_append").key(key);
         let json = serde_json::to_string(result)

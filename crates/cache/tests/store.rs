@@ -5,7 +5,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use vardelay_cache::{compact_dir, verify_dir, ResultStore, UnitCache};
-use vardelay_engine::ResultCache;
+use vardelay_engine::{run_units, ResultCache, Sweep, WorkloadOptions};
 
 /// A fresh per-test cache directory under the system temp dir.
 fn tmp(name: &str) -> PathBuf {
@@ -247,4 +247,45 @@ fn unit_cache_adapter_roundtrips_results_bit_exactly() {
     let cache = UnitCache::with_contract(ResultStore::open(&dir).unwrap(), u32::MAX);
     let c: &dyn ResultCache<Vec<f64>> = &cache;
     assert!(c.fetch(0xABCD).unwrap().is_none());
+}
+
+#[test]
+fn unit_cache_lists_exactly_what_it_can_fetch() {
+    let dir = tmp("contains");
+    let cache = UnitCache::new(ResultStore::open(&dir).unwrap());
+    let c: &dyn ResultCache<f64> = &cache;
+    assert!(!c.contains(7));
+    c.store(7, &1.5).unwrap();
+    assert!(c.contains(7) && !c.contains(8));
+    assert_eq!(c.fetch(7).unwrap(), Some(1.5));
+    drop(cache);
+
+    let cache = UnitCache::with_contract(ResultStore::open(&dir).unwrap(), u32::MAX);
+    let c: &dyn ResultCache<f64> = &cache;
+    assert!(!c.contains(7), "a stale contract is not listed");
+}
+
+#[test]
+fn a_warm_unit_cache_run_builds_no_units() {
+    let mut sweep = Sweep::example();
+    sweep.grid = None;
+    for s in &mut sweep.scenarios {
+        s.trials = 256;
+    }
+    let dir = tmp("warm-builds");
+    let run = |dir: &PathBuf| {
+        let cache = UnitCache::new(ResultStore::open(dir).unwrap());
+        let opts = WorkloadOptions::sequential().with_cache(&cache);
+        let session = vardelay_obs::Session::start();
+        let stats = run_units(&sweep, &opts, |_, _, _, _| Ok(())).unwrap();
+        let agg = vardelay_obs::aggregate(&session.finish());
+        let builds = agg.phases.get("unit/prepare").map_or(0, |p| p.count);
+        (stats, builds)
+    };
+    let (cold, cold_builds) = run(&dir);
+    assert_eq!(cold.executed, 2);
+    assert_eq!(cold_builds, 2);
+    let (warm, warm_builds) = run(&dir);
+    assert_eq!((warm.cached, warm.executed), (2, 0));
+    assert_eq!(warm_builds, 0, "cache hits skip the build");
 }

@@ -440,7 +440,7 @@ impl OptimizationCampaign {
 
 /// A run with everything validated and its footprint measured, ready to
 /// execute — the campaign's [`Workload`] unit. Construction is
-/// crate-internal (through [`Workload::prepare`]).
+/// crate-internal (through [`Workload::build`]).
 #[derive(Debug)]
 pub struct PreparedRun {
     pub(crate) spec: OptimizeSpec,
@@ -455,7 +455,9 @@ pub struct PreparedRun {
     pub(crate) pipeline: StagedPipeline,
 }
 
-pub(crate) fn prepare_run(spec: OptimizeSpec, seed: u64) -> Result<PreparedRun, EngineError> {
+/// The spec-level checks of one run — everything that can reject it
+/// without building its pipeline.
+fn check_run(spec: &OptimizeSpec) -> Result<(), EngineError> {
     let label = &spec.label;
     let fail = |msg: String| EngineError::new(format!("run '{label}': {msg}"));
     spec.pipeline.validate().map_err(&fail)?;
@@ -537,33 +539,32 @@ pub(crate) fn prepare_run(spec: OptimizeSpec, seed: u64) -> Result<PreparedRun, 
             _ => {}
         }
     }
-    let stages = spec.pipeline.stage_count();
     // For absolute targets the admissibility region (eqs. 10–12) exists
-    // at prepare time — derive the allocation through it so the spec's
-    // (target, yield) pair is validated as a design space; frontier
-    // policies resolve their target at run time, so only the allocation
-    // itself is computable here.
-    let stage_allocation = match spec.target_delay {
-        TargetDelayPolicy::Absolute { ps } => DesignSpace::new(ps, spec.yield_target)
-            .map_err(|e| fail(format!("target/yield: {e}")))?
-            .stage_allocation(stages),
-        _ => stage_yield_target(spec.yield_target, stages),
-    };
-    // Built once here; plan reads its gate count, execution reuses it.
+    // before the run resolves anything — validate the spec's (target,
+    // yield) pair as a design space. Frontier policies resolve their
+    // target at run time.
+    if let TargetDelayPolicy::Absolute { ps } = spec.target_delay {
+        DesignSpace::new(ps, spec.yield_target).map_err(|e| fail(format!("target/yield: {e}")))?;
+    }
+    Ok(())
+}
+
+/// Builds a checked run: its unsized pipeline (once — execution reuses
+/// it, so netlist generation never runs twice) and footprint.
+fn build_run(spec: OptimizeSpec, seed: u64) -> PreparedRun {
+    let stages = spec.pipeline.stage_count();
     let pipeline = spec
         .pipeline
-        .build(label)
+        .build(&spec.label)
         .expect("gate-level specs build a pipeline");
-    let gates = pipeline.total_gates();
-    let id = spec.id(seed);
-    Ok(PreparedRun {
-        id,
+    PreparedRun {
+        id: spec.id(seed),
         stages,
-        gates,
-        stage_allocation,
+        gates: pipeline.total_gates(),
+        stage_allocation: stage_yield_target(spec.yield_target, stages),
         pipeline,
         spec,
-    })
+    }
 }
 
 /// Salt separating a run's final-design verification stream from its
@@ -766,6 +767,7 @@ fn execute_run(
 /// The unified pipeline gives campaigns the same worker pool, `--shard`
 /// partitioning and checkpoint/resume as sweeps.
 impl Workload for OptimizationCampaign {
+    type UnitSpec = OptimizeSpec;
     type Unit = PreparedRun;
     type StepOut = OptimizationRunResult;
     type Acc = Option<OptimizationRunResult>;
@@ -786,19 +788,23 @@ impl Workload for OptimizationCampaign {
         "run"
     }
 
-    fn prepare(&self) -> Result<Vec<PreparedRun>, EngineError> {
+    fn check(&self) -> Result<Vec<OptimizeSpec>, EngineError> {
         self.expand()
             .into_iter()
-            .map(|s| prepare_run(s, self.seed))
+            .map(|s| check_run(&s).map(|()| s))
             .collect()
     }
 
-    fn unit_key(&self, unit: &PreparedRun) -> u64 {
+    fn build(&self, spec: OptimizeSpec) -> Result<PreparedRun, EngineError> {
+        Ok(build_run(spec, self.seed))
+    }
+
+    fn unit_key(&self, spec: &OptimizeSpec) -> u64 {
         // NOT the run ID: the ID deliberately excludes `kernel` (so
         // both kernels derive identical trial seeds), but the journal
         // key must distinguish two kernel twins because their result
         // bytes differ. Hash the full spec, like a sweep's unit key.
-        let json = serde_json::to_string(&unit.spec).expect("prepared runs are finite");
+        let json = serde_json::to_string(spec).expect("checked runs are finite");
         fnv1a64(json.as_bytes()) ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
@@ -924,6 +930,12 @@ pub fn run_campaign(
 mod tests {
     use super::*;
 
+    /// One run through both halves of [`Workload::prepare`].
+    fn prepare_run(spec: OptimizeSpec, seed: u64) -> Result<PreparedRun, EngineError> {
+        check_run(&spec)?;
+        Ok(build_run(spec, seed))
+    }
+
     #[test]
     fn example_roundtrips_and_omits_defaults() {
         let c = OptimizationCampaign::example();
@@ -1039,7 +1051,7 @@ mod tests {
         let a = prepare_run(c.runs[0].clone(), c.seed).unwrap();
         let b = prepare_run(plain, c.seed).unwrap();
         assert_eq!(a.id, b.id);
-        assert_ne!(c.unit_key(&a), c.unit_key(&b));
+        assert_ne!(c.unit_key(&a.spec), c.unit_key(&b.spec));
     }
 
     #[test]

@@ -201,7 +201,7 @@ pub(crate) fn dispatch<T: Send>(
 
 /// A scenario with everything resolved and built, ready to execute —
 /// the sweep's [`Workload`] unit. Construction is crate-internal
-/// (through [`Workload::prepare`]).
+/// (through [`Workload::build`]).
 pub struct Prepared {
     pub(crate) scenario: Scenario,
     pub(crate) id: u64,
@@ -221,11 +221,13 @@ pub struct Prepared {
     pub(crate) sim: Option<Box<dyn Simulator>>,
 }
 
-pub(crate) fn prepare(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, EngineError> {
+/// The spec-level checks of one scenario — everything that can reject
+/// it without building anything. They run before generators and
+/// process models are touched (those assert on out-of-domain values,
+/// and user JSON must fail softly) and before the scenario is hashed
+/// (serialization rejects non-finite floats).
+fn check_scenario(scenario: &Scenario) -> Result<(), EngineError> {
     let label = &scenario.label;
-    // Validate before touching generators/process models (they assert on
-    // out-of-domain values, and user JSON must fail softly) and before
-    // hashing the scenario ID (serialization rejects non-finite floats).
     scenario
         .pipeline
         .validate()
@@ -346,6 +348,13 @@ pub(crate) fn prepare(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, E
              which would misrepresent the unshifted distribution; drop histogram_bins"
         )));
     }
+    Ok(())
+}
+
+/// Builds a checked scenario: stage netlists, SSTA and the analytic
+/// model, auto-targets, histogram layout, and the compiled simulator.
+fn build_scenario(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, EngineError> {
+    let label = &scenario.label;
     let id = scenario.id(sweep_seed);
     let variation = scenario.variation.to_config();
 
@@ -499,6 +508,7 @@ fn run_block(p: &Prepared, ws: &mut TrialWorkspace, trials: Range<u64>) -> Pipel
 /// pipeline — worker pools, `--shard`, checkpoint/resume — applies to
 /// sweeps through this impl.
 impl Workload for Sweep {
+    type UnitSpec = Scenario;
     type Unit = Prepared;
     type StepOut = PipelineBlockStats;
     type Acc = Option<PipelineBlockStats>;
@@ -519,20 +529,24 @@ impl Workload for Sweep {
         "scenario"
     }
 
-    fn prepare(&self) -> Result<Vec<Prepared>, EngineError> {
+    fn check(&self) -> Result<Vec<Scenario>, EngineError> {
         self.expand()
             .into_iter()
-            .map(|s| prepare(s, self.seed))
+            .map(|s| check_scenario(&s).map(|()| s))
             .collect()
     }
 
-    fn unit_key(&self, unit: &Prepared) -> u64 {
+    fn build(&self, scenario: Scenario) -> Result<Prepared, EngineError> {
+        build_scenario(scenario, self.seed)
+    }
+
+    fn unit_key(&self, scenario: &Scenario) -> u64 {
         // NOT the scenario ID: the ID deliberately excludes `backend`
         // and `histogram_bins` (execution strategy — flipping them
         // replays identical trial streams), but the journal key must
         // distinguish two such twins because their *result bytes*
         // differ (echoed spec, histogram field). Hash the full spec.
-        let json = serde_json::to_string(&unit.scenario).expect("prepared scenarios are finite");
+        let json = serde_json::to_string(scenario).expect("checked scenarios are finite");
         fnv1a64(json.as_bytes()) ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 

@@ -54,8 +54,12 @@ use crate::run::{dispatch, EngineError};
 /// must be a pure function of the spec (`self`) and its arguments, so
 /// scheduling, sharding and resume can never leak into results.
 pub trait Workload: Sync {
-    /// A prepared, validated unit of work (shared read-only with the
-    /// worker pool).
+    /// One expanded unit whose sub-spec passed every spec-level check,
+    /// not yet built — what the shard filter, resume journal and result
+    /// cache are consulted with.
+    type UnitSpec;
+    /// A built unit of work, ready to execute (shared read-only with
+    /// the worker pool).
     type Unit: Send + Sync;
     /// Output of one step of one unit.
     type StepOut: Send;
@@ -80,15 +84,34 @@ pub trait Workload: Sync {
     /// `"run"`).
     fn unit_noun(&self) -> &'static str;
 
-    /// Expands and validates the spec into executable units, in
-    /// expansion order.
+    /// Expands the spec into units and runs every spec-level check, in
+    /// expansion order. Cheap: nothing is built here.
     ///
     /// # Errors
     ///
     /// Returns an [`EngineError`] naming the first invalid unit.
-    fn prepare(&self) -> Result<Vec<Self::Unit>, EngineError>;
+    fn check(&self) -> Result<Vec<Self::UnitSpec>, EngineError>;
+    /// Builds a checked unit: everything execution and planning read
+    /// (netlists, compiled kernels, SSTA, the analytic model, derived
+    /// targets).
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`EngineError`] for a unit whose spec passes the
+    /// checks but cannot be built.
+    fn build(&self, spec: Self::UnitSpec) -> Result<Self::Unit, EngineError>;
+    /// Checks and builds every unit, in expansion order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`Workload::check`] or [`Workload::build`]
+    /// error.
+    fn prepare(&self) -> Result<Vec<Self::Unit>, EngineError> {
+        self.check()?.into_iter().map(|s| self.build(s)).collect()
+    }
     /// The unit's stable content hash over its **full** sub-spec — the
-    /// shard partition and checkpoint key.
+    /// shard partition and checkpoint key. It reads the spec only, so
+    /// a unit's key is known before (and without) building it.
     ///
     /// This may be broader than the unit's RNG identity: a sweep
     /// scenario's ID deliberately excludes execution-strategy fields
@@ -97,7 +120,7 @@ pub trait Workload: Sync {
     /// *result bytes* (the spec is echoed in the result). The journal
     /// key must distinguish any two units whose results could differ,
     /// so it hashes everything.
-    fn unit_key(&self, unit: &Self::Unit) -> u64;
+    fn unit_key(&self, spec: &Self::UnitSpec) -> u64;
     /// How many scheduling steps the unit expands into (0 finishes the
     /// unit from its empty accumulator, running nothing).
     fn unit_steps(&self, unit: &Self::Unit) -> usize;
@@ -331,6 +354,14 @@ pub trait ResultCache<R> {
     /// Returns an [`EngineError`] for store corruption (a missing unit
     /// is `Ok(None)`, never an error).
     fn fetch(&self, key: u64) -> Result<Option<R>, EngineError>;
+    /// Whether the store holds a result for the unit, answered without
+    /// I/O — lets [`run_units`] skip building a unit it will splice.
+    /// The default `false` is always safe: every unit the journal lacks
+    /// is built before its [`ResultCache::fetch`], as without this hook.
+    /// A unit reported present whose fetch then misses is built late.
+    fn contains(&self, _key: u64) -> bool {
+        false
+    }
     /// Records an executed unit's result.
     ///
     /// # Errors
@@ -503,46 +534,77 @@ struct Folding<A, S> {
     pending: BTreeMap<usize, S>,
 }
 
-/// The unified execution pipeline: expands a workload into units,
-/// applies shard selection and resume splicing, schedules the remaining
-/// steps over the shared worker pool, folds step outputs in order, and
-/// hands every completed unit — resumed or executed — to `sink` exactly
-/// once.
+/// The unified execution pipeline: expands and checks a workload's
+/// units, applies shard selection, resume splicing and cache lookups to
+/// their spec-only keys, builds just the units that execute, schedules
+/// their steps over the shared worker pool, folds step outputs in
+/// order, and hands every completed unit — spliced or executed — to
+/// `sink` exactly once.
 ///
 /// `sink(slot, unit_key, result, origin)` is called on the calling
 /// thread; `slot` is the unit's index in (sharded) expansion order.
-/// Spliced ([`UnitOrigin::Journal`] / [`UnitOrigin::Cache`]) and
-/// zero-step units sink before any parallel step runs; executed units
-/// sink in completion order. A sink error cancels the pool — workers
-/// stop claiming new steps, steps already executing finish and are
-/// folded but no further unit sinks — and the error is returned once
-/// the pool drains.
+/// Every unit's checks and every executing unit's build finish before
+/// the first result sinks, so an invalid spec is rejected before any
+/// output. Spliced ([`UnitOrigin::Journal`] / [`UnitOrigin::Cache`])
+/// and zero-step units sink before any parallel step runs; executed
+/// units sink in completion order. A sink error cancels the pool —
+/// workers stop claiming new steps, steps already executing finish and
+/// are folded but no further unit sinks — and the error is returned
+/// once the pool drains.
 ///
 /// With a cache attached ([`WorkloadOptions::cache`]), units are
 /// resolved in strict precedence order — resume journal, then cache,
 /// then execution — so a unit present in both journal and cache sinks
-/// exactly once, from the journal. Every *executed* unit is recorded
-/// back into the cache before it sinks; spliced units are not
-/// re-recorded.
+/// exactly once, from the journal. Units the cache lists
+/// ([`ResultCache::contains`]) are never built. Every *executed* unit
+/// is recorded back into the cache before it sinks; spliced units are
+/// not re-recorded.
 ///
 /// This function retains **no** unit results — callers stream them out
 /// (checkpoint files, `--out` JSONL) or collect them ([`run_workload`]).
 ///
 /// # Errors
 ///
-/// Returns the first preparation ([`Workload::prepare`]) or sink error.
+/// Returns the first check ([`Workload::check`]), build
+/// ([`Workload::build`]), cache or sink error.
 pub fn run_units<W: Workload>(
     w: &W,
     opts: &WorkloadOptions<'_, W::UnitResult>,
     mut sink: impl FnMut(usize, u64, W::UnitResult, UnitOrigin) -> Result<(), EngineError>,
 ) -> Result<WorkloadStats, EngineError> {
-    let mut units = w.prepare()?;
-    if let Some(shard) = opts.shard {
-        units.retain(|u| shard.owns(w.unit_key(u)));
+    let specs: Vec<(u64, W::UnitSpec)> = w
+        .check()?
+        .into_iter()
+        .map(|spec| (w.unit_key(&spec), spec))
+        .filter(|(key, _)| opts.shard.is_none_or(|shard| shard.owns(*key)))
+        .collect();
+    let build = |key: u64, spec: W::UnitSpec| {
+        let _sp = vardelay_obs::span("unit", "prepare").key(key);
+        w.build(spec)
+    };
+
+    // Where each unit's result comes from, decided on keys alone: the
+    // resume journal, then the cache's index, then execution. Only the
+    // units that execute are built, all before the first sink.
+    enum Source<'r, R, S, U> {
+        Journal(&'r R),
+        Cached(S),
+        Built(U),
     }
-    let keys: Vec<u64> = units.iter().map(|u| w.unit_key(u)).collect();
+    let mut keys = Vec::with_capacity(specs.len());
+    let mut sources = Vec::with_capacity(specs.len());
+    for (key, spec) in specs {
+        keys.push(key);
+        sources.push(if let Some(result) = opts.resume.and_then(|c| c.get(key)) {
+            Source::Journal(result)
+        } else if opts.cache.is_some_and(|c| c.contains(key)) {
+            Source::Cached(spec)
+        } else {
+            Source::Built(build(key, spec)?)
+        });
+    }
     let mut stats = WorkloadStats {
-        units: units.len(),
+        units: keys.len(),
         resumed: 0,
         cached: 0,
         executed: 0,
@@ -550,43 +612,49 @@ pub fn run_units<W: Workload>(
         keys,
     };
 
-    // Resolve what runs: resumed units splice their stored result,
-    // zero-step units finish from their empty accumulator, everything
-    // else schedules its steps on the pool.
+    // Splice what can be spliced, finish zero-step units from their
+    // empty accumulator, and schedule everything else's steps.
     struct Item {
         unit: usize,
         step: usize,
         trials: u64,
     }
     let mut items: Vec<Item> = Vec::new();
-    let mut foldings: Vec<Option<Folding<W::Acc, W::StepOut>>> = Vec::with_capacity(units.len());
+    let mut scheduled: Vec<(usize, W::Unit)> = Vec::new();
+    let mut foldings: Vec<Option<Folding<W::Acc, W::StepOut>>> = Vec::new();
     let mut units_done = 0usize;
-    for (i, u) in units.iter().enumerate() {
+    for (i, source) in sources.into_iter().enumerate() {
         let key = stats.keys[i];
-        if let Some(result) = opts.resume.and_then(|c| c.get(key)) {
-            stats.resumed += 1;
-            units_done += 1;
-            vardelay_obs::instant("unit", "resumed", Some(key));
-            foldings.push(None);
-            sink(i, key, result.clone(), UnitOrigin::Journal)?;
-            continue;
-        }
+        let unit = match source {
+            Source::Journal(result) => {
+                stats.resumed += 1;
+                units_done += 1;
+                vardelay_obs::instant("unit", "resumed", Some(key));
+                sink(i, key, result.clone(), UnitOrigin::Journal)?;
+                continue;
+            }
+            // `Err`: not built yet, which stays so if the fetch hits.
+            Source::Cached(spec) => Err(spec),
+            Source::Built(unit) => Ok(unit),
+        };
         // The cache is consulted only for units the journal lacks, so
         // `--resume` + `--cache` can never splice a unit twice.
         if let Some(result) = opts.cache.map(|c| c.fetch(key)).transpose()?.flatten() {
             stats.cached += 1;
             units_done += 1;
             vardelay_obs::instant("unit", "cached", Some(key));
-            foldings.push(None);
             sink(i, key, result, UnitOrigin::Cache)?;
             continue;
         }
+        let unit = match unit {
+            Ok(unit) => unit,
+            Err(spec) => build(key, spec)?,
+        };
         stats.executed += 1;
-        let total = w.unit_steps(u);
+        let total = w.unit_steps(&unit);
         if total == 0 {
             units_done += 1;
-            foldings.push(None);
-            let result = w.finish_unit(u, w.init_acc(u));
+            let result = w.finish_unit(&unit, w.init_acc(&unit));
             if let Some(cache) = opts.cache {
                 cache.store(key, &result)?;
             }
@@ -595,16 +663,17 @@ pub fn run_units<W: Workload>(
         }
         stats.steps += total;
         items.extend((0..total).map(|step| Item {
-            unit: i,
+            unit: scheduled.len(),
             step,
-            trials: w.step_trials(u, step),
+            trials: w.step_trials(&unit, step),
         }));
         foldings.push(Some(Folding {
-            acc: w.init_acc(u),
+            acc: w.init_acc(&unit),
             next: 0,
             total,
             pending: BTreeMap::new(),
         }));
+        scheduled.push((i, unit));
     }
 
     let trials_total: u64 = items.iter().map(|it| it.trials).sum();
@@ -633,19 +702,21 @@ pub fn run_units<W: Workload>(
         opts.workers,
         |k, ws| {
             let item = &items[k];
+            let (slot, unit) = &scheduled[item.unit];
             let _sp = vardelay_obs::span("step", w.unit_noun())
-                .key(stats.keys[item.unit])
+                .key(stats.keys[*slot])
                 .value(item.step as f64);
-            w.run_step(&units[item.unit], item.step, ws, ctx)
+            w.run_step(unit, item.step, ws, ctx)
         },
         |k, out| {
             let item = &items[k];
+            let (slot, unit) = &scheduled[item.unit];
             let f = foldings[item.unit].as_mut().expect("scheduled units fold");
             f.pending.insert(item.step, out);
             {
                 let _fold = vardelay_obs::span("pool", "fold");
                 while let Some(out) = f.pending.remove(&f.next) {
-                    w.fold_step(&units[item.unit], &mut f.acc, out);
+                    w.fold_step(unit, &mut f.acc, out);
                     f.next += 1;
                 }
             }
@@ -654,10 +725,10 @@ pub fn run_units<W: Workload>(
             if f.next == f.total {
                 let f = foldings[item.unit].take().expect("folded once");
                 assert!(f.pending.is_empty(), "steps beyond the unit's total");
-                let key = stats.keys[item.unit];
+                let key = stats.keys[*slot];
                 let result = {
                     let _finish = vardelay_obs::span("unit", "finish").key(key);
-                    w.finish_unit(&units[item.unit], f.acc)
+                    w.finish_unit(unit, f.acc)
                 };
                 units_done += 1;
                 if sink_err.is_none() {
@@ -666,7 +737,7 @@ pub fn run_units<W: Workload>(
                         None => Ok(()),
                     };
                     if let Err(e) =
-                        recorded.and_then(|()| sink(item.unit, key, result, UnitOrigin::Executed))
+                        recorded.and_then(|()| sink(*slot, key, result, UnitOrigin::Executed))
                     {
                         sink_err = Some(e);
                     }

@@ -333,6 +333,37 @@ fn a_duplicated_trials_key_is_rejected_not_first_wins() {
     );
 }
 
+#[test]
+fn ascii_escaped_specs_parse_like_utf8_ones() {
+    // Python's `json.dumps` escapes every non-ASCII character by
+    // default, writing non-BMP ones as UTF-16 surrogate pairs.
+    let mut sweep = Sweep::example();
+    sweep.scenarios[0].label = "µ-pipeline 😀".to_owned();
+    let ascii: String = sweep
+        .to_json()
+        .chars()
+        .map(|c| match c {
+            c if c.is_ascii() => c.to_string(),
+            c => c
+                .encode_utf16(&mut [0; 2])
+                .iter()
+                .map(|u| format!("\\u{u:04x}"))
+                .collect(),
+        })
+        .collect();
+    assert!(
+        ascii.contains(r#""\u00b5-pipeline \ud83d\ude00""#),
+        "{ascii}"
+    );
+    assert_eq!(Sweep::from_json(&ascii).unwrap(), sweep);
+
+    // A JSON number has no leading `+`; the error says so instead of
+    // blaming the field's type.
+    let plus = ascii.replacen("\"seed\": 7", "\"seed\": +7", 1);
+    let err = Sweep::from_json(&plus).unwrap_err().to_string();
+    assert!(err.contains("invalid number `+7`"), "{err}");
+}
+
 /// Round-trips every keyword of a `keyword_enum!` type and checks its
 /// keyword list and both parse errors.
 macro_rules! check_keywords {

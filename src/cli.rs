@@ -38,8 +38,8 @@ use vardelay_circuit::generators::{inverter_chain, iscas};
 use vardelay_circuit::{parse_bench, write_bench, CellLibrary, Netlist};
 use vardelay_core::{Pipeline, StageDelay};
 use vardelay_engine::{
-    checkpoint_line, plan_workload, run_units, Checkpoint, EngineError, KernelSpec, Shard,
-    StrategySpec, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
+    checkpoint_line, run_units, Checkpoint, EngineError, KernelSpec, Shard, StrategySpec, Workload,
+    WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
 };
 use vardelay_process::VariationConfig;
 use vardelay_ssta::SstaEngine;
@@ -541,7 +541,9 @@ fn write_atomic(path: &str, contents: &str) -> Result<(), CliError> {
 }
 
 /// The one driver behind `vardelay sweep <spec>` and `vardelay optimize
-/// <spec>`: runs any [`Workload`] through the unified engine pipeline.
+/// <spec>`: parses the spec with `parse` (inside the recording, so
+/// `--metrics` shows a `spec/parse` phase) and runs the [`Workload`]
+/// through the unified engine pipeline.
 ///
 /// * `--workers N` — pool size; never changes any result byte.
 /// * `--shard i/n` — run only the units with `id % n == i-1`; the union
@@ -555,7 +557,12 @@ fn write_atomic(path: &str, contents: &str) -> Result<(), CliError> {
 ///   then atomically replace it with the aggregate report. Nothing is
 ///   buffered in memory during the run; a killed run leaves a valid
 ///   resume journal at `f`.
-fn run_workload_cmd<W>(kind: &str, w: &W, args: WorkloadArgs) -> Result<String, CliError>
+fn run_workload_cmd<W>(
+    kind: &str,
+    spec_text: &str,
+    parse: fn(&str) -> Result<W, serde_json::Error>,
+    args: WorkloadArgs,
+) -> Result<String, CliError>
 where
     W: Workload,
     W::Report: WorkloadReport,
@@ -566,6 +573,10 @@ where
     // instrumentation is out-of-band: result bytes are identical.
     let session =
         (args.trace.is_some() || args.metrics.is_some()).then(vardelay_obs::Session::start);
+    let w = &{
+        let _sp = vardelay_obs::span("spec", "parse").value(spec_text.len() as f64);
+        parse(spec_text).map_err(|e| CliError(format!("invalid {kind} spec: {e}")))?
+    };
     let resume_ckpt: Option<Checkpoint<W::UnitResult>> = match &args.resume {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
@@ -819,42 +830,43 @@ where
     W: Workload,
     W::Plan: WorkloadPlan,
 {
-    let plan = plan_workload(w).map_err(|e| CliError(format!("invalid {kind} spec: {e}")))?;
-    let mut out = plan.render();
-    if let Some(dir) = cache_dir {
-        // A missing cache dir is simply cold, not an error: validate
-        // must never create state.
-        let path = std::path::Path::new(dir);
-        let store = path
-            .is_dir()
-            .then(|| ResultStore::open_read_only(path))
-            .transpose()
-            .map_err(|e| CliError(format!("cannot open cache: {e}")))?;
-        let units = w
-            .prepare()
-            .map_err(|e| CliError(format!("invalid {kind} spec: {e}")))?;
-        let est_trials =
-            |u: &W::Unit| -> u64 { (0..w.unit_steps(u)).map(|s| w.step_trials(u, s)).sum() };
-        let mut cached = 0usize;
-        let (mut trials_all, mut trials_todo) = (0u64, 0u64);
-        for u in &units {
-            let t = est_trials(u);
-            trials_all += t;
-            if store
-                .as_ref()
-                .is_some_and(|s| s.contains(w.unit_key(u), CONTRACT_VERSION))
-            {
-                cached += 1;
-            } else {
-                trials_todo += t;
-            }
+    let invalid = |e: EngineError| CliError(format!("invalid {kind} spec: {e}"));
+    let specs = w.check().map_err(invalid)?;
+    // A missing cache dir is simply cold, not an error: validate must
+    // never create state.
+    let store = cache_dir
+        .map(std::path::Path::new)
+        .filter(|path| path.is_dir())
+        .map(ResultStore::open_read_only)
+        .transpose()
+        .map_err(|e| CliError(format!("cannot open cache: {e}")))?;
+    // One pass builds each unit once, for both its footprint row and
+    // the cached-vs-to-execute tally.
+    let units = specs.len();
+    let mut rows = Vec::with_capacity(units);
+    let mut cached = 0usize;
+    let (mut trials_all, mut trials_todo) = (0u64, 0u64);
+    for spec in specs {
+        let hit = store
+            .as_ref()
+            .is_some_and(|s| s.contains(w.unit_key(&spec), CONTRACT_VERSION));
+        let u = w.build(spec).map_err(invalid)?;
+        let t: u64 = (0..w.unit_steps(&u)).map(|s| w.step_trials(&u, s)).sum();
+        trials_all += t;
+        if hit {
+            cached += 1;
+        } else {
+            trials_todo += t;
         }
+        rows.push(w.plan_unit(&u));
+    }
+    let mut out = w.assemble_plan(rows).render();
+    if let Some(dir) = cache_dir {
         let _ = writeln!(
             out,
-            "\ncache '{dir}': {cached} of {} {}s cached, {} to execute",
-            units.len(),
+            "\ncache '{dir}': {cached} of {units} {}s cached, {} to execute",
             w.unit_noun(),
-            units.len() - cached
+            units - cached
         );
         if trials_all > 0 {
             let _ = writeln!(
@@ -876,9 +888,7 @@ where
 /// `--resume` flags.
 pub fn sweep_cmd(spec_text: &str, opts: Vec<String>) -> Result<String, CliError> {
     let args = take_workload_args(opts)?;
-    let sweep = vardelay_engine::Sweep::from_json(spec_text)
-        .map_err(|e| CliError(format!("invalid sweep spec: {e}")))?;
-    run_workload_cmd("sweep", &sweep, args)
+    run_workload_cmd("sweep", spec_text, vardelay_engine::Sweep::from_json, args)
 }
 
 /// `sweep validate` subcommand over already-loaded spec text: full
@@ -940,9 +950,12 @@ pub fn sweep_example_cmd(mut opts: Vec<String>) -> Result<String, CliError> {
 /// `--shard` / `--checkpoint` / `--resume` flags.
 pub fn optimize_cmd(spec_text: &str, opts: Vec<String>) -> Result<String, CliError> {
     let args = take_workload_args(opts)?;
-    let campaign = vardelay_engine::OptimizationCampaign::from_json(spec_text)
-        .map_err(|e| CliError(format!("invalid campaign spec: {e}")))?;
-    run_workload_cmd("campaign", &campaign, args)
+    run_workload_cmd(
+        "campaign",
+        spec_text,
+        vardelay_engine::OptimizationCampaign::from_json,
+        args,
+    )
 }
 
 /// `optimize validate` subcommand: full validation and footprint
