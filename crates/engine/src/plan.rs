@@ -176,7 +176,7 @@ impl WorkloadPlan for SweepPlan {
 /// Returns the same [`EngineError`] a real [`crate::run_sweep`] would
 /// return for the first invalid scenario.
 pub fn plan_sweep(sweep: &Sweep) -> Result<SweepPlan, EngineError> {
-    plan_workload(sweep)
+    plan_workload(sweep, |_, _| {})
 }
 
 /// One validated optimization run's footprint.
@@ -297,7 +297,7 @@ impl WorkloadPlan for CampaignPlan {
 /// Returns the same [`EngineError`] a real [`crate::run_campaign`]
 /// would return for the first invalid run.
 pub fn plan_campaign(campaign: &OptimizationCampaign) -> Result<CampaignPlan, EngineError> {
-    plan_workload(campaign)
+    plan_workload(campaign, |_, _| {})
 }
 
 #[cfg(test)]

@@ -100,12 +100,14 @@ pub trait Workload: Sync {
     /// Returns an [`EngineError`] for a unit whose spec passes the
     /// checks but cannot be built.
     fn build(&self, spec: Self::UnitSpec) -> Result<Self::Unit, EngineError>;
-    /// Checks and builds every unit, in expansion order.
+    /// Checks every unit, then builds every unit, in expansion order.
     ///
     /// # Errors
     ///
-    /// Returns the first [`Workload::check`] or [`Workload::build`]
-    /// error.
+    /// Returns the [`Workload::check`] error if any unit fails its
+    /// checks — even when an earlier unit would fail to build — and
+    /// otherwise the first [`Workload::build`] error. [`run_units`]
+    /// and [`plan_workload`] report errors in the same precedence.
     fn prepare(&self) -> Result<Vec<Self::Unit>, EngineError> {
         self.check()?.into_iter().map(|s| self.build(s)).collect()
     }
@@ -358,7 +360,8 @@ pub trait ResultCache<R> {
     /// I/O — lets [`run_units`] skip building a unit it will splice.
     /// The default `false` is always safe: every unit the journal lacks
     /// is built before its [`ResultCache::fetch`], as without this hook.
-    /// A unit reported present whose fetch then misses is built late.
+    /// `true` is a promise that [`ResultCache::fetch`] returns `Some`
+    /// for the key; a listed unit whose fetch misses fails the run.
     fn contains(&self, _key: u64) -> bool {
         false
     }
@@ -545,7 +548,9 @@ struct Folding<A, S> {
 /// thread; `slot` is the unit's index in (sharded) expansion order.
 /// Every unit's checks and every executing unit's build finish before
 /// the first result sinks, so an invalid spec is rejected before any
-/// output. Spliced ([`UnitOrigin::Journal`] / [`UnitOrigin::Cache`])
+/// output. All checks run before any build, so a check error wins over
+/// a build error in an earlier unit, whatever the journal, cache and
+/// shard hold (the precedence of [`Workload::prepare`]). Spliced ([`UnitOrigin::Journal`] / [`UnitOrigin::Cache`])
 /// and zero-step units sink before any parallel step runs; executed
 /// units sink in completion order. A sink error cancels the pool —
 /// workers stop claiming new steps, steps already executing finish and
@@ -565,8 +570,9 @@ struct Folding<A, S> {
 ///
 /// # Errors
 ///
-/// Returns the first check ([`Workload::check`]), build
-/// ([`Workload::build`]), cache or sink error.
+/// Returns the check ([`Workload::check`]) error, else the first build
+/// ([`Workload::build`]), cache or sink error. A unit the cache lists
+/// ([`ResultCache::contains`]) but cannot fetch is a cache error.
 pub fn run_units<W: Workload>(
     w: &W,
     opts: &WorkloadOptions<'_, W::UnitResult>,
@@ -578,17 +584,13 @@ pub fn run_units<W: Workload>(
         .map(|spec| (w.unit_key(&spec), spec))
         .filter(|(key, _)| opts.shard.is_none_or(|shard| shard.owns(*key)))
         .collect();
-    let build = |key: u64, spec: W::UnitSpec| {
-        let _sp = vardelay_obs::span("unit", "prepare").key(key);
-        w.build(spec)
-    };
 
     // Where each unit's result comes from, decided on keys alone: the
     // resume journal, then the cache's index, then execution. Only the
     // units that execute are built, all before the first sink.
-    enum Source<'r, R, S, U> {
+    enum Source<'r, R, U> {
         Journal(&'r R),
-        Cached(S),
+        Cached,
         Built(U),
     }
     let mut keys = Vec::with_capacity(specs.len());
@@ -598,9 +600,10 @@ pub fn run_units<W: Workload>(
         sources.push(if let Some(result) = opts.resume.and_then(|c| c.get(key)) {
             Source::Journal(result)
         } else if opts.cache.is_some_and(|c| c.contains(key)) {
-            Source::Cached(spec)
+            Source::Cached
         } else {
-            Source::Built(build(key, spec)?)
+            let _sp = vardelay_obs::span("unit", "prepare").key(key);
+            Source::Built(w.build(spec)?)
         });
     }
     let mut stats = WorkloadStats {
@@ -633,22 +636,29 @@ pub fn run_units<W: Workload>(
                 sink(i, key, result.clone(), UnitOrigin::Journal)?;
                 continue;
             }
-            // `Err`: not built yet, which stays so if the fetch hits.
-            Source::Cached(spec) => Err(spec),
-            Source::Built(unit) => Ok(unit),
+            Source::Cached => None,
+            Source::Built(unit) => Some(unit),
         };
         // The cache is consulted only for units the journal lacks, so
-        // `--resume` + `--cache` can never splice a unit twice.
-        if let Some(result) = opts.cache.map(|c| c.fetch(key)).transpose()?.flatten() {
-            stats.cached += 1;
-            units_done += 1;
-            vardelay_obs::instant("unit", "cached", Some(key));
-            sink(i, key, result, UnitOrigin::Cache)?;
-            continue;
-        }
-        let unit = match unit {
-            Ok(unit) => unit,
-            Err(spec) => build(key, spec)?,
+        // `--resume` + `--cache` can never splice a unit twice. A built
+        // unit may still hit, from a cache that lists nothing.
+        let unit = match (
+            opts.cache.map(|c| c.fetch(key)).transpose()?.flatten(),
+            unit,
+        ) {
+            (Some(result), _) => {
+                stats.cached += 1;
+                units_done += 1;
+                vardelay_obs::instant("unit", "cached", Some(key));
+                sink(i, key, result, UnitOrigin::Cache)?;
+                continue;
+            }
+            (None, Some(unit)) => unit,
+            (None, None) => {
+                return Err(EngineError::new(format!(
+                    "cache: unit {key:016x} is listed but its fetch found nothing"
+                )))
+            }
         };
         stats.executed += 1;
         let total = w.unit_steps(&unit);
@@ -789,13 +799,25 @@ pub fn run_workload<W: Workload>(
 /// nothing — the engine half of `sweep validate` / `optimize validate`,
 /// shared by both spellings.
 ///
+/// Every unit is built once; `observe(unit_key, unit)` sees each built
+/// unit in expansion order, so a caller can tally more per unit (the
+/// CLI's `--cache` breakdown) without building it again.
+///
 /// # Errors
 ///
-/// Returns the same [`EngineError`] a real run would return for the
-/// first invalid unit.
-pub fn plan_workload<W: Workload>(w: &W) -> Result<W::Plan, EngineError> {
-    let units = w.prepare()?;
-    let rows = units.iter().map(|u| w.plan_unit(u)).collect();
+/// Returns the same [`EngineError`] [`Workload::prepare`] returns.
+pub fn plan_workload<W: Workload>(
+    w: &W,
+    mut observe: impl FnMut(u64, &W::Unit),
+) -> Result<W::Plan, EngineError> {
+    let specs = w.check()?;
+    let mut rows = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let key = w.unit_key(&spec);
+        let unit = w.build(spec)?;
+        observe(key, &unit);
+        rows.push(w.plan_unit(&unit));
+    }
     Ok(w.assemble_plan(rows))
 }
 

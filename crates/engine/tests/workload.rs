@@ -247,11 +247,11 @@ fn backend_twins_resume_byte_identically() {
 fn validate_spellings_share_one_plan_implementation() {
     let sweep = small_sweep();
     let a = vardelay_engine::plan_sweep(&sweep).unwrap();
-    let b = vardelay_engine::plan_workload(&sweep).unwrap();
+    let b = vardelay_engine::plan_workload(&sweep, |_, _| {}).unwrap();
     assert_eq!(a, b);
 
     let campaign = small_campaign();
     let a = vardelay_engine::plan_campaign(&campaign).unwrap();
-    let b = vardelay_engine::plan_workload(&campaign).unwrap();
+    let b = vardelay_engine::plan_workload(&campaign, |_, _| {}).unwrap();
     assert_eq!(a, b);
 }

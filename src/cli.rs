@@ -38,8 +38,8 @@ use vardelay_circuit::generators::{inverter_chain, iscas};
 use vardelay_circuit::{parse_bench, write_bench, CellLibrary, Netlist};
 use vardelay_core::{Pipeline, StageDelay};
 use vardelay_engine::{
-    checkpoint_line, run_units, Checkpoint, EngineError, KernelSpec, Shard, StrategySpec, Workload,
-    WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
+    checkpoint_line, plan_workload, run_units, Checkpoint, EngineError, KernelSpec, Shard,
+    StrategySpec, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
 };
 use vardelay_process::VariationConfig;
 use vardelay_ssta::SstaEngine;
@@ -830,43 +830,42 @@ where
     W: Workload,
     W::Plan: WorkloadPlan,
 {
-    let invalid = |e: EngineError| CliError(format!("invalid {kind} spec: {e}"));
-    let specs = w.check().map_err(invalid)?;
-    // A missing cache dir is simply cold, not an error: validate must
-    // never create state.
-    let store = cache_dir
-        .map(std::path::Path::new)
-        .filter(|path| path.is_dir())
-        .map(ResultStore::open_read_only)
-        .transpose()
-        .map_err(|e| CliError(format!("cannot open cache: {e}")))?;
-    // One pass builds each unit once, for both its footprint row and
-    // the cached-vs-to-execute tally.
-    let units = specs.len();
-    let mut rows = Vec::with_capacity(units);
-    let mut cached = 0usize;
-    let (mut trials_all, mut trials_todo) = (0u64, 0u64);
-    for spec in specs {
-        let hit = store
-            .as_ref()
-            .is_some_and(|s| s.contains(w.unit_key(&spec), CONTRACT_VERSION));
-        let u = w.build(spec).map_err(invalid)?;
-        let t: u64 = (0..w.unit_steps(&u)).map(|s| w.step_trials(&u, s)).sum();
-        trials_all += t;
-        if hit {
-            cached += 1;
-        } else {
-            trials_todo += t;
-        }
-        rows.push(w.plan_unit(&u));
-    }
-    let mut out = w.assemble_plan(rows).render();
+    // One planning pass builds each unit once, for both its footprint
+    // row and the `--cache` tally's (key, est. trials).
+    let mut footprint: Vec<(u64, u64)> = Vec::new();
+    let plan = plan_workload(w, |key, u| {
+        footprint.push((key, (0..w.unit_steps(u)).map(|s| w.step_trials(u, s)).sum()));
+    })
+    .map_err(|e| CliError(format!("invalid {kind} spec: {e}")))?;
+    let mut out = plan.render();
     if let Some(dir) = cache_dir {
+        // A missing cache dir is simply cold, not an error: validate
+        // must never create state.
+        let path = std::path::Path::new(dir);
+        let store = path
+            .is_dir()
+            .then(|| ResultStore::open_read_only(path))
+            .transpose()
+            .map_err(|e| CliError(format!("cannot open cache: {e}")))?;
+        let mut cached = 0usize;
+        let (mut trials_all, mut trials_todo) = (0u64, 0u64);
+        for &(key, t) in &footprint {
+            trials_all += t;
+            if store
+                .as_ref()
+                .is_some_and(|s| s.contains(key, CONTRACT_VERSION))
+            {
+                cached += 1;
+            } else {
+                trials_todo += t;
+            }
+        }
         let _ = writeln!(
             out,
-            "\ncache '{dir}': {cached} of {units} {}s cached, {} to execute",
+            "\ncache '{dir}': {cached} of {} {}s cached, {} to execute",
+            footprint.len(),
             w.unit_noun(),
-            units - cached
+            footprint.len() - cached
         );
         if trials_all > 0 {
             let _ = writeln!(
