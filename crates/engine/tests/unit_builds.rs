@@ -231,7 +231,10 @@ fn a_shard_run_builds_only_its_own_units() {
 fn a_listed_unit_whose_fetch_misses_fails_the_run() {
     let sweep = small_grid_sweep();
     let first = sweep.unit_key(&sweep.check().unwrap()[0]);
-    let r = run(&sweep, &WorkloadOptions::sequential().with_cache(&ListsButLoses));
+    let r = run(
+        &sweep,
+        &WorkloadOptions::sequential().with_cache(&ListsButLoses),
+    );
     let err = r.err().expect("a broken contains promise fails the run");
     assert_eq!(
         err.to_string(),
@@ -240,7 +243,7 @@ fn a_listed_unit_whose_fetch_misses_fails_the_run() {
 }
 
 #[test]
-fn planning_builds_each_unit_once_and_observes_its_key() {
+fn planning_observes_every_unit_key_in_expansion_order() {
     let sweep = small_grid_sweep();
     let mut observed = Vec::new();
     let plan = plan_workload(&sweep, |key, _| observed.push(key)).unwrap();
@@ -250,7 +253,10 @@ fn planning_builds_each_unit_once_and_observes_its_key() {
         .iter()
         .map(|s| sweep.unit_key(s))
         .collect();
-    assert_eq!(observed, keys, "one observation per unit, in expansion order");
+    assert_eq!(
+        observed, keys,
+        "one observation per unit, in expansion order"
+    );
     assert_eq!(plan, plan_workload(&sweep, |_, _| {}).unwrap());
 }
 
@@ -282,6 +288,13 @@ fn spec_errors_are_rejected_before_any_unit_sinks() {
     assert_eq!(bad.variation, VariationSpec::Nominal);
     built.scenarios.push(bad);
 
+    // Both, the build error expanded first: every unit is checked
+    // before any is built, so the check error is the one reported,
+    // whatever the cache holds.
+    let mut both = built.clone();
+    both.scenarios
+        .push(checked.scenarios.last().unwrap().clone());
+
     for (w, needle) in [
         (
             &checked,
@@ -291,10 +304,16 @@ fn spec_errors_are_rejected_before_any_unit_sinks() {
             &built,
             "scenario 'non-samplable rho': moments not Monte-Carlo-samplable",
         ),
+        (
+            &both,
+            "scenario 'histogram without trials': a delay histogram",
+        ),
     ] {
-        // The same error text as a plain check-and-build of every unit.
+        // The same error text as a plain check-and-build of every unit,
+        // and as planning.
         let prepared = w.prepare().err().expect("prepare rejects the spec");
         assert!(prepared.to_string().contains(needle), "{prepared}");
+        assert_eq!(plan_workload(w, |_, _| {}).unwrap_err(), prepared);
         for opts in [&opts, &WorkloadOptions::sequential()] {
             let session = vardelay_obs::Session::start();
             let mut sunk = 0;
@@ -308,59 +327,4 @@ fn spec_errors_are_rejected_before_any_unit_sinks() {
             assert_eq!(sunk, 0, "no unit may sink before the spec is rejected");
         }
     }
-}
-
-/// Two bad scenarios, a build-invalid one expanded before a
-/// check-invalid one: every unit is checked before any is built, so
-/// the check error is reported — by `prepare`, by planning, and by a
-/// run whatever the cache holds.
-fn build_error_then_check_error() -> Sweep {
-    let mut sweep = small_grid_sweep();
-    let mut bad = sweep.scenarios[0].clone();
-    bad.label = "non-samplable rho".to_owned();
-    if let PipelineSpec::Moments { stages, rho } = &mut bad.pipeline {
-        stages.truncate(3);
-        *rho = -0.9;
-    }
-    sweep.scenarios.push(bad);
-    let mut bad = sweep.scenarios[0].clone();
-    bad.label = "histogram without trials".to_owned();
-    bad.trials = 0;
-    bad.histogram_bins = 8;
-    sweep.scenarios.push(bad);
-    sweep
-}
-
-#[test]
-fn check_errors_take_precedence_over_earlier_build_errors() {
-    let sweep = build_error_then_check_error();
-    let needle = "scenario 'histogram without trials': a delay histogram";
-    let prepared = sweep.prepare().err().expect("prepare rejects the spec");
-    assert!(prepared.to_string().contains(needle), "{prepared}");
-    let planned = plan_workload(&sweep, |_, _| {}).unwrap_err();
-    assert_eq!(planned, prepared);
-    let cache = MemCache::new(true);
-    for opts in [
-        WorkloadOptions::sequential(),
-        WorkloadOptions::sequential().with_cache(&cache),
-    ] {
-        let r = run(&sweep, &opts);
-        let r = r.err().expect("the run rejects the spec");
-        assert_eq!(r, prepared);
-    }
-
-    // Without the check error, the build error is what every path
-    // reports.
-    let mut build_only = sweep.clone();
-    build_only.scenarios.pop();
-    let prepared = build_only.prepare().err().expect("prepare rejects the spec");
-    assert!(
-        prepared.to_string().contains("scenario 'non-samplable rho'"),
-        "{prepared}"
-    );
-    assert_eq!(plan_workload(&build_only, |_, _| {}).unwrap_err(), prepared);
-    assert_eq!(
-        run(&build_only, &WorkloadOptions::sequential()).err(),
-        Some(prepared)
-    );
 }
