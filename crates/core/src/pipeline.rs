@@ -1,9 +1,7 @@
 //! The pipeline delay model: `T_P = max_i SD_i` (eqs. 3–6).
 
 use serde::{Deserialize, Serialize};
-use vardelay_stats::{
-    max_of, CorrelationMatrix, DrawOverlay, MultivariateNormal, Normal, NormalFill,
-};
+use vardelay_stats::{max_of, CorrelationMatrix, MultivariateNormal, Normal, NormalFill};
 
 use crate::error::CoreError;
 use crate::stage::StageDelay;
@@ -206,29 +204,46 @@ impl Pipeline {
         trials: usize,
         seed: u64,
     ) -> Vec<f64> {
+        Self::shared_criticality_probabilities(std::slice::from_ref(self), fill, trials, seed)
+            .pop()
+            .expect("one pipeline in, one estimate out")
+    }
+
+    /// [`Pipeline::criticality_probabilities_with`] for several pipelines
+    /// of one stage count, scored against the same draws: entry `k` is
+    /// byte-identical to `pipelines[k].criticality_probabilities_with(fill,
+    /// trials, seed)`, at the cost of one normal fill for all of them.
+    /// The draws come in blocks of 256 trials (see
+    /// [`MultivariateNormal::argmax_wins`] for why the blocks reproduce a
+    /// per-trial loop's bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trials == 0`, the stage counts differ, or a correlation
+    /// matrix is not PSD.
+    pub fn shared_criticality_probabilities(
+        pipelines: &[Pipeline],
+        fill: NormalFill,
+        trials: usize,
+        seed: u64,
+    ) -> Vec<Vec<f64>> {
         assert!(trials > 0, "need at least one trial");
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let means: Vec<f64> = self.stages.iter().map(StageDelay::mean).collect();
-        let sds: Vec<f64> = self.stages.iter().map(StageDelay::sd).collect();
-        let mvn = MultivariateNormal::from_correlation(&means, &sds, &self.correlation)
-            .expect("stage correlation matrix must be PSD");
+        let mvns: Vec<MultivariateNormal> = pipelines
+            .iter()
+            .map(|p| {
+                let means: Vec<f64> = p.stages.iter().map(StageDelay::mean).collect();
+                let sds: Vec<f64> = p.stages.iter().map(StageDelay::sd).collect();
+                MultivariateNormal::from_correlation(&means, &sds, &p.correlation)
+                    .expect("stage correlation matrix must be PSD")
+            })
+            .collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut wins = vec![0usize; self.stages.len()];
-        let mut z = Vec::new();
-        let mut x = Vec::new();
-        for _ in 0..trials {
-            mvn.sample_into(fill, &DrawOverlay::IDENTITY, &mut rng, &mut z, &mut x);
-            let (mut argmax, mut best) = (0usize, f64::NEG_INFINITY);
-            for (i, &v) in x.iter().enumerate() {
-                if v > best {
-                    best = v;
-                    argmax = i;
-                }
-            }
-            wins[argmax] += 1;
-        }
-        wins.into_iter().map(|w| w as f64 / trials as f64).collect()
+        MultivariateNormal::argmax_wins(&mvns, fill, trials, &mut rng)
+            .into_iter()
+            .map(|wins| wins.into_iter().map(|w| w as f64 / trials as f64).collect())
+            .collect()
     }
 }
 
@@ -332,6 +347,90 @@ mod tests {
         // accuracy (binomial sd at n = 20k is under 0.004).
         for (a, b) in v1.iter().zip(&v2) {
             assert!((a - b).abs() < 0.02, "v1 {a} vs v2 {b}");
+        }
+    }
+
+    /// The per-trial estimator the block counter replaced, kept here as
+    /// the byte reference: one fill and one `sample_into` per trial, then
+    /// a strict-`>` argmax scan.
+    fn per_trial_reference(p: &Pipeline, fill: NormalFill, trials: usize, seed: u64) -> Vec<f64> {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use vardelay_stats::DrawOverlay;
+        let means: Vec<f64> = p.stages().iter().map(StageDelay::mean).collect();
+        let sds: Vec<f64> = p.stages().iter().map(StageDelay::sd).collect();
+        let mvn = MultivariateNormal::from_correlation(&means, &sds, p.correlation()).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wins = vec![0usize; p.stage_count()];
+        let (mut z, mut x) = (Vec::new(), Vec::new());
+        for _ in 0..trials {
+            mvn.sample_into(fill, &DrawOverlay::IDENTITY, &mut rng, &mut z, &mut x);
+            let (mut argmax, mut best) = (0usize, f64::NEG_INFINITY);
+            for (i, &v) in x.iter().enumerate() {
+                if v > best {
+                    best = v;
+                    argmax = i;
+                }
+            }
+            wins[argmax] += 1;
+        }
+        wins.into_iter().map(|w| w as f64 / trials as f64).collect()
+    }
+
+    #[test]
+    fn block_estimator_matches_the_per_trial_loop() {
+        let fills = [
+            NormalFill::Scalar,
+            NormalFill::BoxMullerPairs,
+            NormalFill::InvCdf,
+        ];
+        for dim in [1, 2, 3, 4, 5, 9, 17] {
+            let pipelines = [
+                // Distinct means and sds, partly correlated.
+                Pipeline::equicorrelated(
+                    (0..dim)
+                        .map(|i| sd(200.0 + (i * 7 % 5) as f64, 3.0 + 0.5 * i as f64))
+                        .collect(),
+                    0.3,
+                )
+                .unwrap(),
+                // Singular ρ = 1 with equal means: the sds order the
+                // stages by the sign of the one shared normal.
+                Pipeline::equicorrelated(
+                    (0..dim).map(|i| sd(200.0, 2.0 + i as f64)).collect(),
+                    1.0,
+                )
+                .unwrap(),
+                // Equal means and sds at ρ = 1: every trial is an exact
+                // tie, which the first stage wins.
+                Pipeline::equicorrelated(vec![sd(200.0, 4.0); dim], 1.0).unwrap(),
+                // Equal means, independent: ties in the means only.
+                Pipeline::independent(vec![sd(200.0, 4.0); dim]).unwrap(),
+            ];
+            for fill in fills {
+                for trials in [1, 15, 16, 17, 255, 256, 257, 20_000] {
+                    // The flow's trial count, on the two tie-free cases
+                    // only (it dominates the test's run time).
+                    let pipelines = &pipelines[..if trials == 20_000 { 2 } else { 4 }];
+                    let seed = 0xC817 ^ (dim * 100_003 + trials) as u64;
+                    let want: Vec<Vec<f64>> = pipelines
+                        .iter()
+                        .map(|p| per_trial_reference(p, fill, trials, seed))
+                        .collect();
+                    let ctx = format!("{fill:?}, dim {dim}, {trials} trials");
+                    for (p, want) in pipelines.iter().zip(&want) {
+                        let got = p.criticality_probabilities_with(fill, trials, seed);
+                        assert_eq!(&got, want, "{ctx}");
+                    }
+                    // Shared draws score each pipeline as its own call.
+                    let shared =
+                        Pipeline::shared_criticality_probabilities(pipelines, fill, trials, seed);
+                    assert_eq!(shared, want, "{ctx}");
+                    if dim > 1 && pipelines.len() > 2 {
+                        assert_eq!(want[2][0], 1.0, "{ctx}: ties go to the first stage");
+                    }
+                }
+            }
         }
     }
 

@@ -285,8 +285,10 @@ pub struct OptimizationCampaign {
     /// Base seed namespacing every run's RNG streams.
     pub seed: u64,
     /// Explicit runs, executed first.
+    #[serde(default)]
     pub runs: Vec<OptimizeSpec>,
     /// Grid expansion appended after the explicit list.
+    #[serde(default)]
     pub grid: Option<OptimizeGridSpec>,
 }
 

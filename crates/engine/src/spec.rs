@@ -971,8 +971,10 @@ pub struct Sweep {
     /// Base seed namespacing every scenario's RNG streams.
     pub seed: u64,
     /// Explicit scenarios, evaluated first.
+    #[serde(default)]
     pub scenarios: Vec<Scenario>,
     /// Grid expansion appended after the explicit list.
+    #[serde(default)]
     pub grid: Option<GridSpec>,
 }
 

@@ -27,6 +27,9 @@ struct Case<T> {
     keys: &'static [&'static str],
     /// The keys omitted while their field holds its default.
     defaulted: &'static [&'static str],
+    /// Keys that are always written but may be left out on read, each
+    /// with the JSON value an absent key reads as.
+    omissible: &'static [(&'static str, &'static str)],
 }
 
 fn object_at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Vec<(String, Value)> {
@@ -87,6 +90,25 @@ fn check<T: Serialize + Deserialize + PartialEq + Debug>(name: &str, case: Case<
         let back = T::from_value(&one).unwrap().to_value();
         assert_eq!(keys_at(back, case.path), omitting(&[key]), "{name}.{key}");
     }
+    // An absent omissible key reads as its empty value and is written
+    // back.
+    for &(key, empty) in case.omissible {
+        let mut absent = set.clone();
+        object_at(&mut absent, case.path).retain(|(k, _)| k != key);
+        let mut emptied = set.clone();
+        object_at(&mut emptied, case.path)
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("omissible key is written")
+            .1 = serde_json::from_str(empty).unwrap();
+        let read = T::from_value(&absent).unwrap();
+        assert_eq!(read, T::from_value(&emptied).unwrap(), "{name}.{key}");
+        assert_eq!(
+            keys_at(read.to_value(), case.path),
+            case.keys,
+            "{name}.{key}"
+        );
+    }
     let expected = format!("(expected one of {})", case.keys.join(", "));
     for i in 0..set_fields.len() {
         let key = set_fields[i].0.clone();
@@ -119,6 +141,7 @@ fn every_spec_object_follows_the_key_rules() {
             path: &[],
             keys: &["name", "seed", "scenarios", "grid"],
             defaulted: &[],
+            omissible: &[("scenarios", "[]"), ("grid", "null")],
         },
     );
 
@@ -145,6 +168,7 @@ fn every_spec_object_follows_the_key_rules() {
                 "histogram_bins",
             ],
             defaulted: &["backend", "kernel", "histogram_bins"],
+            omissible: &[],
         },
     );
 
@@ -173,6 +197,7 @@ fn every_spec_object_follows_the_key_rules() {
                 "histogram_bins",
             ],
             defaulted: &["backend", "kernel", "histogram_bins"],
+            omissible: &[],
         },
     );
 
@@ -190,6 +215,7 @@ fn every_spec_object_follows_the_key_rules() {
             path: &["trials"],
             keys: &["count", "strategy", "shift_sigmas", "ci_half_width"],
             defaulted: &["shift_sigmas", "ci_half_width"],
+            omissible: &[],
         },
     );
 
@@ -202,6 +228,7 @@ fn every_spec_object_follows_the_key_rules() {
             path: &[],
             keys: &["name", "seed", "runs", "grid"],
             defaulted: &[],
+            omissible: &[("runs", "[]"), ("grid", "null")],
         },
     );
 
@@ -239,6 +266,7 @@ fn every_spec_object_follows_the_key_rules() {
                 "eval_trials",
                 "verify_trials",
             ],
+            omissible: &[],
         },
     );
 
@@ -277,6 +305,7 @@ fn every_spec_object_follows_the_key_rules() {
                 "eval_trials",
                 "verify_trials",
             ],
+            omissible: &[],
         },
     );
 
@@ -295,6 +324,7 @@ fn every_spec_object_follows_the_key_rules() {
             path: &["Random"],
             keys: &["seed", "inputs", "gates", "depth", "outputs"],
             defaulted: &[],
+            omissible: &[],
         },
     );
 
@@ -313,6 +343,12 @@ fn every_spec_object_follows_the_key_rules() {
     );
     let back: vardelay_engine::OptimizeSpec = serde_json::from_str(&json).unwrap();
     assert_eq!(back, plan_only);
+
+    // The smallest specs: no grid, and no list either.
+    let bare = Sweep::from_json(r#"{"name":"x","seed":1,"scenarios":[]}"#).unwrap();
+    assert_eq!((bare.scenarios.len(), bare.grid), (0, None));
+    let bare = OptimizationCampaign::from_json(r#"{"name":"x","seed":1}"#).unwrap();
+    assert_eq!((bare.runs.len(), bare.grid), (0, None));
 }
 
 #[test]

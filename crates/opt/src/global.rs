@@ -89,6 +89,13 @@ impl OptimizationReport {
     }
 }
 
+/// Monte-Carlo trials behind each stage-criticality estimate of a report.
+const CRITICALITY_TRIALS: usize = 20_000;
+
+/// Seed of the stage-criticality draws; the before and after estimates of
+/// a run share it, and so share their draws.
+const CRITICALITY_SEED: u64 = 0xC817;
+
 /// The Fig. 9 global optimizer.
 #[derive(Debug, Clone)]
 pub struct GlobalPipelineOptimizer {
@@ -334,23 +341,7 @@ impl GlobalPipelineOptimizer {
         let timing_f = engine.analyze_pipeline(&final_pipe);
         let areas_f = final_pipe.stage_areas();
 
-        let criticality = |timing: &PipelineTiming| -> Vec<f64> {
-            let span_name = match self.kernel {
-                TrialKernel::V1 => "criticality",
-                TrialKernel::V2 => "criticality_v2",
-                TrialKernel::V3 => "criticality_v3",
-            };
-            let _sp = vardelay_obs::span("opt", span_name).value(20_000.0);
-            let stages: Vec<StageDelay> = timing
-                .stage_delays
-                .iter()
-                .map(|n| StageDelay::from_normal(*n))
-                .collect();
-            let p = Pipeline::new(stages, timing.correlation.clone()).expect("dims");
-            p.criticality_probabilities_with(self.kernel.normal_fill(), 20_000, 0xC817)
-        };
-        let crit0 = criticality(&timing0);
-        let crit_f = criticality(&timing_f);
+        let (crit0, crit_f) = self.criticality(&timing0, &timing_f);
         let stage_y0 = timing0.stage_yields(target_ps);
         let stage_yf = timing_f.stage_yields(target_ps);
 
@@ -378,6 +369,40 @@ impl GlobalPipelineOptimizer {
             met: final_yield >= yield_target,
         };
         (final_pipe, report)
+    }
+
+    /// The report's before and after stage criticalities: one
+    /// [`CRITICALITY_TRIALS`]-trial draw on the optimizer's kernel, scored
+    /// against both timings (the two estimates share seed and stage count,
+    /// so their draws are identical). One `opt/criticality*` span covers
+    /// both estimates, and its value is the trials drawn.
+    fn criticality(&self, before: &PipelineTiming, after: &PipelineTiming) -> (Vec<f64>, Vec<f64>) {
+        let span_name = match self.kernel {
+            TrialKernel::V1 => "criticality",
+            TrialKernel::V2 => "criticality_v2",
+            TrialKernel::V3 => "criticality_v3",
+        };
+        let _sp = vardelay_obs::span("opt", span_name).value(CRITICALITY_TRIALS as f64);
+        let pipelines: Vec<Pipeline> = [before, after]
+            .into_iter()
+            .map(|timing| {
+                let stages = timing
+                    .stage_delays
+                    .iter()
+                    .map(|n| StageDelay::from_normal(*n))
+                    .collect();
+                Pipeline::new(stages, timing.correlation.clone()).expect("dims")
+            })
+            .collect();
+        let [before, after]: [Vec<f64>; 2] = Pipeline::shared_criticality_probabilities(
+            &pipelines,
+            self.kernel.normal_fill(),
+            CRITICALITY_TRIALS,
+            CRITICALITY_SEED,
+        )
+        .try_into()
+        .expect("one estimate per timing");
+        (before, after)
     }
 }
 

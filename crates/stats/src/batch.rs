@@ -223,35 +223,22 @@ pub fn sample_standard_normal_inv_cdf<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// Fills `out` with standard normals via the inverse CDF, one `u64` per
 /// element in order — element-wise identical to calling
 /// [`standard_normal_inv_cdf`] on each uniform, but structured for
-/// throughput: uniforms for a whole lane are drawn into scratch first,
-/// then a branch-free pass evaluates the central rational for every
-/// element (vectorizable — ~95.15% of draws need nothing else), and a
-/// scalar fix-up pass re-evaluates only the tail elements, and runs only
-/// when a lane contains one.
+/// throughput: uniforms for a whole lane are drawn into scratch first
+/// (recording the tail indices as they are drawn), then a branch-free
+/// pass evaluates the central rational for every element (vectorizable —
+/// ~95.15% of draws need nothing else), and only the recorded tail
+/// elements are re-evaluated.
 pub fn fill_standard_normals_inv_cdf<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     let mut uniforms = [0.0f64; 64];
+    let mut tails = [0u8; 64];
     for chunk in out.chunks_mut(64) {
         let u = &mut uniforms[..chunk.len()];
-        for v in u.iter_mut() {
-            *v = uniform_open_from_u64(rng.next_u64());
-        }
+        let tn = draw_uniform_chunk(rng, u, &mut tails);
         // For tail elements this evaluates the central rational out of
         // its domain — finite junk, overwritten below. Keeping the map
         // reduction-free lets it vectorize.
         acklam_central_pass_dispatch(chunk, u);
-        let mut any_tail = false;
-        for &p in u.iter() {
-            any_tail |= !(ACKLAM_P_LOW..=1.0 - ACKLAM_P_LOW).contains(&p);
-        }
-        if any_tail {
-            for (z, &p) in chunk.iter_mut().zip(u.iter()) {
-                if p < ACKLAM_P_LOW {
-                    *z = acklam_tail((-2.0 * p.ln()).sqrt());
-                } else if p > 1.0 - ACKLAM_P_LOW {
-                    *z = -acklam_tail((-2.0 * (1.0 - p).ln()).sqrt());
-                }
-            }
-        }
+        fix_tails(chunk, u, &tails[..tn]);
     }
 }
 
@@ -390,6 +377,14 @@ fn quantile_chunk_fma(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
     // For tail elements this evaluates the central rational out of
     // its domain — finite junk, overwritten below.
     acklam_central_pass_fma_dispatch(chunk, u);
+    fix_tails(chunk, u, tails);
+}
+
+/// Overwrites the recorded tail indices of a quantile chunk with the
+/// tail rational — the fix-up shared by the v2 and fused v3 fills (both
+/// use [`acklam_tail`] verbatim).
+#[inline]
+fn fix_tails(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
     for &i in tails {
         let i = i as usize;
         let p = u[i];
@@ -824,17 +819,40 @@ mod tests {
 
     #[test]
     fn inv_cdf_fill_matches_scalar_elementwise() {
-        // The vector-pass + tail-fixup fill must be bit-identical to the
-        // scalar quantile per element (97 draws ⇒ several tail elements
-        // and a partial final lane).
-        let mut a = StdRng::seed_from_u64(0xF1FF);
-        let mut buf = [0.0; 97];
-        fill_standard_normals_inv_cdf(&mut a, &mut buf);
-        let mut b = StdRng::seed_from_u64(0xF1FF);
-        for (i, &z) in buf.iter().enumerate() {
-            let want = standard_normal_inv_cdf(uniform_open_from_u64(b.next_u64()));
-            assert_eq!(z, want, "element {i}");
+        // The vector-pass + recorded-tail fill must be bit-identical to
+        // the scalar quantile per element, with one draw per element, at
+        // every length across the 64-element chunk edges (so tail indices
+        // land on the first and last slot of full and partial chunks).
+        let mut buf = [0.0; 130];
+        // Tails seen at a chunk's first slot, its 64th, and the last slot
+        // of a partial chunk.
+        let mut edges = [false; 3];
+        for seed in [0xF1FF, 1, 2, 0x5EED] {
+            for len in 0..=buf.len() {
+                let mut a = StdRng::seed_from_u64(seed ^ len as u64);
+                fill_standard_normals_inv_cdf(&mut a, &mut buf[..len]);
+                let mut b = StdRng::seed_from_u64(seed ^ len as u64);
+                for (i, &z) in buf[..len].iter().enumerate() {
+                    let p = uniform_open_from_u64(b.next_u64());
+                    if !(ACKLAM_P_LOW..=1.0 - ACKLAM_P_LOW).contains(&p) {
+                        edges[0] |= i % 64 == 0;
+                        edges[1] |= i % 64 == 63;
+                        edges[2] |= i + 1 == len && len % 64 != 0;
+                    }
+                    assert_eq!(
+                        z,
+                        standard_normal_inv_cdf(p),
+                        "seed {seed} len {len} at {i}"
+                    );
+                }
+                assert_eq!(
+                    a.next_u64(),
+                    b.next_u64(),
+                    "seed {seed} len {len} consumption"
+                );
+            }
         }
+        assert_eq!(edges, [true; 3], "tail draws at chunk edges");
     }
 
     #[test]

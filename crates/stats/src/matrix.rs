@@ -239,6 +239,13 @@ impl Cholesky {
         self.l[i * self.n + j]
     }
 
+    /// Row `i` of `L` up to and including the diagonal (`i + 1` entries),
+    /// in the `j` order [`Cholesky::transform_into`] sums it in.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.l[i * self.n..=i * self.n + i]
+    }
+
     /// Computes `y = L z`, transforming iid standard normals `z` into
     /// correlated variates.
     ///

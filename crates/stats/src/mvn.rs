@@ -37,6 +37,12 @@ impl fmt::Display for MvnError {
 
 impl std::error::Error for MvnError {}
 
+/// Trials per normal fill of [`MultivariateNormal::argmax_wins`].
+const ARGMAX_BLOCK: usize = 256;
+
+/// Trials scored side by side, dim-major, by the argmax counter.
+const LANES: usize = 16;
+
 /// A multivariate normal distribution `N(mean, cov)` ready for sampling.
 ///
 /// The covariance is Cholesky-factorized once at construction; each sample
@@ -151,6 +157,108 @@ impl MultivariateNormal {
             *yi += mi;
         }
         weight
+    }
+
+    /// Draws `trials` standard-normal vectors of the common dimension of
+    /// `mvns` and counts, for each distribution, how often each dim holds
+    /// the maximum of `mean + L z` (the first index on a tie). Every
+    /// distribution scores the same draws, so `wins[k]` equals a call
+    /// with `mvns[k]` alone.
+    ///
+    /// The counts are exactly those of a per-trial loop that fills one
+    /// trial's `z` through `fill`, maps it with
+    /// [`MultivariateNormal::sample_into`] and takes the strict-`>`
+    /// argmax, because:
+    ///
+    /// * one fill of 256 rows × dim consumes the stream in the same order
+    ///   and produces the same values as one fill per row.
+    ///   `NormalFill::BoxMullerPairs` with an odd dim is the exception (a
+    ///   pair would straddle two rows), so it fills row by row;
+    /// * 16 rows at a time are transposed to dim-major lanes and each
+    ///   output is computed in `transform_into`'s per-element order: the
+    ///   first product, `+=` the rest in `j` order, then `+ mean`. The
+    ///   `sum` there starts from `-0.0`, which leaves the first product's
+    ///   bits unchanged;
+    /// * the lane argmax starts from `-inf` at index 0 and moves only on a
+    ///   strict `>`, as the per-trial scan does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the distributions differ in dimension or have dim 0.
+    pub fn argmax_wins<R: Rng + ?Sized>(
+        mvns: &[MultivariateNormal],
+        fill: NormalFill,
+        trials: usize,
+        rng: &mut R,
+    ) -> Vec<Vec<usize>> {
+        let Some(dim) = mvns.first().map(MultivariateNormal::dim) else {
+            return Vec::new();
+        };
+        assert!(dim > 0, "argmax needs at least one dimension");
+        assert!(
+            mvns.iter().all(|m| m.dim() == dim),
+            "argmax_wins needs distributions of one dimension"
+        );
+        let row_wise = fill == NormalFill::BoxMullerPairs && dim % 2 == 1;
+        let mut wins = vec![vec![0usize; dim]; mvns.len()];
+        let mut z = vec![0.0; ARGMAX_BLOCK * dim];
+        let mut lanes = vec![[0.0; LANES]; dim];
+        let mut left = trials;
+        while left > 0 {
+            let rows = left.min(ARGMAX_BLOCK);
+            left -= rows;
+            let block = &mut z[..rows * dim];
+            if row_wise {
+                for row in block.chunks_exact_mut(dim) {
+                    fill.fill(rng, row);
+                }
+            } else {
+                fill.fill(rng, block);
+            }
+            for group in block.chunks(LANES * dim) {
+                for (lane, row) in group.chunks_exact(dim).enumerate() {
+                    for (l, &v) in lanes.iter_mut().zip(row) {
+                        l[lane] = v;
+                    }
+                }
+                // Lanes past the group's rows hold stale draws; their
+                // argmax is computed and never counted.
+                let n = group.len() / dim;
+                for (mvn, w) in mvns.iter().zip(&mut wins) {
+                    for &a in &mvn.argmax_lanes(&lanes)[..n] {
+                        w[a] += 1;
+                    }
+                }
+            }
+        }
+        wins
+    }
+
+    /// The argmax of `mean + L z` for each of the 16 lanes of the
+    /// dim-major draws `lanes`, branch-free.
+    #[inline]
+    fn argmax_lanes(&self, lanes: &[[f64; LANES]]) -> [usize; LANES] {
+        let mut best = [f64::NEG_INFINITY; LANES];
+        let mut arg = [0usize; LANES];
+        for (i, &mi) in self.mean.iter().enumerate() {
+            let (l0, rest) = self.chol.row(i).split_first().expect("row has a diagonal");
+            let mut y = [0.0; LANES];
+            for (y, z) in y.iter_mut().zip(&lanes[0]) {
+                *y = l0 * z;
+            }
+            for (lij, zj) in rest.iter().zip(&lanes[1..]) {
+                for (y, z) in y.iter_mut().zip(zj) {
+                    *y += lij * z;
+                }
+            }
+            for ((y, b), a) in y.iter().zip(&mut best).zip(&mut arg) {
+                let x = y + mi;
+                let gt = x > *b;
+                *b = if gt { x } else { *b };
+                *a = if gt { i } else { *a };
+            }
+        }
+        arg
     }
 
     /// Draws `n` samples, returned row-wise.

@@ -411,6 +411,16 @@ fn take_workload_args(mut opts: Vec<String>) -> Result<WorkloadArgs, CliError> {
         })
         .transpose()?;
     let out = take_opt(&mut opts, "--out")?;
+    // The stream is re-read to assemble the aggregate, which then
+    // replaces it: a device or FIFO cannot hold either, so refuse it
+    // before any unit runs rather than after all of them.
+    if let Some(path) = &out {
+        if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) {
+            return Err(CliError(format!(
+                "--out '{path}' is not a regular file (the results stream is re-read and replaced)"
+            )));
+        }
+    }
     let shard = take_opt(&mut opts, "--shard")?
         .map(|v| Shard::parse(&v).map_err(|e| CliError(format!("invalid --shard: {e}"))))
         .transpose()?;
@@ -1257,6 +1267,36 @@ mod tests {
         assert!(sweep_cmd(&sweep_spec, vec!["--shard".into(), "0/2".into()]).is_err());
         assert!(sweep_cmd(&sweep_spec, vec!["--shard".into(), "nope".into()]).is_err());
         assert!(sweep_cmd(&sweep_spec, vec!["--resume".into(), "/no/such/file".into()]).is_err());
+    }
+
+    #[test]
+    fn non_regular_out_is_rejected_before_any_unit_runs() {
+        let spec = vardelay_engine::OptimizationCampaign::example().to_json();
+        let fifo = tmp("out.fifo");
+        let _ = std::fs::remove_file(&fifo);
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.is_ok_and(|s| s.success()), "mkfifo {fifo}");
+        for out in ["/dev/null", fifo.as_str()] {
+            let ckpt = tmp("never.jsonl");
+            let _ = std::fs::remove_file(&ckpt);
+            let opts = vec![
+                "--out".into(),
+                out.into(),
+                "--checkpoint".into(),
+                ckpt.clone(),
+            ];
+            let err = optimize_cmd(&spec, opts.clone()).unwrap_err().to_string();
+            assert!(err.contains(&format!("'{out}'")), "{err}");
+            assert!(err.contains("not a regular file"), "{err}");
+            let err = sweep_cmd(&vardelay_engine::Sweep::example().to_json(), opts)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("not a regular file"), "{err}");
+            // Rejected at argument parsing: no journal was even opened.
+            assert!(!std::path::Path::new(&ckpt).exists(), "{out}");
+        }
+        assert!(std::fs::metadata(&fifo).is_ok_and(|m| !m.is_file()));
+        std::fs::remove_file(&fifo).unwrap();
     }
 
     /// A scratch path under the test temp dir, unique per name.
