@@ -886,6 +886,7 @@ impl Workload for OptimizationCampaign {
                 unit.spec.verify_plan.strategy,
                 unit.gates,
                 unit.stages,
+                crate::plan::leading_dims(&unit.spec.pipeline, unit.spec.variation),
             ),
             target_delay: unit.spec.target_delay.label(),
             yield_target: unit.spec.yield_target,

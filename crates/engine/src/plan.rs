@@ -13,9 +13,12 @@
 
 use serde::{Deserialize, Serialize};
 
+use vardelay_process::ProcessSampler;
+use vardelay_stats::SOBOL_MAX_DIMS;
+
 use crate::optimize::{OptimizationCampaign, YieldBackendSpec};
 use crate::run::EngineError;
-use crate::spec::{BackendSpec, KernelSpec, StrategySpec, Sweep};
+use crate::spec::{BackendSpec, KernelSpec, PipelineSpec, StrategySpec, Sweep, VariationSpec};
 use crate::workload::{plan_workload, WorkloadPlan};
 
 /// Relative per-gate trial cost of the v1 kernel (the unit of the
@@ -34,35 +37,62 @@ pub const KERNEL_COST_WEIGHT_V2: f64 = 1.0 / 3.5;
 /// its gate evaluations costs half of v2's.
 pub const KERNEL_COST_WEIGHT_V3: f64 = KERNEL_COST_WEIGHT_V2 / 2.0;
 
-/// Relative per-trial overhead multiplier of each trial strategy: the
-/// draw-shaping work (keyed permutations, Sobol point generation,
-/// likelihood-ratio weights) on top of the kernel's gate evaluations.
-/// Small by design — the win of a variance-reducing plan is *fewer
-/// trials*, not cheaper ones.
-pub fn strategy_cost_weight(strategy: StrategySpec) -> f64 {
+/// Per-trial cost, in v1 gate evaluations, of shaping one leading dim
+/// under the stratified or Sobol plan: its share of the block-wise
+/// permutation or Sobol point and one lane-interleaved quantile. The
+/// cost follows the leading dims, not the gates, and is the same under
+/// every kernel (the plan sampler is shared). Calibrated on the
+/// alu-decoder-alu pipeline (180 gates, `Combined` variation, 17 die
+/// dims of which 16 are shaped), with plan and plain scenarios
+/// interleaved in one `--workers 1` run: stratified and Sobol cost 82
+/// and 78 ns per shaped dim per trial over plain on kernel v3 (82 and
+/// 67 on v1), against 98 ns per v1 gate evaluation.
+pub const PLAN_DIM_COST: f64 = 0.8;
+
+/// Per-trial cost, in v1 gate evaluations, of the blockade plan: one
+/// likelihood-ratio `exp` and the weighted fold. Measured within noise
+/// of plain (under 3% of a v3 trial on a 38-gate, 5-stage chain).
+pub const BLOCKADE_TRIAL_COST: f64 = 0.2;
+
+/// Per-trial overhead of each trial strategy, in v1 gate evaluations:
+/// the draw-shaping work on top of the kernel's. `leading_dims` is the
+/// number of leading standard normals a trial draws (see
+/// [`leading_dims`]); stratified and Sobol shape at most
+/// [`SOBOL_MAX_DIMS`] of them. The win of a variance-reducing plan is
+/// *fewer trials*, not cheaper ones.
+pub fn strategy_trial_cost(strategy: StrategySpec, leading_dims: usize) -> f64 {
     match strategy {
-        StrategySpec::Plain => 1.0,
         // Pairing only remaps seeds and flips signs.
-        StrategySpec::Antithetic => 1.0,
-        // Keyed Feistel permutation + quantile per leading dimension.
-        StrategySpec::Stratified => 1.05,
-        // Direction-number XOR fold + quantile per leading dimension.
-        StrategySpec::Sobol => 1.1,
-        // One likelihood-ratio exponential per trial.
-        StrategySpec::Blockade => 1.05,
+        StrategySpec::Plain | StrategySpec::Antithetic => 0.0,
+        StrategySpec::Stratified | StrategySpec::Sobol => {
+            PLAN_DIM_COST * leading_dims.min(SOBOL_MAX_DIMS) as f64
+        }
+        StrategySpec::Blockade => BLOCKADE_TRIAL_COST,
+    }
+}
+
+/// The leading standard normals one trial draws — the dims a stratified
+/// or Sobol plan shapes: a moment-form pipeline's stage normals, else
+/// the die's inter-die and correlated-region normals.
+pub(crate) fn leading_dims(pipeline: &PipelineSpec, variation: VariationSpec) -> usize {
+    if matches!(pipeline, PipelineSpec::Moments { .. }) {
+        pipeline.stage_count()
+    } else {
+        ProcessSampler::new(variation.to_config(), None).die_dims()
     }
 }
 
 /// Estimated relative cost of one Monte-Carlo trial: gate evaluations
 /// (stage count for moment-form scenarios, which time no gates)
-/// weighted by the kernel's calibrated per-gate cost and the trial
-/// strategy's shaping overhead. Comparable across rows of one plan —
-/// not a wall-clock prediction.
+/// weighted by the kernel's calibrated per-gate cost, plus the trial
+/// strategy's shaping overhead ([`strategy_trial_cost`]). Comparable
+/// across rows of one plan — not a wall-clock prediction.
 pub fn estimated_trial_cost(
     kernel: KernelSpec,
     strategy: StrategySpec,
     gates: usize,
     stages: usize,
+    leading_dims: usize,
 ) -> f64 {
     let work = if gates > 0 { gates } else { stages } as f64;
     let weight = match kernel {
@@ -70,7 +100,7 @@ pub fn estimated_trial_cost(
         KernelSpec::V2 => KERNEL_COST_WEIGHT_V2,
         KernelSpec::V3 => KERNEL_COST_WEIGHT_V3,
     };
-    work * weight * strategy_cost_weight(strategy)
+    work * weight + strategy_trial_cost(strategy, leading_dims)
 }
 
 /// One validated scenario's footprint.
@@ -318,6 +348,43 @@ mod tests {
         let text = plan.render();
         assert!(text.contains("20 scenarios"), "{text}");
         assert!(text.contains("pipeline"), "{text}");
+    }
+
+    /// Plan overhead follows the leading die dims a trial shapes, not
+    /// the gates: on the 17-die-dim `Combined` variation stratified and
+    /// Sobol both add 16 shaped dims over plain, on an inter-only
+    /// variation just one.
+    #[test]
+    fn plan_cost_follows_leading_dims() {
+        let scenario = |(name, variation): (&str, &str), strategy: &str| {
+            format!(
+                r#"{{"label":"{name} {strategy}","pipeline":{{"InverterStages":{{"depths":[5,4,6],"size":1.0,"latch":"TgMsff70nm"}}}},"variation":{variation},"trials":{{"count":512,"strategy":"{strategy}"}},"yield_targets":[],"auto_target_sigmas":[],"backend":"netlist","kernel":"v3"}}"#
+            )
+        };
+        let combined = r#"{"Combined":{"inter_mv":30.0,"random_mv":20.0,"systematic_mv":10.0}}"#;
+        let inter = r#"{"InterOnly":{"sigma_mv":40.0}}"#;
+        let rows: Vec<String> = [("combined", combined), ("inter", inter)]
+            .into_iter()
+            .flat_map(|v| ["plain", "stratified", "sobol"].map(|s| scenario(v, s)))
+            .collect();
+        let spec = format!(
+            r#"{{"name":"cost","seed":1,"scenarios":[{}]}}"#,
+            rows.join(",")
+        );
+        let plan = plan_sweep(&Sweep::from_json(&spec).unwrap()).unwrap();
+        let cost: Vec<f64> = plan.scenarios.iter().map(|s| s.est_trial_cost).collect();
+        let (plain, strat, sobol) = (cost[0], cost[1], cost[2]);
+        assert!(plain < strat, "{cost:?}");
+        assert_eq!(strat, sobol, "{cost:?}");
+        assert!(
+            (strat - plain - 16.0 * PLAN_DIM_COST).abs() < 1e-9,
+            "{cost:?}"
+        );
+        // Same gates, one leading dim.
+        assert_eq!(cost[3], plain, "{cost:?}");
+        assert!((cost[4] - cost[3] - PLAN_DIM_COST).abs() < 1e-9, "{cost:?}");
+        // On a small v3 pipeline the shaping outweighs the gates.
+        assert!(strat > 2.0 * plain, "{cost:?}");
     }
 
     #[test]

@@ -629,6 +629,7 @@ impl Workload for Sweep {
                 unit.scenario.trial_plan.strategy,
                 unit.gates,
                 unit.scenario.pipeline.stage_count(),
+                crate::plan::leading_dims(&unit.scenario.pipeline, unit.scenario.variation),
             ),
         }
     }

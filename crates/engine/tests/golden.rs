@@ -93,3 +93,40 @@ fn mc_matrix_campaign_bytes_are_frozen() {
         );
     }
 }
+
+const V3_PLANS_SPEC: &str = include_str!("golden/v3_plans_spec.json");
+const V3_PLANS_GOLDEN: &str = include_str!("golden/v3_plans_result.json");
+const V3_PLANS_CAMPAIGN_SPEC: &str = include_str!("golden/v3_plans_campaign_spec.json");
+const V3_PLANS_CAMPAIGN_GOLDEN: &str = include_str!("golden/v3_plans_campaign_result.json");
+
+/// The v3 stratified and Sobol bytes the matrix goldens miss: an
+/// inter-only (one die dim) scenario, the 17-die-dim `Combined`
+/// variation with and without latch jitter, each at 600 trials (a
+/// ragged third block ending on a ragged pass), and v3 stratified and
+/// Sobol campaign verification (one stopped by `ci_half_width`).
+/// Generated before the v3 pass derived plan values block-wise and drew
+/// dies lane-major. Regenerate with
+/// `vardelay sweep crates/engine/tests/golden/v3_plans_spec.json
+/// --out crates/engine/tests/golden/v3_plans_result.json` and
+/// `vardelay optimize crates/engine/tests/golden/v3_plans_campaign_spec.json
+/// --out crates/engine/tests/golden/v3_plans_campaign_result.json`.
+#[test]
+fn v3_plan_bytes_are_frozen() {
+    let sweep = Sweep::from_json(V3_PLANS_SPEC).expect("v3 plan spec parses");
+    let campaign = OptimizationCampaign::from_json(V3_PLANS_CAMPAIGN_SPEC).expect("spec parses");
+    for workers in [1usize, 4] {
+        let opts = SweepOptions::sequential().with_workers(workers);
+        let res = run_sweep(&sweep, &opts).expect("v3 plan sweep runs");
+        assert_eq!(
+            res.to_json(),
+            V3_PLANS_GOLDEN,
+            "v3 plan sweep bytes drifted at {workers} workers"
+        );
+        let res = run_campaign(&campaign, &opts).expect("v3 plan campaign runs");
+        assert_eq!(
+            res.to_json(),
+            V3_PLANS_CAMPAIGN_GOLDEN,
+            "v3 plan campaign bytes drifted at {workers} workers"
+        );
+    }
+}

@@ -22,13 +22,13 @@
 //! test suite asserts against that reference loop.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use vardelay_circuit::{CellLibrary, LatchParams, Netlist, StagedPipeline};
-use vardelay_process::{pelgrom_sigma, DieSample, ProcessSampler};
+use vardelay_process::{pelgrom_sigma, DieLanes, DieSample, ProcessSampler};
 use vardelay_ssta::sta::{arrival_times_into, nominal_gate_delays};
 use vardelay_stats::batch::{
     fill_standard_normals_inv_cdf, fill_standard_normals_inv_cdf_fma_multi,
-    sample_standard_normal_inv_cdf,
+    fill_standard_normals_inv_cdf_multi, sample_standard_normal_inv_cdf,
 };
 use vardelay_stats::normal::sample_standard_normal;
 use vardelay_stats::{DrawOverlay, NormalFill};
@@ -109,6 +109,15 @@ pub struct TrialWorkspace {
 /// bytes.
 #[derive(Debug, Clone, Default)]
 struct WideScratch {
+    /// Die-phase draws, per-lane contiguous (`lane * row + k`): each
+    /// lane's die-level normals past the plan's overridden leading dims,
+    /// then its latch-jitter normals — one multi-stream inverse-CDF fill.
+    die_rows: Vec<f64>,
+    /// The pass's die-level normals, lane-major (`d * V3_WIDTH + lane`),
+    /// overrides and sign applied.
+    die_z: Vec<f64>,
+    /// The pass's dies, lane-major.
+    die: DieLanes<V3_WIDTH>,
     /// Fill-phase gate normals, per-lane contiguous
     /// (`lane * rand_total + g`): each lane's counter stream fills its
     /// own row in one batch inverse-CDF call.
@@ -157,7 +166,7 @@ impl TrialWorkspace {
 
     /// Every scratch buffer, in a fixed order — what the zero-allocation
     /// checks watch for capacity growth and storage moves.
-    fn buffers(&self) -> [&Vec<f64>; 13] {
+    fn buffers(&self) -> [&Vec<f64>; 16] {
         let w = &self.wide;
         [
             &self.z,
@@ -166,6 +175,9 @@ impl TrialWorkspace {
             &self.slowdown,
             &self.at,
             &self.stage_delays,
+            &w.die_rows,
+            &w.die_z,
+            w.die.storage(),
             &w.z_rows,
             &w.dvth,
             &w.shared,
@@ -308,6 +320,10 @@ impl PreparedPipelineMc {
             // their working length (grow-only in capacity: `resize` never
             // shrinks a Vec's allocation).
             let stages = self.stages.len();
+            let dims = self.die_dims();
+            ws.wide.die_rows.resize((dims + stages) * V3_WIDTH, 0.0);
+            ws.wide.die_z.resize(dims * V3_WIDTH, 0.0);
+            ws.wide.die.reserve(regions);
             ws.wide.z_rows.resize(self.rand_total * V3_WIDTH, 0.0);
             ws.wide.dvth.resize(max_gates * V3_WIDTH, 0.0);
             ws.wide.shared.resize(stages * V3_WIDTH, 0.0);
@@ -444,7 +460,7 @@ impl PreparedPipelineMc {
     /// inter-die normal plus the correlated-region normals) — the dims a
     /// stratified or Sobol trial plan overrides.
     pub fn die_dims(&self) -> usize {
-        usize::from(self.sampler.variation().has_inter()) + self.sampler.region_value_count()
+        self.sampler.die_dims()
     }
 
     /// Fill phase of one **v3-kernel** pass over trials
@@ -452,9 +468,8 @@ impl PreparedPipelineMc {
     /// phase. Leaves lane `i`'s stage delays in
     /// `ws.wide.sd[s * V3_WIDTH + i]`, its pipeline delay in
     /// `ws.wide.maxd[i]` and its importance weight in `ws.wide.weight[i]`.
-    /// `ps` is advanced in ascending trial order, as the [`PlanSampler`]
-    /// contract requires; each lane's overlay applies to every normal it
-    /// draws (die, latch and gate).
+    /// `ps` prepares each lane's overlay, which applies to every normal
+    /// the lane draws (die, latch and gate).
     ///
     /// The v3 RNG consumption order per trial is part of the contract
     /// and deliberately differs from v2: die draws (batch inverse-CDF,
@@ -478,32 +493,7 @@ impl PreparedPipelineMc {
         w: usize,
         seed_of: &impl Fn(u64) -> u64,
     ) {
-        debug_assert!(w <= V3_WIDTH);
-        let latch_sigma = self.latch.overhead_sigma_ps();
-        let mut signs = [1.0f64; V3_WIDTH];
-        ws.wide.rngs.clear();
-        for (lane, sign_slot) in signs.iter_mut().enumerate().take(w) {
-            let (seed_index, overlay) = ps.prepare_trial(start + lane as u64);
-            *sign_slot = overlay.sign;
-            let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
-            ws.wide.weight[lane] = self.sampler.sample_die_with(
-                NormalFill::InvCdf,
-                &overlay,
-                &mut rng,
-                &mut ws.z,
-                &mut ws.die,
-            );
-            for (s, stage) in self.stages.iter().enumerate() {
-                ws.wide.shared[s * V3_WIDTH + lane] = ws.die.shared_dvth(stage.region);
-            }
-            if latch_sigma != 0.0 {
-                for s in 0..self.stages.len() {
-                    ws.wide.latch[s * V3_WIDTH + lane] =
-                        overlay.sign * sample_standard_normal_inv_cdf(&mut rng);
-                }
-            }
-            ws.wide.rngs.push(rng);
-        }
+        let signs = self.draw_dies_v3(ws, ps, start, w, seed_of);
         let wide = &mut ws.wide;
         fill_standard_normals_inv_cdf_fma_multi(
             &mut wide.rngs,
@@ -518,6 +508,84 @@ impl PreparedPipelineMc {
             }
         }
         self.compute_pass_v3(ws, w);
+    }
+
+    /// Die phase of one v3 pass: seeds each lane's generator from its
+    /// overlay's seed index, draws every lane's die and latch-jitter
+    /// normals, and shapes the dies lane-major. Leaves each stage's
+    /// per-lane shared ΔVth in `ws.wide.shared`, the latch normals in
+    /// `ws.wide.latch`, the weights in `ws.wide.weight` and the
+    /// generators, positioned at the first gate normal, in
+    /// `ws.wide.rngs`; returns the lanes' antithetic signs.
+    ///
+    /// Each lane gets the bits of
+    /// [`ProcessSampler::sample_die_with`] (inverse-CDF fill) followed by
+    /// one [`sample_standard_normal_inv_cdf`] per stage: one
+    /// multi-stream fill ([`fill_standard_normals_inv_cdf_multi`]) draws
+    /// the same values from the same stream positions, except that a
+    /// leading dim the overlay overrides has its `u64` consumed and its
+    /// quantile skipped; [`ProcessSampler::shape_die_lanes`] then applies
+    /// the shift and correlates the regions in `transform_into`'s
+    /// per-element order.
+    fn draw_dies_v3(
+        &self,
+        ws: &mut TrialWorkspace,
+        ps: &mut PlanSampler,
+        start: u64,
+        w: usize,
+        seed_of: &impl Fn(u64) -> u64,
+    ) -> [f64; V3_WIDTH] {
+        const W: usize = V3_WIDTH;
+        debug_assert!(w <= W);
+        let dims = self.die_dims();
+        let latch_n = if self.latch.overhead_sigma_ps() != 0.0 {
+            self.stages.len()
+        } else {
+            0
+        };
+        let wide = &mut ws.wide;
+        let z = &mut wide.die_z.as_chunks_mut::<W>().0[..dims];
+        let mut signs = [1.0f64; W];
+        // Every trial of a plan overrides the same number of leading
+        // dims and shifts by the same amount.
+        let (mut skip, mut shift) = (0, 0.0);
+        wide.rngs.clear();
+        for (lane, sign) in signs.iter_mut().enumerate().take(w) {
+            let (seed_index, overlay) = ps.prepare_trial(start + lane as u64);
+            debug_assert!(lane == 0 || (overlay.lead.len(), overlay.shift) == (skip, shift));
+            (*sign, skip, shift) = (overlay.sign, overlay.lead.len(), overlay.shift);
+            for (zd, &l) in z.iter_mut().zip(overlay.lead) {
+                zd[lane] = l;
+            }
+            let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
+            for _ in 0..skip {
+                rng.next_u64();
+            }
+            wide.rngs.push(rng);
+        }
+        let row = dims + latch_n - skip;
+        let rows = &mut wide.die_rows[..w * row];
+        fill_standard_normals_inv_cdf_multi(&mut wide.rngs, rows);
+        for (lane, &sign) in signs.iter().enumerate().take(w) {
+            let (die, latch) = rows[lane * row..(lane + 1) * row].split_at(dims - skip);
+            for (zd, &v) in z[skip..].iter_mut().zip(die) {
+                zd[lane] = v;
+            }
+            if sign != 1.0 {
+                for zd in z.iter_mut() {
+                    zd[lane] *= sign;
+                }
+            }
+            for (s, &v) in latch.iter().enumerate() {
+                wide.latch[s * W + lane] = sign * v;
+            }
+        }
+        self.sampler
+            .shape_die_lanes(z, shift, &mut wide.weight, &mut wide.die);
+        for (s, stage) in self.stages.iter().enumerate() {
+            wide.shared[s * W..(s + 1) * W].copy_from_slice(&wide.die.shared_dvth(stage.region));
+        }
+        signs
     }
 
     /// Lane-major compute phase of one v3 pass over `w` filled lanes,
@@ -543,8 +611,7 @@ impl PreparedPipelineMc {
             at,
             sd,
             maxd,
-            weight: _,
-            rngs: _,
+            ..
         } = &mut ws.wide;
         let latch_base = self.latch.overhead_ps();
         let latch_sigma = self.latch.overhead_sigma_ps();
@@ -1037,6 +1104,92 @@ mod tests {
                 assert!(
                     (a.mean() - b.mean()).abs() < 5.0 * a.sample_sd() * (2.0 / n as f64).sqrt()
                 );
+            }
+        }
+    }
+
+    /// Asserts the die phase of the v3 pass over `start..start + w`
+    /// gives each lane the bits of `sample_die_with` under its overlay
+    /// plus one inverse-CDF latch draw per stage (when the latch has
+    /// jitter), and parks its generator where that reference leaves it.
+    fn assert_die_pass_matches_per_lane(
+        prepared: &PreparedPipelineMc,
+        ws: &mut TrialWorkspace,
+        plan: TrialPlan,
+        start: u64,
+        w: usize,
+    ) {
+        let dims = prepared.die_dims();
+        let signs = prepared.draw_dies_v3(
+            ws,
+            &mut PlanSampler::new(plan, dims, seed_of(0)),
+            start,
+            w,
+            &seed_of,
+        );
+        let mut ps = PlanSampler::new(plan, dims, seed_of(0));
+        let (mut z, mut die) = (Vec::new(), DieSample::default());
+        let wide = &ws.wide;
+        for (lane, sign) in signs.iter().enumerate().take(w) {
+            let t = start + lane as u64;
+            let what = format!("{:?} trial {t}", plan.strategy);
+            let (seed_index, o) = ps.prepare_trial(t);
+            let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
+            let weight = prepared.sampler.sample_die_with(
+                NormalFill::InvCdf,
+                &o,
+                &mut rng,
+                &mut z,
+                &mut die,
+            );
+            assert_eq!(sign.to_bits(), o.sign.to_bits(), "{what}");
+            assert_eq!(wide.weight[lane].to_bits(), weight.to_bits(), "{what}");
+            for (s, stage) in prepared.stages.iter().enumerate() {
+                let want = die.shared_dvth(stage.region);
+                let got = wide.shared[s * V3_WIDTH + lane];
+                assert_eq!(got.to_bits(), want.to_bits(), "{what} stage {s}");
+            }
+            if prepared.latch.overhead_sigma_ps() != 0.0 {
+                for s in 0..prepared.stage_count() {
+                    let want = o.sign * sample_standard_normal_inv_cdf(&mut rng);
+                    let got = wide.latch[s * V3_WIDTH + lane];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what} latch {s}");
+                }
+            }
+            let mut parked = wide.rngs[lane].clone();
+            assert_eq!(parked.next_u64(), rng.next_u64(), "{what}: stream position");
+        }
+    }
+
+    /// The lane-major die phase of a v3 pass equals the per-lane
+    /// `sample_die_with` path, for every plan, with and without latch
+    /// jitter, under `Combined` and `RandomOnly` variation, on full and
+    /// ragged passes.
+    #[test]
+    fn lane_major_die_draws_match_sample_die_with() {
+        use crate::strategy::TrialStrategy;
+        for var in [
+            VariationConfig::combined(20.0, 35.0, 15.0),
+            VariationConfig::random_only(35.0),
+        ] {
+            let mc =
+                PipelineMc::new(CellLibrary::default(), var, None).with_kernel(TrialKernel::V3);
+            for latch in [LatchParams::tg_msff_70nm(), LatchParams::ideal()] {
+                let p = StagedPipeline::inverter_grid(4, 3, 1.0, latch);
+                let prepared = PreparedPipelineMc::new(&mc, &p);
+                let mut ws = prepared.workspace();
+                for strategy in [
+                    TrialStrategy::Plain,
+                    TrialStrategy::Antithetic,
+                    TrialStrategy::Stratified,
+                    TrialStrategy::Sobol,
+                    TrialStrategy::Blockade,
+                ] {
+                    for (start, w) in [(0u64, V3_WIDTH), (496, V3_WIDTH), (507, 5)] {
+                        let plan = TrialPlan::of(strategy);
+                        assert_die_pass_matches_per_lane(&prepared, &mut ws, plan, start, w);
+                    }
+                }
             }
         }
     }

@@ -33,14 +33,22 @@
 //!   likelihood-ratio weight; yields come from the self-normalized
 //!   reweighted estimator with a delta-method confidence interval.
 //!
+//! Stratified and Sobol values are derived block-wise: the first trial
+//! of an aligned 256-trial block that a [`PlanSampler`] prepares derives
+//! the whole block's leading-dim values (one tabulated permutation per
+//! dim, then one lane-interleaved quantile pass), and later trials of
+//! the block look theirs up. Each value is still a pure function of
+//! `(plan, stream key, global trial index)`, bit for bit the per-trial
+//! derivation, so block-wise derivation cannot reach any result byte.
+//!
 //! Like the kernel, the plan is **excluded from scenario identity**:
 //! identity pins what is simulated and the per-trial seed derivation
 //! (shared by all plans), while the plan pins how draws are shaped.
 //! Results land in distinct journal/cache entries per plan.
 
 use vardelay_stats::sobol::{sobol_shift, SobolSequence, SOBOL_MAX_DIMS};
-use vardelay_stats::strata::{permute256, stratified_uniform, stratum_key};
-use vardelay_stats::{inv_cap_phi, splitmix64_mix, uniform_open_from_u64, DrawOverlay};
+use vardelay_stats::strata::{stratified_uniform, stratum_key, Permute256};
+use vardelay_stats::{inv_cap_phi_lanes, splitmix64_mix, uniform_open_from_u64, DrawOverlay};
 
 /// Stratified plans partition trials into aligned blocks of this many
 /// strata. Equal to the sweep engine's scheduling block (`BLOCK_TRIALS`)
@@ -134,7 +142,11 @@ impl Default for TrialPlan {
 /// `(plan, stream key, global trial index)` — the stream key itself is
 /// derived from the scenario's counter seed at trial 0 — so any worker,
 /// shard, or resumed run derives identical modifications without
-/// coordination.
+/// coordination. Stratified and Sobol values are derived a whole aligned
+/// [`STRATA_BLOCK`] at a time (one permutation table and one
+/// lane-interleaved quantile pass per block, [`inv_cap_phi_lanes`]) the
+/// first time a trial of that block is prepared; a trial's values do
+/// not depend on which of its block's trials are run, or in what order.
 #[derive(Debug, Clone)]
 pub struct PlanSampler {
     plan: TrialPlan,
@@ -142,7 +154,11 @@ pub struct PlanSampler {
     stream_key: u64,
     sobol: Option<SobolSequence>,
     shifts: Vec<u32>,
+    /// Leading-dim values of every slot of block `block`, slot-major
+    /// (`slot * dims + d`); empty unless the plan overrides dims.
     lead: Vec<f64>,
+    /// The block `lead` holds, once one has been derived.
+    block: Option<u64>,
 }
 
 impl PlanSampler {
@@ -173,6 +189,7 @@ impl PlanSampler {
             sobol,
             shifts,
             lead: Vec::new(),
+            block: None,
         }
     }
 
@@ -180,52 +197,188 @@ impl PlanSampler {
     /// replay (seed the trial RNG from `seed_of(seed_index)`) and the
     /// overlay to apply to every normal the trial draws.
     pub fn prepare_trial(&mut self, t: u64) -> (u64, DrawOverlay<'_>) {
-        self.lead.clear();
-        let (seed_index, sign) = match self.plan.strategy {
-            TrialStrategy::Plain | TrialStrategy::Blockade => (t, 1.0),
+        let (seed_index, sign, shift) = match self.plan.strategy {
+            TrialStrategy::Blockade => (t, 1.0, self.plan.shift_sigmas),
             // Pair (2k, 2k+1): the odd trial replays the even seed
             // reflected. STRATA_BLOCK-aligned scheduling blocks are
             // even-sized, so a pair never straddles a block.
-            TrialStrategy::Antithetic => (t & !1, if t & 1 == 0 { 1.0 } else { -1.0 }),
-            TrialStrategy::Stratified => {
-                let block = t / STRATA_BLOCK;
-                let slot = (t % STRATA_BLOCK) as u8;
-                for d in 0..self.dims {
-                    let key = stratum_key(self.stream_key, block, d);
-                    let stratum = u64::from(permute256(key, slot));
+            TrialStrategy::Antithetic => (t & !1, if t & 1 == 0 { 1.0 } else { -1.0 }, 0.0),
+            _ => (t, 1.0, 0.0),
+        };
+        let lead = if self.dims == 0 {
+            &[][..]
+        } else {
+            let block = t / STRATA_BLOCK;
+            if self.block != Some(block) {
+                self.derive_block(block);
+            }
+            let slot = (t % STRATA_BLOCK) as usize;
+            &self.lead[slot * self.dims..(slot + 1) * self.dims]
+        };
+        (seed_index, DrawOverlay { sign, lead, shift })
+    }
+
+    /// Derives every slot's leading-dim values of `block`: the uniforms
+    /// first (stratified: one permutation table and key per dim; Sobol:
+    /// the shifted points of the block's global indices), then one
+    /// quantile pass over all of them.
+    fn derive_block(&mut self, block: u64) {
+        let dims = self.dims;
+        self.lead.resize(STRATA_BLOCK as usize * dims, 0.0);
+        if let Some(seq) = &self.sobol {
+            let first = block * STRATA_BLOCK;
+            for (t, row) in (first..).zip(self.lead.chunks_exact_mut(dims)) {
+                for (d, u) in row.iter_mut().enumerate() {
+                    *u = seq.scrambled_uniform(d, t, self.shifts[d]);
+                }
+            }
+        } else {
+            for d in 0..dims {
+                let key = stratum_key(self.stream_key, block, d);
+                let perm = Permute256::new(key);
+                for (slot, row) in (0u8..=255).zip(self.lead.chunks_exact_mut(dims)) {
+                    let stratum = u64::from(perm.apply(slot));
                     let jitter = uniform_open_from_u64(splitmix64_mix(
                         key ^ u64::from(slot).wrapping_mul(0xff51_afd7_ed55_8ccd),
                     ));
-                    let u = stratified_uniform(stratum, jitter, STRATA_BLOCK);
-                    self.lead.push(inv_cap_phi(u));
+                    row[d] = stratified_uniform(stratum, jitter, STRATA_BLOCK);
                 }
-                (t, 1.0)
             }
-            TrialStrategy::Sobol => {
-                let seq = self.sobol.as_ref().expect("sobol plan has a sequence");
-                for d in 0..self.dims {
-                    let u = seq.scrambled_uniform(d, t, self.shifts[d]);
-                    self.lead.push(inv_cap_phi(u));
-                }
-                (t, 1.0)
-            }
-        };
-        let shift = match self.plan.strategy {
-            TrialStrategy::Blockade => self.plan.shift_sigmas,
-            _ => 0.0,
-        };
-        let overlay = DrawOverlay {
-            sign,
-            lead: &self.lead,
-            shift,
-        };
-        (seed_index, overlay)
+        }
+        inv_cap_phi_lanes(&mut self.lead);
+        self.block = Some(block);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vardelay_stats::inv_cap_phi;
+    use vardelay_stats::strata::permute256;
+
+    /// One trial's modifications as owned values.
+    #[derive(Debug)]
+    struct Trial {
+        seed_index: u64,
+        sign: f64,
+        shift: f64,
+        lead: Vec<f64>,
+    }
+
+    impl Trial {
+        fn of(seed_index: u64, o: &DrawOverlay<'_>) -> Self {
+            Trial {
+                seed_index,
+                sign: o.sign,
+                shift: o.shift,
+                lead: o.lead.to_vec(),
+            }
+        }
+
+        fn assert_bits_eq(&self, want: &Trial, what: &str) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(self.seed_index, want.seed_index, "{what}: seed index");
+            assert_eq!(self.sign.to_bits(), want.sign.to_bits(), "{what}: sign");
+            assert_eq!(self.shift.to_bits(), want.shift.to_bits(), "{what}: shift");
+            assert_eq!(bits(&self.lead), bits(&want.lead), "{what}: lead");
+        }
+    }
+
+    /// The per-trial derivation the block-wise sampler replaced: every
+    /// value of trial `t` computed from scratch, one permutation and one
+    /// scalar quantile per leading dim.
+    fn reference_trial(plan: TrialPlan, dims: usize, seed0: u64, t: u64) -> Trial {
+        let dims = match plan.strategy {
+            TrialStrategy::Stratified | TrialStrategy::Sobol => dims.min(SOBOL_MAX_DIMS),
+            _ => 0,
+        };
+        let stream_key = splitmix64_mix(seed0 ^ PLAN_SALT);
+        let mut lead = Vec::new();
+        let (seed_index, sign) = match plan.strategy {
+            TrialStrategy::Plain | TrialStrategy::Blockade => (t, 1.0),
+            TrialStrategy::Antithetic => (t & !1, if t & 1 == 0 { 1.0 } else { -1.0 }),
+            TrialStrategy::Stratified => {
+                let block = t / STRATA_BLOCK;
+                let slot = (t % STRATA_BLOCK) as u8;
+                for d in 0..dims {
+                    let key = stratum_key(stream_key, block, d);
+                    let stratum = u64::from(permute256(key, slot));
+                    let jitter = uniform_open_from_u64(splitmix64_mix(
+                        key ^ u64::from(slot).wrapping_mul(0xff51_afd7_ed55_8ccd),
+                    ));
+                    let u = stratified_uniform(stratum, jitter, STRATA_BLOCK);
+                    lead.push(inv_cap_phi(u));
+                }
+                (t, 1.0)
+            }
+            TrialStrategy::Sobol => {
+                let seq = SobolSequence::new(dims);
+                for d in 0..dims {
+                    let u = seq.scrambled_uniform(d, t, sobol_shift(stream_key, d));
+                    lead.push(inv_cap_phi(u));
+                }
+                (t, 1.0)
+            }
+        };
+        let shift = match plan.strategy {
+            TrialStrategy::Blockade => plan.shift_sigmas,
+            _ => 0.0,
+        };
+        Trial {
+            seed_index,
+            sign,
+            shift,
+            lead,
+        }
+    }
+
+    /// The block-wise overlays equal the per-trial derivation bit for
+    /// bit, for every plan, across the leading-dim cap, on aligned,
+    /// straddling, single-trial and partial block ranges, with one fresh
+    /// sampler per range (as the engine makes one per block) — and on a
+    /// descending walk, which re-derives blocks out of order.
+    #[test]
+    fn block_wise_overlays_equal_the_per_trial_derivation() {
+        let strategies = [
+            TrialStrategy::Plain,
+            TrialStrategy::Antithetic,
+            TrialStrategy::Stratified,
+            TrialStrategy::Sobol,
+            TrialStrategy::Blockade,
+        ];
+        let ranges = [
+            0..1u64,
+            0..256,
+            255..513,
+            300..301,
+            1000..1300,
+            65_280..65_792,
+        ];
+        let seed0 = 0x005E_ED0F_0B1A;
+        for strategy in strategies {
+            let plan = TrialPlan::of(strategy);
+            for dims in [0usize, 1, 2, 15, 16, 17] {
+                for range in ranges.clone() {
+                    let mut ps = PlanSampler::new(plan, dims, seed0);
+                    for t in range.clone() {
+                        let (seed_index, o) = ps.prepare_trial(t);
+                        Trial::of(seed_index, &o).assert_bits_eq(
+                            &reference_trial(plan, dims, seed0, t),
+                            &format!("{strategy:?} dims {dims} trial {t}"),
+                        );
+                    }
+                }
+                let mut ps = PlanSampler::new(plan, dims, seed0);
+                for t in (250..262u64).rev() {
+                    let (seed_index, o) = ps.prepare_trial(t);
+                    Trial::of(seed_index, &o).assert_bits_eq(
+                        &reference_trial(plan, dims, seed0, t),
+                        &format!("{strategy:?} dims {dims} trial {t} (descending)"),
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn names_and_default() {

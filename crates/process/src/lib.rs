@@ -48,7 +48,7 @@ pub use delay_model::{
     slowdown_factors_shift_approx_into, AlphaPowerDelay,
 };
 pub use pelgrom::pelgrom_sigma;
-pub use sample::{DieSample, ProcessSampler};
+pub use sample::{DieLanes, DieSample, ProcessSampler};
 pub use spatial::{SpatialCorrelator, SpatialGrid};
 pub use tech::Technology;
 pub use variation::VariationConfig;

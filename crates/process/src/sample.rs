@@ -41,6 +41,62 @@ impl DieSample {
     }
 }
 
+/// `W` dies' shared components side by side, lane-major: the
+/// structure-of-arrays twin of [`DieSample`] that
+/// [`ProcessSampler::shape_die_lanes`] writes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DieLanes<const W: usize> {
+    /// Inter-die ΔVth of each lane (V).
+    global: [f64; W],
+    /// Per-region systematic ΔVth, `region * W + lane` (V); empty if no
+    /// systematic component.
+    region_dvth: Vec<f64>,
+}
+
+impl<const W: usize> Default for DieLanes<W> {
+    fn default() -> Self {
+        DieLanes {
+            global: [0.0; W],
+            region_dvth: Vec::new(),
+        }
+    }
+}
+
+impl<const W: usize> DieLanes<W> {
+    /// The shared (non-random) ΔVth each lane's gates see in region
+    /// `region` — [`DieSample::shared_dvth`], lane by lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is out of range while systematic variation is
+    /// configured.
+    pub fn shared_dvth(&self, region: usize) -> [f64; W] {
+        let mut shared = self.global;
+        if !self.region_dvth.is_empty() {
+            let r = &self.region_dvth[region * W..(region + 1) * W];
+            for (s, v) in shared.iter_mut().zip(r) {
+                *s += v;
+            }
+        }
+        shared
+    }
+
+    /// Grows the region buffer to hold `regions` regions, so a later
+    /// [`ProcessSampler::shape_die_lanes`] with up to that many
+    /// allocates nothing.
+    pub fn reserve(&mut self, regions: usize) {
+        let n = regions * W;
+        self.region_dvth
+            .reserve(n.saturating_sub(self.region_dvth.len()));
+    }
+
+    /// The region buffer, for callers that watch its storage for
+    /// reallocation.
+    pub fn storage(&self) -> &Vec<f64> {
+        &self.region_dvth
+    }
+}
+
 /// Draws per-die and per-gate variation samples.
 ///
 /// ```
@@ -115,6 +171,13 @@ impl ProcessSampler {
         } else {
             0
         }
+    }
+
+    /// Number of die-level standard normals one die draws: the
+    /// inter-die normal when configured, then one per correlated region
+    /// — the leading dims a stratified or Sobol trial plan shapes.
+    pub fn die_dims(&self) -> usize {
+        usize::from(self.variation.has_inter()) + self.region_value_count()
     }
 
     /// Allocation-free variant of [`ProcessSampler::sample_die`]: the v1
@@ -193,6 +256,60 @@ impl ProcessSampler {
             die.region_dvth.clear();
         }
         weight
+    }
+
+    /// The lane-major twin of [`ProcessSampler::sample_die_with`] after
+    /// its fill, for `W` dies at once.
+    ///
+    /// `z[j][lane]` holds lane `lane`'s die-level normals (the inter-die
+    /// normal when configured, then one per region) with the plan's
+    /// leading-dim overrides and sign already applied. Mean-shifts each
+    /// lane's inter-die normal by `shift` (writing its likelihood-ratio
+    /// weight, else `1.0`, into `weight`), then writes the dies into
+    /// `die`, correlating the regions lane-major. Each lane gets the bits
+    /// `sample_die_with` gives the same normals. Allocation-free once
+    /// `die` has served a call for this sampler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z` has fewer rows than the die has dims.
+    pub fn shape_die_lanes<const W: usize>(
+        &self,
+        z: &mut [[f64; W]],
+        shift: f64,
+        weight: &mut [f64; W],
+        die: &mut DieLanes<W>,
+    ) {
+        let n_inter = usize::from(self.variation.has_inter());
+        let regions = self.region_value_count();
+        *weight = [1.0; W];
+        if n_inter == 1 {
+            let overlay = DrawOverlay {
+                sign: 1.0,
+                lead: &[],
+                shift,
+            };
+            let s = self.variation.sigma_vth_inter_v();
+            for ((g, w), z0) in die.global.iter_mut().zip(weight).zip(&mut z[0]) {
+                *w = overlay.shift_weight(z0);
+                *g = s * *z0;
+            }
+        } else {
+            die.global = [0.0; W];
+        }
+        die.region_dvth.resize(regions * W, 0.0);
+        if regions > 0 {
+            let corr = self
+                .correlator
+                .as_ref()
+                .expect("systematic variation implies a grid");
+            let out = die.region_dvth.as_chunks_mut::<W>().0;
+            corr.correlate_lanes(&z[n_inter..n_inter + regions], out);
+            let s = self.variation.sigma_vth_sys_v();
+            for v in &mut die.region_dvth {
+                *v *= s;
+            }
+        }
     }
 
     /// Draws the independent random ΔVth (V) for one gate of size factor

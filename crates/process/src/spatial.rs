@@ -183,6 +183,19 @@ impl SpatialCorrelator {
     pub fn correlate_into(&self, z: &[f64], out: &mut [f64]) {
         self.chol.transform_into(z, out);
     }
+
+    /// [`SpatialCorrelator::correlate_into`] for `W` vectors at once,
+    /// stored lane-major (`z[region][lane]`, `out[region][lane]`); each
+    /// lane gets the bits `correlate_into` gives its own vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z` or `out` has fewer than `region_count()` rows.
+    pub fn correlate_lanes<const W: usize>(&self, z: &[[f64; W]], out: &mut [[f64; W]]) {
+        for (i, y) in out[..self.region_count()].iter_mut().enumerate() {
+            *y = self.chol.transform_row_lanes(i, z);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -229,16 +229,35 @@ pub fn sample_standard_normal_inv_cdf<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// ~95.15% of draws need nothing else), and only the recorded tail
 /// elements are re-evaluated.
 pub fn fill_standard_normals_inv_cdf<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+    fill_row(rng, out, quantile_chunk);
+}
+
+/// One quantile chunk of the non-fused fill: the vectorized central
+/// rational over every element, then the tail fixup on the recorded
+/// indices only.
+#[inline]
+fn quantile_chunk(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
+    // For tail elements this evaluates the central rational out of its
+    // domain — finite junk, overwritten below. Keeping the map
+    // reduction-free lets it vectorize.
+    acklam_central_pass_dispatch(chunk, u);
+    fix_tails(chunk, u, tails);
+}
+
+/// Fills one row from one stream, 64 uniforms at a time, through
+/// `quantile` — the single-stream body of every inverse-CDF fill.
+#[inline]
+fn fill_row<R: Rng + ?Sized>(
+    rng: &mut R,
+    out: &mut [f64],
+    quantile: impl Fn(&mut [f64], &[f64], &[u8]),
+) {
     let mut uniforms = [0.0f64; 64];
     let mut tails = [0u8; 64];
     for chunk in out.chunks_mut(64) {
         let u = &mut uniforms[..chunk.len()];
         let tn = draw_uniform_chunk(rng, u, &mut tails);
-        // For tail elements this evaluates the central rational out of
-        // its domain — finite junk, overwritten below. Keeping the map
-        // reduction-free lets it vectorize.
-        acklam_central_pass_dispatch(chunk, u);
-        fix_tails(chunk, u, &tails[..tn]);
+        quantile(chunk, u, &tails[..tn]);
     }
 }
 
@@ -402,13 +421,23 @@ fn fix_tails(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
 /// later draw), element-wise identical to
 /// [`standard_normal_inv_cdf_fma`] on each uniform.
 pub fn fill_standard_normals_inv_cdf_fma<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    let mut uniforms = [0.0f64; 64];
-    let mut tails = [0u8; 64];
-    for chunk in out.chunks_mut(64) {
-        let u = &mut uniforms[..chunk.len()];
-        let tn = draw_uniform_chunk(rng, u, &mut tails);
-        quantile_chunk_fma(chunk, u, &tails[..tn]);
-    }
+    fill_row(rng, out, quantile_chunk_fma);
+}
+
+/// [`fill_standard_normals_inv_cdf`] over several **independent**
+/// generator streams at once — the v3 kernel's die and latch-jitter
+/// draws: row `i` of `out` (rows are `out.len() / rngs.len()`
+/// contiguous elements) is filled element-wise and bit-identically as
+/// `fill_standard_normals_inv_cdf(&mut rngs[i], row_i)` would fill it,
+/// consuming only `rngs[i]`. See
+/// [`fill_standard_normals_inv_cdf_fma_multi`] for the interleaving.
+///
+/// # Panics
+///
+/// Panics if `rngs` is empty or `out.len()` is not a multiple of
+/// `rngs.len()`.
+pub fn fill_standard_normals_inv_cdf_multi<R: Rng>(rngs: &mut [R], out: &mut [f64]) {
+    fill_rows(rngs, out, quantile_chunk);
 }
 
 /// [`fill_standard_normals_inv_cdf_fma`] over several **independent**
@@ -428,6 +457,18 @@ pub fn fill_standard_normals_inv_cdf_fma<R: Rng + ?Sized>(rng: &mut R, out: &mut
 /// Panics if `rngs` is empty or `out.len()` is not a multiple of
 /// `rngs.len()`.
 pub fn fill_standard_normals_inv_cdf_fma_multi<R: Rng>(rngs: &mut [R], out: &mut [f64]) {
+    fill_rows(rngs, out, quantile_chunk_fma);
+}
+
+/// The multi-stream body of both inverse-CDF fills: rows in quads of
+/// interleaved streams, leftover rows through [`fill_row`], every chunk
+/// through `quantile`.
+#[inline]
+fn fill_rows<R: Rng>(
+    rngs: &mut [R],
+    out: &mut [f64],
+    quantile: impl Fn(&mut [f64], &[f64], &[u8]),
+) {
     assert!(!rngs.is_empty(), "need at least one stream");
     assert!(
         out.len().is_multiple_of(rngs.len()),
@@ -477,7 +518,7 @@ pub fn fill_standard_normals_inv_cdf_fma_multi<R: Rng>(rngs: &mut [R], out: &mut
                 }
                 for (lane, ul) in u.iter().enumerate() {
                     let off = lane * row_len + start;
-                    quantile_chunk_fma(
+                    quantile(
                         &mut oq[off..off + len],
                         &ul[..len],
                         &tails[lane][..tn[lane]],
@@ -487,7 +528,7 @@ pub fn fill_standard_normals_inv_cdf_fma_multi<R: Rng>(rngs: &mut [R], out: &mut
             }
         } else {
             for (rng, row) in rq.iter_mut().zip(oq.chunks_mut(row_len)) {
-                fill_standard_normals_inv_cdf_fma(rng, row);
+                fill_row(rng, row, &quantile);
             }
         }
     }
@@ -853,6 +894,46 @@ mod tests {
             }
         }
         assert_eq!(edges, [true; 3], "tail draws at chunk edges");
+    }
+
+    /// Both multi-stream fills give every row the single-stream fill's
+    /// bits and leave each stream where that fill leaves it, across quad
+    /// and leftover rows and 64-element chunk edges.
+    #[test]
+    fn multi_stream_fills_match_single_stream_rows() {
+        type Multi = fn(&mut [StdRng], &mut [f64]);
+        type Single = fn(&mut StdRng, &mut [f64]);
+        let fills: [(Multi, Single); 2] = [
+            (
+                fill_standard_normals_inv_cdf_multi,
+                fill_standard_normals_inv_cdf,
+            ),
+            (
+                fill_standard_normals_inv_cdf_fma_multi,
+                fill_standard_normals_inv_cdf_fma,
+            ),
+        ];
+        for (multi, single) in fills {
+            for streams in [1usize, 2, 4, 5, 16] {
+                for row in [0usize, 1, 3, 20, 64, 65, 130] {
+                    let seeded = || -> Vec<StdRng> {
+                        (0..streams as u64)
+                            .map(|s| StdRng::seed_from_u64(s * 977 + row as u64))
+                            .collect()
+                    };
+                    let (mut a, mut b) = (seeded(), seeded());
+                    let mut out = vec![0.0; streams * row];
+                    multi(&mut a, &mut out);
+                    let mut want = vec![0.0; row];
+                    for (i, (ra, rb)) in a.iter_mut().zip(&mut b).enumerate() {
+                        single(rb, &mut want);
+                        let got = &out[i * row..(i + 1) * row];
+                        assert_eq!(got, &want[..], "{streams} streams, row {i} of {row}");
+                        assert_eq!(ra.next_u64(), rb.next_u64(), "row {i} consumption");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

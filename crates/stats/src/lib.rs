@@ -68,9 +68,9 @@ pub use draw::{DrawOverlay, NormalFill};
 pub use matrix::SymMatrix;
 pub use mix::{counter_seed, splitmix64_mix};
 pub use mvn::MultivariateNormal;
-pub use normal::{cap_phi, erf, erfc, inv_cap_phi, phi, Normal, NormalError};
+pub use normal::{cap_phi, erf, erfc, inv_cap_phi, inv_cap_phi_lanes, phi, Normal, NormalError};
 pub use sobol::{sobol_shift, SobolSequence, SOBOL_MAX_DIMS};
 pub use strata::{
     effective_sample_size, mean_shift_weight, permute256, stratified_uniform, stratum_key,
-    weighted_fraction_ci,
+    weighted_fraction_ci, Permute256,
 };

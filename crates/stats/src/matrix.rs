@@ -242,8 +242,31 @@ impl Cholesky {
     /// Row `i` of `L` up to and including the diagonal (`i + 1` entries),
     /// in the `j` order [`Cholesky::transform_into`] sums it in.
     #[inline]
-    pub(crate) fn row(&self, i: usize) -> &[f64] {
+    fn row(&self, i: usize) -> &[f64] {
         &self.l[i * self.n..=i * self.n + i]
+    }
+
+    /// Element `i` of `L z` for `W` vectors at once, stored lane-major
+    /// (`z[j][lane]`): each lane gets [`Cholesky::transform_into`]'s bits
+    /// — the first product, then `+=` in `j` order (its `f64` sum starts
+    /// from `-0.0`, which keeps the first product's bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= dim()` or `z` has fewer than `i + 1` rows.
+    #[inline]
+    pub fn transform_row_lanes<const W: usize>(&self, i: usize, z: &[[f64; W]]) -> [f64; W] {
+        let (l0, rest) = self.row(i).split_first().expect("row has a diagonal");
+        let mut y = [0.0; W];
+        for (y, z) in y.iter_mut().zip(&z[0]) {
+            *y = l0 * z;
+        }
+        for (lij, zj) in rest.iter().zip(&z[1..=i]) {
+            for (y, z) in y.iter_mut().zip(zj) {
+                *y += lij * z;
+            }
+        }
+        y
     }
 
     /// Computes `y = L z`, transforming iid standard normals `z` into

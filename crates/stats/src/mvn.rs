@@ -241,16 +241,7 @@ impl MultivariateNormal {
         let mut best = [f64::NEG_INFINITY; LANES];
         let mut arg = [0usize; LANES];
         for (i, &mi) in self.mean.iter().enumerate() {
-            let (l0, rest) = self.chol.row(i).split_first().expect("row has a diagonal");
-            let mut y = [0.0; LANES];
-            for (y, z) in y.iter_mut().zip(&lanes[0]) {
-                *y = l0 * z;
-            }
-            for (lij, zj) in rest.iter().zip(&lanes[1..]) {
-                for (y, z) in y.iter_mut().zip(zj) {
-                    *y += lij * z;
-                }
-            }
+            let y = self.chol.transform_row_lanes(i, lanes);
             for ((y, b), a) in y.iter().zip(&mut best).zip(&mut arg) {
                 let x = y + mi;
                 let gt = x > *b;

@@ -142,6 +142,154 @@ pub fn cap_phi(x: f64) -> f64 {
 /// assert!((cap_phi(x) - 0.8).abs() < 1e-14);
 /// ```
 pub fn inv_cap_phi(p: f64) -> f64 {
+    let x = acklam_quantile(p);
+    halley_step(p, x, cap_phi(x))
+}
+
+/// Series [`inv_cap_phi_lanes`] steps side by side.
+const QUANTILE_LANES: usize = 16;
+
+/// Elements [`inv_cap_phi_lanes`] stages at a time.
+const QUANTILE_BATCH: usize = 256;
+
+/// [`inv_cap_phi`] over a slice, in place: every element is replaced by
+/// its quantile, bit for bit what the scalar function returns.
+///
+/// Each element runs the exact scalar operation sequence, but the Halley
+/// step's `erf` series — a serial chain of one divide, multiply and add
+/// per term, 1 to ~45 terms deep — runs 16 elements side by side
+/// instead of one latency-bound chain after another. A lane's series
+/// sum freezes once its own `new == sum || n > 300` rule fires; lanes
+/// are grouped by series argument, so a group's lanes need similar term
+/// counts and few steps are spent on frozen lanes. The `ln` tails, the
+/// `exp` calls and the continued-fraction branch (`|x|/√2 >= 2`) stay
+/// scalar per element.
+///
+/// # Panics
+///
+/// Panics if any element is outside `(0, 1)` or is NaN.
+pub fn inv_cap_phi_lanes(p: &mut [f64]) {
+    for batch in p.chunks_mut(QUANTILE_BATCH) {
+        inv_cap_phi_batch(batch);
+    }
+}
+
+/// One batch (at most [`QUANTILE_BATCH`] elements) of
+/// [`inv_cap_phi_lanes`]: `cap_phi(x) = 0.5 · erfc(-x/√2)` unrolled into
+/// [`erfc`]'s branches, with the series branch run 16 lanes at a time
+/// over the series elements in order of their argument.
+fn inv_cap_phi_batch(p: &mut [f64]) {
+    const B: usize = QUANTILE_BATCH;
+    const L: usize = QUANTILE_LANES;
+    let n = p.len();
+    debug_assert!(n <= B);
+    // `erfc(y)` at `y = -x/√2` evaluates at `a = |y|` and reflects when
+    // `y < 0`; the series elements are those with `a < 2`.
+    let mut x = [0.0; B];
+    let mut a = [0.0; B];
+    for i in 0..n {
+        x[i] = acklam_quantile(p[i]);
+        let y = -x[i] / SQRT_2;
+        a[i] = if y < 0.0 { -y } else { y };
+    }
+    // Counting-sort the series elements by `⌊8a⌋`: the term count grows
+    // with `a`, so each 16-lane group gets similar counts.
+    let bucket = |a: f64| (a * 8.0) as usize;
+    let mut starts = [0usize; L + 1];
+    for &ai in a[..n].iter().filter(|&&ai| ai < 2.0) {
+        starts[bucket(ai) + 1] += 1;
+    }
+    for b in 0..L {
+        starts[b + 1] += starts[b];
+    }
+    let series = starts[L];
+    let mut order = [0u8; B];
+    for (i, &ai) in a[..n].iter().enumerate().filter(|(_, &ai)| ai < 2.0) {
+        let slot = &mut starts[bucket(ai)];
+        order[*slot] = i as u8;
+        *slot += 1;
+    }
+    let mut sum = [0.0; B];
+    for group in order[..series].chunks(L) {
+        let (mut lanes, mut live) = ([0.0; L], [false; L]);
+        for ((v, l), &i) in lanes.iter_mut().zip(&mut live).zip(group) {
+            (*v, *l) = (a[usize::from(i)], true);
+        }
+        let s = erf_series_lanes_dispatch(&lanes, live);
+        for (&i, &v) in group.iter().zip(&s) {
+            sum[usize::from(i)] = v;
+        }
+    }
+    for i in 0..n {
+        let r = if a[i] < 2.0 {
+            1.0 - 2.0 / std::f64::consts::PI.sqrt() * (-(a[i] * a[i])).exp() * sum[i]
+        } else {
+            erfc_cf(a[i])
+        };
+        let erfc = if -x[i] / SQRT_2 < 0.0 { 2.0 - r } else { r };
+        p[i] = halley_step(p[i], x[i], 0.5 * erfc);
+    }
+}
+
+type Lanes = [f64; QUANTILE_LANES];
+
+/// The term loop of [`erf_series`] at every `live` lane's argument at
+/// once, returning each lane's sum: each lane takes the scalar steps in
+/// the scalar order and stops (its sum frozen) on the step its own
+/// stopping rule fires. Frozen lanes keep stepping their term (never
+/// read again) so the body stays branch-free. Marked `inline(always)`
+/// so the AVX wrapper below inherits the body and vectorizes it 4-wide;
+/// mul/add/div vectorization is IEEE-exact per element (FMA is not
+/// enabled), so every dispatch target produces the scalar bits.
+#[inline(always)]
+fn erf_series_lanes(x: &Lanes, mut live: [bool; QUANTILE_LANES]) -> Lanes {
+    let x2 = x.map(|v| v * v);
+    let (mut term, mut sum) = (*x, *x);
+    let mut n = 0u32;
+    while live.contains(&true) {
+        n += 1;
+        let d = 2.0 * f64::from(n) + 1.0;
+        let cap = n > 300;
+        for i in 0..QUANTILE_LANES {
+            term[i] *= 2.0 * x2[i] / d;
+            let new = sum[i] + term[i];
+            let go = live[i] && !(new == sum[i] || cap);
+            sum[i] = if go { new } else { sum[i] };
+            live[i] = go;
+        }
+    }
+    sum
+}
+
+/// [`erf_series_lanes`] compiled for AVX.
+///
+/// # Safety
+///
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn erf_series_lanes_avx(x: &Lanes, live: [bool; QUANTILE_LANES]) -> Lanes {
+    erf_series_lanes(x, live)
+}
+
+#[inline]
+fn erf_series_lanes_dispatch(x: &Lanes, live: [bool; QUANTILE_LANES]) -> Lanes {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: the AVX feature was just detected at runtime.
+        return unsafe { erf_series_lanes_avx(x, live) };
+    }
+    erf_series_lanes(x, live)
+}
+
+/// Acklam's rational approximation of the quantile — the starting point
+/// [`inv_cap_phi`] refines.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `(0, 1)` or is NaN.
+#[inline]
+fn acklam_quantile(p: f64) -> f64 {
     assert!(
         p > 0.0 && p < 1.0,
         "inv_cap_phi requires p in the open interval (0, 1), got {p}"
@@ -178,7 +326,7 @@ pub fn inv_cap_phi(p: f64) -> f64 {
     ];
     const P_LOW: f64 = 0.02425;
 
-    let x = if p < P_LOW {
+    if p < P_LOW {
         let q = (-2.0 * p.ln()).sqrt();
         (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
@@ -191,10 +339,14 @@ pub fn inv_cap_phi(p: f64) -> f64 {
         let q = (-2.0 * (1.0 - p).ln()).sqrt();
         -((((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0))
-    };
-    // One Halley refinement step: u = (Phi(x) - p) / phi(x);
-    // x <- x - u / (1 + x*u/2).
-    let e = cap_phi(x) - p;
+    }
+}
+
+/// One Halley refinement of the quantile estimate `x` of `p`, given
+/// `cdf = Phi(x)`: `u = (Phi(x) - p) / phi(x)`, `x - u / (1 + x·u/2)`.
+#[inline]
+fn halley_step(p: f64, x: f64, cdf: f64) -> f64 {
+    let e = cdf - p;
     let u = e / phi(x);
     x - u / (1.0 + 0.5 * x * u)
 }
@@ -451,6 +603,83 @@ mod tests {
     #[should_panic(expected = "open interval")]
     fn inv_cap_phi_rejects_zero() {
         let _ = inv_cap_phi(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "open interval")]
+    fn inv_cap_phi_lanes_rejects_one() {
+        inv_cap_phi_lanes(&mut [0.5, 1.0]);
+    }
+
+    /// Asserts the lane quantile of every element of `p` is the scalar
+    /// quantile's bits, at every chunk position the slice puts it in.
+    fn assert_lanes_match_scalar(p: &[f64]) {
+        let mut lanes = p.to_vec();
+        inv_cap_phi_lanes(&mut lanes);
+        for (&pi, &qi) in p.iter().zip(&lanes) {
+            let want = inv_cap_phi(pi);
+            assert_eq!(qi.to_bits(), want.to_bits(), "p = {pi:e}: {qi} vs {want}");
+        }
+    }
+
+    fn ulp_neighbours(v: f64) -> [f64; 3] {
+        [
+            f64::from_bits(v.to_bits() - 1),
+            v,
+            f64::from_bits(v.to_bits() + 1),
+        ]
+    }
+
+    #[test]
+    fn inv_cap_phi_lanes_matches_scalar_at_branch_edges() {
+        let mut p = Vec::new();
+        // Acklam's branch points, ±1 ulp.
+        p.extend(ulp_neighbours(0.02425));
+        p.extend(ulp_neighbours(1.0 - 0.02425));
+        // The series / continued-fraction switch: the last `p` whose
+        // Acklam estimate has |x|/√2 on one side of 2, the first on the
+        // other, ±1 ulp — in both tails.
+        for (lo, hi) in [(cap_phi(-3.0), cap_phi(-2.5)), (cap_phi(2.5), cap_phi(3.0))] {
+            let (side, edge) = erfc_switch(lo, hi);
+            p.extend(ulp_neighbours(side));
+            p.extend(ulp_neighbours(edge));
+        }
+        p.extend([0.5, f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0]);
+        // Each value alone (a 1-lane chunk), then packed so chunks mix
+        // series and continued-fraction lanes.
+        for &v in &p {
+            assert_lanes_match_scalar(&[v]);
+        }
+        assert_lanes_match_scalar(&p);
+    }
+
+    /// Bisects `lo..hi` (one side of the median) for the adjacent pair
+    /// of `p` whose Acklam estimates put `|x|/√2` on either side of 2,
+    /// where [`erfc`] switches from the series to the continued
+    /// fraction.
+    fn erfc_switch(mut lo: f64, mut hi: f64) -> (f64, f64) {
+        let series = |p: f64| (acklam_quantile(p) / SQRT_2).abs() < 2.0;
+        let lo_side = series(lo);
+        assert_ne!(lo_side, series(hi), "range does not straddle the switch");
+        while hi.to_bits() - lo.to_bits() > 1 {
+            let mid = f64::from_bits(lo.to_bits() + (hi.to_bits() - lo.to_bits()) / 2);
+            if series(mid) == lo_side {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo, hi)
+    }
+
+    #[test]
+    fn inv_cap_phi_lanes_matches_scalar_on_random_uniforms() {
+        let mut rng = StdRng::seed_from_u64(0x0DD5_EED5);
+        let p: Vec<f64> = (0..1_000_000)
+            .map(|_| crate::batch::uniform_open_from_u64(rng.next_u64()))
+            .collect();
+        // A ragged length, so the last chunk is partial.
+        assert_lanes_match_scalar(&p[..999_997]);
     }
 
     #[test]

@@ -24,18 +24,61 @@ const Z_95: f64 = 1.959_963_984_540_054;
 ///
 /// Used to assign block-local trial slots to strata: for a fixed `key`
 /// every `j` in `0..=255` maps to a distinct stratum, so a full block
-/// covers every stratum exactly once per dimension.
+/// covers every stratum exactly once per dimension. [`Permute256`]
+/// evaluates the same bijection for a whole block.
 #[must_use]
 pub fn permute256(key: u64, j: u8) -> u8 {
     let mut l = j >> 4;
     let mut r = j & 0x0f;
     for round in 0..4u64 {
-        let f = (splitmix64_mix(key ^ (round << 8) ^ u64::from(r)) & 0x0f) as u8;
-        let new_r = l ^ f;
+        let new_r = l ^ feistel_round(key, round, r);
         l = r;
         r = new_r;
     }
     (l << 4) | r
+}
+
+/// The round function of [`permute256`]: a keyed 4-bit value of the
+/// round index and the right half.
+#[inline]
+fn feistel_round(key: u64, round: u64, r: u8) -> u8 {
+    (splitmix64_mix(key ^ (round << 8) ^ u64::from(r)) & 0x0f) as u8
+}
+
+/// [`permute256`] for one key with its round function tabulated: the 4
+/// rounds × 16 right halves cost 64 mixes once, after which each of a
+/// block's 256 slots costs four table lookups instead of four mixes.
+#[derive(Debug, Clone, Copy)]
+pub struct Permute256 {
+    rounds: [[u8; 16]; 4],
+}
+
+impl Permute256 {
+    /// Tabulates the round function of `key`.
+    #[must_use]
+    pub fn new(key: u64) -> Self {
+        let mut rounds = [[0u8; 16]; 4];
+        for (round, table) in (0u64..).zip(&mut rounds) {
+            for (r, f) in (0u8..).zip(table.iter_mut()) {
+                *f = feistel_round(key, round, r);
+            }
+        }
+        Permute256 { rounds }
+    }
+
+    /// `permute256(key, j)`, bit for bit.
+    #[inline]
+    #[must_use]
+    pub fn apply(&self, j: u8) -> u8 {
+        let mut l = j >> 4;
+        let mut r = j & 0x0f;
+        for table in &self.rounds {
+            let new_r = l ^ table[usize::from(r)];
+            l = r;
+            r = new_r;
+        }
+        (l << 4) | r
+    }
 }
 
 /// The permutation key for `(stream key, block, dim)`: independent keys
@@ -119,6 +162,16 @@ mod tests {
                 let p = permute256(key, j);
                 assert!(!seen[p as usize], "key {key:#x}: duplicate image {p}");
                 seen[p as usize] = true;
+            }
+        }
+    }
+
+    #[test]
+    fn tabulated_permutation_equals_permute256() {
+        for key in [0u64, 1, 0xDEAD_BEEF, u64::MAX, stratum_key(7, 3, 15)] {
+            let table = Permute256::new(key);
+            for j in 0..=255u8 {
+                assert_eq!(table.apply(j), permute256(key, j), "key {key:#x}, j {j}");
             }
         }
     }

@@ -144,8 +144,9 @@ USAGE:
       and report the scenario count, trial total and block count plus
       each scenario's backend, kernel version, trial strategy and
       estimated relative cost per trial (gate evaluations weighted by
-      the kernel's calibrated speed and the strategy's overhead). A
-      spec naming an unknown strategy is rejected with the valid set.
+      the kernel's calibrated speed, plus the strategy's overhead per
+      shaped leading die dim). A spec naming an unknown strategy is
+      rejected with the valid set.
       With --cache DIR, also report how many units are already cached
       vs to execute and the adjusted cost estimate.
 
