@@ -7,29 +7,26 @@
 //! instead of hand-placed timers), sizing throughput on both kernels
 //! (the old-vs-new ratio is the incremental kernel's headline), raw
 //! retime-probe cost, and the Monte-Carlo verification throughput in
-//! trials/sec on **all three trial kernels**. Timings are the median
-//! of `SAMPLES` runs on a warmed process.
+//! trials/sec on **both trial kernels**. Timings are the median of
+//! `SAMPLES` runs on a warmed process.
 //!
-//! This PR's headline is the **v3 wide kernel + pooled verification**
-//! section: the lane-major structure-of-arrays kernel must clear
-//! [`V3_OVER_V2_FLOOR`]× the v2 rate measured in the same process
-//! (host noise cancels, so the ratio gates unconditionally), and the
-//! `mc_verify_parallel` block times the v3 chunked verification fold
-//! sequentially vs through the worker pool. The pooled bytes are
-//! asserted identical to the sequential fold **unconditionally**; the
-//! wall-clock speedup is only gated (≥[`MC_VERIFY_PARALLEL_FLOOR`]×)
-//! when the host actually has ≥4 cores — on a single-core runner the
-//! pool cannot manifest a speedup and the entry is informational.
+//! The **v3 wide kernel + pooled verification** section: the lane-major
+//! structure-of-arrays kernel must clear [`V3_SPEEDUP_FLOOR`]× the v1
+//! rate measured in the same process (host noise cancels, so the ratio
+//! gates unconditionally), and the `mc_verify_parallel` block times the
+//! v3 chunked verification fold sequentially vs through the worker
+//! pool. The pooled bytes are asserted identical to the sequential fold
+//! **unconditionally**; the wall-clock speedup is only gated
+//! (≥[`MC_VERIFY_PARALLEL_FLOOR`]×) when the host actually has ≥4 cores
+//! — on a single-core runner the pool cannot manifest a speedup and the
+//! entry is informational.
 //!
 //! With `--baseline <prev.json>` the run also **gates regressions**:
 //! if the incremental-kernel speedup or the MC verification throughput
 //! fell more than [`REGRESSION_TOLERANCE`] below the checked-in
 //! previous BENCH file, the process exits non-zero and CI fails.
 //! Ratios (speedups) are machine-independent; trials/sec is noisy
-//! across hosts, which is why the tolerance is a generous 20%. The v2
-//! batch kernel additionally gates **forward**: its throughput must be
-//! at least [`V2_SPEEDUP_FLOOR`]× the baseline's v1 rate, measured in
-//! the same process so host noise cancels.
+//! across hosts, which is why the tolerance is a generous 20%.
 //!
 //! The **result cache** gates carry forward: a warm campaign rerun
 //! against a populated content-addressed store must reproduce the cold
@@ -145,15 +142,14 @@ fn campaign(backend: YieldBackendSpec) -> OptimizationCampaign {
 /// Allowed fractional drop versus the baseline before CI fails.
 const REGRESSION_TOLERANCE: f64 = 0.20;
 
-/// The v2 batch kernel must clear this multiple of the v1 trial rate.
+/// The v3 wide kernel must clear this multiple of the v1 trial rate.
 /// Both rates are measured in the same process on the same pipeline,
-/// so the ratio is host-independent even though each rate is not.
-const V2_SPEEDUP_FLOOR: f64 = 3.0;
-
-/// The v3 wide kernel must clear this multiple of the v2 rate, same
-/// process, same pipeline — an unconditional single-thread gate (the
-/// lane-major layout must pay for itself before any pooling).
-const V3_OVER_V2_FLOOR: f64 = 1.5;
+/// so the ratio is host-independent even though each rate is not — an
+/// unconditional single-thread gate (the lane-major layout must pay for
+/// itself before any pooling). 4.5 is the product of the two floors it
+/// replaced when the v2 batch kernel was retired: v2 at 3× v1 and v3 at
+/// 1.5× v2.
+const V3_SPEEDUP_FLOOR: f64 = 4.5;
 
 /// Pooled v3 verification must be at least this much faster than the
 /// sequential fold — gated only on hosts with ≥4 cores, where the pool
@@ -356,8 +352,8 @@ fn main() {
     );
     let plain = TrialPlan::plain();
     let trials = 8_192u64;
-    // v1 (scalar), v2 (batch) and v3 (wide) kernels: same pipeline, same
-    // process, measured in that order.
+    // v1 (scalar) and v3 (wide) kernels: same pipeline, same process,
+    // measured in that order.
     let trials_per_sec_of = |kernel: TrialKernel| {
         let prepared = PreparedPipelineMc::new(&mc.clone().with_kernel(kernel), &pipe);
         let mut ws = prepared.workspace();
@@ -369,7 +365,6 @@ fn main() {
         trials as f64 / (ms / 1e3)
     };
     let trials_per_sec = trials_per_sec_of(TrialKernel::V1);
-    let trials_per_sec_v2 = trials_per_sec_of(TrialKernel::V2);
     let trials_per_sec_v3 = trials_per_sec_of(TrialKernel::V3);
 
     // --- Pooled v3 verification: sequential fold vs the worker pool. ---
@@ -517,9 +512,8 @@ fn main() {
          \"sizing\": {{\n    \"size_stage_200g_ms\": {:.4},\n    \"size_stage_200g_full_pass_ms\": {:.4},\n    \
          \"kernel_speedup\": {:.3}\n  }},\n  \"retime_probe\": {{\n    \"incremental_us\": {:.3},\n    \
          \"full_pass_us\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"mc_verification\": {{\n    \
-         \"trials_per_sec\": {:.0},\n    \"kernel_v2_trials_per_sec\": {:.0},\n    \
-         \"kernel_v2_speedup\": {:.2},\n    \"kernel_v3_trials_per_sec\": {:.0},\n    \
-         \"kernel_v3_over_v2\": {:.2}\n  }},\n  \"mc_verify_parallel\": {{\n    \
+         \"trials_per_sec\": {:.0},\n    \"kernel_v3_trials_per_sec\": {:.0},\n    \
+         \"kernel_v3_speedup\": {:.2}\n  }},\n  \"mc_verify_parallel\": {{\n    \
          \"cores\": {},\n    \"budget_trials\": {},\n    \"sequential_ms\": {:.3},\n    \
          \"parallel_ms\": {:.3},\n    \"speedup\": {:.2},\n    \"bytes_identical\": true\n  }},\n  \
          \"trial_plans\": {}\n}}",
@@ -542,10 +536,8 @@ fn main() {
         probe_full_ms * 1e3,
         probe_full_ms / probe_inc_ms,
         trials_per_sec,
-        trials_per_sec_v2,
-        trials_per_sec_v2 / trials_per_sec,
         trials_per_sec_v3,
-        trials_per_sec_v3 / trials_per_sec_v2,
+        trials_per_sec_v3 / trials_per_sec,
         cores,
         pool_budget,
         verify_seq_ms,
@@ -599,18 +591,18 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Unconditional v3 gate: the wide kernel must beat the batch kernel
-    // in the same process, single-threaded — lane-major layout has to
-    // pay for itself before any pooling enters the picture.
-    let v3_over_v2 = trials_per_sec_v3 / trials_per_sec_v2;
-    let v3_ok = v3_over_v2 >= V3_OVER_V2_FLOOR;
+    // Unconditional v3 gate: the wide kernel must beat the scalar
+    // kernel in the same process, single-threaded — lane-major layout
+    // has to pay for itself before any pooling enters the picture.
+    let v3_speedup = trials_per_sec_v3 / trials_per_sec;
+    let v3_ok = v3_speedup >= V3_SPEEDUP_FLOOR;
     println!(
-        "gate mc_verification.kernel_v3_over_v2: current {v3_over_v2:.2} vs floor \
-         {V3_OVER_V2_FLOOR} — {}",
+        "gate mc_verification.kernel_v3_speedup: current {v3_speedup:.2} vs floor \
+         {V3_SPEEDUP_FLOOR} — {}",
         if v3_ok { "ok" } else { "TOO SLOW" }
     );
     if !v3_ok {
-        eprintln!("v3 kernel did not clear {V3_OVER_V2_FLOOR}x the v2 rate");
+        eprintln!("v3 kernel did not clear {V3_SPEEDUP_FLOOR}x the v1 rate");
         std::process::exit(1);
     }
 
@@ -652,19 +644,7 @@ fn main() {
             trials_per_sec,
             metric(&base, &["mc_verification", "trials_per_sec"]),
         );
-        // Forward gate: the batch kernel must clear 3x the baseline's
-        // v1 rate. The baseline rate and both current rates ran on
-        // hosts of the same class; the generous margin between the
-        // floor and the measured ratio absorbs residual host noise.
-        let base_v1 = metric(&base, &["mc_verification", "trials_per_sec"]);
-        let v2_floor = V2_SPEEDUP_FLOOR * base_v1;
-        let v2_ok = trials_per_sec_v2 >= v2_floor;
-        println!(
-            "gate mc_verification.kernel_v2_trials_per_sec: current {trials_per_sec_v2:.0} vs \
-             floor {v2_floor:.0} ({V2_SPEEDUP_FLOOR}x baseline v1) — {}",
-            if v2_ok { "ok" } else { "TOO SLOW" }
-        );
-        if !(speedup_ok && mc_ok && v2_ok) {
+        if !(speedup_ok && mc_ok) {
             eprintln!(
                 "performance regressed >{:.0}% vs {path}",
                 100.0 * REGRESSION_TOLERANCE

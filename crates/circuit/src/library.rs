@@ -114,26 +114,15 @@ impl CellLibrary {
         (od / (od - dvth)).powf(self.tech.alpha())
     }
 
-    /// The **v2-kernel** slowdown factor: same quantity as
+    /// The **v3-kernel** scalar slowdown factor: same quantity as
     /// [`CellLibrary::vth_slowdown_factor`] evaluated through the frozen
-    /// polynomial kernels of [`vardelay_process::slowdown_factor_approx`]
-    /// (relative error below `2e-7` over the certified range, exact
-    /// `powf` fallback outside it). Not bit-identical to the exact form —
+    /// fused polynomial kernels of
+    /// [`vardelay_process::slowdown_factor_approx_fma`] (relative error
+    /// below `2e-7` over the certified range, exact `powf` fallback
+    /// outside it), element-wise identical to
+    /// [`CellLibrary::vth_slowdown_factors_v3_shift_into`] on a
+    /// one-element slice. Not bit-identical to the exact form —
     /// selecting it is a kernel-contract change, not a drop-in swap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shift pushes the threshold past the supply.
-    #[inline]
-    pub fn vth_slowdown_factor_v2(&self, dvth: f64) -> f64 {
-        vardelay_process::slowdown_factor_approx(self.tech.overdrive(), self.tech.alpha(), dvth)
-    }
-
-    /// The **v3-kernel** scalar slowdown factor: the FMA-fused twin of
-    /// [`CellLibrary::vth_slowdown_factor_v2`], element-wise identical
-    /// to [`CellLibrary::vth_slowdown_factors_v3_shift_into`] on a
-    /// one-element slice. Agrees with the v2 form to ~1e-12 relative but
-    /// is never bit-interchangeable with it.
     ///
     /// # Panics
     ///
@@ -143,33 +132,6 @@ impl CellLibrary {
         vardelay_process::slowdown_factor_approx_fma(self.tech.overdrive(), self.tech.alpha(), dvth)
     }
 
-    /// Bulk v2 slowdown factors:
-    /// `out[i] = vth_slowdown_factor_v2(shared + sigmas[i] * z[i])`,
-    /// bit-identical per element, evaluated through the vectorizable
-    /// structure-of-arrays passes of
-    /// [`vardelay_process::slowdown_factors_approx_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn vth_slowdown_factors_v2_into(
-        &self,
-        shared: f64,
-        sigmas: &[f64],
-        z: &[f64],
-        out: &mut [f64],
-    ) {
-        vardelay_process::slowdown_factors_approx_into(
-            self.tech.overdrive(),
-            self.tech.alpha(),
-            shared,
-            sigmas,
-            z,
-            out,
-        );
-    }
-
     /// Shift-major v3 slowdown factors for a whole stage's
     /// `gates × lanes` block in one call:
     /// `out[i] = slowdown_factor_approx_fma(shift[i])`, bit-identical
@@ -177,11 +139,7 @@ impl CellLibrary {
     /// [`vardelay_process::slowdown_factors_shift_approx_into`]. The
     /// caller builds `shift = shared + sigma·z` while transposing the
     /// per-trial normal rows, which amortizes the polynomial pass's
-    /// range scans and call overhead over the whole stage. The
-    /// per-element arithmetic is the v3 FMA-fused twin of the frozen v2
-    /// kernel: same coefficients, fused rounding schedule — it agrees
-    /// with v2 to ~1e-13 relative but is deliberately never
-    /// bit-interchangeable with it.
+    /// range scans and call overhead over the whole stage.
     ///
     /// # Panics
     ///
@@ -241,13 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_slowdown_tracks_exact_form() {
+    fn v3_slowdown_tracks_exact_form() {
         let l = lib();
         let mut dvth = -0.25;
         while dvth <= 0.25 {
             let exact = l.vth_slowdown_factor(dvth);
-            let v2 = l.vth_slowdown_factor_v2(dvth);
-            assert!(((v2 - exact) / exact).abs() < 2e-7, "dvth {dvth}");
+            let v3 = l.vth_slowdown_factor_v3(dvth);
+            assert!(((v3 - exact) / exact).abs() < 2e-7, "dvth {dvth}");
             dvth += 1e-3;
         }
     }

@@ -332,21 +332,19 @@ mod tests {
     }
 
     #[test]
-    fn criticality_v2_is_deterministic_and_agrees_with_v1() {
+    fn criticality_v3_is_deterministic_and_agrees_with_v1() {
         let p =
             Pipeline::independent(vec![sd(190.0, 5.0), sd(205.0, 5.0), sd(195.0, 5.0)]).unwrap();
         let v1 = p.criticality_probabilities(20_000, 3);
-        let v2 = p.criticality_probabilities_with(NormalFill::BoxMullerPairs, 20_000, 3);
-        assert_eq!(
-            v2,
-            p.criticality_probabilities_with(NormalFill::BoxMullerPairs, 20_000, 3)
-        );
-        let total: f64 = v2.iter().sum();
+        let v3 = p.criticality_probabilities_v3(20_000, 3);
+        assert_eq!(v3, p.criticality_probabilities_v3(20_000, 3));
+        assert_ne!(v1, v3, "the kernels must be distinct streams");
+        let total: f64 = v3.iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
         // Different stream, same distribution: win fractions agree to MC
         // accuracy (binomial sd at n = 20k is under 0.004).
-        for (a, b) in v1.iter().zip(&v2) {
-            assert!((a - b).abs() < 0.02, "v1 {a} vs v2 {b}");
+        for (a, b) in v1.iter().zip(&v3) {
+            assert!((a - b).abs() < 0.02, "v1 {a} vs v3 {b}");
         }
     }
 
@@ -379,11 +377,7 @@ mod tests {
 
     #[test]
     fn block_estimator_matches_the_per_trial_loop() {
-        let fills = [
-            NormalFill::Scalar,
-            NormalFill::BoxMullerPairs,
-            NormalFill::InvCdf,
-        ];
+        let fills = [NormalFill::Scalar, NormalFill::InvCdf];
         for dim in [1, 2, 3, 4, 5, 9, 17] {
             let pipelines = [
                 // Distinct means and sds, partly correlated.

@@ -644,15 +644,10 @@ fn execute_run(
             let strategy = spec.verify_plan.strategy;
             let (span_name, kernel_counter) = match (spec.kernel, strategy) {
                 (K::V1, S::Plain) => ("verify", "trials"),
-                (K::V2, S::Plain) => ("verify_v2", "trials_v2"),
                 (K::V1, S::Antithetic) => ("verify_antithetic", "trials"),
-                (K::V2, S::Antithetic) => ("verify_antithetic_v2", "trials_v2"),
                 (K::V1, S::Stratified) => ("verify_stratified", "trials"),
-                (K::V2, S::Stratified) => ("verify_stratified_v2", "trials_v2"),
                 (K::V1, S::Sobol) => ("verify_sobol", "trials"),
-                (K::V2, S::Sobol) => ("verify_sobol_v2", "trials_v2"),
                 (K::V1, S::Blockade) => ("verify_blockade", "trials"),
-                (K::V2, S::Blockade) => ("verify_blockade_v2", "trials_v2"),
                 (K::V3, S::Plain) => ("verify_v3", "trials_v3"),
                 (K::V3, S::Antithetic) => ("verify_antithetic_v3", "trials_v3"),
                 (K::V3, S::Stratified) => ("verify_stratified_v3", "trials_v3"),
@@ -673,7 +668,7 @@ fn execute_run(
             let seed_of = |t| trial_seed(p.id ^ salt, t);
             // The v3 kernel's chunk-wise fold contract fans verification
             // out across the worker pool (bit-identical to the sequential
-            // fold at any worker count); v1/v2 run the sequential fold.
+            // fold at any worker count); v1 runs the sequential fold.
             // Either way `verify_trials` is the ceiling and the CI stop
             // rule (variance-reduced plans only) may end it early.
             let ci = spec.verify_plan.ci_half_width;

@@ -461,19 +461,14 @@ fn run_block(p: &Prepared, ws: &mut TrialWorkspace, trials: Range<u64>) -> Pipel
     let strategy = p.scenario.trial_plan.strategy;
     let (span_name, kernel_counter) = match (p.scenario.kernel, strategy) {
         (K::V1, S::Plain) => ("block", "trials"),
-        (K::V2, S::Plain) => ("block_v2", "trials_v2"),
         (K::V3, S::Plain) => ("block_v3", "trials_v3"),
         (K::V1, S::Antithetic) => ("block_antithetic", "trials"),
-        (K::V2, S::Antithetic) => ("block_antithetic_v2", "trials_v2"),
         (K::V3, S::Antithetic) => ("block_antithetic_v3", "trials_v3"),
         (K::V1, S::Stratified) => ("block_stratified", "trials"),
-        (K::V2, S::Stratified) => ("block_stratified_v2", "trials_v2"),
         (K::V3, S::Stratified) => ("block_stratified_v3", "trials_v3"),
         (K::V1, S::Sobol) => ("block_sobol", "trials"),
-        (K::V2, S::Sobol) => ("block_sobol_v2", "trials_v2"),
         (K::V3, S::Sobol) => ("block_sobol_v3", "trials_v3"),
         (K::V1, S::Blockade) => ("block_blockade", "trials"),
-        (K::V2, S::Blockade) => ("block_blockade_v2", "trials_v2"),
         (K::V3, S::Blockade) => ("block_blockade_v3", "trials_v3"),
     };
     let strategy_counter = match strategy {

@@ -119,7 +119,7 @@ keyword_enum! {
     /// Which **trial-kernel contract** executes a scenario's Monte-Carlo
     /// arithmetic (see `vardelay_mc::TrialKernel`).
     ///
-    /// Serialized in lowercase (`"kernel": "v2"`); omitted from the
+    /// Serialized in lowercase (`"kernel": "v3"`); omitted from the
     /// serialized form when it is the default, so pre-kernel sweep specs
     /// keep both their JSON shape **and** their content-hash scenario IDs.
     /// Like `backend`, the kernel is excluded from scenario identity: the
@@ -134,18 +134,13 @@ keyword_enum! {
         /// byte contract.
         #[default]
         V1 = "v1",
-        /// The batch structure-of-arrays kernel: pair-producing Box–Muller
-        /// die sampling, inverse-CDF gate normals, polynomial slowdown
-        /// factors, lane-folded statistics. ~3.5× the trial throughput of
-        /// `v1` under its own (equally frozen) byte contract.
-        V2 = "v2",
         /// The wide lane-major kernel: all normals of a 16-trial pass are
         /// generated up front (batch inverse-CDF, die draws included), then
         /// every stage and gate is visited once per pass over contiguous
-        /// per-lane rows; statistics fold over 16 lanes. Higher throughput
-        /// than `v2` under its own (equally frozen) byte contract, and the
-        /// only kernel whose campaign verification fans out across the
-        /// worker pool.
+        /// per-lane rows with polynomial slowdown factors; statistics fold
+        /// over 16 lanes. Several times the trial throughput of `v1` under
+        /// its own (equally frozen) byte contract, and the only kernel
+        /// whose campaign verification fans out across the worker pool.
         V3 = "v3",
     }
 }
@@ -155,7 +150,6 @@ impl KernelSpec {
     pub fn to_kernel(self) -> vardelay_mc::TrialKernel {
         match self {
             KernelSpec::V1 => vardelay_mc::TrialKernel::V1,
-            KernelSpec::V2 => vardelay_mc::TrialKernel::V2,
             KernelSpec::V3 => vardelay_mc::TrialKernel::V3,
         }
     }
@@ -1374,14 +1368,14 @@ mod tests {
         let back = Sweep::from_json(&json).unwrap();
         assert_eq!(back.scenarios[0].kernel, KernelSpec::V1);
 
-        // Selecting v2 serializes, round-trips, and — like the backend
+        // Selecting v3 serializes, round-trips, and — like the backend
         // — does NOT change the scenario ID: both kernels derive the
         // same per-trial seeds from the same spec content.
         let mut tweaked = sweep.scenarios[1].clone();
         let base_id = tweaked.id(7);
-        tweaked.kernel = KernelSpec::V2;
+        tweaked.kernel = KernelSpec::V3;
         let j = serde_json::to_string(&tweaked).unwrap();
-        assert!(j.contains("\"kernel\":\"v2\""), "{j}");
+        assert!(j.contains("\"kernel\":\"v3\""), "{j}");
         let back: Scenario = serde_json::from_str(&j).unwrap();
         assert_eq!(tweaked, back);
         assert_eq!(base_id, tweaked.id(7), "kernel is not part of identity");
@@ -1390,7 +1384,7 @@ mod tests {
     #[test]
     fn unknown_kernel_keyword_is_rejected_listing_the_valid_set() {
         let err = KernelSpec::parse("v9").unwrap_err();
-        assert_eq!(err, "unknown kernel 'v9' (use v1|v2|v3)");
+        assert_eq!(err, "unknown kernel 'v9' (use v1|v3)");
         let mut sweep = Sweep::example();
         let json = sweep
             .to_json()
@@ -1398,14 +1392,14 @@ mod tests {
         let err = Sweep::from_json(&json).unwrap_err();
         assert!(
             err.to_string()
-                .contains("unknown kernel 'fast' (use v1|v2|v3)"),
+                .contains("unknown kernel 'fast' (use v1|v3)"),
             "{err}"
         );
         // And a grid stamps its kernel onto every generated scenario.
-        sweep.grid.as_mut().unwrap().kernel = KernelSpec::V2;
+        sweep.grid.as_mut().unwrap().kernel = KernelSpec::V3;
         assert!(sweep.expand()[2..]
             .iter()
-            .all(|s| s.kernel == KernelSpec::V2));
+            .all(|s| s.kernel == KernelSpec::V3));
     }
 
     #[test]

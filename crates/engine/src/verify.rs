@@ -1,7 +1,7 @@
 //! Pool-parallel Monte-Carlo verification for the v3 trial kernel.
 //!
-//! The v1/v2 verification paths are byte-frozen as strictly sequential
-//! accumulations, so they cannot fan out across threads without
+//! The v1 verification path is byte-frozen as a strictly sequential
+//! accumulation, so it cannot fan out across threads without
 //! changing published bytes (the Pébay moment merge is not
 //! associative). The v3 kernel's verification contract is instead
 //! *defined* chunk-wise — partition the budget at fixed
@@ -46,7 +46,7 @@ use crate::run::dispatch;
 /// # Panics
 ///
 /// Panics if `prepared` was not built with [`TrialKernel::V3`] — the
-/// frozen v1/v2 verification folds are sequential by contract and must
+/// frozen v1 verification fold is sequential by contract and must
 /// not be reproduced chunk-wise.
 #[allow(clippy::too_many_arguments)] // mirrors vardelay_opt::verify_yield plus the pool knobs
 pub fn verify_yield_pooled(

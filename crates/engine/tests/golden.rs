@@ -1,6 +1,7 @@
 //! Golden byte identity. The Monte-Carlo matrix goldens (below) pin
 //! every backend × kernel × trial plan and each kernel's verification
-//! fold shape; they were generated before the samplers were unified.
+//! fold shape; their v1 and v3 entries were generated before the
+//! samplers were unified.
 //!
 //! Campaign-golden byte identity: the checked-in result file was
 //! generated **before** the incremental timing kernel landed, so this
@@ -50,9 +51,11 @@ const MATRIX_CAMPAIGN_GOLDEN: &str = include_str!("golden/mc_matrix_campaign_res
 
 /// Monte-Carlo matrix byte identity: every combination the validator
 /// accepts of {moments, gate-level `pipeline`, gate-level `netlist`} ×
-/// {v1, v2, v3} × {plain, antithetic, stratified, sobol, blockade}, at
-/// 300 trials per scenario (two engine blocks, the second ending on a
-/// ragged v3 pass). Regenerate like the campaign golden:
+/// {v1, v3} × {plain, antithetic, stratified, sobol, blockade}, at 300
+/// trials per scenario (two engine blocks, the second ending on a
+/// ragged v3 pass). When the v2 kernel was retired its 15 scenarios
+/// were dropped from the spec; every kept entry is unchanged. Regenerate
+/// like the campaign golden:
 ///
 /// ```text
 /// cargo run --release -- sweep crates/engine/tests/golden/mc_matrix_spec.json \
@@ -61,7 +64,7 @@ const MATRIX_CAMPAIGN_GOLDEN: &str = include_str!("golden/mc_matrix_campaign_res
 #[test]
 fn mc_matrix_result_bytes_are_frozen() {
     let sweep = Sweep::from_json(MATRIX_SPEC).expect("matrix spec parses");
-    assert_eq!(sweep.expand().len(), 45, "3 backends x 3 kernels x 5 plans");
+    assert_eq!(sweep.expand().len(), 30, "3 backends x 2 kernels x 5 plans");
     for workers in [1usize, 4] {
         let res = run_sweep(&sweep, &SweepOptions::sequential().with_workers(workers))
             .expect("matrix sweep runs");
@@ -74,10 +77,11 @@ fn mc_matrix_result_bytes_are_frozen() {
 }
 
 /// The frozen verification fold shapes, pinned per kernel: v1
-/// antithetic (1024-trial chunks into one running fold), v2 plain (one
-/// full-range call) with in-loop netlist yield, v2 stratified stopped
-/// early by `ci_half_width`, v3 plain with in-loop netlist yield, and
-/// v3 blockade (each chunk merged separately). Regenerate with
+/// antithetic (1024-trial chunks into one running fold), v3 plain with
+/// in-loop netlist yield, and v3 blockade (each chunk merged
+/// separately). A v3 fold stopped early by `ci_half_width` is pinned
+/// by the `v3_plans` campaign golden below.
+/// Regenerate with
 /// `vardelay optimize crates/engine/tests/golden/mc_matrix_campaign_spec.json
 /// --out crates/engine/tests/golden/mc_matrix_campaign_result.json`.
 #[test]

@@ -8,8 +8,8 @@
 //!   *and* campaigns, whose verification now runs pooled), under
 //!   `--shard i/n` merge, across a kill-then-resume splice, and with
 //!   or without tracing;
-//! * v3 agrees with v1 and v2 **statistically** (same per-trial seeds,
-//!   same distributions, different arithmetic), never byte-for-byte;
+//! * v3 agrees with v1 **statistically** (same per-trial seeds, same
+//!   distributions, different arithmetic), never byte-for-byte;
 //! * flipping a scenario to v3 changes nothing about any v1 scenario's
 //!   bytes;
 //! * kernel twins (specs identical except `kernel`) share a scenario
@@ -178,7 +178,7 @@ fn v3_kill_and_resume_is_byte_identical() {
     assert_eq!(resumed.to_json(), uninterrupted);
 }
 
-/// Tracing is out of band for v3 exactly as for v1/v2, and v3 blocks
+/// Tracing is out of band for v3 exactly as for v1, and v3 blocks
 /// are attributed to their own span/counter names.
 #[test]
 fn v3_bytes_identical_with_and_without_tracing() {
@@ -238,45 +238,35 @@ fn v3_campaign_tracing_attributes_pooled_verify_blocks() {
     assert!(agg.counter("trials_v3") > 0, "v3 trials counter missing");
 }
 
-/// v1, v2 and v3 see the same per-trial seeds and distributions, so
-/// their estimates agree statistically — but the arithmetic differs,
-/// so the bytes must never collide.
+/// v1 and v3 see the same per-trial seeds and distributions, so their
+/// estimates agree statistically — but the arithmetic differs, so the
+/// bytes must never collide.
 #[test]
-fn v3_agrees_statistically_with_v1_and_v2_but_not_bitwise() {
+fn v3_agrees_statistically_with_v1_but_not_bitwise() {
     let mut v1 = Sweep::example();
     v1.grid = None;
     for s in &mut v1.scenarios {
         s.trials = 4000;
-    }
-    let mut v2 = v1.clone();
-    for s in &mut v2.scenarios {
-        s.kernel = KernelSpec::V2;
     }
     let mut v3 = v1.clone();
     for s in &mut v3.scenarios {
         s.kernel = KernelSpec::V3;
     }
 
+    let a = run_sweep(&v1, &SweepOptions::sequential()).unwrap();
     let c = run_sweep(&v3, &SweepOptions::sequential()).unwrap();
-    for (label, other) in [("v1", &v1), ("v2", &v2)] {
-        let a = run_sweep(other, &SweepOptions::sequential()).unwrap();
-        for (x, y) in a.scenarios.iter().zip(&c.scenarios) {
-            assert_eq!(x.analytic, y.analytic, "analytic model is kernel-free");
-            let (mx, my) = (x.mc.as_ref().unwrap(), y.mc.as_ref().unwrap());
-            assert_ne!(
-                mx.mean_ps, my.mean_ps,
-                "{}: v3 reproduced {label} bytes, contract is vacuous",
-                x.label
-            );
-            let rel = (mx.mean_ps - my.mean_ps).abs() / mx.mean_ps;
-            assert!(rel < 0.02, "{}: {label}/v3 mean disagree: {rel}", x.label);
-            let rels = (mx.sd_ps - my.sd_ps).abs() / mx.sd_ps;
-            assert!(
-                rels < 0.10,
-                "{}: {label}/v3 sigma disagree: {rels}",
-                x.label
-            );
-        }
+    for (x, y) in a.scenarios.iter().zip(&c.scenarios) {
+        assert_eq!(x.analytic, y.analytic, "analytic model is kernel-free");
+        let (mx, my) = (x.mc.as_ref().unwrap(), y.mc.as_ref().unwrap());
+        assert_ne!(
+            mx.mean_ps, my.mean_ps,
+            "{}: v3 reproduced v1 bytes, contract is vacuous",
+            x.label
+        );
+        let rel = (mx.mean_ps - my.mean_ps).abs() / mx.mean_ps;
+        assert!(rel < 0.02, "{}: v1/v3 mean disagree: {rel}", x.label);
+        let rels = (mx.sd_ps - my.sd_ps).abs() / mx.sd_ps;
+        assert!(rels < 0.10, "{}: v1/v3 sigma disagree: {rels}", x.label);
     }
 }
 
@@ -308,32 +298,28 @@ fn v3_presence_leaves_v1_scenarios_byte_unchanged() {
     }
 }
 
-/// Kernel triplets — scenarios identical except `kernel` — share a
-/// scenario ID (same seeds by construction) but the journal keys must
-/// keep all three results distinct, or resume would splice one
-/// kernel's numbers into another's slot.
+/// Kernel twins — scenarios identical except `kernel` — share a
+/// scenario ID (same seeds by construction) but the journal key must
+/// keep their results distinct, or resume would splice one kernel's
+/// numbers into the other's slot.
 #[test]
-fn kernel_triplets_share_id_but_resume_byte_identically() {
+fn kernel_twins_share_id_but_resume_byte_identically() {
     let mut sweep = Sweep::example();
     sweep.grid = None;
     sweep.scenarios.truncate(1);
     sweep.scenarios[0].trials = 300;
-    for kernel in [KernelSpec::V2, KernelSpec::V3] {
-        let mut twin = sweep.scenarios[0].clone();
-        twin.kernel = kernel;
-        assert_eq!(
-            sweep.scenarios[0].id(sweep.seed),
-            twin.id(sweep.seed),
-            "precondition: kernel twins share the scenario ID"
-        );
-        sweep.scenarios.push(twin);
-    }
+    let mut twin = sweep.scenarios[0].clone();
+    twin.kernel = KernelSpec::V3;
+    assert_eq!(
+        sweep.scenarios[0].id(sweep.seed),
+        twin.id(sweep.seed),
+        "precondition: kernel twins share the scenario ID"
+    );
+    sweep.scenarios.push(twin);
 
     let (lines, stats) = journal(&sweep, &WorkloadOptions::sequential());
-    assert_eq!(stats.units, 3);
+    assert_eq!(stats.units, 2);
     assert_ne!(stats.keys[0], stats.keys[1], "journal keys stay distinct");
-    assert_ne!(stats.keys[1], stats.keys[2], "journal keys stay distinct");
-    assert_ne!(stats.keys[0], stats.keys[2], "journal keys stay distinct");
 
     let uninterrupted = run_workload(&sweep, &WorkloadOptions::sequential())
         .unwrap()

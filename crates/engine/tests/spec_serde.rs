@@ -175,7 +175,7 @@ fn every_spec_object_follows_the_key_rules() {
     let grid = sweep.grid.clone().unwrap();
     let mut grid_set = grid.clone();
     grid_set.backend = BackendSpec::Analytic;
-    grid_set.kernel = KernelSpec::V2;
+    grid_set.kernel = KernelSpec::V3;
     grid_set.histogram_bins = 8;
     check(
         "GridSpec",
@@ -277,7 +277,7 @@ fn every_spec_object_follows_the_key_rules() {
     let mut run_grid_set = run_grid.clone();
     run_grid_set.rounds = 2;
     run_grid_set.yield_backend = YieldBackendSpec::Netlist;
-    run_grid_set.kernel = KernelSpec::V2;
+    run_grid_set.kernel = KernelSpec::V3;
     run_grid_set.eval_trials = 512;
     run_grid_set.verify_trials = 8_192;
     check(
@@ -425,7 +425,37 @@ macro_rules! check_keywords {
 #[test]
 fn keyword_enums_roundtrip_and_list_their_keywords() {
     check_keywords!(BackendSpec, "pipeline|netlist|analytic", "backend");
-    check_keywords!(KernelSpec, "v1|v2|v3", "kernel");
+    check_keywords!(KernelSpec, "v1|v3", "kernel");
+    // The retired v2 kernel fails at parse wherever a spec can name a
+    // kernel: a sweep scenario and grid, a campaign run and grid.
+    let v2 = |spec: &mut Value, list: &str| {
+        let mut at = &mut object_at(spec, &[])
+            .iter_mut()
+            .find(|(k, _)| k == list)
+            .expect("spec has the list")
+            .1;
+        if let Value::Array(items) = at {
+            at = &mut items[0];
+        }
+        let Value::Object(fields) = at else {
+            panic!("no object under `{list}`")
+        };
+        fields.retain(|(k, _)| k != "kernel");
+        fields.push(("kernel".to_owned(), Value::String("v2".to_owned())));
+    };
+    let retired = "unknown kernel 'v2' (use v1|v3)";
+    for list in ["scenarios", "grid"] {
+        let mut spec = Sweep::example().to_value();
+        v2(&mut spec, list);
+        let err = parse_err::<Sweep>(&spec);
+        assert!(err.contains(retired), "sweep {list}: {err}");
+    }
+    for list in ["runs", "grid"] {
+        let mut spec = OptimizationCampaign::example().to_value();
+        v2(&mut spec, list);
+        let err = parse_err::<OptimizationCampaign>(&spec);
+        assert!(err.contains(retired), "campaign {list}: {err}");
+    }
     check_keywords!(
         StrategySpec,
         "plain|antithetic|stratified|sobol|blockade",

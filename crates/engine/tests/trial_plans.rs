@@ -1,7 +1,7 @@
 //! The trial-plan strategy contracts, end to end through the engine.
 //!
 //! Every strategy (`antithetic`, `stratified`, `sobol`, `blockade`) is
-//! a versioned determinism contract exactly like `kernel: v2`: its
+//! a versioned determinism contract exactly like `kernel: v3`: its
 //! results are a pure function of the spec — byte-identical at any
 //! worker count, under shard-merge, kill-then-resume, tracing on or
 //! off, and cache warm or cold — while never being bitwise-equal to

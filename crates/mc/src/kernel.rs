@@ -30,18 +30,13 @@ pub enum TrialKernel {
     /// kernels were versioned is a V1 byte.
     #[default]
     V1,
-    /// The batch kernel: structure-of-arrays sampling with pair-
-    /// producing Box–Muller for die-level normals, one-uniform
-    /// inverse-CDF normals per gate, frozen polynomial
-    /// `exp(α·ln(od/(od−ΔVth)))` slowdown factors, and statistics
-    /// folded through [`V2_LANES`] lanes in a fixed merge order.
-    V2,
     /// The wide kernel: the loop order flips from trial-major to
     /// lane-major. Up to [`V3_WIDTH`] trials are processed per pass —
     /// every trial's normals (inverse-CDF, die draws included) are
     /// generated up front into structure-of-arrays buffers, then each
     /// stage and gate is visited **once per pass** over contiguous
-    /// per-lane `f64` rows, so slowdown evaluation and arrival-time
+    /// per-lane `f64` rows, so frozen polynomial
+    /// `exp(α·ln(od/(od−ΔVth)))` slowdown evaluation and arrival-time
     /// propagation amortize their per-gate bookkeeping across the whole
     /// pass and vectorize. Statistics fold through [`V3_LANES`] lanes in
     /// a fixed merge order.
@@ -51,26 +46,23 @@ pub enum TrialKernel {
 impl TrialKernel {
     /// Every kernel contract, oldest first — the one list the CLI help,
     /// spec parser and validators derive the valid keyword set from, so
-    /// a new kernel version cannot leave stale `v1|v2` strings behind.
-    pub const ALL: [TrialKernel; 3] = [TrialKernel::V1, TrialKernel::V2, TrialKernel::V3];
+    /// a new kernel version cannot leave a stale keyword list behind.
+    pub const ALL: [TrialKernel; 2] = [TrialKernel::V1, TrialKernel::V3];
 
-    /// Stable lowercase name (`"v1"` / `"v2"` / `"v3"`), used in specs,
-    /// spans and reports.
+    /// Stable lowercase name (`"v1"` / `"v3"`), used in specs, spans and
+    /// reports.
     pub fn name(self) -> &'static str {
         match self {
             TrialKernel::V1 => "v1",
-            TrialKernel::V2 => "v2",
             TrialKernel::V3 => "v3",
         }
     }
 
     /// The normal fill this kernel draws die-level and joint-Gaussian
-    /// normals with: scalar Box–Muller (v1), pair-producing Box–Muller
-    /// (v2), or inverse-CDF (v3).
+    /// normals with: scalar Box–Muller (v1) or inverse-CDF (v3).
     pub fn normal_fill(self) -> NormalFill {
         match self {
             TrialKernel::V1 => NormalFill::Scalar,
-            TrialKernel::V2 => NormalFill::BoxMullerPairs,
             TrialKernel::V3 => NormalFill::InvCdf,
         }
     }
@@ -80,11 +72,11 @@ impl TrialKernel {
 ///
 /// v1 records every trial straight into the block's statistics, so a
 /// sequence of calls accumulates exactly like one call over the joined
-/// range. v2 and v3 accumulate trial `t` into lane `t % lanes`
-/// ([`V2_LANES`] / [`V3_LANES`]) and merge the lanes into the
-/// statistics in ascending lane order at [`LaneFold::finish`], so a
-/// call's bytes are a pure function of its trial range. Weighted
-/// statistics (blockade) record each trial's importance weight.
+/// range. v3 accumulates trial `t` into lane `t % V3_LANES` and merges
+/// the lanes into the statistics in ascending lane order at
+/// [`LaneFold::finish`], so a call's bytes are a pure function of its
+/// trial range. Weighted statistics (blockade) record each trial's
+/// importance weight.
 #[derive(Debug)]
 pub struct LaneFold<'a> {
     kernel: TrialKernel,
@@ -97,7 +89,6 @@ impl<'a> LaneFold<'a> {
     pub fn new(kernel: TrialKernel, stats: &'a mut PipelineBlockStats) -> Self {
         let lanes = match kernel {
             TrialKernel::V1 => 0,
-            TrialKernel::V2 => V2_LANES,
             TrialKernel::V3 => V3_LANES,
         };
         let lanes = (0..lanes).map(|_| stats.fresh_like()).collect();
@@ -113,7 +104,6 @@ impl<'a> LaneFold<'a> {
     pub fn record(&mut self, t: u64, stage_delays: &[f64], maxd: f64, weight: f64) {
         let into = match self.kernel {
             TrialKernel::V1 => &mut *self.stats,
-            TrialKernel::V2 => &mut self.lanes[(t % V2_LANES as u64) as usize],
             TrialKernel::V3 => &mut self.lanes[(t % V3_LANES as u64) as usize],
         };
         if into.has_weighted_tail() {
@@ -131,16 +121,6 @@ impl<'a> LaneFold<'a> {
     }
 }
 
-/// Number of statistics lanes in the v2 kernel's fixed merge tree.
-///
-/// v2 accumulates trial `t` into lane `t % V2_LANES` and folds the lanes
-/// in ascending lane order at the end of every block. The lane count and
-/// fold order are **part of the v2 contract**: floating-point merging is
-/// order-sensitive, so freezing the tree is what makes v2 byte-identical
-/// to itself at any worker count, shard split, or resume point (all of
-/// which preserve block boundaries).
-pub const V2_LANES: usize = 8;
-
 /// Trials processed per v3 pass — the width of every structure-of-
 /// arrays buffer in the wide kernel.
 ///
@@ -155,10 +135,13 @@ pub const V3_WIDTH: usize = 16;
 
 /// Number of statistics lanes in the v3 kernel's fixed merge tree.
 ///
-/// Identical in role to [`V2_LANES`]: trial `t` accumulates into lane
-/// `t % V3_LANES` and lanes fold in ascending order at the end of every
-/// block. Equal to [`V3_WIDTH`] so one pass feeds each lane exactly
-/// once, but frozen independently — both are part of the v3 contract.
+/// Trial `t` accumulates into lane `t % V3_LANES` and lanes fold in
+/// ascending order at the end of every block. The lane count and fold
+/// order are **part of the v3 contract**: floating-point merging is
+/// order-sensitive, so freezing the tree is what makes v3 byte-identical
+/// to itself at any worker count, shard split, or resume point (all of
+/// which preserve block boundaries). Equal to [`V3_WIDTH`] so one pass
+/// feeds each lane exactly once, but frozen independently.
 pub const V3_LANES: usize = 16;
 
 #[cfg(test)]
@@ -169,9 +152,8 @@ mod tests {
     fn names_and_default() {
         assert_eq!(TrialKernel::default(), TrialKernel::V1);
         assert_eq!(TrialKernel::V1.name(), "v1");
-        assert_eq!(TrialKernel::V2.name(), "v2");
         assert_eq!(TrialKernel::V3.name(), "v3");
-        assert_eq!(TrialKernel::ALL.len(), 3);
+        assert_eq!(TrialKernel::ALL.len(), 2);
         assert_eq!(TrialKernel::ALL[0], TrialKernel::default());
     }
 }

@@ -18,9 +18,10 @@
 //! * [`prepared`] — the allocation-free prepared/workspace variant of
 //!   the pipeline runner (the sweep engine's gate-level hot path).
 //! * [`kernel`] — the versioned trial-kernel contract: v1 (scalar
-//!   Box–Muller + exact `powf`), v2 (batch sampling + frozen polynomial
-//!   slowdown + lane-folded statistics) and v3 (16-wide lane-major
-//!   passes), each with its normal fill and [`LaneFold`].
+//!   Box–Muller + exact `powf`, the byte-frozen reference) and v3
+//!   (16-wide lane-major passes, inverse-CDF sampling, frozen polynomial
+//!   slowdown, lane-folded statistics — the fast path), each with its
+//!   normal fill and [`LaneFold`].
 //! * [`strategy`] — the versioned trial-plan contracts (antithetic,
 //!   stratified, Sobol QMC, statistical blockade): a draw overlay each
 //!   kernel's sampler applies, with plain as the identity overlay.
@@ -49,7 +50,7 @@ pub mod results;
 pub mod strategy;
 
 pub use engine::NetlistMc;
-pub use kernel::{LaneFold, TrialKernel, V2_LANES, V3_LANES, V3_WIDTH};
+pub use kernel::{LaneFold, TrialKernel, V3_LANES, V3_WIDTH};
 pub use pipeline_mc::{PipelineMc, PipelineMcResult};
 pub use prepared::{PreparedPipelineMc, TrialWorkspace};
 pub use results::{HistogramSpec, McConfig, McResult, PipelineBlockStats, YieldEstimate};

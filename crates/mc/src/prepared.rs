@@ -27,8 +27,7 @@ use vardelay_circuit::{CellLibrary, LatchParams, Netlist, StagedPipeline};
 use vardelay_process::{pelgrom_sigma, DieLanes, DieSample, ProcessSampler};
 use vardelay_ssta::sta::{arrival_times_into, nominal_gate_delays};
 use vardelay_stats::batch::{
-    fill_standard_normals_inv_cdf, fill_standard_normals_inv_cdf_fma_multi,
-    fill_standard_normals_inv_cdf_multi, sample_standard_normal_inv_cdf,
+    fill_standard_normals_inv_cdf_fma_multi, fill_standard_normals_inv_cdf_multi,
 };
 use vardelay_stats::normal::sample_standard_normal;
 use vardelay_stats::{DrawOverlay, NormalFill};
@@ -81,9 +80,6 @@ pub struct TrialWorkspace {
     z: Vec<f64>,
     /// The die sample (its region vector is reused).
     die: DieSample,
-    /// Per-gate standard normals of the stage currently being timed
-    /// (v2 kernel only — v1 draws them inline).
-    normals: Vec<f64>,
     /// Per-gate slowdown factors of the stage currently being timed.
     slowdown: Vec<f64>,
     /// Arrival times of the stage currently being timed.
@@ -91,7 +87,7 @@ pub struct TrialWorkspace {
     /// Per-stage delays of the current trial.
     stage_delays: Vec<f64>,
     /// Structure-of-arrays buffers of the v3 wide kernel (empty under
-    /// v1/v2 — they are sized only when a v3 runner prepares the
+    /// v1 — they are sized only when a v3 runner prepares the
     /// workspace).
     wide: WideScratch,
     /// Trials served since the buffers were last (re)allocated — the
@@ -166,12 +162,11 @@ impl TrialWorkspace {
 
     /// Every scratch buffer, in a fixed order — what the zero-allocation
     /// checks watch for capacity growth and storage moves.
-    fn buffers(&self) -> [&Vec<f64>; 16] {
+    fn buffers(&self) -> [&Vec<f64>; 15] {
         let w = &self.wide;
         [
             &self.z,
             &self.die.region_dvth,
-            &self.normals,
             &self.slowdown,
             &self.at,
             &self.stage_delays,
@@ -196,7 +191,7 @@ pub struct PreparedPipelineMc {
     sampler: ProcessSampler,
     stages: Vec<PreparedStage>,
     /// Total per-gate random-σ count across all stages: the length of
-    /// the single up-front normal fill the v2 kernel performs per trial.
+    /// each lane's gate-normal row in the v3 kernel's up-front fill.
     rand_total: usize,
     latch: LatchParams,
     output_load: f64,
@@ -311,7 +306,6 @@ impl PreparedPipelineMc {
         // +1: the inter-die draw shares the buffer with the region draws.
         grow(&mut ws.z, regions + 1);
         grow(&mut ws.die.region_dvth, regions);
-        grow(&mut ws.normals, max_gates.max(self.rand_total));
         grow(&mut ws.slowdown, max_gates);
         grow(&mut ws.at, max_signals);
         ws.stage_delays.resize(self.stages.len(), 0.0);
@@ -386,76 +380,6 @@ impl PreparedPipelineMc {
         (max_d, weight)
     }
 
-    /// One **v2-kernel** trial into the workspace under the plan's draw
-    /// `overlay`; returns `(pipeline delay, importance weight)`. Same
-    /// spec semantics as [`Self::sample_trial`] — same seed derivation,
-    /// same component model, same deterministic timing — but
-    /// batch-shaped arithmetic: the die's normals come from one pair-
-    /// producing Box–Muller fill, each stage's per-gate normals from a
-    /// structure-of-arrays inverse-CDF fill (one uniform per gate), the
-    /// slowdown factor from the frozen polynomial kernels, and the latch
-    /// overhead normal is drawn **only when the latch has jitter** (v1
-    /// draws and discards it when sigma is zero).
-    fn sample_trial_v2(
-        &self,
-        ws: &mut TrialWorkspace,
-        rng: &mut StdRng,
-        overlay: &DrawOverlay<'_>,
-    ) -> (f64, f64) {
-        let weight = self.sampler.sample_die_with(
-            NormalFill::BoxMullerPairs,
-            overlay,
-            rng,
-            &mut ws.z,
-            &mut ws.die,
-        );
-        let sign = overlay.sign;
-        // One up-front inverse-CDF fill covers every stage's per-gate
-        // normals (one u64 each, stage order). Each normal depends only
-        // on its own u64, so the values are identical to per-stage fills
-        // — batching just amortizes the fill's fixed costs. Latch
-        // overhead draws (below) consume the RNG *after* this block.
-        ws.normals.resize(self.rand_total, 0.0);
-        fill_standard_normals_inv_cdf(rng, &mut ws.normals);
-        if sign != 1.0 {
-            for n in ws.normals.iter_mut() {
-                *n *= sign;
-            }
-        }
-        let latch_sigma = self.latch.overhead_sigma_ps();
-        let mut max_d = f64::NEG_INFINITY;
-        let mut rand_off = 0usize;
-        for (s, stage) in self.stages.iter().enumerate() {
-            let shared = ws.die.shared_dvth(stage.region);
-            if stage.rand_sigma.is_empty() {
-                ws.slowdown.clear();
-                let f = self.lib.vth_slowdown_factor_v2(shared);
-                ws.slowdown.resize(stage.netlist.gate_count(), f);
-            } else {
-                let gates = stage.rand_sigma.len();
-                let z = &ws.normals[rand_off..rand_off + gates];
-                rand_off += gates;
-                ws.slowdown.resize(gates, 0.0);
-                self.lib.vth_slowdown_factors_v2_into(
-                    shared,
-                    &stage.rand_sigma,
-                    z,
-                    &mut ws.slowdown,
-                );
-            }
-            let comb = stage.comb_delay(&ws.slowdown, &mut ws.at);
-            let mut overhead = self.latch.overhead_ps();
-            if latch_sigma != 0.0 {
-                overhead += latch_sigma * (sign * sample_standard_normal_inv_cdf(rng));
-            }
-            let sd = comb + overhead;
-            max_d = max_d.max(sd);
-            ws.stage_delays[s] = sd;
-        }
-        ws.reuses += 1;
-        (max_d, weight)
-    }
-
     /// Number of die-level standard-normal dims one trial draws (the
     /// inter-die normal plus the correlated-region normals) — the dims a
     /// stratified or Sobol trial plan overrides.
@@ -471,20 +395,17 @@ impl PreparedPipelineMc {
     /// `ps` prepares each lane's overlay, which applies to every normal
     /// the lane draws (die, latch and gate).
     ///
-    /// The v3 RNG consumption order per trial is part of the contract
-    /// and deliberately differs from v2: die draws (batch inverse-CDF,
-    /// not Box–Muller), then **all** latch-jitter normals up front (one
-    /// per stage, only when the latch has jitter; v2 interleaves them
-    /// after each stage), then every gate normal in one FMA-fused batch
+    /// The v3 RNG consumption order per trial is part of the contract:
+    /// die draws (batch inverse-CDF, not Box–Muller), then **all**
+    /// latch-jitter normals up front (one per stage, only when the latch
+    /// has jitter), then every gate normal in one FMA-fused batch
     /// inverse-CDF fill ([`fill_standard_normals_inv_cdf_fma_multi`]).
-    /// The fused fill consumes the RNG exactly like the v2 fill (one
-    /// `u64` per normal, tail fixups re-rolling per element) but
-    /// evaluates the quantile through `mul_add`-fused Acklam polynomials
-    /// — correctly rounded on every target, so its bytes are stable
-    /// across dispatch targets yet never interchangeable with v2's. Each
-    /// lane consumes only its own seeded RNG, so a trial's values are a
-    /// pure function of its index — pass grouping (including the ragged
-    /// final pass) cannot reach the result bytes.
+    /// The fused fill consumes one `u64` per normal but evaluates the
+    /// quantile through `mul_add`-fused Acklam polynomials — correctly
+    /// rounded on every target, so its bytes are stable across dispatch
+    /// targets. Each lane consumes only its own seeded RNG, so a trial's
+    /// values are a pure function of its index — pass grouping
+    /// (including the ragged final pass) cannot reach the result bytes.
     fn sample_pass_v3(
         &self,
         ws: &mut TrialWorkspace,
@@ -520,10 +441,10 @@ impl PreparedPipelineMc {
     ///
     /// Each lane gets the bits of
     /// [`ProcessSampler::sample_die_with`] (inverse-CDF fill) followed by
-    /// one [`sample_standard_normal_inv_cdf`] per stage: one
-    /// multi-stream fill ([`fill_standard_normals_inv_cdf_multi`]) draws
-    /// the same values from the same stream positions, except that a
-    /// leading dim the overlay overrides has its `u64` consumed and its
+    /// one [`vardelay_stats::sample_standard_normal_inv_cdf`] per stage:
+    /// one multi-stream fill ([`fill_standard_normals_inv_cdf_multi`])
+    /// draws the same values from the same stream positions, except that
+    /// a leading dim the overlay overrides has its `u64` consumed and its
     /// quantile skipped; [`ProcessSampler::shape_die_lanes`] then applies
     /// the shift and correlates the regions in `transform_into`'s
     /// per-element order.
@@ -723,7 +644,7 @@ impl PreparedPipelineMc {
     /// produced it. The kernel's sampler then runs the trial and its
     /// [`LaneFold`] records it: under v1, straight into `stats`
     /// (bit-identical to [`PipelineMc::sample_trial`] for the same seeds
-    /// under the plain plan); under v2/v3 through the kernel's fixed
+    /// under the plain plan); under v3 through the kernel's fixed
     /// lanes, folded in ascending order at the end of the call, so the
     /// output is a pure function of the trial range — identical however
     /// ranges are split across workers or shards, as long as the block
@@ -759,15 +680,11 @@ impl PreparedPipelineMc {
         let mut ps = PlanSampler::new(plan, self.die_dims(), seed_of(0));
         let mut fold = LaneFold::new(self.kernel, stats);
         match self.kernel {
-            TrialKernel::V1 | TrialKernel::V2 => {
+            TrialKernel::V1 => {
                 for t in trials {
                     let (seed_index, overlay) = ps.prepare_trial(t);
                     let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
-                    let (maxd, w) = if self.kernel == TrialKernel::V1 {
-                        self.sample_trial(ws, &mut rng, &overlay)
-                    } else {
-                        self.sample_trial_v2(ws, &mut rng, &overlay)
-                    };
+                    let (maxd, w) = self.sample_trial(ws, &mut rng, &overlay);
                     fold.record(t, &ws.stage_delays, maxd, w);
                     debug_assert_eq!(
                         fingerprint(ws),
@@ -811,6 +728,7 @@ mod tests {
     use super::*;
     use vardelay_circuit::LatchParams;
     use vardelay_process::VariationConfig;
+    use vardelay_stats::batch::sample_standard_normal_inv_cdf;
 
     fn pipe(ns: usize, nl: usize) -> StagedPipeline {
         StagedPipeline::inverter_grid(ns, nl, 1.0, LatchParams::tg_msff_70nm())
@@ -950,90 +868,6 @@ mod tests {
         assert_eq!(stats.trials(), 128);
     }
 
-    /// The v2 contract in miniature: a block's v2 bytes are a pure
-    /// function of its trial range — fresh or reused workspace, the same
-    /// range produces identical bits.
-    #[test]
-    fn v2_block_bytes_are_a_pure_function_of_the_range() {
-        for var in [
-            VariationConfig::none(),
-            VariationConfig::random_only(35.0),
-            VariationConfig::inter_only(40.0),
-            VariationConfig::combined(20.0, 35.0, 15.0),
-        ] {
-            let mc =
-                PipelineMc::new(CellLibrary::default(), var, None).with_kernel(TrialKernel::V2);
-            let p = pipe(4, 6);
-            let prepared = PreparedPipelineMc::new(&mc, &p);
-            assert_eq!(prepared.kernel(), TrialKernel::V2);
-
-            let targets = [150.0, 200.0];
-            let mut a = PipelineBlockStats::new(p.stage_count(), &targets);
-            let mut ws = prepared.workspace();
-            run(&prepared, &mut ws, 256..512, &mut a);
-
-            // Same range again, same (now warm) workspace.
-            let mut b = PipelineBlockStats::new(p.stage_count(), &targets);
-            run(&prepared, &mut ws, 256..512, &mut b);
-            assert_eq!(a, b, "v2 block not reproducible under {var:?}");
-        }
-    }
-
-    /// v1 and v2 are different byte streams drawn from the same
-    /// distributions: means and sigmas must agree within Monte-Carlo
-    /// error at matched trial counts, and the bytes must differ (if they
-    /// didn't, v2 would not need to be a separate contract).
-    #[test]
-    fn v2_statistically_matches_v1() {
-        let var = VariationConfig::combined(20.0, 35.0, 15.0);
-        let mc1 = PipelineMc::new(CellLibrary::default(), var, None);
-        let mc2 = PipelineMc::new(CellLibrary::default(), var, None).with_kernel(TrialKernel::V2);
-        let p = pipe(4, 6);
-        let p1 = PreparedPipelineMc::new(&mc1, &p);
-        let p2 = PreparedPipelineMc::new(&mc2, &p);
-        let n = 40_000u64;
-        let target = [115.0];
-        let mut s1 = PipelineBlockStats::new(p.stage_count(), &target);
-        let mut s2 = PipelineBlockStats::new(p.stage_count(), &target);
-        run(&p1, &mut p1.workspace(), 0..n, &mut s1);
-        run(&p2, &mut p2.workspace(), 0..n, &mut s2);
-        assert_ne!(s1, s2, "the kernels must be distinct byte streams");
-
-        let (m1, m2) = (s1.pipeline().mean(), s2.pipeline().mean());
-        let (d1, d2) = (s1.pipeline().sample_sd(), s2.pipeline().sample_sd());
-        // Means of two independent n-trial estimates differ by
-        // ~sd·sqrt(2/n); allow 5 of those.
-        let tol = 5.0 * d1 * (2.0 / n as f64).sqrt();
-        assert!((m1 - m2).abs() < tol, "means {m1} vs {m2} (tol {tol})");
-        assert!((d1 - d2).abs() / d1 < 0.05, "sds {d1} vs {d2}");
-        let (y1, y2) = (s1.yield_estimate(0), s2.yield_estimate(0));
-        assert!(
-            y1.lo <= y2.hi && y2.lo <= y1.hi,
-            "yield CIs disjoint: {y1:?} vs {y2:?}"
-        );
-        for (a, b) in s1.stage_stats().iter().zip(s2.stage_stats()) {
-            assert!((a.mean() - b.mean()).abs() < 5.0 * a.sample_sd() * (2.0 / n as f64).sqrt());
-        }
-    }
-
-    #[test]
-    fn v2_workspace_is_reused_across_blocks() {
-        let mc = PipelineMc::new(
-            CellLibrary::default(),
-            VariationConfig::combined(20.0, 35.0, 15.0),
-            None,
-        )
-        .with_kernel(TrialKernel::V2);
-        let p = pipe(3, 5);
-        let prepared = PreparedPipelineMc::new(&mc, &p);
-        let mut ws = prepared.workspace();
-        let mut stats = PipelineBlockStats::new(p.stage_count(), &[]);
-        run(&prepared, &mut ws, 0..64, &mut stats);
-        run(&prepared, &mut ws, 64..128, &mut stats);
-        assert_eq!(ws.reuses(), 128, "v2 hot path must not reallocate");
-        assert_eq!(stats.trials(), 128);
-    }
-
     /// The v3 contract in miniature: a block's v3 bytes are a pure
     /// function of its trial range — fresh or reused workspace, aligned
     /// or ragged range (a final pass narrower than [`V3_WIDTH`] must not
@@ -1067,11 +901,12 @@ mod tests {
         }
     }
 
-    /// v3 draws from the same distributions as v1 and v2 but is a third
-    /// distinct byte stream: moments and yields agree within Monte-Carlo
-    /// error at matched trial counts, bytes never coincide.
+    /// v1 and v3 are different byte streams drawn from the same
+    /// distributions: moments and yields agree within Monte-Carlo error
+    /// at matched trial counts, and the bytes must differ (if they
+    /// didn't, v3 would not need to be a separate contract).
     #[test]
-    fn v3_statistically_matches_v1_and_v2() {
+    fn v3_statistically_matches_v1() {
         let var = VariationConfig::combined(20.0, 35.0, 15.0);
         let p = pipe(4, 6);
         let n = 40_000u64;
@@ -1083,28 +918,22 @@ mod tests {
             run(&prepared, &mut prepared.workspace(), 0..n, &mut s);
             s
         };
-        let s3 = stats_for(TrialKernel::V3);
-        for kernel in [TrialKernel::V1, TrialKernel::V2] {
-            let s = stats_for(kernel);
-            assert_ne!(s, s3, "v3 must not reproduce {kernel:?} bytes");
-            let (m, m3) = (s.pipeline().mean(), s3.pipeline().mean());
-            let (d, d3) = (s.pipeline().sample_sd(), s3.pipeline().sample_sd());
-            let tol = 5.0 * d * (2.0 / n as f64).sqrt();
-            assert!(
-                (m - m3).abs() < tol,
-                "{kernel:?} means {m} vs {m3} (tol {tol})"
-            );
-            assert!((d - d3).abs() / d < 0.05, "{kernel:?} sds {d} vs {d3}");
-            let (y, y3) = (s.yield_estimate(0), s3.yield_estimate(0));
-            assert!(
-                y.lo <= y3.hi && y3.lo <= y.hi,
-                "yield CIs disjoint: {y:?} vs {y3:?}"
-            );
-            for (a, b) in s.stage_stats().iter().zip(s3.stage_stats()) {
-                assert!(
-                    (a.mean() - b.mean()).abs() < 5.0 * a.sample_sd() * (2.0 / n as f64).sqrt()
-                );
-            }
+        let (s, s3) = (stats_for(TrialKernel::V1), stats_for(TrialKernel::V3));
+        assert_ne!(s, s3, "the kernels must be distinct byte streams");
+        let (m, m3) = (s.pipeline().mean(), s3.pipeline().mean());
+        let (d, d3) = (s.pipeline().sample_sd(), s3.pipeline().sample_sd());
+        // Means of two independent n-trial estimates differ by
+        // ~sd·sqrt(2/n); allow 5 of those.
+        let tol = 5.0 * d * (2.0 / n as f64).sqrt();
+        assert!((m - m3).abs() < tol, "means {m} vs {m3} (tol {tol})");
+        assert!((d - d3).abs() / d < 0.05, "sds {d} vs {d3}");
+        let (y, y3) = (s.yield_estimate(0), s3.yield_estimate(0));
+        assert!(
+            y.lo <= y3.hi && y3.lo <= y.hi,
+            "yield CIs disjoint: {y:?} vs {y3:?}"
+        );
+        for (a, b) in s.stage_stats().iter().zip(s3.stage_stats()) {
+            assert!((a.mean() - b.mean()).abs() < 5.0 * a.sample_sd() * (2.0 / n as f64).sqrt());
         }
     }
 
@@ -1265,7 +1094,7 @@ mod tests {
     fn plan_statistics_agree_with_plain_at_matched_cis() {
         use crate::strategy::{TrialPlan, TrialStrategy};
         let var = VariationConfig::combined(30.0, 15.0, 0.0);
-        let mc = PipelineMc::new(CellLibrary::default(), var, None).with_kernel(TrialKernel::V2);
+        let mc = PipelineMc::new(CellLibrary::default(), var, None).with_kernel(TrialKernel::V3);
         let p = pipe(3, 5);
         let prepared = PreparedPipelineMc::new(&mc, &p);
         let n = 8192u64;

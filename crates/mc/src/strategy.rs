@@ -3,7 +3,7 @@
 //! A *trial plan* selects how the counter-based per-trial streams are
 //! turned into variation draws, orthogonally to the [`crate::kernel`]
 //! contract (which pins the arithmetic). Every plan is a determinism
-//! contract exactly like `kernel: v2`: for a fixed spec and plan, result
+//! contract exactly like `kernel: v3`: for a fixed spec and plan, result
 //! bytes are invariant across worker counts, shard splits, resume
 //! splices, tracing, and caching — and a non-plain plan is **never**
 //! byte-identical to plain Monte-Carlo (it agrees statistically, at

@@ -625,16 +625,15 @@ pub fn metrics_json(info: &RunInfo<'_>, agg: &Aggregate) -> String {
         "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.4}, \"bytes_saved\": {}}},\n",
         agg.counter("cache/bytes_saved"),
     ));
-    // Trials are counted per kernel version ("trials" = v1, "trials_v2"
-    // = v2, "trials_v3" = v3) so throughput can be attributed to the
-    // kernel that produced it; the top-level totals fold them together.
+    // Trials are counted per kernel version ("trials" = v1, "trials_v3"
+    // = v3) so throughput can be attributed to the kernel that produced
+    // it; the top-level totals fold them together.
     let trials_v1 = agg.counter("trials");
-    let trials_v2 = agg.counter("trials_v2");
     let trials_v3 = agg.counter("trials_v3");
-    let trials = trials_v1 + trials_v2 + trials_v3;
+    let trials = trials_v1 + trials_v3;
     out.push_str(&format!("  \"trials\": {trials},\n"));
     out.push_str(&format!(
-        "  \"trials_by_kernel\": {{\"v1\": {trials_v1}, \"v2\": {trials_v2}, \"v3\": {trials_v3}}},\n"
+        "  \"trials_by_kernel\": {{\"v1\": {trials_v1}, \"v3\": {trials_v3}}},\n"
     ));
     // Trial-plan attribution: each non-plain strategy counts its trials
     // under its own counter (in addition to the kernel counter above);
@@ -877,9 +876,8 @@ mod tests {
         {
             let _sp = span("mc", "block").value(256.0);
             counter("trials", 256);
-            let _sp2 = span("mc", "block_v2").value(512.0);
-            counter("trials_v2", 512);
-            counter("trials_v3", 256);
+            let _sp2 = span("mc", "block_v3").value(768.0);
+            counter("trials_v3", 768);
             let _sp3 = span("mc", "block_stratified").value(256.0);
             counter("trials", 256);
             counter("trials_stratified", 256);
@@ -908,11 +906,11 @@ mod tests {
         ));
         assert!(json.contains("\"torn_tail_normalized\": true"));
         assert!(json.contains("\"mc/block\""));
-        assert!(json.contains("\"mc/block_v2\""));
+        assert!(json.contains("\"mc/block_v3\""));
         // The top-level total folds every kernel's trial counter; the
         // per-kernel split is reported alongside.
         assert!(json.contains("\"trials\": 1280"));
-        assert!(json.contains("\"trials_by_kernel\": {\"v1\": 512, \"v2\": 512, \"v3\": 256}"));
+        assert!(json.contains("\"trials_by_kernel\": {\"v1\": 512, \"v3\": 768}"));
         // Strategy attribution: the stratified trials came out of the
         // kernel totals, plain is the remainder.
         assert!(json.contains(

@@ -379,7 +379,6 @@ impl GlobalPipelineOptimizer {
     fn criticality(&self, before: &PipelineTiming, after: &PipelineTiming) -> (Vec<f64>, Vec<f64>) {
         let span_name = match self.kernel {
             TrialKernel::V1 => "criticality",
-            TrialKernel::V2 => "criticality_v2",
             TrialKernel::V3 => "criticality_v3",
         };
         let _sp = vardelay_obs::span("opt", span_name).value(CRITICALITY_TRIALS as f64);
@@ -472,10 +471,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_kernel_criticality_agrees_with_v1_to_mc_accuracy() {
+    fn v3_kernel_criticality_agrees_with_v1_to_mc_accuracy() {
         let p = small_pipeline();
         let opt1 = optimizer();
-        let opt2 = optimizer().with_kernel(TrialKernel::V2);
+        let opt3 = optimizer().with_kernel(TrialKernel::V3);
         let timing = opt1.sizer().engine().analyze_pipeline(&p);
         let slowest = timing
             .stage_delays
@@ -483,15 +482,15 @@ mod tests {
             .map(|d| d.mean())
             .fold(0.0, f64::max);
         let (_, r1) = opt1.optimize(&p, slowest, 0.80, OptimizationGoal::EnsureYield);
-        let (_, r2) = opt2.optimize(&p, slowest, 0.80, OptimizationGoal::EnsureYield);
+        let (_, r3) = opt3.optimize(&p, slowest, 0.80, OptimizationGoal::EnsureYield);
         // The sizing trajectory is kernel-independent here (criticality is
         // report-only); only the criticality estimates differ, and only by
         // Monte-Carlo noise.
-        assert_eq!(r1.pipeline_yield_after, r2.pipeline_yield_after);
-        for (a, b) in r1.stages.iter().zip(&r2.stages) {
+        assert_eq!(r1.pipeline_yield_after, r3.pipeline_yield_after);
+        for (a, b) in r1.stages.iter().zip(&r3.stages) {
             assert!(
                 (a.criticality_after - b.criticality_after).abs() < 0.02,
-                "v1 {} vs v2 {}",
+                "v1 {} vs v3 {}",
                 a.criticality_after,
                 b.criticality_after
             );

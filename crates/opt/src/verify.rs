@@ -61,13 +61,13 @@ pub fn verify_yield(
     // chunk-wise: every chunk accumulates into a fresh block and merges
     // in ascending order, which is what lets the engine dispatch chunks
     // across its worker pool and still reproduce this sequential fold
-    // bit-for-bit at any worker count. The v1/v2 bytes are frozen as one
+    // bit-for-bit at any worker count. The v1 bytes are frozen as one
     // continuous accumulation: plain plans (which never stop early) as
     // one full-range call, every other plan as chunk calls into the one
-    // running fold. Under v1 the two coincide; v2's lanes fold per call.
+    // running fold (under v1 the two coincide).
     let kernel = prepared.kernel();
     let chunk_trials = match (kernel, plan.strategy) {
-        (TrialKernel::V1 | TrialKernel::V2, TrialStrategy::Plain) => budget,
+        (TrialKernel::V1, TrialStrategy::Plain) => budget,
         _ => VERIFY_CHUNK_TRIALS,
     };
     let mut done = 0;

@@ -160,7 +160,6 @@ impl PipelineYieldEval for NetlistMcYieldEval {
         // time separately attributable in `vardelay report` / `--metrics`.
         let (span_name, counter_name) = match self.mc.kernel() {
             TrialKernel::V1 => ("yield_eval", "trials"),
-            TrialKernel::V2 => ("yield_eval_v2", "trials_v2"),
             TrialKernel::V3 => ("yield_eval_v3", "trials_v3"),
         };
         let _sp = vardelay_obs::span("opt", span_name)

@@ -15,88 +15,10 @@
 
 use serde::{Deserialize, Serialize};
 use vardelay_stats::batch::{
-    exp_approx, exp_approx_fma, exp_approx_fma_raw, ln_one_minus, ln_one_minus_ratio_fma_raw,
-    LN_ONE_MINUS_MAX_R,
+    exp_approx_fma, exp_approx_fma_raw, ln_one_minus_ratio_fma_raw, LN_ONE_MINUS_MAX_R,
 };
 
 use crate::tech::Technology;
-
-/// The **v2-kernel** alpha-power slowdown factor
-/// `(od / (od - dvth))^alpha = exp(-alpha · ln(1 - dvth/od))`, evaluated
-/// through the frozen polynomial kernels of `vardelay_stats::batch`
-/// instead of `powf`.
-///
-/// This is the Monte-Carlo hot path's per-gate transcendental: under the
-/// v1 kernel every gate of every trial pays one `powf`. The v2 contract
-/// replaces it with one division plus two fixed polynomial chains
-/// ([`ln_one_minus`] then [`exp_approx`]) whose coefficients are frozen
-/// in source; the combined relative error stays below `2e-7` over the
-/// certified `|dvth/od| <= 0.6` range — far inside which every paper
-/// variation mix lives (6σ of total ΔVth against the 0.7 V BPTM-70nm
-/// overdrive is `r ≈ 0.39`). Beyond the certified range the function
-/// falls back to the exact `powf` form, so extreme custom technologies
-/// stay correct; the fallback is itself a pure function, so determinism
-/// is unaffected.
-///
-/// # Panics
-///
-/// Panics if `dvth >= od` (the gate would not switch) or `od <= 0`.
-#[inline]
-pub fn slowdown_factor_approx(od: f64, alpha: f64, dvth: f64) -> f64 {
-    assert!(od > 0.0, "overdrive must be positive");
-    assert!(dvth < od, "threshold shift {dvth} V reaches the supply");
-    let r = dvth / od;
-    if r.abs() > LN_ONE_MINUS_MAX_R {
-        return (od / (od - dvth)).powf(alpha);
-    }
-    let x = -alpha * ln_one_minus(r);
-    if x.abs() > vardelay_stats::batch::EXP_APPROX_MAX_X {
-        return (od / (od - dvth)).powf(alpha);
-    }
-    exp_approx(x)
-}
-
-/// Bulk form of [`slowdown_factor_approx`]:
-/// `out[i] = slowdown_factor_approx(od, alpha, shared + sigmas[i] * z[i])`,
-/// bit-identical per element, but evaluated in branch-free
-/// structure-of-arrays passes so the polynomial chains vectorize. The
-/// domain checks are hoisted: a single range test per pass guards the
-/// whole slice, and only when some element leaves the certified range
-/// does the function fall back to the element-wise scalar form (whose
-/// in-range elements produce the same bits, so the fallback never
-/// changes in-range results).
-///
-/// This is the v2 kernel's per-gate hot loop: `z[i]` is gate `i`'s
-/// standard normal, `sigmas[i]` its Pelgrom σVth, `shared` the die's
-/// shared ΔVth.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ, `od <= 0`, or (in the fallback)
-/// an element's total shift reaches the supply.
-pub fn slowdown_factors_approx_into(
-    od: f64,
-    alpha: f64,
-    shared: f64,
-    sigmas: &[f64],
-    z: &[f64],
-    out: &mut [f64],
-) {
-    assert!(od > 0.0, "overdrive must be positive");
-    assert!(
-        sigmas.len() == z.len() && z.len() == out.len(),
-        "slice length mismatch"
-    );
-    if fast_path_dispatch(od, alpha, shared, sigmas, z, out) {
-        return;
-    }
-    // Some element left the certified range: `out` holds intermediate
-    // values, so recompute everything element-wise from `z` (in-range
-    // elements produce the same bits either way).
-    for (o, (&sig, &zi)) in out.iter_mut().zip(sigmas.iter().zip(z)) {
-        *o = slowdown_factor_approx(od, alpha, shared + sig * zi);
-    }
-}
 
 /// Shift-major **fused** slowdown factors for the v3 wide kernel's
 /// stage pass:
@@ -104,12 +26,10 @@ pub fn slowdown_factors_approx_into(
 /// bit-identical per element. The caller has already combined each
 /// lane's die-level ΔVth with its gate's Pelgrom term
 /// (`shift = shared + sigma·z`), which lets one call cover a whole
-/// stage's `gates × lanes` block instead of one call per gate. Unlike
-/// the v2 pipeline, the polynomial chains here are the `_fma` variants
-/// of the same frozen kernels — fused steps halve the latency-bound
-/// Horner chains, and `mul_add` is correctly rounded on every target,
-/// so the hoisted-range fast path and the element-wise scalar fallback
-/// still produce identical bits for in-range elements (batch
+/// stage's `gates × lanes` block instead of one call per gate. The
+/// polynomial chains are fused (`mul_add`), which is correctly rounded
+/// on every target, so the hoisted-range fast path and the element-wise
+/// scalar fallback produce identical bits for in-range elements (batch
 /// granularity cannot reach the results).
 ///
 /// # Panics
@@ -130,12 +50,22 @@ pub fn slowdown_factors_shift_approx_into(od: f64, alpha: f64, shift: &[f64], ou
     }
 }
 
-/// Scalar form of the v3 shift pipeline: [`slowdown_factor_approx`] on
-/// the fused polynomial kernels ([`ln_one_minus_fma`],
-/// [`exp_approx_fma`]) — the element-wise reference (and out-of-range
-/// fallback) of [`slowdown_factors_shift_approx_into`]. Beyond the
-/// certified range it falls back to the same exact `powf` form as the
-/// v1/v2 scalar.
+/// The **v3-kernel** alpha-power slowdown factor
+/// `(od / (od - dvth))^alpha = exp(-alpha · ln(1 - dvth/od))`, evaluated
+/// through the frozen fused polynomial kernels of `vardelay_stats::batch`
+/// ([`ln_one_minus_ratio_fma_raw`] then [`exp_approx_fma`]) instead of
+/// `powf` — the element-wise reference (and out-of-range fallback) of
+/// [`slowdown_factors_shift_approx_into`].
+///
+/// Under the v1 kernel every gate of every trial pays one `powf`; this
+/// replaces it with one division plus two fixed polynomial chains whose
+/// coefficients are frozen in source. The combined relative error stays
+/// below `2e-7` over the certified `|dvth/od| <= 0.6` range — far inside
+/// which every paper variation mix lives (6σ of total ΔVth against the
+/// 0.7 V BPTM-70nm overdrive is `r ≈ 0.39`). Beyond the certified range
+/// the function falls back to the exact `powf` form, so extreme custom
+/// technologies stay correct; the fallback is itself a pure function,
+/// so determinism is unaffected.
 ///
 /// # Panics
 ///
@@ -159,18 +89,13 @@ pub fn slowdown_factor_approx_fma(od: f64, alpha: f64, dvth: f64) -> f64 {
 }
 
 /// The certified-range pipeline of
-/// [`slowdown_factors_shift_approx_into`]: the same element-wise maps
-/// as [`fast_path`] on the fused kernels, minus the shift construction
-/// the caller already did — but as **one** sweep instead of five.
-/// Each element runs the whole div → ln → exp chain speculatively
-/// through the `_raw` (uncheck­ed) kernels while a branchless flag
-/// accumulates both range tests; out-of-range elements produce junk
-/// that the `false` return tells the caller to discard wholesale. One
-/// load and one store per element instead of three of each plus two
-/// scan passes, and the independent per-element chains give the
-/// out-of-order core more to overlap than three short loops did.
-/// In-range elements see the exact same operation sequence as the
-/// scalar reference, so bits are unchanged.
+/// [`slowdown_factors_shift_approx_into`], as **one** sweep: each
+/// element runs the whole div → ln → exp chain speculatively through
+/// the `_raw` (uncheck­ed) kernels while a branchless flag accumulates
+/// both range tests; out-of-range elements produce junk that the
+/// `false` return tells the caller to discard wholesale. In-range
+/// elements see the exact same operation sequence as the scalar
+/// reference, so bits are unchanged.
 #[inline(always)]
 fn fast_path_shift(od: f64, alpha: f64, shift: &[f64], out: &mut [f64]) -> bool {
     #[inline(always)]
@@ -221,99 +146,6 @@ fn fast_path_shift_dispatch(od: f64, alpha: f64, shift: &[f64], out: &mut [f64])
 #[inline]
 fn fast_path_shift_dispatch(od: f64, alpha: f64, shift: &[f64], out: &mut [f64]) -> bool {
     fast_path_shift(od, alpha, shift, out)
-}
-
-/// The certified-range pipeline of [`slowdown_factors_approx_into`]:
-/// reduction-free element-wise maps (so the polynomial chains
-/// vectorize), each guarded by a separate range scan. Returns `false`
-/// (with `out` holding intermediates) when any element leaves the
-/// certified range. `inline(always)` so the AVX-multiversioned wrapper
-/// below inherits the body; plain mul/add/div vectorization is
-/// IEEE-exact per element (FMA is *not* enabled), so every dispatch
-/// target produces identical bits.
-#[inline(always)]
-fn fast_path(od: f64, alpha: f64, shared: f64, sigmas: &[f64], z: &[f64], out: &mut [f64]) -> bool {
-    for (o, (&sig, &zi)) in out.iter_mut().zip(sigmas.iter().zip(z)) {
-        *o = (shared + sig * zi) / od;
-    }
-    if !within(out, LN_ONE_MINUS_MAX_R) {
-        return false;
-    }
-    for o in out.iter_mut() {
-        *o = -alpha * ln_one_minus(*o);
-    }
-    if !within(out, vardelay_stats::batch::EXP_APPROX_MAX_X) {
-        return false;
-    }
-    for o in out.iter_mut() {
-        *o = exp_approx(*o);
-    }
-    true
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn fast_path_avx(
-    od: f64,
-    alpha: f64,
-    shared: f64,
-    sigmas: &[f64],
-    z: &[f64],
-    out: &mut [f64],
-) -> bool {
-    fast_path(od, alpha, shared, sigmas, z, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn fast_path_dispatch(
-    od: f64,
-    alpha: f64,
-    shared: f64,
-    sigmas: &[f64],
-    z: &[f64],
-    out: &mut [f64],
-) -> bool {
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: the AVX feature was just detected at runtime.
-        unsafe { fast_path_avx(od, alpha, shared, sigmas, z, out) }
-    } else {
-        fast_path(od, alpha, shared, sigmas, z, out)
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn fast_path_dispatch(
-    od: f64,
-    alpha: f64,
-    shared: f64,
-    sigmas: &[f64],
-    z: &[f64],
-    out: &mut [f64],
-) -> bool {
-    fast_path(od, alpha, shared, sigmas, z, out)
-}
-
-/// `true` when every element of `xs` satisfies `|x| <= limit`. Four
-/// independent accumulators break the serial `max` dependency chain
-/// (and vectorize); `max` is exact, so the fold order cannot change the
-/// verdict.
-#[inline(always)]
-fn within(xs: &[f64], limit: f64) -> bool {
-    let mut w = [0.0f64; 4];
-    let mut chunks = xs.chunks_exact(4);
-    for c in &mut chunks {
-        w[0] = w[0].max(c[0].abs());
-        w[1] = w[1].max(c[1].abs());
-        w[2] = w[2].max(c[2].abs());
-        w[3] = w[3].max(c[3].abs());
-    }
-    let mut worst = w[0].max(w[1]).max(w[2].max(w[3]));
-    for &x in chunks.remainder() {
-        worst = worst.max(x.abs());
-    }
-    worst <= limit
 }
 
 /// Alpha-power-law delay evaluator bound to a [`Technology`].
@@ -444,7 +276,7 @@ mod tests {
 
     #[test]
     fn slowdown_approx_pinned_over_reachable_overdrive_range() {
-        // The v2 kernel's per-gate transcendental must stay within 2e-7
+        // The v3 kernel's per-gate transcendental must stay within 2e-7
         // relative error everywhere a paper variation mix can reach. The
         // largest mix (20/35/15 mV inter/random/systematic) has total
         // sigma ~43 mV; +/-6 sigma is ~0.26 V of ΔVth against the 0.7 V
@@ -456,7 +288,7 @@ mod tests {
             let mut dvth = -0.40;
             while dvth <= 0.40 {
                 let exact = (od / (od - dvth)).powf(alpha);
-                let approx = slowdown_factor_approx(od, alpha, dvth);
+                let approx = slowdown_factor_approx_fma(od, alpha, dvth);
                 max_rel = max_rel.max(((approx - exact) / exact).abs());
                 dvth += 1e-4;
             }
@@ -466,43 +298,19 @@ mod tests {
 
     #[test]
     fn slowdown_approx_falls_back_to_exact_outside_certified_range() {
-        // Beyond |r| = 0.6 (or when alpha·|ln(1-r)| leaves the exp_approx
-        // domain) the function must return powf's bits exactly.
+        // Beyond |r| = 0.6 (or when alpha·|ln(1-r)| leaves the
+        // exp_approx_fma domain) the function must return powf's bits exactly.
         let od = Technology::bptm70().overdrive();
         for (alpha, dvth) in [(1.3, 0.45), (1.3, -0.45), (5.0, 0.35), (10.0, -0.30)] {
             let exact = (od / (od - dvth)).powf(alpha);
-            assert_eq!(slowdown_factor_approx(od, alpha, dvth), exact);
+            assert_eq!(slowdown_factor_approx_fma(od, alpha, dvth), exact);
         }
     }
 
     #[test]
     #[should_panic(expected = "reaches the supply")]
     fn slowdown_approx_rejects_shift_at_supply() {
-        let _ = slowdown_factor_approx(0.7, 1.3, 0.7);
-    }
-
-    #[test]
-    fn bulk_slowdown_matches_scalar_bit_for_bit() {
-        let (od, alpha, shared) = (0.7, 1.3, 0.013);
-        let sigmas: Vec<f64> = (0..117).map(|i| 0.001 + 1e-5 * i as f64).collect();
-        let z: Vec<f64> = (0..117).map(|i| (i as f64 - 58.0) / 12.0).collect();
-        let mut out = vec![0.0; 117];
-        slowdown_factors_approx_into(od, alpha, shared, &sigmas, &z, &mut out);
-        for (i, &got) in out.iter().enumerate() {
-            let want = slowdown_factor_approx(od, alpha, shared + sigmas[i] * z[i]);
-            assert_eq!(got, want, "element {i}");
-        }
-
-        // One element past the certified range forces the fallback pass;
-        // in-range elements must keep the exact same bits.
-        let mut z_wild = z.clone();
-        z_wild[40] = 300.0; // r ≈ 0.06 → fine; sig*300 ≈ 0.42+ → |r| > 0.6
-        let mut out_wild = vec![0.0; 117];
-        slowdown_factors_approx_into(od, alpha, shared, &sigmas, &z_wild, &mut out_wild);
-        for (i, &got) in out_wild.iter().enumerate() {
-            let want = slowdown_factor_approx(od, alpha, shared + sigmas[i] * z_wild[i]);
-            assert_eq!(got, want, "fallback element {i}");
-        }
+        let _ = slowdown_factor_approx_fma(0.7, 1.3, 0.7);
     }
 
     #[test]
@@ -530,29 +338,5 @@ mod tests {
             assert_eq!(got, want, "fallback element {i}");
         }
         assert_eq!(out_wild[2], out[2], "element bits are width-independent");
-    }
-
-    #[test]
-    fn fma_scalar_slowdown_agrees_with_v2_scalar() {
-        // Same frozen coefficients, fused rounding schedule: the v3
-        // scalar must track the v2 scalar far below any physical
-        // tolerance across the certified range (and match exactly in the
-        // shared powf fallback).
-        let (od, alpha) = (0.7, 1.3);
-        let mut dvth = -0.4;
-        while dvth < 0.4 {
-            let fused = slowdown_factor_approx_fma(od, alpha, dvth);
-            let plain = slowdown_factor_approx(od, alpha, dvth);
-            assert!(
-                ((fused - plain) / plain).abs() < 1e-12,
-                "dvth={dvth}: {fused} vs {plain}"
-            );
-            dvth += 1e-3;
-        }
-        assert_eq!(
-            slowdown_factor_approx_fma(od, alpha, 0.45),
-            slowdown_factor_approx(od, alpha, 0.45),
-            "out-of-range fallback is the shared exact powf"
-        );
     }
 }

@@ -44,8 +44,7 @@ pub mod tech;
 pub mod variation;
 
 pub use delay_model::{
-    slowdown_factor_approx, slowdown_factor_approx_fma, slowdown_factors_approx_into,
-    slowdown_factors_shift_approx_into, AlphaPowerDelay,
+    slowdown_factor_approx_fma, slowdown_factors_shift_approx_into, AlphaPowerDelay,
 };
 pub use pelgrom::pelgrom_sigma;
 pub use sample::{DieLanes, DieSample, ProcessSampler};

@@ -362,8 +362,8 @@ mod tests {
     }
 
     /// The historical per-kernel die bodies: v1 draws the inter-die
-    /// normal, then each region normal, one scalar call at a time; v2/v3
-    /// fill every die-level normal in one batch call.
+    /// normal, then each region normal, one scalar call at a time; v3
+    /// fills every die-level normal in one batch call.
     fn reference(s: &ProcessSampler, fill: NormalFill, rng: &mut StdRng) -> DieSample {
         let n_inter = usize::from(s.variation.has_inter());
         let regions = s.region_value_count();
@@ -453,50 +453,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_die_sampler_matches_component_moments() {
-        // Same semantics as the v1 sampler — inter-die sd, per-region
-        // sd — just a different (pair-Box–Muller) normal source.
-        let s = ProcessSampler::new(VariationConfig::combined(20.0, 35.0, 15.0), None);
-        let mut rng = StdRng::seed_from_u64(0x2D1E);
-        let mut z = Vec::new();
-        let mut die = DieSample::default();
-        let mut inter = RunningStats::new();
-        let mut region0 = RunningStats::new();
-        for _ in 0..30_000 {
-            with(
-                &s,
-                NormalFill::BoxMullerPairs,
-                (1.0, &[], 0.0),
-                &mut rng,
-                &mut z,
-                &mut die,
-            );
-            inter.push(die.global_dvth);
-            region0.push(die.region_dvth[0]);
-        }
-        assert!((inter.sample_sd() - 0.020).abs() < 5e-4, "{inter}");
-        assert!((region0.sample_sd() - 0.015).abs() < 5e-4, "{region0}");
-        assert!(inter.mean().abs() < 5e-4);
-
-        // No variation: nothing drawn, nothing allocated.
-        let none = ProcessSampler::new(VariationConfig::none(), None);
-        with(
-            &none,
-            NormalFill::BoxMullerPairs,
-            (1.0, &[], 0.0),
-            &mut rng,
-            &mut z,
-            &mut die,
-        );
-        assert_eq!(die.global_dvth, 0.0);
-        assert!(die.region_dvth.is_empty());
-    }
-
-    #[test]
-    fn v3_die_sampler_matches_component_moments_and_differs_from_v2() {
-        // Same semantics again — only the normal source changes (batch
-        // inverse-CDF) — so the component moments must survive, and the
-        // per-seed bytes must differ from the v2 (Box–Muller) fill.
+    fn v3_die_sampler_matches_component_moments_and_differs_from_v1() {
+        // Same semantics as the v1 sampler — inter-die sd, per-region sd
+        // — only the normal source changes (batch inverse-CDF), so the
+        // component moments must survive, and the per-seed bytes must
+        // differ from the v1 (scalar Box–Muller) draws.
         let s = ProcessSampler::new(VariationConfig::combined(20.0, 35.0, 15.0), None);
         let mut rng = StdRng::seed_from_u64(0x3D1E);
         let mut z = Vec::new();
@@ -517,16 +478,9 @@ mod tests {
         for seed in 0..8u64 {
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            with(
-                &s,
-                NormalFill::BoxMullerPairs,
-                (1.0, &[], 0.0),
-                &mut r1,
-                &mut z,
-                &mut a,
-            );
+            s.sample_die_into(&mut r1, &mut z, &mut a);
             s.sample_die_into_v3(&mut r2, &mut z, &mut b);
-            assert_ne!(a, b, "v3 die bytes must not coincide with v2");
+            assert_ne!(a, b, "v3 die bytes must not coincide with v1");
         }
 
         // No variation: nothing drawn, nothing allocated.
@@ -544,11 +498,7 @@ mod tests {
         let s = ProcessSampler::new(VariationConfig::combined(20.0, 35.0, 15.0), None);
         let mut z = Vec::new();
         let mut b = DieSample::default();
-        for fill in [
-            NormalFill::Scalar,
-            NormalFill::BoxMullerPairs,
-            NormalFill::InvCdf,
-        ] {
+        for fill in [NormalFill::Scalar, NormalFill::InvCdf] {
             for seed in 0..20u64 {
                 let mut r1 = StdRng::seed_from_u64(seed);
                 let mut r2 = StdRng::seed_from_u64(seed);

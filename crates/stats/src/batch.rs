@@ -1,4 +1,4 @@
-//! Batch-shaped samplers and frozen polynomial kernels for the v2 trial
+//! Batch-shaped samplers and frozen polynomial kernels for the v3 trial
 //! kernel.
 //!
 //! The v1 Monte-Carlo trial loop draws normals one at a time through
@@ -7,23 +7,25 @@
 //! alpha-power slowdown with `powf`. Everything in this module exists to
 //! replace those two costs **under a new, explicitly versioned
 //! determinism contract**: each function here is a pure function of its
-//! input bits with every coefficient frozen in source, so v2 results are
+//! input bits with every coefficient frozen in source, so v3 results are
 //! exactly as reproducible as v1 — they are simply *different* pure
 //! functions.
 //!
 //! Three families live here:
 //!
-//! * **Pair-producing Box–Muller** ([`normal_pair_bm`],
-//!   [`fill_standard_normals_bm`]) — one `(ln, sqrt, sin_cos)` group per
-//!   *two* normals instead of per one.
 //! * **Pinned-coefficient inverse-CDF** ([`standard_normal_inv_cdf`],
 //!   [`fill_standard_normals_inv_cdf`]) — Acklam's rational
 //!   approximation *without* the Halley refinement that
 //!   [`crate::inv_cap_phi`] applies: one uniform (one `u64`) per normal
 //!   and, in the central branch covering ~95.15% of draws, no
 //!   transcendental calls at all. Absolute error ≤ 1.2e-9 everywhere.
-//! * **Frozen `powf` replacement** ([`ln_one_minus`], [`exp_approx`]) —
-//!   the two polynomial halves of
+//!   The v3 kernel draws its die-level, latch-jitter and criticality
+//!   normals through it.
+//! * **Fused inverse-CDF** ([`standard_normal_inv_cdf_fma`],
+//!   [`fill_standard_normals_inv_cdf_fma`]) — the same quantile with its
+//!   central Horner chains fused; the v3 kernel's gate normals.
+//! * **Frozen `powf` replacement** ([`ln_one_minus_fma`],
+//!   [`exp_approx_fma`]) — the two polynomial halves of
 //!   `(1-r)^(-alpha) = exp(-alpha · ln(1-r))`, the alpha-power slowdown
 //!   factor's reachable form. Coefficients are literal rationals in
 //!   source; combined relative error is below 5e-8 over the delay
@@ -46,55 +48,15 @@ const TWO_NEG_52: f64 = 1.0 / 4_503_599_627_370_496.0;
 /// spacing uniform while making both endpoints unreachable — with 52
 /// bits (not 53) the half-step offset stays exactly representable at
 /// both ends, so no rounding can re-create an endpoint. This exact
-/// mapping is part of the v2 contract.
+/// mapping is part of the v3 contract.
 #[inline]
 pub fn uniform_open_from_u64(u: u64) -> f64 {
     ((u >> 12) as f64 + 0.5) * TWO_NEG_52
 }
 
-/// One pair-producing Box–Muller transform: maps two open-interval
-/// uniforms to two independent standard normals, keeping **both** the
-/// cosine and sine halves (v1's scalar sampler discards the sine half,
-/// doubling its uniform consumption).
-///
-/// # Panics
-///
-/// Debug-asserts that `u1` is in `(0, 1)` (the `ln` argument).
-#[inline]
-pub fn normal_pair_bm(u1: f64, u2: f64) -> (f64, f64) {
-    debug_assert!(u1 > 0.0 && u1 < 1.0, "u1 must be in (0,1), got {u1}");
-    let r = (-2.0 * u1.ln()).sqrt();
-    let (s, c) = (2.0 * std::f64::consts::PI * u2).sin_cos();
-    (r * c, r * s)
-}
-
-/// Fills `out` with standard normals using the pair-producing
-/// Box–Muller transform, two per `(u64, u64)` uniform pair drawn from
-/// `rng` in order.
-///
-/// An odd final element consumes a full pair and keeps only the cosine
-/// half, so RNG consumption is `2 * ceil(out.len() / 2)` draws — a fixed
-/// function of the length, which is what makes the fill reproducible
-/// inside a counter-seeded trial.
-pub fn fill_standard_normals_bm<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    let mut chunks = out.chunks_exact_mut(2);
-    for pair in &mut chunks {
-        let u1 = uniform_open_from_u64(rng.next_u64());
-        let u2 = uniform_open_from_u64(rng.next_u64());
-        let (a, b) = normal_pair_bm(u1, u2);
-        pair[0] = a;
-        pair[1] = b;
-    }
-    if let [last] = chunks.into_remainder() {
-        let u1 = uniform_open_from_u64(rng.next_u64());
-        let u2 = uniform_open_from_u64(rng.next_u64());
-        *last = normal_pair_bm(u1, u2).0;
-    }
-}
-
 // Acklam's rational approximation of the standard normal quantile —
 // the same frozen coefficient set `crate::inv_cap_phi` starts from,
-// duplicated here deliberately: the v2 kernel pins these numerals as
+// duplicated here deliberately: the v3 kernel pins these numerals as
 // *its own* contract, independent of any future refinement of the
 // scalar quantile.
 const ACKLAM_A: [f64; 6] = [
@@ -262,31 +224,30 @@ fn fill_row<R: Rng + ?Sized>(
 }
 
 // ---------------------------------------------------------------------
-// FMA-fused v3 variants.
+// FMA-fused variants.
 //
-// The v2 polynomial kernels above deliberately avoid fused
-// multiply-add: their contract predates the v3 kernel, and plain
-// mul/add vectorization is IEEE-exact per element on every target. The
-// price is that every Horner step costs two serially dependent
-// operations (multiply, then add), which makes the chains latency-bound
-// — measured on the trial hot path, the polynomial passes run at ~13
-// cycles per element despite vectorizing cleanly.
+// The plain quantile above deliberately avoids fused multiply-add:
+// plain mul/add vectorization is IEEE-exact per element on every
+// target. The price is that every Horner step costs two serially
+// dependent operations (multiply, then add), which makes the chains
+// latency-bound — measured on the trial hot path, unfused polynomial
+// passes run at ~13 cycles per element despite vectorizing cleanly.
 //
-// The v3 wide kernel defines its own contract on **fused** steps:
-// `f64::mul_add` is correctly rounded (a single rounding per step) and
-// LLVM lowers it to hardware FMA where available and to the
-// correctly-rounded `fma` runtime everywhere else, so the bits are
-// identical on every dispatch target — the same bit-stability guarantee
-// as the v2 kernels, at half the operation count and half the chain
-// latency. The coefficients are the very same frozen numerals; only the
-// rounding schedule (one rounding per step instead of two) differs, so
-// each `_fma` variant agrees with its v2 twin to within a few ULP while
-// never being bit-interchangeable with it.
+// The v3 kernel's gate normals and slowdown factors therefore use
+// **fused** steps: `f64::mul_add` is correctly rounded (a single
+// rounding per step) and LLVM lowers it to hardware FMA where available
+// and to the correctly-rounded `fma` runtime everywhere else, so the
+// bits are identical on every dispatch target — the same bit-stability
+// guarantee as the unfused chains, at half the operation count and half
+// the chain latency. The coefficients are the very same frozen
+// numerals; only the rounding schedule (one rounding per step instead
+// of two) differs, so each `_fma` quantile agrees with its plain twin to
+// within a few ULP while never being bit-interchangeable with it.
 
 /// [`standard_normal_inv_cdf`] with the central rational's Horner chains
 /// fused (`mul_add`) — the v3 kernel's quantile. Same frozen Acklam
 /// coefficients and branch structure; the tail branches (~4.85% of
-/// uniform draws) share [`acklam_tail`] with the v2 quantile verbatim.
+/// uniform draws) share [`acklam_tail`] with the plain quantile verbatim.
 ///
 /// # Panics
 ///
@@ -400,7 +361,7 @@ fn quantile_chunk_fma(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
 }
 
 /// Overwrites the recorded tail indices of a quantile chunk with the
-/// tail rational — the fix-up shared by the v2 and fused v3 fills (both
+/// tail rational — the fix-up shared by the plain and fused fills (both
 /// use [`acklam_tail`] verbatim).
 #[inline]
 fn fix_tails(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
@@ -417,7 +378,7 @@ fn fix_tails(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
 
 /// [`fill_standard_normals_inv_cdf`] on the fused quantile — the v3
 /// kernel's gate-normal fill. One `u64` per element in order (identical
-/// RNG consumption to the v2 fill, so swapping fills cannot shift any
+/// RNG consumption to the plain fill, so swapping fills cannot shift any
 /// later draw), element-wise identical to
 /// [`standard_normal_inv_cdf_fma`] on each uniform.
 pub fn fill_standard_normals_inv_cdf_fma<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
@@ -497,15 +458,15 @@ fn fill_rows<R: Rng>(
                     .iter_mut()
                     .zip(&mut u1[0][..len])
                     .zip(u2[0][..len].iter_mut().zip(&mut u3[0][..len]));
-                for (i, ((v0, v1), (v2, v3))) in rows.enumerate() {
+                for (i, ((x0, x1), (x2, x3))) in rows.enumerate() {
                     let p0 = uniform_open_from_u64(a.next_u64());
                     let p1 = uniform_open_from_u64(b.next_u64());
                     let p2 = uniform_open_from_u64(c.next_u64());
                     let p3 = uniform_open_from_u64(d.next_u64());
-                    *v0 = p0;
-                    *v1 = p1;
-                    *v2 = p2;
-                    *v3 = p3;
+                    *x0 = p0;
+                    *x1 = p1;
+                    *x2 = p2;
+                    *x3 = p3;
                     let range = ACKLAM_P_LOW..=1.0 - ACKLAM_P_LOW;
                     tails[0][tn[0]] = i as u8;
                     tn[0] += usize::from(!range.contains(&p0));
@@ -542,97 +503,21 @@ fn fill_rows<R: Rng>(
 /// the certified range rather than extrapolate.
 pub const LN_ONE_MINUS_MAX_R: f64 = 0.6;
 
-/// `ln(1 - r)` by the atanh series, for `|r| <=` [`LN_ONE_MINUS_MAX_R`].
+/// Largest `|x|` [`exp_approx_fma`] is certified for.
+pub const EXP_APPROX_MAX_X: f64 = 3.0;
+
+/// `ln(1 - r)` by the atanh series, for `|r| <=` [`LN_ONE_MINUS_MAX_R`]
+/// — the v3 kernel's half of the alpha-power slowdown.
 ///
 /// With `u = r / (2 - r)` one has `1 - r = (1 - u)/(1 + u)`, hence
 /// `ln(1-r) = -2·atanh(u) = -2·(u + u³/3 + u⁵/5 + …)`; the series is
 /// truncated after the `u¹⁷/17` term. At the domain edge (`u ≈ 0.4286`)
 /// the truncation error is below `2e-8` absolute, and it falls off as
 /// `u¹⁹` inside it. No transcendental calls: one division plus a fixed
-/// odd-power chain whose nine reciprocal coefficients are frozen
-/// below.
-///
-/// # Panics
-///
-/// Debug-asserts the certified domain.
-// rustfmt::skip: the deeply nested Horner chain below makes rustfmt's
-// expression layout search take effectively unbounded time. The allow
-// keeps the frozen coefficients at full printed precision — they are
-// the contract, not a derivation to be re-rounded.
-#[rustfmt::skip]
-#[allow(clippy::excessive_precision)]
-#[inline]
-pub fn ln_one_minus(r: f64) -> f64 {
-    debug_assert!(
-        r.abs() <= LN_ONE_MINUS_MAX_R,
-        "ln_one_minus certified only for |r| <= {LN_ONE_MINUS_MAX_R}, got {r}"
-    );
-    let u = r / (2.0 - r);
-    let u2 = u * u;
-    // 1/3, 1/5, …, 1/17 — frozen reciprocals of the odd integers.
-    let s = 1.0
-        + u2 * (0.333_333_333_333_333_33
-            + u2 * (0.2
-                + u2 * (0.142_857_142_857_142_85
-                    + u2 * (0.111_111_111_111_111_11
-                        + u2 * (0.090_909_090_909_090_91
-                            + u2 * (0.076_923_076_923_076_92
-                                + u2 * (0.066_666_666_666_666_67
-                                    + u2 * 0.058_823_529_411_764_705)))))));
-    -2.0 * u * s
-}
-
-/// Largest `|x|` [`exp_approx`] is certified for.
-pub const EXP_APPROX_MAX_X: f64 = 3.0;
-
-/// `exp(x)` by argument quartering and a degree-12 Taylor polynomial,
-/// for `|x| <=` [`EXP_APPROX_MAX_X`].
-///
-/// `exp(x) = (T₁₂(x/4))⁴` with `T₁₂` the Maclaurin polynomial of the
-/// exponential (coefficients `1/k!` frozen below). At the domain edge
-/// the quartered argument is `0.75`, where the truncation error of
-/// `T₁₂` is ~1e-11; two squarings at most quadruple the relative error,
-/// keeping it below `5e-11`. No transcendental calls.
-///
-/// # Panics
-///
-/// Debug-asserts the certified domain.
-// rustfmt::skip + allow: same hazards as ln_one_minus.
-#[rustfmt::skip]
-#[allow(clippy::excessive_precision)]
-#[inline]
-pub fn exp_approx(x: f64) -> f64 {
-    debug_assert!(
-        x.abs() <= EXP_APPROX_MAX_X,
-        "exp_approx certified only for |x| <= {EXP_APPROX_MAX_X}, got {x}"
-    );
-    let y = 0.25 * x;
-    // Horner over 1/k! for k = 0..=12, frozen.
-    let t = 1.0
-        + y * (1.0
-            + y * (0.5
-                + y * (0.166_666_666_666_666_66
-                    + y * (0.041_666_666_666_666_664
-                        + y * (0.008_333_333_333_333_333
-                            + y * (0.001_388_888_888_888_889
-                                + y * (1.984_126_984_126_984e-4
-                                    + y * (2.480_158_730_158_730_2e-5
-                                        + y * (2.755_731_922_398_589_4e-6
-                                            + y * (2.755_731_922_398_589_4e-7
-                                                + y * (2.505_210_838_544_172e-8
-                                                    + y * 2.087_675_698_786_81e-9)))))))))));
-    let t2 = t * t;
-    t2 * t2
-}
-
-/// [`ln_one_minus`] with the odd-power chain fused (`mul_add`) and
-/// regrouped Estrin-style — the v3 kernel's half of the alpha-power
-/// slowdown. Same frozen reciprocal coefficients, same truncation, and
-/// same certified domain as [`ln_one_minus`]; fusing removes one
-/// rounding per step and the Estrin tree cuts the serial dependency
-/// chain roughly in half (the pass is latency-bound, not
-/// throughput-bound), so results agree with [`ln_one_minus`] to a few
-/// ULP without being bit-interchangeable.
+/// odd-power chain whose nine reciprocal coefficients are frozen in
+/// source, fused (`mul_add`) and regrouped Estrin-style so the serial
+/// dependency chain is roughly half a Horner chain's (the pass is
+/// latency-bound, not throughput-bound).
 ///
 /// # Panics
 ///
@@ -643,15 +528,6 @@ pub fn ln_one_minus_fma(r: f64) -> f64 {
         r.abs() <= LN_ONE_MINUS_MAX_R,
         "ln_one_minus_fma certified only for |r| <= {LN_ONE_MINUS_MAX_R}, got {r}"
     );
-    ln_one_minus_fma_raw(r)
-}
-
-/// [`ln_one_minus_fma`] without the domain check, for fused-sweep
-/// callers that evaluate speculatively and range-test afterwards.
-/// Out-of-domain inputs produce finite-or-non-finite junk (never a
-/// trap); the caller must discard such results.
-#[inline]
-pub fn ln_one_minus_fma_raw(r: f64) -> f64 {
     ln_series_fma(r / (2.0 - r))
 }
 
@@ -677,7 +553,7 @@ fn ln_series_fma(u: f64) -> f64 {
     let u4 = u2 * u2;
     let u8 = u4 * u4;
     let u16 = u8 * u8;
-    // The same frozen reciprocals 1/3 .. 1/17 as `ln_one_minus`,
+    // The frozen reciprocals 1/3 .. 1/17 of the odd integers,
     // paired degree-1 (in u2), then degree-2 (in u4), then combined in
     // u8/u16 — four independent leaf chains instead of one serial one.
     let q0 = 0.333_333_333_333_333_33f64.mul_add(u2, 1.0);
@@ -690,13 +566,18 @@ fn ln_series_fma(u: f64) -> f64 {
     -2.0 * u * s
 }
 
-/// [`exp_approx`] with the Maclaurin chain fused (`mul_add`) and
-/// regrouped Estrin-style — the v3 kernel's other half of the
-/// alpha-power slowdown. Same frozen `1/k!` coefficients, same
-/// truncation, quartering, and certified domain as the v2 twin; the
-/// Estrin tree replaces the 13-step serial Horner chain with six
-/// independent degree-1 leaves combined in `log` depth, roughly
-/// halving the latency of this latency-bound kernel.
+/// `exp(x)` by argument quartering and a degree-12 Taylor polynomial,
+/// for `|x| <=` [`EXP_APPROX_MAX_X`] — the v3 kernel's other half of the
+/// alpha-power slowdown.
+///
+/// `exp(x) = (T₁₂(x/4))⁴` with `T₁₂` the Maclaurin polynomial of the
+/// exponential (coefficients `1/k!` frozen in source). At the domain
+/// edge the quartered argument is `0.75`, where the truncation error of
+/// `T₁₂` is ~1e-11; two squarings at most quadruple the relative error,
+/// keeping it below `5e-11`. No transcendental calls: the chain is fused
+/// (`mul_add`) and regrouped Estrin-style, six independent degree-1
+/// leaves combined in `log` depth instead of a 13-step serial Horner
+/// chain.
 ///
 /// # Panics
 ///
@@ -721,7 +602,7 @@ pub fn exp_approx_fma_raw(x: f64) -> f64 {
     let y2 = y * y;
     let y4 = y2 * y2;
     let y8 = y4 * y4;
-    // The same frozen factorials 1/0! .. 1/12! as `exp_approx`, paired
+    // The frozen factorials 1/0! .. 1/12!, paired
     // degree-1 (in y), then degree-3 (in y2), then combined in y4/y8.
     let q0 = y + 1.0;
     let q1 = 0.166_666_666_666_666_66f64.mul_add(y, 0.5);
@@ -754,68 +635,6 @@ mod tests {
         // Mid-range value is the expected grid point.
         let u = 1u64 << 63;
         assert!((uniform_open_from_u64(u) - 0.5).abs() < 1e-15);
-    }
-
-    /// Satellite requirement: pair-producing Box–Muller moment checks
-    /// against N(0,1) — mean, variance, and skewness, including the
-    /// sine halves v1 never emits.
-    #[test]
-    fn pair_bm_moments_match_standard_normal() {
-        let mut rng = StdRng::seed_from_u64(0xB0C5);
-        let mut buf = [0.0; 64];
-        let mut stats = RunningStats::new();
-        for _ in 0..4_000 {
-            fill_standard_normals_bm(&mut rng, &mut buf);
-            for &z in &buf {
-                stats.push(z);
-            }
-        }
-        assert!(stats.mean().abs() < 0.005, "mean {}", stats.mean());
-        assert!(
-            (stats.sample_sd() - 1.0).abs() < 0.005,
-            "sd {}",
-            stats.sample_sd()
-        );
-        assert!(stats.skewness().abs() < 0.01, "skew {}", stats.skewness());
-        assert!(
-            stats.excess_kurtosis().abs() < 0.03,
-            "kurt {}",
-            stats.excess_kurtosis()
-        );
-    }
-
-    #[test]
-    fn pair_bm_halves_are_independent() {
-        // Correlation between the cosine and sine halves of each pair
-        // must vanish — they are the two coordinates of an isotropic
-        // Gaussian point.
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut sum_ab = 0.0;
-        let n = 100_000;
-        for _ in 0..n {
-            let u1 = uniform_open_from_u64(rng.next_u64());
-            let u2 = uniform_open_from_u64(rng.next_u64());
-            let (a, b) = normal_pair_bm(u1, u2);
-            sum_ab += a * b;
-        }
-        let rho = sum_ab / n as f64;
-        assert!(rho.abs() < 0.01, "cos/sin halves correlate: {rho}");
-    }
-
-    #[test]
-    fn odd_fill_consumes_a_fixed_number_of_draws() {
-        // Same seed, lengths 5 then 2: the 5-fill must consume exactly
-        // 6 draws (3 pairs), so the next draw after it equals draw #7
-        // of a fresh stream.
-        let mut a = StdRng::seed_from_u64(11);
-        let mut buf5 = [0.0; 5];
-        fill_standard_normals_bm(&mut a, &mut buf5);
-        let next = a.next_u64();
-        let mut b = StdRng::seed_from_u64(11);
-        for _ in 0..6 {
-            b.next_u64();
-        }
-        assert_eq!(next, b.next_u64());
     }
 
     #[test]
@@ -950,7 +769,7 @@ mod tests {
     fn fma_fill_matches_fma_scalar_quantile_elementwise() {
         // The fused vector-pass fill must be bit-identical to the fused
         // scalar quantile per element, with identical RNG consumption to
-        // the v2 fill (97 draws ⇒ tail elements and a partial final
+        // the plain fill (97 draws ⇒ tail elements and a partial final
         // lane).
         let mut a = StdRng::seed_from_u64(0xF3A);
         let mut buf = [0.0; 97];
@@ -964,7 +783,7 @@ mod tests {
     }
 
     #[test]
-    fn fma_quantile_agrees_with_v2_quantile_but_not_bitwise() {
+    fn fma_quantile_agrees_with_plain_quantile_but_not_bitwise() {
         // Same frozen coefficients, different rounding schedule: the two
         // quantiles must agree far below the Monte-Carlo noise floor
         // while remaining distinct functions in the central branch (the
@@ -984,45 +803,19 @@ mod tests {
     }
 
     #[test]
-    fn fma_poly_kernels_agree_with_v2_kernels() {
-        let mut r = -LN_ONE_MINUS_MAX_R;
-        while r <= LN_ONE_MINUS_MAX_R {
-            let fused = ln_one_minus_fma(r);
-            let plain = ln_one_minus(r);
-            assert!(
-                (fused - plain).abs() <= 1e-13 * plain.abs().max(1e-3),
-                "r={r}: {fused} vs {plain}"
-            );
-            r += 1e-3;
-        }
-        let mut x = -EXP_APPROX_MAX_X;
-        while x <= EXP_APPROX_MAX_X {
-            let fused = exp_approx_fma(x);
-            let plain = exp_approx(x);
-            assert!(
-                ((fused - plain) / plain).abs() <= 1e-13,
-                "x={x}: {fused} vs {plain}"
-            );
-            x += 1e-3;
-        }
-        assert_eq!(exp_approx_fma(0.0), 1.0);
-        assert_eq!(ln_one_minus_fma(0.0), 0.0);
-    }
-
-    #[test]
     fn ln_one_minus_matches_reference() {
         let mut worst = 0.0_f64;
         let mut r = -LN_ONE_MINUS_MAX_R;
         while r <= LN_ONE_MINUS_MAX_R {
             if r.abs() > 1e-12 {
-                let got = ln_one_minus(r);
+                let got = ln_one_minus_fma(r);
                 let want = (1.0 - r).ln();
                 worst = worst.max((got - want).abs());
             }
             r += 1e-4;
         }
         assert!(worst < 2e-8, "max abs error {worst}");
-        assert_eq!(ln_one_minus(0.0), 0.0);
+        assert_eq!(ln_one_minus_fma(0.0), 0.0);
     }
 
     #[test]
@@ -1030,12 +823,12 @@ mod tests {
         let mut worst = 0.0_f64;
         let mut x = -EXP_APPROX_MAX_X;
         while x <= EXP_APPROX_MAX_X {
-            let got = exp_approx(x);
+            let got = exp_approx_fma(x);
             let want = x.exp();
             worst = worst.max(((got - want) / want).abs());
             x += 1e-3;
         }
         assert!(worst < 5e-11, "max rel error {worst}");
-        assert_eq!(exp_approx(0.0), 1.0);
+        assert_eq!(exp_approx_fma(0.0), 1.0);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! * the [`NormalFill`] — the arithmetic that turns the RNG stream into
 //!   normals, which the trial kernel pins (scalar Box–Muller for v1,
-//!   pair-producing Box–Muller for v2, inverse-CDF for v3);
+//!   inverse-CDF for v3);
 //! * the [`DrawOverlay`] — what the trial plan does to the drawn normals
 //!   (antithetic sign, stratified/Sobol overrides of the leading dims,
 //!   blockade mean shift). Plain Monte-Carlo is the identity overlay.
@@ -16,7 +16,7 @@
 
 use rand::Rng;
 
-use crate::batch::{fill_standard_normals_bm, fill_standard_normals_inv_cdf};
+use crate::batch::fill_standard_normals_inv_cdf;
 use crate::normal::sample_standard_normal;
 use crate::strata::mean_shift_weight;
 
@@ -26,9 +26,6 @@ pub enum NormalFill {
     /// One scalar Box–Muller normal per slot (cosine half only), in slot
     /// order — the v1 stream.
     Scalar,
-    /// Pair-producing batch Box–Muller
-    /// ([`fill_standard_normals_bm`]) — the v2 stream.
-    BoxMullerPairs,
     /// One-uniform batch inverse-CDF
     /// ([`fill_standard_normals_inv_cdf`]) — the v3 stream.
     InvCdf,
@@ -44,7 +41,6 @@ impl NormalFill {
                     *z = sample_standard_normal(rng);
                 }
             }
-            NormalFill::BoxMullerPairs => fill_standard_normals_bm(rng, out),
             NormalFill::InvCdf => fill_standard_normals_inv_cdf(rng, out),
         }
     }

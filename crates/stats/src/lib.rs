@@ -17,9 +17,9 @@
 //! * [`descriptive`] — streaming moments (Welford), quantiles, histograms.
 //! * [`mix`] — SplitMix64 bit-mixing for counter-based Monte-Carlo
 //!   seeding (shared by the sweep engine and the MC runners).
-//! * [`batch`] — batch-shaped normal samplers (pair-producing
-//!   Box–Muller, pinned-coefficient inverse-CDF) and frozen polynomial
-//!   `ln`/`exp` kernels for the versioned v2 Monte-Carlo trial kernel.
+//! * [`batch`] — batch-shaped normal samplers (pinned-coefficient
+//!   inverse-CDF, plain and fused) and frozen polynomial `ln`/`exp`
+//!   kernels for the versioned v3 Monte-Carlo trial kernel.
 //! * [`ks`] — Kolmogorov–Smirnov distance between samples and a reference
 //!   distribution, used to validate analytical models against Monte-Carlo.
 //! * [`sobol`] — hand-rolled Sobol low-discrepancy sequences with
@@ -58,8 +58,8 @@ pub mod sobol;
 pub mod strata;
 
 pub use batch::{
-    exp_approx, fill_standard_normals_bm, fill_standard_normals_inv_cdf, ln_one_minus,
-    sample_standard_normal_inv_cdf, standard_normal_inv_cdf, uniform_open_from_u64,
+    fill_standard_normals_inv_cdf, sample_standard_normal_inv_cdf, standard_normal_inv_cdf,
+    uniform_open_from_u64,
 };
 pub use clark::{max_of, max_of_with_order, max_pair, MaxPairMoments};
 pub use correlation::CorrelationMatrix;

@@ -171,9 +171,7 @@ impl MultivariateNormal {
     /// argmax, because:
     ///
     /// * one fill of 256 rows × dim consumes the stream in the same order
-    ///   and produces the same values as one fill per row.
-    ///   `NormalFill::BoxMullerPairs` with an odd dim is the exception (a
-    ///   pair would straddle two rows), so it fills row by row;
+    ///   and produces the same values as one fill per row;
     /// * 16 rows at a time are transposed to dim-major lanes and each
     ///   output is computed in `transform_into`'s per-element order: the
     ///   first product, `+=` the rest in `j` order, then `+ mean`. The
@@ -199,7 +197,6 @@ impl MultivariateNormal {
             mvns.iter().all(|m| m.dim() == dim),
             "argmax_wins needs distributions of one dimension"
         );
-        let row_wise = fill == NormalFill::BoxMullerPairs && dim % 2 == 1;
         let mut wins = vec![vec![0usize; dim]; mvns.len()];
         let mut z = vec![0.0; ARGMAX_BLOCK * dim];
         let mut lanes = vec![[0.0; LANES]; dim];
@@ -208,13 +205,7 @@ impl MultivariateNormal {
             let rows = left.min(ARGMAX_BLOCK);
             left -= rows;
             let block = &mut z[..rows * dim];
-            if row_wise {
-                for row in block.chunks_exact_mut(dim) {
-                    fill.fill(rng, row);
-                }
-            } else {
-                fill.fill(rng, block);
-            }
+            fill.fill(rng, block);
             for group in block.chunks(LANES * dim) {
                 for (lane, row) in group.chunks_exact(dim).enumerate() {
                     for (l, &v) in lanes.iter_mut().zip(row) {
@@ -390,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_sampler_matches_moments() {
+    fn inv_cdf_sampler_matches_moments() {
         let corr = CorrelationMatrix::uniform(2, 0.7).unwrap();
         let mvn = MultivariateNormal::from_correlation(&[5.0, -5.0], &[2.0, 3.0], &corr).unwrap();
         let mut rng = StdRng::seed_from_u64(0x52);
@@ -398,7 +389,7 @@ mod tests {
         let mut xs = Vec::new();
         for _ in 0..60_000 {
             mvn.sample_into(
-                NormalFill::BoxMullerPairs,
+                NormalFill::InvCdf,
                 &DrawOverlay::IDENTITY,
                 &mut rng,
                 &mut z,
@@ -426,11 +417,7 @@ mod tests {
         let mvn = MultivariateNormal::from_correlation(&[1.0, 2.0, 3.0], &[0.5, 1.0, 2.0], &corr)
             .unwrap();
         let (mut z, mut b) = (Vec::new(), Vec::new());
-        for fill in [
-            NormalFill::Scalar,
-            NormalFill::BoxMullerPairs,
-            NormalFill::InvCdf,
-        ] {
+        for fill in [NormalFill::Scalar, NormalFill::InvCdf] {
             for seed in 0..20u64 {
                 let mut r1 = StdRng::seed_from_u64(seed);
                 let mut r2 = StdRng::seed_from_u64(seed);

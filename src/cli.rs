@@ -92,13 +92,13 @@ USAGE:
       CircuitSpec stages: Chain/Alu1/Alu2/Decoder/Random/Iscas), or
       analytic (closed-form SSTA/Clark, no trials). The kernel field
       picks the versioned trial-kernel contract ({kernels}): v1 is the
-      default scalar kernel (the historical byte contract), v2 the
-      batch kernel (~3.5x v1's trials/s under its own frozen byte
-      contract), v3 the wide structure-of-arrays kernel (lane-major
-      16-trial passes; the fastest). Every kernel is byte-identical to
-      itself at any --workers, --shard split or resume; kernel (like
-      backend) is excluded from scenario identity, so all versions
-      derive the same per-trial seeds.
+      default scalar kernel (the historical byte contract), v3 the
+      wide structure-of-arrays kernel (lane-major 16-trial passes,
+      several times v1's trials/s under its own frozen byte contract;
+      the retired v2 batch kernel is gone, use v3). Every kernel is
+      byte-identical to itself at any --workers, --shard split or
+      resume; kernel (like backend) is excluded from scenario
+      identity, so all versions derive the same per-trial seeds.
 
       Production flags (shared with optimize; all byte-exact thanks to
       content-hash unit keys + counter-based seeding):
@@ -913,7 +913,7 @@ pub fn sweep_validate_cmd(spec_text: &str, mut opts: Vec<String>) -> Result<Stri
 }
 
 /// `sweep example` subcommand: the spec template for a backend,
-/// optionally stamped with a trial-kernel version (`--kernel v2`), or a
+/// optionally stamped with a trial-kernel version (`--kernel v3`), or a
 /// trial-plan template (`--strategy`, one of [`StrategySpec::keyword_list`]).
 pub fn sweep_example_cmd(mut opts: Vec<String>) -> Result<String, CliError> {
     let backend = take_opt(&mut opts, "--backend")?;
@@ -1632,10 +1632,10 @@ mod tests {
         .unwrap();
         assert_eq!(metrics_units(&metrics), (0, 0, 1), "cross-file hit");
 
-        // The same scenario under the v2 kernel is a different byte
+        // The same scenario under the v3 kernel is a different byte
         // contract — it must MISS, not serve v1 bytes.
         let mut twin = other.clone();
-        twin.scenarios[0].kernel = vardelay_engine::KernelSpec::V2;
+        twin.scenarios[0].kernel = vardelay_engine::KernelSpec::V3;
         let metrics = tmp("cache-twin.json");
         sweep_cmd(
             &twin.to_json(),
