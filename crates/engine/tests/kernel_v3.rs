@@ -328,3 +328,39 @@ fn kernel_twins_share_id_but_resume_byte_identically() {
     let resumed = run_workload(&sweep, &WorkloadOptions::sequential().with_resume(&ckpt)).unwrap();
     assert_eq!(resumed.to_json(), uninterrupted);
 }
+
+/// Three scenarios under one ID: a v1 scenario, its v3 twin, and a v3
+/// twin that also streams a histogram (another ID-excluded knob). All
+/// three journal keys must differ, or resume would splice one member's
+/// result bytes into another's slot.
+#[test]
+fn kernel_triplets_share_id_but_resume_byte_identically() {
+    let mut sweep = Sweep::example();
+    sweep.grid = None;
+    sweep.scenarios.truncate(1);
+    sweep.scenarios[0].trials = 300;
+    for histogram_bins in [0, 8] {
+        let mut twin = sweep.scenarios[0].clone();
+        twin.kernel = KernelSpec::V3;
+        twin.histogram_bins = histogram_bins;
+        assert_eq!(
+            sweep.scenarios[0].id(sweep.seed),
+            twin.id(sweep.seed),
+            "precondition: the triplet shares the scenario ID"
+        );
+        sweep.scenarios.push(twin);
+    }
+
+    let (lines, stats) = journal(&sweep, &WorkloadOptions::sequential());
+    assert_eq!(stats.units, 3);
+    assert_ne!(stats.keys[0], stats.keys[1], "journal keys stay distinct");
+    assert_ne!(stats.keys[1], stats.keys[2], "journal keys stay distinct");
+    assert_ne!(stats.keys[0], stats.keys[2], "journal keys stay distinct");
+
+    let uninterrupted = run_workload(&sweep, &WorkloadOptions::sequential())
+        .unwrap()
+        .to_json();
+    let ckpt: Checkpoint<<Sweep as Workload>::UnitResult> = Checkpoint::parse(&lines).unwrap();
+    let resumed = run_workload(&sweep, &WorkloadOptions::sequential().with_resume(&ckpt)).unwrap();
+    assert_eq!(resumed.to_json(), uninterrupted);
+}
