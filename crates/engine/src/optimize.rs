@@ -639,29 +639,12 @@ fn execute_run(
         let timing = engine.analyze_pipeline(pipe);
         let analytic = AnalyticYieldEval::yield_of(&timing, target);
         let mc_check = (spec.verify_trials > 0).then(|| {
-            use crate::spec::KernelSpec as K;
-            use crate::spec::StrategySpec as S;
-            let strategy = spec.verify_plan.strategy;
-            let (span_name, kernel_counter) = match (spec.kernel, strategy) {
-                (K::V1, S::Plain) => ("verify", "trials"),
-                (K::V1, S::Antithetic) => ("verify_antithetic", "trials"),
-                (K::V1, S::Stratified) => ("verify_stratified", "trials"),
-                (K::V1, S::Sobol) => ("verify_sobol", "trials"),
-                (K::V1, S::Blockade) => ("verify_blockade", "trials"),
-                (K::V3, S::Plain) => ("verify_v3", "trials_v3"),
-                (K::V3, S::Antithetic) => ("verify_antithetic_v3", "trials_v3"),
-                (K::V3, S::Stratified) => ("verify_stratified_v3", "trials_v3"),
-                (K::V3, S::Sobol) => ("verify_sobol_v3", "trials_v3"),
-                (K::V3, S::Blockade) => ("verify_blockade_v3", "trials_v3"),
-            };
-            let strategy_counter = match strategy {
-                S::Plain => None,
-                S::Antithetic => Some("trials_antithetic"),
-                S::Stratified => Some("trials_stratified"),
-                S::Sobol => Some("trials_sobol"),
-                S::Blockade => Some("trials_blockade"),
-            };
-            let _sp = vardelay_obs::span("mc", span_name)
+            let attrs = vardelay_obs::Attrs::of(
+                spec.kernel.to_kernel().name(),
+                spec.verify_plan.strategy.to_strategy().name(),
+            );
+            let _sp = vardelay_obs::span("mc", "verify")
+                .attrs(attrs)
                 .key(p.id)
                 .value(spec.verify_trials as f64);
             let prepared = PreparedPipelineMc::new(&mc, pipe);
@@ -672,7 +655,7 @@ fn execute_run(
             // Either way `verify_trials` is the ceiling and the CI stop
             // rule (variance-reduced plans only) may end it early.
             let ci = spec.verify_plan.ci_half_width;
-            let v = if spec.kernel == K::V3 {
+            let v = if spec.kernel == KernelSpec::V3 {
                 crate::verify::verify_yield_pooled(
                     &prepared,
                     vplan,
@@ -697,10 +680,7 @@ fn execute_run(
                 )
             };
             let (trials_run, stats) = (v.trials, v.stats);
-            vardelay_obs::counter(kernel_counter, trials_run);
-            if let Some(name) = strategy_counter {
-                vardelay_obs::counter(name, trials_run);
-            }
+            vardelay_obs::counter_with("trials", trials_run, attrs);
             let weighted = stats.has_weighted_tail();
             let est = if weighted {
                 vardelay_obs::counter("ess", stats.effective_samples().round() as u64);

@@ -452,33 +452,14 @@ fn build_scenario(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, Engin
 /// Runs one block of trials of one prepared scenario.
 fn run_block(p: &Prepared, ws: &mut TrialWorkspace, trials: Range<u64>) -> PipelineBlockStats {
     let n = trials.end.saturating_sub(trials.start);
-    // Per-kernel (and per-strategy) span/counter names let `vardelay
-    // report` attribute Monte-Carlo time and trial counts to each
-    // contract. `span`/`counter` take &'static str, so the names are
-    // fixed literals selected by match.
-    use crate::spec::KernelSpec as K;
-    use crate::spec::StrategySpec as S;
-    let strategy = p.scenario.trial_plan.strategy;
-    let (span_name, kernel_counter) = match (p.scenario.kernel, strategy) {
-        (K::V1, S::Plain) => ("block", "trials"),
-        (K::V3, S::Plain) => ("block_v3", "trials_v3"),
-        (K::V1, S::Antithetic) => ("block_antithetic", "trials"),
-        (K::V3, S::Antithetic) => ("block_antithetic_v3", "trials_v3"),
-        (K::V1, S::Stratified) => ("block_stratified", "trials"),
-        (K::V3, S::Stratified) => ("block_stratified_v3", "trials_v3"),
-        (K::V1, S::Sobol) => ("block_sobol", "trials"),
-        (K::V3, S::Sobol) => ("block_sobol_v3", "trials_v3"),
-        (K::V1, S::Blockade) => ("block_blockade", "trials"),
-        (K::V3, S::Blockade) => ("block_blockade_v3", "trials_v3"),
-    };
-    let strategy_counter = match strategy {
-        S::Plain => None,
-        S::Antithetic => Some("trials_antithetic"),
-        S::Stratified => Some("trials_stratified"),
-        S::Sobol => Some("trials_sobol"),
-        S::Blockade => Some("trials_blockade"),
-    };
-    let _sp = vardelay_obs::span("mc", span_name)
+    // Kernel and plan attributes let `vardelay report` attribute
+    // Monte-Carlo time and trial counts to each contract.
+    let attrs = vardelay_obs::Attrs::of(
+        p.scenario.kernel.to_kernel().name(),
+        p.scenario.trial_plan.strategy.to_strategy().name(),
+    );
+    let _sp = vardelay_obs::span("mc", "block")
+        .attrs(attrs)
         .key(p.id)
         .value(n as f64);
     let mut stats = PipelineBlockStats::new(p.stage_count, &p.targets);
@@ -490,10 +471,7 @@ fn run_block(p: &Prepared, ws: &mut TrialWorkspace, trials: Range<u64>) -> Pipel
     }
     let sim = p.sim.as_ref().expect("blocks only exist for MC scenarios");
     sim.run_block(ws, p.id, trials, &mut stats);
-    vardelay_obs::counter(kernel_counter, n);
-    if let Some(name) = strategy_counter {
-        vardelay_obs::counter(name, n);
-    }
+    vardelay_obs::counter_with("trials", n, attrs);
     stats
 }
 

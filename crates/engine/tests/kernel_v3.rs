@@ -179,7 +179,7 @@ fn v3_kill_and_resume_is_byte_identical() {
 }
 
 /// Tracing is out of band for v3 exactly as for v1, and v3 blocks
-/// are attributed to their own span/counter names.
+/// are attributed to their own span/counter keys.
 #[test]
 fn v3_bytes_identical_with_and_without_tracing() {
     let mut sweep = v3_sweep();
@@ -195,10 +195,13 @@ fn v3_bytes_identical_with_and_without_tracing() {
     assert_eq!(plain, traced, "tracing changed v3 result bytes");
     let agg = vardelay_obs::aggregate(&rec);
     assert!(
-        agg.phases.contains_key("mc/block_v3"),
-        "v3 blocks must be recorded under mc/block_v3"
+        agg.phases.contains_key("mc/block{kernel=v3,plan=plain}"),
+        "v3 blocks must be recorded under mc/block{{kernel=v3,plan=plain}}"
     );
-    assert!(agg.counter("trials_v3") > 0, "v3 trials counter missing");
+    assert!(
+        agg.counter("trials{kernel=v3,plan=plain}") > 0,
+        "v3 trials counter missing"
+    );
 }
 
 /// A traced v3 campaign attributes verification to the pooled
@@ -219,11 +222,12 @@ fn v3_campaign_tracing_attributes_pooled_verify_blocks() {
     assert_eq!(plain, traced, "tracing changed pooled v3 campaign bytes");
     let agg = vardelay_obs::aggregate(&rec);
     assert!(
-        agg.phases.contains_key("mc/verify_v3"),
+        agg.phases.contains_key("mc/verify{kernel=v3,plan=plain}"),
         "plain v3 verification span missing"
     );
     assert!(
-        agg.phases.contains_key("mc/verify_stratified_v3"),
+        agg.phases
+            .contains_key("mc/verify{kernel=v3,plan=stratified}"),
         "stratified v3 verification span missing"
     );
     let blocks = agg
@@ -235,7 +239,10 @@ fn v3_campaign_tracing_attributes_pooled_verify_blocks() {
         "expected several verify chunks, saw {}",
         blocks.count
     );
-    assert!(agg.counter("trials_v3") > 0, "v3 trials counter missing");
+    assert!(
+        agg.counter("trials{kernel=v3,plan=stratified}") > 0,
+        "v3 trials counter missing"
+    );
 }
 
 /// v1 and v3 see the same per-trial seeds and distributions, so their

@@ -265,6 +265,9 @@ fn metrics_json_reports_phases_and_unit_accounting() {
         Some(&serde::Value::Number(serde::Number::U64(0)))
     );
     let phases = v.get("phases").expect("phases section");
-    assert!(phases.get("mc/block").is_some(), "{json}");
+    assert!(
+        phases.get("mc/block{kernel=v1,plan=plain}").is_some(),
+        "{json}"
+    );
     assert!(phases.get("step/scenario").is_some(), "{json}");
 }

@@ -104,10 +104,12 @@ fn tracing_is_out_of_band_for_every_strategy() {
         let traced = run_workload(&sweep, &opts).unwrap().to_json();
         let rec = session.finish();
         assert_eq!(plain, traced, "{} traced bytes", strategy.keyword());
-        let span = format!("block_{}", strategy.keyword());
+        let plan = strategy.to_strategy().name();
         assert!(
-            rec.events.iter().any(|e| e.name.starts_with(&span)),
-            "recording holds {span} spans"
+            rec.events
+                .iter()
+                .any(|e| e.name == "block" && e.attrs.plan == Some(plan)),
+            "recording holds mc/block spans of plan {plan}"
         );
     }
 }

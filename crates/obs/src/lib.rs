@@ -23,6 +23,14 @@
 //! Chrome trace-event JSON ([`chrome_trace`], loadable in Perfetto or
 //! `chrome://tracing`) or aggregate into phase/counter/utilization
 //! metrics ([`aggregate`], [`metrics_json`]).
+//!
+//! # Metric keys
+//!
+//! Spans and counters carry typed, static [`Attrs`] (trial kernel and
+//! plan), and every metric is keyed by one rule, [`Attrs::key`]:
+//! `cat/name` (a counter: its name), then `{kernel=v3,plan=stratified}`
+//! listing the present attributes, kernel first. Metrics files, trace
+//! counter tracks and `vardelay report` all use it ([`SCHEMA_VERSION`]).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -36,6 +44,10 @@ use std::time::Instant;
 /// Upper bound on buffered events per session; further records are
 /// counted in [`Recording::dropped`] instead of growing without bound.
 pub const MAX_EVENTS: usize = 4_000_000;
+
+/// Version of the [`metrics_json`] document shape; bumped when its
+/// keys change. Version 2 introduced attributed keys (`cat/name{…}`).
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Thread-local buffers spill to the global sink at this size.
 const FLUSH_AT: usize = 8_192;
@@ -77,6 +89,53 @@ pub enum EventKind {
     },
 }
 
+/// Typed attributes of a span or counter: which trial kernel and which
+/// trial plan did the work. Values are the contracts' stable lowercase
+/// names (`TrialKernel::name()`, `TrialStrategy::name()`); recorded
+/// events hold `'static` names, so recording never allocates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Attrs<'a> {
+    /// Trial kernel name (`TrialKernel::name()`).
+    pub kernel: Option<&'a str>,
+    /// Trial plan name (`TrialStrategy::name()`).
+    pub plan: Option<&'a str>,
+}
+
+impl<'a> Attrs<'a> {
+    /// Both attributes.
+    pub fn of(kernel: &'a str, plan: &'a str) -> Self {
+        Attrs {
+            kernel: Some(kernel),
+            plan: Some(plan),
+        }
+    }
+
+    /// A kernel attribute only.
+    pub fn of_kernel(kernel: &'a str) -> Self {
+        Attrs {
+            kernel: Some(kernel),
+            plan: None,
+        }
+    }
+
+    /// The metric key of `base` under these attributes: `base`, then
+    /// `{kernel=…,plan=…}` listing the present attributes in that order.
+    pub fn key(self, base: &str) -> String {
+        match (self.kernel, self.plan) {
+            (None, None) => base.to_owned(),
+            (Some(k), None) => format!("{base}{{kernel={k}}}"),
+            (None, Some(p)) => format!("{base}{{plan={p}}}"),
+            (Some(k), Some(p)) => format!("{base}{{kernel={k},plan={p}}}"),
+        }
+    }
+}
+
+/// The base of a metric key: the key with its `{…}` attribute suffix,
+/// if any, removed.
+pub fn key_base(key: &str) -> &str {
+    key.split_once('{').map_or(key, |(base, _)| base)
+}
+
 /// One recorded observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
@@ -92,6 +151,8 @@ pub struct Event {
     pub key: Option<u64>,
     /// Optional magnitude (e.g. trials in a block, worker index).
     pub value: Option<f64>,
+    /// Kernel and plan attributes (part of the metric key).
+    pub attrs: Attrs<'static>,
     /// Span / instant / counter payload.
     pub kind: EventKind,
 }
@@ -164,52 +225,56 @@ fn record(mut ev: Event) {
     });
 }
 
+/// An unattributed event of `kind` stamped now; [`record`] fills in
+/// the thread.
+fn event(cat: &'static str, name: &'static str, kind: EventKind) -> Event {
+    Event {
+        t_ns: now_ns(),
+        tid: 0,
+        cat,
+        name,
+        key: None,
+        value: None,
+        attrs: Attrs::default(),
+        kind,
+    }
+}
+
 /// RAII span guard returned by [`span`]; records a completed-span event
 /// on drop. Inert (no clock read, no allocation) when tracing is off.
 #[must_use = "a span measures the scope it is bound to; bind it to a variable"]
-pub struct Span(Option<ActiveSpan>);
-
-struct ActiveSpan {
-    start_ns: u64,
-    cat: &'static str,
-    name: &'static str,
-    key: Option<u64>,
-    value: Option<f64>,
-}
+pub struct Span(Option<Event>);
 
 impl Span {
-    /// Attaches an association key (e.g. a workload `unit_key`).
-    pub fn key(mut self, key: u64) -> Self {
-        if let Some(a) = &mut self.0 {
-            a.key = Some(key);
+    fn with(mut self, set: impl FnOnce(&mut Event)) -> Self {
+        if let Some(ev) = &mut self.0 {
+            set(ev);
         }
         self
     }
 
+    /// Attaches an association key (e.g. a workload `unit_key`).
+    pub fn key(self, key: u64) -> Self {
+        self.with(|ev| ev.key = Some(key))
+    }
+
     /// Attaches a magnitude (e.g. trials executed under this span).
-    pub fn value(mut self, value: f64) -> Self {
-        if let Some(a) = &mut self.0 {
-            a.value = Some(value);
-        }
-        self
+    pub fn value(self, value: f64) -> Self {
+        self.with(|ev| ev.value = Some(value))
+    }
+
+    /// Attaches kernel/plan attributes (see [`Attrs`]).
+    pub fn attrs(self, attrs: Attrs<'static>) -> Self {
+        self.with(|ev| ev.attrs = attrs)
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(a) = self.0.take() {
-            let end = now_ns();
-            record(Event {
-                t_ns: a.start_ns,
-                tid: 0,
-                cat: a.cat,
-                name: a.name,
-                key: a.key,
-                value: a.value,
-                kind: EventKind::Span {
-                    dur_ns: end.saturating_sub(a.start_ns),
-                },
-            });
+        if let Some(mut ev) = self.0.take() {
+            let dur_ns = now_ns().saturating_sub(ev.t_ns);
+            ev.kind = EventKind::Span { dur_ns };
+            record(ev);
         }
     }
 }
@@ -220,47 +285,37 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
     if !ENABLED.load(Ordering::Relaxed) {
         return Span(None);
     }
-    Span(Some(ActiveSpan {
-        start_ns: now_ns(),
-        cat,
-        name,
-        key: None,
-        value: None,
-    }))
+    Span(Some(event(cat, name, EventKind::Span { dur_ns: 0 })))
 }
 
 /// Adds `delta` to the named monotonic counter. Free when disabled.
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+    counter_with(name, delta, Attrs::default());
+}
+
+/// Adds `delta` to the named counter's `attrs` series. Free when
+/// disabled.
+#[inline]
+pub fn counter_with(name: &'static str, delta: u64, attrs: Attrs<'static>) {
+    if ENABLED.load(Ordering::Relaxed) {
+        let kind = EventKind::Counter { delta };
+        record(Event {
+            attrs,
+            ..event("counter", name, kind)
+        });
     }
-    record(Event {
-        t_ns: now_ns(),
-        tid: 0,
-        cat: "counter",
-        name,
-        key: None,
-        value: None,
-        kind: EventKind::Counter { delta },
-    });
 }
 
 /// Records a point-in-time marker. Free when disabled.
 #[inline]
 pub fn instant(cat: &'static str, name: &'static str, key: Option<u64>) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+    if ENABLED.load(Ordering::Relaxed) {
+        record(Event {
+            key,
+            ..event(cat, name, EventKind::Instant)
+        });
     }
-    record(Event {
-        t_ns: now_ns(),
-        tid: 0,
-        cat,
-        name,
-        key,
-        value: None,
-        kind: EventKind::Instant,
-    });
 }
 
 /// Whether a tracing session is currently active.
@@ -384,8 +439,10 @@ fn micros(ns: u64) -> String {
 /// Renders a recording as Chrome trace-event JSON.
 ///
 /// The output loads directly in Perfetto (<https://ui.perfetto.dev>) or
-/// `chrome://tracing`: spans become `"X"` complete events, counters
-/// become cumulative `"C"` events, instants become `"i"` events.
+/// `chrome://tracing`: spans become `"X"` complete events (attributes
+/// in `args`), counters become cumulative `"C"` tracks named by their
+/// full metric key with the total in `args.value`, instants become
+/// `"i"` events.
 pub fn chrome_trace(rec: &Recording, process_name: &str) -> String {
     let mut out = String::with_capacity(rec.events.len() * 96 + 256);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -393,75 +450,59 @@ pub fn chrome_trace(rec: &Recording, process_name: &str) -> String {
         "{{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
         esc(process_name)
     ));
-    let mut cumulative: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut cumulative: BTreeMap<(&'static str, Attrs<'static>), u64> = BTreeMap::new();
     for ev in &rec.events {
-        out.push_str(",\n");
-        match ev.kind {
-            EventKind::Span { dur_ns } => {
-                out.push_str(&format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"cat\":\"{}\",\"name\":\"{}\"",
-                    ev.tid,
-                    micros(ev.t_ns),
-                    micros(dur_ns),
-                    esc(ev.cat),
-                    esc(ev.name),
-                ));
-                push_args(&mut out, ev);
-                out.push('}');
-            }
-            EventKind::Instant => {
-                out.push_str(&format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\"cat\":\"{}\",\"name\":\"{}\"",
-                    ev.tid,
-                    micros(ev.t_ns),
-                    esc(ev.cat),
-                    esc(ev.name),
-                ));
-                push_args(&mut out, ev);
-                out.push('}');
-            }
+        let (ph, extra) = match ev.kind {
+            EventKind::Span { dur_ns } => ("X", format!("\"dur\":{},", micros(dur_ns))),
+            EventKind::Instant => ("i", "\"s\":\"t\",".to_owned()),
             EventKind::Counter { delta } => {
-                let total = cumulative.entry(ev.name).or_insert(0);
+                let total = cumulative.entry((ev.name, ev.attrs)).or_insert(0);
                 *total += delta;
                 out.push_str(&format!(
-                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"{}\",\"args\":{{\"{}\":{}}}}}",
+                    ",\n{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"{}\",\"args\":{{\"value\":{total}}}}}",
                     ev.tid,
                     micros(ev.t_ns),
-                    esc(ev.name),
-                    esc(ev.name),
-                    total,
+                    esc(&ev.attrs.key(ev.name)),
                 ));
+                continue;
             }
-        }
+        };
+        out.push_str(&format!(
+            ",\n{{\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{},{extra}\"cat\":\"{}\",\"name\":\"{}\"{}}}",
+            ev.tid,
+            micros(ev.t_ns),
+            esc(ev.cat),
+            esc(ev.name),
+            args(ev),
+        ));
     }
     out.push_str("\n]}\n");
     out
 }
 
-fn push_args(out: &mut String, ev: &Event) {
-    if ev.key.is_none() && ev.value.is_none() {
-        return;
+/// An event's `,"args":{…}` member (key, value, attributes), if any.
+fn args(ev: &Event) -> String {
+    let attrs = [("kernel", ev.attrs.kernel), ("plan", ev.attrs.plan)];
+    let args: Vec<String> = (ev.key.map(|k| format!("\"key\":\"{k:016x}\"")).into_iter())
+        .chain(ev.value.map(|v| format!("\"value\":{}", json_num(v))))
+        .chain(
+            attrs
+                .iter()
+                .filter_map(|(a, v)| v.map(|v| format!("\"{a}\":\"{}\"", esc(v)))),
+        )
+        .collect();
+    if args.is_empty() {
+        String::new()
+    } else {
+        format!(",\"args\":{{{}}}", args.join(","))
     }
-    out.push_str(",\"args\":{");
-    let mut first = true;
-    if let Some(k) = ev.key {
-        out.push_str(&format!("\"key\":\"{k:016x}\""));
-        first = false;
-    }
-    if let Some(v) = ev.value {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(&format!("\"value\":{}", json_num(v)));
-    }
-    out.push('}');
 }
 
 // ---------------------------------------------------------------------------
 // Aggregation: phase totals, counters, worker utilization
 // ---------------------------------------------------------------------------
 
-/// Accumulated statistics for one `cat/name` span phase.
+/// Accumulated statistics for one span phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseStat {
     /// Number of spans recorded for this phase.
@@ -478,35 +519,63 @@ pub struct PhaseStat {
 pub struct WorkerStat {
     /// Recording thread id.
     pub tid: u64,
-    /// Total lifetime covered by `pool/worker` spans, nanoseconds.
+    /// Total lifetime covered by the thread's outermost `pool/worker`
+    /// spans, nanoseconds.
     pub lifetime_ns: u64,
-    /// Time inside `pool/exec` spans, nanoseconds.
+    /// Time inside the thread's outermost `pool/exec` spans, nanoseconds.
     pub busy_ns: u64,
 }
 
 /// The aggregate view of a recording consumed by `--metrics` and the
-/// benchmark harness.
+/// benchmark harness. Phases and counters are keyed by metric key (see
+/// the [module docs](crate#metric-keys)).
 #[derive(Debug, Default)]
 pub struct Aggregate {
-    /// Span statistics keyed by `"cat/name"`.
+    /// Span statistics keyed by `"cat/name{…}"`.
     pub phases: BTreeMap<String, PhaseStat>,
-    /// Final values of the monotonic counters.
+    /// Final values of the monotonic counters, keyed by `"name{…}"`.
     pub counters: BTreeMap<String, u64>,
     /// Per-worker utilization, sorted by thread id.
     pub workers: Vec<WorkerStat>,
     /// Events discarded after the buffer cap was hit.
     pub dropped: u64,
+    /// Counter totals per (name, attributes) series.
+    series: BTreeMap<(&'static str, Attrs<'static>), u64>,
+}
+
+/// Sum of `f` over `map`'s entries keyed `q` or an attributed `q{…}`.
+fn sum_at<T>(map: &BTreeMap<String, T>, q: &str, f: impl Fn(&T) -> u64) -> u64 {
+    let at_q = map.iter().filter(|(k, _)| *k == q || key_base(k) == q);
+    at_q.map(|(_, v)| f(v)).sum()
 }
 
 impl Aggregate {
-    /// Total span nanoseconds for a `"cat/name"` phase (0 if absent).
-    pub fn phase_ns(&self, key: &str) -> u64 {
-        self.phases.get(key).map_or(0, |p| p.total_ns)
+    /// Total span nanoseconds of phase `q` (`"cat/name"`), summed over
+    /// every attributed variant `q{…}` (0 if absent).
+    pub fn phase_ns(&self, q: &str) -> u64 {
+        sum_at(&self.phases, q, |p| p.total_ns)
     }
 
-    /// Final value of a counter (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// Final value of counter `q`, summed over every attributed variant
+    /// `q{…}` (0 if absent).
+    pub fn counter(&self, q: &str) -> u64 {
+        sum_at(&self.counters, q, |&n| n)
+    }
+
+    /// Counter `name` grouped by one attribute (e.g. `|a| a.kernel`);
+    /// series without that attribute are left out.
+    fn counter_by(
+        &self,
+        name: &str,
+        attr: fn(Attrs<'static>) -> Option<&'static str>,
+    ) -> BTreeMap<&'static str, u64> {
+        let mut groups = BTreeMap::new();
+        for (&(n, attrs), &v) in &self.series {
+            if let Some(value) = attr(attrs).filter(|_| n == name) {
+                *groups.entry(value).or_insert(0) += v;
+            }
+        }
+        groups
     }
 }
 
@@ -517,42 +586,47 @@ pub fn aggregate(rec: &Recording) -> Aggregate {
         dropped: rec.dropped,
         ..Aggregate::default()
     };
-    let mut by_tid: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    // Per thread, [worker, exec] as (credited ns, end of the outermost
+    // span so far). A pool nested inside another pool's exec on the
+    // same thread (a campaign's verification pool at one worker) would
+    // count its worker and exec spans twice, so only a thread's
+    // outermost spans are credited (events are sorted by start, parents
+    // first); phase totals still nest.
+    let mut by_tid: BTreeMap<u64, [(u64, u64); 2]> = BTreeMap::new();
     for ev in &rec.events {
-        match ev.kind {
-            EventKind::Span { dur_ns } => {
-                let stat = agg
-                    .phases
-                    .entry(format!("{}/{}", ev.cat, ev.name))
-                    .or_default();
-                stat.count += 1;
-                stat.total_ns += dur_ns;
-                stat.value_sum += ev.value.unwrap_or(0.0);
-                if ev.cat == "pool" {
-                    let slot = by_tid.entry(ev.tid).or_insert((0, 0));
-                    if ev.name == "worker" {
-                        slot.0 += dur_ns;
-                    } else if ev.name == "exec" {
-                        slot.1 += dur_ns;
-                    }
-                }
-            }
+        let dur_ns = match ev.kind {
             EventKind::Counter { delta } => {
-                *agg.counters.entry(ev.name.to_owned()).or_insert(0) += delta;
+                *agg.series.entry((ev.name, ev.attrs)).or_insert(0) += delta;
+                continue;
             }
-            EventKind::Instant => {
-                let stat = agg
-                    .phases
-                    .entry(format!("{}/{}", ev.cat, ev.name))
-                    .or_default();
-                stat.count += 1;
-            }
+            EventKind::Span { dur_ns } => dur_ns,
+            EventKind::Instant => 0,
+        };
+        let key = ev.attrs.key(&format!("{}/{}", ev.cat, ev.name));
+        let stat = agg.phases.entry(key).or_default();
+        stat.count += 1;
+        stat.total_ns += dur_ns;
+        stat.value_sum += ev.value.unwrap_or(0.0);
+        let slot = match (ev.cat, ev.name, ev.kind) {
+            ("pool", "worker", EventKind::Span { .. }) => 0,
+            ("pool", "exec", EventKind::Span { .. }) => 1,
+            _ => continue,
+        };
+        let (credited, open_until) = &mut by_tid.entry(ev.tid).or_default()[slot];
+        if ev.t_ns >= *open_until {
+            *credited += dur_ns;
+            *open_until = ev.t_ns + dur_ns;
         }
     }
+    agg.counters = agg
+        .series
+        .iter()
+        .map(|(&(name, attrs), &v)| (attrs.key(name), v))
+        .collect();
     agg.workers = by_tid
         .into_iter()
-        .filter(|&(_, (lifetime, _))| lifetime > 0)
-        .map(|(tid, (lifetime_ns, busy_ns))| WorkerStat {
+        .filter(|&(_, [(lifetime, _), _])| lifetime > 0)
+        .map(|(tid, [(lifetime_ns, _), (busy_ns, _)])| WorkerStat {
             tid,
             lifetime_ns,
             busy_ns,
@@ -594,11 +668,32 @@ fn ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1.0e6)
 }
 
+/// `num / den`, or 0 when `den` is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
+/// A `"name": <open>rows<close>` member, one row per line.
+fn json_section(
+    name: &str,
+    [open, close]: [char; 2],
+    rows: impl Iterator<Item = String>,
+) -> String {
+    let rows: Vec<String> = rows.map(|r| format!("\n    {r}")).collect();
+    format!("  \"{name}\": {open}{}\n  {close},\n", rows.join(","))
+}
+
 /// Renders the aggregate plus run info as a stable, human-diffable
-/// metrics JSON document (the `--metrics` file format).
+/// metrics JSON document (the `--metrics` file format, version
+/// [`SCHEMA_VERSION`]; keys follow the [module docs](crate#metric-keys)).
 pub fn metrics_json(info: &RunInfo<'_>, agg: &Aggregate) -> String {
     let mut out = String::new();
     out.push_str("{\n");
+    out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
     out.push_str(&format!("  \"kind\": \"{}\",\n", esc(info.kind)));
     out.push_str(&format!("  \"name\": \"{}\",\n", esc(info.name)));
     out.push_str(&format!("  \"workers\": {},\n", info.workers));
@@ -616,110 +711,60 @@ pub fn metrics_json(info: &RunInfo<'_>, agg: &Aggregate) -> String {
     // split into hits and misses, plus the result bytes served instead
     // of recomputed.
     let (hits, misses) = (agg.counter("cache/hit"), agg.counter("cache/miss"));
-    let hit_rate = if hits + misses > 0 {
-        hits as f64 / (hits + misses) as f64
-    } else {
-        0.0
-    };
+    let hit_rate = ratio(hits as f64, (hits + misses) as f64);
     out.push_str(&format!(
         "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.4}, \"bytes_saved\": {}}},\n",
         agg.counter("cache/bytes_saved"),
     ));
-    // Trials are counted per kernel version ("trials" = v1, "trials_v3"
-    // = v3) so throughput can be attributed to the kernel that produced
-    // it; the top-level totals fold them together.
-    let trials_v1 = agg.counter("trials");
-    let trials_v3 = agg.counter("trials_v3");
-    let trials = trials_v1 + trials_v3;
-    out.push_str(&format!("  \"trials\": {trials},\n"));
-    out.push_str(&format!(
-        "  \"trials_by_kernel\": {{\"v1\": {trials_v1}, \"v3\": {trials_v3}}},\n"
-    ));
-    // Trial-plan attribution: each non-plain strategy counts its trials
-    // under its own counter (in addition to the kernel counter above);
-    // plain is the remainder. The "ess" counter is the summed Kish
+    // One "trials" counter whose series carry kernel and plan
+    // attributes: the total sums every series, and the two breakdowns
+    // group it by attribute. The "ess" counter is the summed Kish
     // effective sample size of weighted (blockade) runs.
-    let by_strategy: Vec<(&str, u64)> = [
-        ("antithetic", "trials_antithetic"),
-        ("stratified", "trials_stratified"),
-        ("sobol", "trials_sobol"),
-        ("blockade", "trials_blockade"),
-    ]
-    .iter()
-    .map(|&(label, counter)| (label, agg.counter(counter)))
-    .collect();
-    let shaped: u64 = by_strategy.iter().map(|&(_, n)| n).sum();
-    out.push_str(&format!(
-        "  \"trials_by_strategy\": {{\"plain\": {}",
-        trials.saturating_sub(shaped)
-    ));
-    for (label, n) in &by_strategy {
-        out.push_str(&format!(", \"{label}\": {n}"));
+    let trials = agg.counter("trials");
+    out.push_str(&format!("  \"trials\": {trials},\n"));
+    for (field, attr) in [
+        (
+            "trials_by_kernel",
+            (|a| a.kernel) as fn(Attrs<'static>) -> _,
+        ),
+        ("trials_by_strategy", |a| a.plan),
+    ] {
+        let groups = agg.counter_by("trials", attr).into_iter();
+        let groups: Vec<String> = groups
+            .map(|(v, n)| format!("\"{}\": {n}", esc(v)))
+            .collect();
+        out.push_str(&format!("  \"{field}\": {{{}}},\n", groups.join(", ")));
     }
-    out.push_str("},\n");
     let ess = agg.counter("ess");
     if ess > 0 {
         out.push_str(&format!("  \"effective_samples\": {ess},\n"));
     }
-    let tps = if info.wall_ms > 0.0 {
-        trials as f64 / (info.wall_ms / 1.0e3)
-    } else {
-        0.0
-    };
+    let tps = ratio(trials as f64, info.wall_ms / 1.0e3);
     out.push_str(&format!("  \"trials_per_sec\": {tps:.1},\n"));
-    out.push_str("  \"phases\": {");
-    let mut first = true;
-    for (name, stat) in &agg.phases {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let mean_us = if stat.count > 0 {
-            stat.total_ns as f64 / stat.count as f64 / 1.0e3
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "\n    \"{}\": {{\"count\": {}, \"total_ms\": {}, \"mean_us\": {:.3}, \"value_sum\": {}}}",
+    let phases = agg.phases.iter().map(|(name, stat)| {
+        format!(
+            "\"{}\": {{\"count\": {}, \"total_ms\": {}, \"mean_us\": {:.3}, \"value_sum\": {}}}",
             esc(name),
             stat.count,
             ms(stat.total_ns),
-            mean_us,
+            ratio(stat.total_ns as f64, stat.count as f64) / 1.0e3,
             json_num(stat.value_sum),
-        ));
-    }
-    out.push_str("\n  },\n");
-    out.push_str("  \"counters\": {");
-    first = true;
-    for (name, value) in &agg.counters {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\n    \"{}\": {}", esc(name), value));
-    }
-    out.push_str("\n  },\n");
-    out.push_str("  \"worker_util\": [");
-    first = true;
-    for w in &agg.workers {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let util = if w.lifetime_ns > 0 {
-            w.busy_ns as f64 / w.lifetime_ns as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "\n    {{\"tid\": {}, \"lifetime_ms\": {}, \"busy_ms\": {}, \"utilization\": {:.4}}}",
+        )
+    });
+    out.push_str(&json_section("phases", ['{', '}'], phases));
+    let counters = agg.counters.iter();
+    let counters = counters.map(|(name, v)| format!("\"{}\": {v}", esc(name)));
+    out.push_str(&json_section("counters", ['{', '}'], counters));
+    let workers = agg.workers.iter().map(|w| {
+        format!(
+            "{{\"tid\": {}, \"lifetime_ms\": {}, \"busy_ms\": {}, \"utilization\": {:.4}}}",
             w.tid,
             ms(w.lifetime_ns),
             ms(w.busy_ns),
-            util,
-        ));
-    }
-    out.push_str("\n  ],\n");
+            ratio(w.busy_ns as f64, w.lifetime_ns as f64),
+        )
+    });
+    out.push_str(&json_section("worker_util", ['[', ']'], workers));
     out.push_str(&format!("  \"events_dropped\": {}\n", agg.dropped));
     out.push_str("}\n");
     out
@@ -845,12 +890,60 @@ mod tests {
         assert!(agg.workers[0].lifetime_ns >= agg.workers[0].busy_ns);
     }
 
+    /// A hand-built span event on thread 1.
+    fn pool_span(name: &'static str, t_ns: u64, dur_ns: u64) -> Event {
+        Event {
+            t_ns,
+            tid: 1,
+            cat: "pool",
+            name,
+            key: None,
+            value: None,
+            attrs: Attrs::default(),
+            kind: EventKind::Span { dur_ns },
+        }
+    }
+
+    #[test]
+    fn nested_pools_on_one_thread_are_credited_once() {
+        // A one-worker pool whose second exec runs a nested one-worker
+        // pool (a campaign verifying at --workers 1), then a second
+        // top-level pool on the same thread.
+        let rec = Recording {
+            events: vec![
+                pool_span("worker", 0, 100),
+                pool_span("exec", 10, 20),
+                pool_span("exec", 40, 50),
+                pool_span("worker", 45, 40),
+                pool_span("exec", 50, 10),
+                pool_span("exec", 65, 15),
+                pool_span("worker", 200, 30),
+                pool_span("exec", 205, 20),
+            ],
+            dropped: 0,
+        };
+        let agg = aggregate(&rec);
+        assert_eq!(
+            agg.workers,
+            vec![WorkerStat {
+                tid: 1,
+                lifetime_ns: 130,
+                busy_ns: 90,
+            }]
+        );
+        // Phase totals keep every span, nested ones included.
+        assert_eq!(agg.phases["pool/worker"].count, 3);
+        assert_eq!(agg.phase_ns("pool/worker"), 170);
+        assert_eq!(agg.phase_ns("pool/exec"), 115);
+    }
+
     #[test]
     fn chrome_trace_renders_all_event_kinds() {
         let s = Session::start();
         {
-            let _sp = span("mc", "block").key(0x12).value(256.0);
-            counter("trials", 256);
+            let attrs = Attrs::of("v3", "sobol");
+            let _sp = span("mc", "block").key(0x12).value(256.0).attrs(attrs);
+            counter_with("trials", 256, attrs);
             instant("unit", "resumed", Some(0x34));
         }
         let rec = s.finish();
@@ -859,8 +952,10 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"key\":\"0000000000000012\""));
-        assert!(json.contains("\"trials\":256"));
+        assert!(json.contains(
+            "\"args\":{\"key\":\"0000000000000012\",\"value\":256,\"kernel\":\"v3\",\"plan\":\"sobol\"}"
+        ));
+        assert!(json.contains("\"name\":\"trials{kernel=v3,plan=sobol}\",\"args\":{\"value\":256}"));
         // Crude structural check; real JSON validation lives in the
         // engine's trace-invariance tests (obs itself has no parser).
         assert_eq!(
@@ -871,20 +966,55 @@ mod tests {
     }
 
     #[test]
+    fn metric_keys_list_present_attributes_kernel_first() {
+        assert_eq!(Attrs::default().key("mc/block"), "mc/block");
+        assert_eq!(
+            Attrs::of_kernel("v1").key("opt/criticality"),
+            "opt/criticality{kernel=v1}"
+        );
+        let plan_only = Attrs {
+            plan: Some("sobol"),
+            ..Attrs::default()
+        };
+        assert_eq!(plan_only.key("trials"), "trials{plan=sobol}");
+        assert_eq!(
+            Attrs::of("v3", "sobol").key("trials"),
+            "trials{kernel=v3,plan=sobol}"
+        );
+        assert_eq!(key_base("mc/verify{kernel=v3,plan=plain}"), "mc/verify");
+        assert_eq!(key_base("mc/verify_block"), "mc/verify_block");
+    }
+
+    #[test]
     fn metrics_json_contains_run_and_phase_fields() {
         let s = Session::start();
         {
-            let _sp = span("mc", "block").value(256.0);
-            counter("trials", 256);
-            let _sp2 = span("mc", "block_v3").value(768.0);
-            counter("trials_v3", 768);
-            let _sp3 = span("mc", "block_stratified").value(256.0);
-            counter("trials", 256);
-            counter("trials_stratified", 256);
+            let v1 = Attrs::of("v1", "plain");
+            let _sp = span("mc", "block").attrs(v1).value(256.0);
+            counter_with("trials", 256, v1);
+            let v3 = Attrs::of("v3", "plain");
+            let _sp2 = span("mc", "block").attrs(v3).value(768.0);
+            counter_with("trials", 768, v3);
+            let strat = Attrs::of("v1", "stratified");
+            let _sp3 = span("mc", "block").attrs(strat).value(256.0);
+            counter_with("trials", 256, strat);
+            let _sp4 = span("mc", "verify_block");
             counter("ess", 100);
         }
         let rec = s.finish();
         let agg = aggregate(&rec);
+        // Lookups by base sum every attributed variant, and only those.
+        assert_eq!(agg.counter("trials"), 1280);
+        assert_eq!(agg.counter("trials{kernel=v3,plan=plain}"), 768);
+        assert_eq!(agg.counter("trial"), 0);
+        let block_ns = |k, p| agg.phases[&Attrs::of(k, p).key("mc/block")].total_ns;
+        assert_eq!(
+            agg.phase_ns("mc/block"),
+            block_ns("v1", "plain") + block_ns("v3", "plain") + block_ns("v1", "stratified")
+        );
+        // `mc/verify_block` is not a variant of `mc/verify`.
+        assert!(agg.phases.contains_key("mc/verify_block"));
+        assert_eq!(agg.phase_ns("mc/verify"), 0);
         let info = RunInfo {
             kind: "sweep",
             name: "demo",
@@ -898,6 +1028,7 @@ mod tests {
             steps: 12,
         };
         let json = metrics_json(&info, &agg);
+        assert!(json.starts_with("{\n  \"schema_version\": 2,\n"));
         assert!(json.contains("\"kind\": \"sweep\""));
         assert!(json.contains("\"resumed\": 1"));
         assert!(json.contains("\"cached\": 0"));
@@ -905,18 +1036,16 @@ mod tests {
             "\"cache\": {\"hits\": 0, \"misses\": 0, \"hit_rate\": 0.0000, \"bytes_saved\": 0}"
         ));
         assert!(json.contains("\"torn_tail_normalized\": true"));
-        assert!(json.contains("\"mc/block\""));
-        assert!(json.contains("\"mc/block_v3\""));
-        // The top-level total folds every kernel's trial counter; the
-        // per-kernel split is reported alongside.
+        assert!(json.contains("\"mc/block{kernel=v1,plan=plain}\""));
+        assert!(json.contains("\"mc/block{kernel=v3,plan=plain}\""));
+        assert!(json.contains("\"mc/block{kernel=v1,plan=stratified}\""));
+        assert!(json.contains("\"mc/verify_block\""));
+        assert!(json.contains("\"trials{kernel=v1,plan=stratified}\": 256"));
+        // The top-level total folds every series; the breakdowns group
+        // it by attribute, each summing to the total.
         assert!(json.contains("\"trials\": 1280"));
         assert!(json.contains("\"trials_by_kernel\": {\"v1\": 512, \"v3\": 768}"));
-        // Strategy attribution: the stratified trials came out of the
-        // kernel totals, plain is the remainder.
-        assert!(json.contains(
-            "\"trials_by_strategy\": {\"plain\": 1024, \"antithetic\": 0, \
-             \"stratified\": 256, \"sobol\": 0, \"blockade\": 0}"
-        ));
+        assert!(json.contains("\"trials_by_strategy\": {\"plain\": 1024, \"stratified\": 256}"));
         assert!(json.contains("\"effective_samples\": 100"));
     }
 

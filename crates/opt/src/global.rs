@@ -374,14 +374,13 @@ impl GlobalPipelineOptimizer {
     /// The report's before and after stage criticalities: one
     /// [`CRITICALITY_TRIALS`]-trial draw on the optimizer's kernel, scored
     /// against both timings (the two estimates share seed and stage count,
-    /// so their draws are identical). One `opt/criticality*` span covers
-    /// both estimates, and its value is the trials drawn.
+    /// so their draws are identical). One `opt/criticality` span, with the
+    /// kernel attribute, covers both estimates; its value is the trials
+    /// drawn.
     fn criticality(&self, before: &PipelineTiming, after: &PipelineTiming) -> (Vec<f64>, Vec<f64>) {
-        let span_name = match self.kernel {
-            TrialKernel::V1 => "criticality",
-            TrialKernel::V3 => "criticality_v3",
-        };
-        let _sp = vardelay_obs::span("opt", span_name).value(CRITICALITY_TRIALS as f64);
+        let _sp = vardelay_obs::span("opt", "criticality")
+            .attrs(vardelay_obs::Attrs::of_kernel(self.kernel.name()))
+            .value(CRITICALITY_TRIALS as f64);
         let pipelines: Vec<Pipeline> = [before, after]
             .into_iter()
             .map(|timing| {

@@ -24,7 +24,7 @@ use std::cell::{Cell, RefCell};
 
 use vardelay_circuit::StagedPipeline;
 use vardelay_core::yield_correlated;
-use vardelay_mc::{PipelineMc, PreparedPipelineMc, TrialKernel, TrialWorkspace};
+use vardelay_mc::{PipelineMc, PreparedPipelineMc, TrialStrategy, TrialWorkspace};
 use vardelay_ssta::PipelineTiming;
 use vardelay_stats::counter_seed;
 
@@ -156,13 +156,12 @@ impl PipelineYieldEval for NetlistMcYieldEval {
         _timing: &PipelineTiming,
         target_ps: f64,
     ) -> f64 {
-        // Per-kernel span/counter names keep each kernel's Monte-Carlo
-        // time separately attributable in `vardelay report` / `--metrics`.
-        let (span_name, counter_name) = match self.mc.kernel() {
-            TrialKernel::V1 => ("yield_eval", "trials"),
-            TrialKernel::V3 => ("yield_eval_v3", "trials_v3"),
-        };
-        let _sp = vardelay_obs::span("opt", span_name)
+        // Kernel attributes keep each kernel's Monte-Carlo time separately
+        // attributable in `vardelay report` / `--metrics`; in-loop
+        // evaluation draws plain trials.
+        let kernel = self.mc.kernel().name();
+        let _sp = vardelay_obs::span("opt", "yield_eval")
+            .attrs(vardelay_obs::Attrs::of_kernel(kernel))
             .key(self.run_id)
             .value(self.trials as f64);
         let e = self.evals.get();
@@ -181,7 +180,8 @@ impl PipelineYieldEval for NetlistMcYieldEval {
                 counter_seed(self.run_id ^ EVAL_SALT, (e << EVAL_TRIAL_BITS) | t)
             })
             .value;
-        vardelay_obs::counter(counter_name, self.trials);
+        let attrs = vardelay_obs::Attrs::of(kernel, TrialStrategy::Plain.name());
+        vardelay_obs::counter_with("trials", self.trials, attrs);
         y
     }
 

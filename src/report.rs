@@ -10,7 +10,9 @@
 //!
 //! The file kind is sniffed from its top-level keys: `traceEvents`
 //! (Chrome trace-event format) vs `phases` (the metrics schema of
-//! [`vardelay_obs::metrics_json`]).
+//! [`vardelay_obs::metrics_json`]). Both are keyed by the one metric
+//! key rule of [`vardelay_obs::Attrs::key`], so a trace's span
+//! attributes and a metrics file's keys render as the same rows.
 
 use std::collections::BTreeMap;
 
@@ -78,17 +80,10 @@ fn render(
             .partial_cmp(&a.1.total_ms)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
+    let per = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
     for (name, p) in rows {
-        let mean_us = if p.count > 0 {
-            1e3 * p.total_ms / p.count as f64
-        } else {
-            0.0
-        };
-        let share = if wall_ms > 0.0 {
-            100.0 * p.total_ms / wall_ms
-        } else {
-            0.0
-        };
+        let mean_us = per(1e3 * p.total_ms, p.count as f64);
+        let share = per(100.0 * p.total_ms, wall_ms);
         out.push_str(&format!(
             "{name:<name_w$}  {:>9}  {:>12.3}  {:>11.2}  {:>5.1}%\n",
             p.count, p.total_ms, mean_us, share
@@ -100,10 +95,9 @@ fn render(
     ));
     for (name, v) in counters {
         out.push_str(&format!("counter {name}: {v}\n"));
-        // Trial counters are per kernel version: "trials" is the v1
-        // kernel, "trials_v3" the wide kernel. Each gets a wall-rate line
-        // so per-kernel throughput is visible side by side.
-        if matches!(name.as_str(), "trials" | "trials_v3") && wall_ms > 0.0 {
+        // Each kernel/plan series of the trial counter gets a wall-rate
+        // line, so per-contract throughput is visible side by side.
+        if vardelay_obs::key_base(name) == "trials" && wall_ms > 0.0 {
             out.push_str(&format!(
                 "counter {name} rate: {:.0}/s of wall\n",
                 *v / (wall_ms / 1e3)
@@ -179,28 +173,17 @@ fn from_metrics(v: &Value) -> Result<String, CliError> {
     if let Some(rate) = get_num(v, "trials_per_sec") {
         extra.push(format!("trials/s (recorded): {rate:.0}"));
     }
-    if let Some(by_kernel) = v.get("trials_by_kernel") {
-        let n = |k| get_num(by_kernel, k).unwrap_or(0.0);
-        let (v1, v3) = (n("v1"), n("v3"));
-        if v1 > 0.0 || v3 > 0.0 {
-            extra.push(format!("trials by kernel: v1 {v1:.0}, v3 {v3:.0}"));
-        }
-    }
-    if let Some(Value::Object(fields)) = v.get("trials_by_strategy") {
-        // Only worth a line when some plan other than plain actually ran.
-        let shaped: f64 = fields
-            .iter()
-            .filter(|(name, _)| name != "plain")
-            .filter_map(|(_, n)| num(n))
-            .sum();
-        if shaped > 0.0 {
-            let parts: Vec<String> = fields
-                .iter()
-                .filter_map(|(name, n)| num(n).map(|n| (name, n)))
-                .filter(|&(_, n)| n > 0.0)
-                .map(|(name, n)| format!("{name} {n:.0}"))
-                .collect();
-            extra.push(format!("trials by strategy: {}", parts.join(", ")));
+    for attr in ["kernel", "strategy"] {
+        let Some(Value::Object(groups)) = v.get(&format!("trials_by_{attr}")) else {
+            continue;
+        };
+        let counts = groups.iter().filter_map(|(g, n)| Some((g, num(n)?)));
+        let parts: Vec<String> = counts
+            .filter(|&(_, n)| n > 0.0)
+            .map(|(g, n)| format!("{g} {n:.0}"))
+            .collect();
+        if !parts.is_empty() {
+            extra.push(format!("trials by {attr}: {}", parts.join(", ")));
         }
     }
     if let Some(ess) = get_num(v, "effective_samples") {
@@ -224,8 +207,9 @@ fn from_metrics(v: &Value) -> Result<String, CliError> {
 }
 
 /// Builds the table from a Chrome trace file (`--trace` schema):
-/// aggregates the complete (`"X"`) events by `cat/name`, takes the last
-/// cumulative value of each `"C"` counter track, and measures wall time
+/// aggregates the complete (`"X"`) events by metric key (`cat/name` and
+/// their `kernel`/`plan` args), takes the last cumulative value of each
+/// `"C"` counter track (named by its full key), and measures wall time
 /// as the span of all event timestamps.
 fn from_trace(v: &Value) -> Result<String, CliError> {
     let err = |what: &str| CliError(format!("trace file: {what}"));
@@ -245,7 +229,14 @@ fn from_trace(v: &Value) -> Result<String, CliError> {
                 let name = e.get("name").and_then(string).unwrap_or("?");
                 let ts = get_num(e, "ts").ok_or_else(|| err("X event without ts"))?;
                 let dur = get_num(e, "dur").ok_or_else(|| err("X event without dur"))?;
-                let p = phases.entry(format!("{cat}/{name}")).or_default();
+                let arg = |a| e.get("args").and_then(|args| args.get(a)).and_then(string);
+                let attrs = vardelay_obs::Attrs {
+                    kernel: arg("kernel"),
+                    plan: arg("plan"),
+                };
+                let p = phases
+                    .entry(attrs.key(&format!("{cat}/{name}")))
+                    .or_default();
                 p.count += 1;
                 p.total_ms += dur / 1e3;
                 t_min = t_min.min(ts);
@@ -275,11 +266,7 @@ fn from_trace(v: &Value) -> Result<String, CliError> {
             _ => {}
         }
     }
-    let wall_ms = if t_max > t_min {
-        (t_max - t_min) / 1e3
-    } else {
-        0.0
-    };
+    let wall_ms = (t_max - t_min).max(0.0) / 1e3;
     let header = format!(
         "{} — trace ({} spans)",
         process_name.as_deref().unwrap_or("trace"),
@@ -315,25 +302,26 @@ mod tests {
     #[test]
     fn metrics_report_renders_phases_and_units() {
         let text = r#"{
+            "schema_version": 2,
             "kind": "campaign", "name": "t", "workers": 2, "wall_ms": 100.0,
             "units": {"total": 6, "executed": 2, "resumed": 1, "cached": 3, "torn_tail_normalized": true},
             "cache": {"hits": 3, "misses": 2, "hit_rate": 0.6, "bytes_saved": 420},
             "steps": 2, "trials": 6000,
             "trials_by_kernel": {"v1": 1000, "v3": 5000},
-            "trials_by_strategy": {"plain": 5000, "antithetic": 0, "stratified": 0, "sobol": 0, "blockade": 1000},
+            "trials_by_strategy": {"blockade": 1000, "plain": 5000},
             "effective_samples": 380,
             "trials_per_sec": 40000.0,
             "phases": {
-                "mc/verify": {"count": 4, "total_ms": 60.0, "mean_us": 15000.0, "value_sum": 4000.0},
+                "mc/verify{kernel=v3,plan=plain}": {"count": 4, "total_ms": 60.0, "mean_us": 15000.0, "value_sum": 4000.0},
                 "opt/size_stage": {"count": 9, "total_ms": 30.0, "mean_us": 3333.3, "value_sum": 90.0}
             },
-            "counters": {"trials": 1000, "trials_v3": 5000},
+            "counters": {"trials{kernel=v1,plan=blockade}": 1000, "trials{kernel=v3,plan=plain}": 5000},
             "worker_util": [{"tid": 1, "lifetime_ms": 100.0, "busy_ms": 90.0, "utilization": 0.9}],
             "events_dropped": 0
         }"#;
         let out = report_cmd("m.json", text).expect("valid metrics");
         assert!(out.contains("campaign 't'"), "{out}");
-        assert!(out.contains("mc/verify"), "{out}");
+        assert!(out.contains("mc/verify{kernel=v3,plan=plain}"), "{out}");
         assert!(out.contains("60.000"), "{out}");
         assert!(
             out.contains("6 total, 2 executed, 1 resumed from journal, 3 from cache"),
@@ -346,7 +334,7 @@ mod tests {
         );
         assert!(out.contains("trials by kernel: v1 1000, v3 5000"), "{out}");
         assert!(
-            out.contains("trials by strategy: plain 5000, blockade 1000"),
+            out.contains("trials by strategy: blockade 1000, plain 5000"),
             "{out}"
         );
         assert!(
@@ -354,11 +342,11 @@ mod tests {
             "{out}"
         );
         assert!(
-            out.contains("counter trials rate: 10000/s of wall"),
+            out.contains("counter trials{kernel=v1,plan=blockade} rate: 10000/s of wall"),
             "{out}"
         );
         assert!(
-            out.contains("counter trials_v3 rate: 50000/s of wall"),
+            out.contains("counter trials{kernel=v3,plan=plain} rate: 50000/s of wall"),
             "{out}"
         );
         assert!(out.contains("worker tid 1"), "{out}");
@@ -370,19 +358,49 @@ mod tests {
 
     #[test]
     fn trace_report_aggregates_x_events() {
-        let text = r#"{"traceEvents": [
-            {"name":"process_name","ph":"M","pid":1,"args":{"name":"vardelay sweep 's'"}},
-            {"name":"block","cat":"mc","ph":"X","ts":0.0,"dur":1000.0,"pid":1,"tid":1},
-            {"name":"block","cat":"mc","ph":"X","ts":1000.0,"dur":500.0,"pid":1,"tid":1},
-            {"name":"trials","ph":"C","ts":1000.0,"pid":1,"args":{"value":256}},
-            {"name":"trials","ph":"C","ts":1500.0,"pid":1,"args":{"value":512}}
-        ]}"#;
-        let out = report_cmd("t.json", text).expect("valid trace");
+        use vardelay_obs::{Attrs, Event, EventKind, Recording};
+        let attrs = Attrs::of("v3", "stratified");
+        let event = |t_ns, kind| Event {
+            t_ns,
+            tid: 1,
+            cat: "mc",
+            name: "block",
+            key: None,
+            value: None,
+            attrs,
+            kind,
+        };
+        let counter = |t_ns| Event {
+            cat: "counter",
+            name: "trials",
+            ..event(t_ns, EventKind::Counter { delta: 256 })
+        };
+        let rec = Recording {
+            events: vec![
+                event(0, EventKind::Span { dur_ns: 1_000_000 }),
+                counter(1_000_000),
+                event(1_000_000, EventKind::Span { dur_ns: 500_000 }),
+                counter(1_500_000),
+            ],
+            dropped: 0,
+        };
+        let text = vardelay_obs::chrome_trace(&rec, "vardelay sweep 's'");
+        let out = report_cmd("t.json", &text).expect("valid trace");
         assert!(out.contains("vardelay sweep 's'"), "{out}");
-        assert!(out.contains("mc/block"), "{out}");
-        // 2 spans, 1.5 ms total, last cumulative counter value 512.
-        assert!(out.contains("1.500"), "{out}");
-        assert!(out.contains("counter trials: 512"), "{out}");
+        // 2 spans, 1.5 ms total, under the same key the metrics file
+        // uses; the counter track's last cumulative value is 512.
+        assert!(
+            out.contains("mc/block{kernel=v3,plan=stratified}          2         1.500"),
+            "{out}"
+        );
+        assert!(
+            out.contains("counter trials{kernel=v3,plan=stratified}: 512\n"),
+            "{out}"
+        );
+        assert!(
+            out.contains("counter trials{kernel=v3,plan=stratified} rate: 341333/s of wall"),
+            "{out}"
+        );
     }
 
     #[test]
