@@ -114,32 +114,18 @@ impl CellLibrary {
         (od / (od - dvth)).powf(self.tech.alpha())
     }
 
-    /// The **v3-kernel** scalar slowdown factor: same quantity as
-    /// [`CellLibrary::vth_slowdown_factor`] evaluated through the frozen
-    /// fused polynomial kernels of
-    /// [`vardelay_process::slowdown_factor_approx_fma`] (relative error
-    /// below `2e-7` over the certified range, exact `powf` fallback
-    /// outside it), element-wise identical to
-    /// [`CellLibrary::vth_slowdown_factors_v3_shift_into`] on a
-    /// one-element slice. Not bit-identical to the exact form —
-    /// selecting it is a kernel-contract change, not a drop-in swap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shift pushes the threshold past the supply.
-    #[inline]
-    pub fn vth_slowdown_factor_v3(&self, dvth: f64) -> f64 {
-        vardelay_process::slowdown_factor_approx_fma(self.tech.overdrive(), self.tech.alpha(), dvth)
-    }
-
-    /// Shift-major v3 slowdown factors for a whole stage's
-    /// `gates × lanes` block in one call:
-    /// `out[i] = slowdown_factor_approx_fma(shift[i])`, bit-identical
-    /// per element, evaluated through
+    /// Shift-major **v3-kernel** slowdown factors for a whole stage's
+    /// `gates × lanes` block in one call: the same quantity as
+    /// [`CellLibrary::vth_slowdown_factor`] through the frozen fused
+    /// polynomial kernels, `out[i] =
+    /// slowdown_factor_approx_fma(shift[i])` (relative error below `2e-7`
+    /// over the certified range, exact `powf` fallback outside it),
+    /// bit-identical per element, evaluated through
     /// [`vardelay_process::slowdown_factors_shift_approx_into`]. The
-    /// caller builds `shift = shared + sigma·z` while transposing the
-    /// per-trial normal rows, which amortizes the polynomial pass's
-    /// range scans and call overhead over the whole stage.
+    /// caller builds `shift = shared + sigma·z` over the stage's
+    /// gate-major normals, which amortizes the polynomial pass's range
+    /// scans and call overhead over the whole stage. Not bit-identical
+    /// to the exact form: selecting it is a kernel-contract change.
     ///
     /// # Panics
     ///
@@ -201,12 +187,12 @@ mod tests {
     #[test]
     fn v3_slowdown_tracks_exact_form() {
         let l = lib();
-        let mut dvth = -0.25;
-        while dvth <= 0.25 {
+        let shifts: Vec<f64> = (0..=500).map(|i| -0.25 + f64::from(i) * 1e-3).collect();
+        let mut v3 = vec![0.0; shifts.len()];
+        l.vth_slowdown_factors_v3_shift_into(&shifts, &mut v3);
+        for (&dvth, &f) in shifts.iter().zip(&v3) {
             let exact = l.vth_slowdown_factor(dvth);
-            let v3 = l.vth_slowdown_factor_v3(dvth);
-            assert!(((v3 - exact) / exact).abs() < 2e-7, "dvth {dvth}");
-            dvth += 1e-3;
+            assert!(((f - exact) / exact).abs() < 2e-7, "dvth {dvth}");
         }
     }
 

@@ -134,3 +134,34 @@ fn v3_plan_bytes_are_frozen() {
         );
     }
 }
+
+const V3_RAGGED_SPEC: &str = include_str!("golden/v3_ragged_spec.json");
+const V3_RAGGED_GOLDEN: &str = include_str!("golden/v3_ragged_result.json");
+
+/// v3 passes narrower than four lanes' multiples: 257, 261 and 269
+/// trials end their second engine block on a 1-, 5- and 13-wide pass,
+/// under `Combined` (plain, antithetic, stratified) and `RandomOnly`
+/// (plain, antithetic) variation, on both gate-level backends. Those
+/// remainder lanes are the ones the lane-interleaved generator serves
+/// outside its four-stream groups. Generated before the v3 pass drew
+/// its normals gate-major. Regenerate with
+/// `vardelay sweep crates/engine/tests/golden/v3_ragged_spec.json
+/// --out crates/engine/tests/golden/v3_ragged_result.json`.
+#[test]
+fn v3_ragged_pass_bytes_are_frozen() {
+    let sweep = Sweep::from_json(V3_RAGGED_SPEC).expect("v3 ragged spec parses");
+    assert_eq!(
+        sweep.expand().len(),
+        15,
+        "5 variation x plan pairs x 3 widths"
+    );
+    for workers in [1usize, 4] {
+        let res = run_sweep(&sweep, &SweepOptions::sequential().with_workers(workers))
+            .expect("v3 ragged sweep runs");
+        assert_eq!(
+            res.to_json(),
+            V3_RAGGED_GOLDEN,
+            "v3 ragged-pass bytes drifted at {workers} workers"
+        );
+    }
+}

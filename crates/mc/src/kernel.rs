@@ -32,14 +32,14 @@ pub enum TrialKernel {
     V1,
     /// The wide kernel: the loop order flips from trial-major to
     /// lane-major. Up to [`V3_WIDTH`] trials are processed per pass —
-    /// every trial's normals (inverse-CDF, die draws included) are
-    /// generated up front into structure-of-arrays buffers, then each
-    /// stage and gate is visited **once per pass** over contiguous
-    /// per-lane `f64` rows, so frozen polynomial
-    /// `exp(α·ln(od/(od−ΔVth)))` slowdown evaluation and arrival-time
-    /// propagation amortize their per-gate bookkeeping across the whole
-    /// pass and vectorize. Statistics fold through [`V3_LANES`] lanes in
-    /// a fixed merge order.
+    /// every trial's normals (inverse-CDF, one generator stream per
+    /// lane, drawn lane-interleaved) land gate-major in
+    /// structure-of-arrays buffers, and each stage and gate is visited
+    /// **once per pass** over contiguous per-lane `f64` rows, so the
+    /// frozen polynomial `exp(α·ln(od/(od−ΔVth)))` slowdown evaluation
+    /// and arrival-time propagation amortize their per-gate bookkeeping
+    /// across the whole pass and vectorize. Statistics fold through
+    /// [`V3_LANES`] lanes in a fixed merge order.
     V3,
 }
 
@@ -124,9 +124,10 @@ impl<'a> LaneFold<'a> {
 /// Trials processed per v3 pass — the width of every structure-of-
 /// arrays buffer in the wide kernel.
 ///
-/// A pass generates all normals for up to `V3_WIDTH` trials up front
-/// (die, latch, then gate draws, each lane from its own counter-seeded
-/// RNG), transposes the gate draws into `W`-wide rows, and then walks
+/// A pass draws up to `V3_WIDTH` trials' normals gate-major, each lane
+/// from its own counter-seeded RNG, four lanes per SIMD register: the
+/// die and latch draws up front, then each stage's gate draws straight
+/// into its `gates × W` block of shifts, with no transpose. It walks
 /// the pipeline lane-major: one slowdown evaluation and one arrival-
 /// time propagation per gate covers the whole pass. Per-trial values
 /// are pure functions of the trial index, so pass grouping (including

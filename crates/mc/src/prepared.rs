@@ -27,7 +27,7 @@ use vardelay_circuit::{CellLibrary, LatchParams, Netlist, StagedPipeline};
 use vardelay_process::{pelgrom_sigma, DieLanes, DieSample, ProcessSampler};
 use vardelay_ssta::sta::{arrival_times_into, nominal_gate_delays};
 use vardelay_stats::batch::{
-    fill_standard_normals_inv_cdf_fma_multi, fill_standard_normals_inv_cdf_multi,
+    fill_standard_normals_inv_cdf_fma_lanes, fill_standard_normals_inv_cdf_lanes,
 };
 use vardelay_stats::normal::sample_standard_normal;
 use vardelay_stats::{DrawOverlay, NormalFill};
@@ -96,32 +96,29 @@ pub struct TrialWorkspace {
 }
 
 /// Structure-of-arrays scratch of the v3 wide kernel: every buffer holds
-/// one `f64` per lane per item. The per-pass buffers (`dvth`, `slow`,
+/// one `f64` per lane per item, gate-major (item-major): no buffer is
+/// ever transposed. The per-pass buffers (`die_rows`, `dvth`, `slow`,
 /// `at`) are packed at the pass's own width `w` (`item * w + lane`) so a
-/// ragged final pass stays dense; the cross-pass buffers (`shared`,
-/// `latch`, `sd`) keep the fixed `item * V3_WIDTH + lane` stride the
-/// fill and record phases index by. Each lane's values are a pure
-/// function of its own trial, so pass width cannot leak into result
+/// ragged final pass stays dense; the cross-pass buffers (`die_z`,
+/// `shared`, `latch`, `sd`) keep the fixed `item * V3_WIDTH + lane`
+/// stride the die and record phases index by. Each lane's values are a
+/// pure function of its own trial, so pass width cannot leak into result
 /// bytes.
 #[derive(Debug, Clone, Default)]
 struct WideScratch {
-    /// Die-phase draws, per-lane contiguous (`lane * row + k`): each
-    /// lane's die-level normals past the plan's overridden leading dims,
-    /// then its latch-jitter normals — one multi-stream inverse-CDF fill.
+    /// Die-phase draws (`k * w + lane`): each lane's die-level normals
+    /// past the plan's overridden leading dims, then its latch-jitter
+    /// normals — one lane-interleaved inverse-CDF fill.
     die_rows: Vec<f64>,
     /// The pass's die-level normals, lane-major (`d * V3_WIDTH + lane`),
     /// overrides and sign applied.
     die_z: Vec<f64>,
     /// The pass's dies, lane-major.
     die: DieLanes<V3_WIDTH>,
-    /// Fill-phase gate normals, per-lane contiguous
-    /// (`lane * rand_total + g`): each lane's counter stream fills its
-    /// own row in one batch inverse-CDF call.
-    z_rows: Vec<f64>,
     /// Per-gate per-lane total ΔVth shifts (`shared + sigma·z`) of the
-    /// stage currently being timed (`g * w + lane`), built while
-    /// transposing `z_rows` so one wide polynomial call covers the
-    /// stage.
+    /// stage currently being timed (`g * w + lane`): the lane fill writes
+    /// the stage's gate normals here, gate-major, and they become shifts
+    /// in place, so one wide polynomial call covers the stage.
     dvth: Vec<f64>,
     /// Per-stage per-lane shared die ΔVth (`s * V3_WIDTH + lane`).
     shared: Vec<f64>,
@@ -141,9 +138,9 @@ struct WideScratch {
     maxd: [f64; V3_WIDTH],
     /// Per-lane importance weights (`1.0` unless the plan shifts).
     weight: [f64; V3_WIDTH],
-    /// Per-lane generators parked after the die/latch draws so the
-    /// gate-normal rows can be filled with interleaved streams
-    /// (independent lanes hide each other's serial generator latency).
+    /// Per-lane generators, parked after the die/latch draws at each
+    /// lane's first gate normal; every stage's gate normals are drawn
+    /// from them lane-interleaved, four streams per SIMD register.
     rngs: Vec<StdRng>,
 }
 
@@ -162,7 +159,7 @@ impl TrialWorkspace {
 
     /// Every scratch buffer, in a fixed order — what the zero-allocation
     /// checks watch for capacity growth and storage moves.
-    fn buffers(&self) -> [&Vec<f64>; 15] {
+    fn buffers(&self) -> [&Vec<f64>; 14] {
         let w = &self.wide;
         [
             &self.z,
@@ -173,7 +170,6 @@ impl TrialWorkspace {
             &w.die_rows,
             &w.die_z,
             w.die.storage(),
-            &w.z_rows,
             &w.dvth,
             &w.shared,
             &w.latch,
@@ -190,9 +186,6 @@ pub struct PreparedPipelineMc {
     lib: CellLibrary,
     sampler: ProcessSampler,
     stages: Vec<PreparedStage>,
-    /// Total per-gate random-σ count across all stages: the length of
-    /// each lane's gate-normal row in the v3 kernel's up-front fill.
-    rand_total: usize,
     latch: LatchParams,
     output_load: f64,
     kernel: TrialKernel,
@@ -208,7 +201,6 @@ impl PreparedPipelineMc {
             lib: inner.library().clone(),
             sampler: inner.sampler().clone(),
             stages: Vec::new(),
-            rand_total: 0,
             latch: pipeline.latch(),
             output_load: inner.output_load(),
             kernel: mc.kernel(),
@@ -276,7 +268,6 @@ impl PreparedPipelineMc {
                 }
             })
             .collect();
-        self.rand_total = self.stages.iter().map(|s| s.rand_sigma.len()).sum();
     }
 
     /// Number of pipeline stages.
@@ -318,7 +309,6 @@ impl PreparedPipelineMc {
             ws.wide.die_rows.resize((dims + stages) * V3_WIDTH, 0.0);
             ws.wide.die_z.resize(dims * V3_WIDTH, 0.0);
             ws.wide.die.reserve(regions);
-            ws.wide.z_rows.resize(self.rand_total * V3_WIDTH, 0.0);
             ws.wide.dvth.resize(max_gates * V3_WIDTH, 0.0);
             ws.wide.shared.resize(stages * V3_WIDTH, 0.0);
             ws.wide.latch.resize(stages * V3_WIDTH, 0.0);
@@ -387,24 +377,22 @@ impl PreparedPipelineMc {
         self.sampler.die_dims()
     }
 
-    /// Fill phase of one **v3-kernel** pass over trials
-    /// `start..start + w` (`w <= V3_WIDTH`), then the shared compute
-    /// phase. Leaves lane `i`'s stage delays in
-    /// `ws.wide.sd[s * V3_WIDTH + i]`, its pipeline delay in
-    /// `ws.wide.maxd[i]` and its importance weight in `ws.wide.weight[i]`.
-    /// `ps` prepares each lane's overlay, which applies to every normal
-    /// the lane draws (die, latch and gate).
+    /// One **v3-kernel** pass over trials `start..start + w`
+    /// (`w <= V3_WIDTH`): the die phase, then the compute phase. Leaves
+    /// lane `i`'s stage delays in `ws.wide.sd[s * V3_WIDTH + i]`, its
+    /// pipeline delay in `ws.wide.maxd[i]` and its importance weight in
+    /// `ws.wide.weight[i]`. `ps` prepares each lane's overlay, which
+    /// applies to every normal the lane draws (die, latch and gate).
     ///
     /// The v3 RNG consumption order per trial is part of the contract:
-    /// die draws (batch inverse-CDF, not Box–Muller), then **all**
+    /// die draws (inverse-CDF, not Box–Muller), then **all**
     /// latch-jitter normals up front (one per stage, only when the latch
-    /// has jitter), then every gate normal in one FMA-fused batch
-    /// inverse-CDF fill ([`fill_standard_normals_inv_cdf_fma_multi`]).
-    /// The fused fill consumes one `u64` per normal but evaluates the
-    /// quantile through `mul_add`-fused Acklam polynomials — correctly
-    /// rounded on every target, so its bytes are stable across dispatch
-    /// targets. Each lane consumes only its own seeded RNG, so a trial's
-    /// values are a pure function of its index — pass grouping
+    /// has jitter), then every gate normal, stage by stage, through the
+    /// FMA-fused inverse-CDF. The fused quantile consumes one `u64` per
+    /// normal and evaluates its central rational through `mul_add` —
+    /// correctly rounded on every target, so its bytes are stable across
+    /// dispatch targets. Each lane consumes only its own seeded RNG, so
+    /// a trial's values are a pure function of its index — pass grouping
     /// (including the ragged final pass) cannot reach the result bytes.
     fn sample_pass_v3(
         &self,
@@ -415,20 +403,7 @@ impl PreparedPipelineMc {
         seed_of: &impl Fn(u64) -> u64,
     ) {
         let signs = self.draw_dies_v3(ws, ps, start, w, seed_of);
-        let wide = &mut ws.wide;
-        fill_standard_normals_inv_cdf_fma_multi(
-            &mut wide.rngs,
-            &mut wide.z_rows[..w * self.rand_total],
-        );
-        for (lane, &sign) in signs.iter().enumerate().take(w) {
-            if sign != 1.0 {
-                let row = &mut wide.z_rows[lane * self.rand_total..(lane + 1) * self.rand_total];
-                for zi in row.iter_mut() {
-                    *zi *= sign;
-                }
-            }
-        }
-        self.compute_pass_v3(ws, w);
+        self.compute_pass_v3(ws, w, &signs);
     }
 
     /// Die phase of one v3 pass: seeds each lane's generator from its
@@ -442,10 +417,11 @@ impl PreparedPipelineMc {
     /// Each lane gets the bits of
     /// [`ProcessSampler::sample_die_with`] (inverse-CDF fill) followed by
     /// one [`vardelay_stats::sample_standard_normal_inv_cdf`] per stage:
-    /// one multi-stream fill ([`fill_standard_normals_inv_cdf_multi`])
-    /// draws the same values from the same stream positions, except that
-    /// a leading dim the overlay overrides has its `u64` consumed and its
-    /// quantile skipped; [`ProcessSampler::shape_die_lanes`] then applies
+    /// one lane fill ([`fill_standard_normals_inv_cdf_lanes`]) draws the
+    /// same values from the same stream positions, already lane-major,
+    /// except that a leading dim the overlay overrides has its `u64`
+    /// consumed and its quantile skipped;
+    /// [`ProcessSampler::shape_die_lanes`] then applies
     /// the shift and correlates the regions in `transform_into`'s
     /// per-element order.
     fn draw_dies_v3(
@@ -484,21 +460,21 @@ impl PreparedPipelineMc {
             }
             wide.rngs.push(rng);
         }
-        let row = dims + latch_n - skip;
-        let rows = &mut wide.die_rows[..w * row];
-        fill_standard_normals_inv_cdf_multi(&mut wide.rngs, rows);
-        for (lane, &sign) in signs.iter().enumerate().take(w) {
-            let (die, latch) = rows[lane * row..(lane + 1) * row].split_at(dims - skip);
-            for (zd, &v) in z[skip..].iter_mut().zip(die) {
-                zd[lane] = v;
+        let draws = &mut wide.die_rows[..(dims + latch_n - skip) * w];
+        fill_standard_normals_inv_cdf_lanes(&mut wide.rngs, draws);
+        let (die, latch) = draws.split_at((dims - skip) * w);
+        for (zd, row) in z[skip..].iter_mut().zip(die.chunks_exact(w)) {
+            zd[..w].copy_from_slice(row);
+        }
+        // `1.0 * x` is `x` bit for bit, so the plain lanes need no branch.
+        for zd in z.iter_mut() {
+            for (v, &sign) in zd[..w].iter_mut().zip(&signs) {
+                *v *= sign;
             }
-            if sign != 1.0 {
-                for zd in z.iter_mut() {
-                    zd[lane] *= sign;
-                }
-            }
-            for (s, &v) in latch.iter().enumerate() {
-                wide.latch[s * W + lane] = sign * v;
+        }
+        for (s, row) in latch.chunks_exact(w).enumerate() {
+            for ((l, &v), &sign) in wide.latch[s * W..].iter_mut().zip(row).zip(&signs) {
+                *l = sign * v;
             }
         }
         self.sampler
@@ -509,22 +485,59 @@ impl PreparedPipelineMc {
         signs
     }
 
-    /// Lane-major compute phase of one v3 pass over `w` filled lanes,
-    /// visiting each stage and gate **once for the whole pass**: the
-    /// per-gate normal rows are transposed out of `z_rows` directly into
-    /// total ΔVth shifts (`shared + sigma·z`, fusing the transpose with
-    /// the shift build), one wide polynomial call turns a whole stage's
-    /// `gates × w` shift block into slowdown factors, then wide
+    /// Lane-major compute phase of one v3 pass over `w` lanes whose dies
+    /// are drawn, visiting each stage and gate **once for the whole
+    /// pass**: the lane fill draws a stage's gate normals gate-major
+    /// straight into its `gates × w` shift block, which becomes total
+    /// ΔVth shifts (`shared + sigma·(sign·z)`) in place; one wide
+    /// polynomial call turns the block into slowdown factors, then wide
     /// arrival-time propagation (the fanin metadata of each gate is
     /// loaded once per pass instead of once per trial) and per-lane
     /// combinational max / latch overhead / stage delay. The per-pass
     /// buffers are packed at width `w`; the per-lane arithmetic is
     /// element-wise throughout, so a lane's bits never depend on its
     /// pass-mates.
-    fn compute_pass_v3(&self, ws: &mut TrialWorkspace, w: usize) {
+    ///
+    /// Runs compiled for AVX2 and FMA where the CPU has them, with the
+    /// full-width pass specialized. Rust never contracts a separate
+    /// multiply and add into an FMA and every `mul_add` is correctly
+    /// rounded, so the target cannot move a bit.
+    fn compute_pass_v3(&self, ws: &mut TrialWorkspace, w: usize, signs: &[f64; V3_WIDTH]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: both features were just detected at runtime.
+            return unsafe { self.compute_pass_v3_avx2(ws, w, signs) };
+        }
+        self.compute_pass_v3_body(ws, w, signs);
+    }
+
+    /// [`PreparedPipelineMc::compute_pass_v3_body`] compiled for AVX2 and
+    /// FMA, with the full-width pass specialized.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn compute_pass_v3_avx2(
+        &self,
+        ws: &mut TrialWorkspace,
+        w: usize,
+        signs: &[f64; V3_WIDTH],
+    ) {
+        if w == V3_WIDTH {
+            self.compute_pass_v3_body(ws, V3_WIDTH, signs);
+        } else {
+            self.compute_pass_v3_body(ws, w, signs);
+        }
+    }
+
+    /// The portable body of [`PreparedPipelineMc::compute_pass_v3`].
+    #[inline(always)]
+    fn compute_pass_v3_body(&self, ws: &mut TrialWorkspace, w: usize, signs: &[f64; V3_WIDTH]) {
         const W: usize = V3_WIDTH;
         let WideScratch {
-            z_rows,
             dvth,
             shared,
             latch,
@@ -532,38 +545,34 @@ impl PreparedPipelineMc {
             at,
             sd,
             maxd,
+            rngs,
             ..
         } = &mut ws.wide;
         let latch_base = self.latch.overhead_ps();
         let latch_sigma = self.latch.overhead_sigma_ps();
         maxd[..w].fill(f64::NEG_INFINITY);
-        let mut rand_off = 0usize;
         for (s, stage) in self.stages.iter().enumerate() {
             let gates = stage.netlist.gate_count();
             let sh = &shared[s * W..s * W + w];
+            let slow = &mut slow[..gates * w];
             if stage.rand_sigma.is_empty() {
                 // No per-gate randomness: one slowdown factor per lane
-                // covers the stage (same fused polynomial kernels as the
-                // wide helper, so the bits match the per-gate form —
-                // and stay on the v3 kernel family even when no stage
-                // draws per-gate normals).
+                // covers the stage (the same wide kernel as the per-gate
+                // form, so the bits match it).
                 let mut f = [0.0f64; W];
-                for (lane, fl) in f[..w].iter_mut().enumerate() {
-                    *fl = self.lib.vth_slowdown_factor_v3(sh[lane]);
-                }
-                for g in 0..gates {
-                    slow[g * w..(g + 1) * w].copy_from_slice(&f[..w]);
+                self.lib.vth_slowdown_factors_v3_shift_into(sh, &mut f[..w]);
+                for row in slow.chunks_exact_mut(w) {
+                    row.copy_from_slice(&f[..w]);
                 }
             } else {
-                for (g, &sig) in stage.rand_sigma.iter().enumerate() {
-                    let row = &mut dvth[g * w..(g + 1) * w];
-                    for (lane, dv) in row.iter_mut().enumerate() {
-                        *dv = sh[lane] + sig * z_rows[lane * self.rand_total + rand_off + g];
+                let dv = &mut dvth[..gates * w];
+                fill_standard_normals_inv_cdf_fma_lanes(&mut rngs[..w], dv);
+                for (row, &sig) in dv.chunks_exact_mut(w).zip(&stage.rand_sigma) {
+                    for ((d, &base), &sign) in row.iter_mut().zip(sh).zip(signs) {
+                        *d = base + sig * (sign * *d);
                     }
                 }
-                self.lib
-                    .vth_slowdown_factors_v3_shift_into(&dvth[..gates * w], &mut slow[..gates * w]);
-                rand_off += gates;
+                self.lib.vth_slowdown_factors_v3_shift_into(dv, slow);
             }
             // Wide arrival times: inputs arrive at 0, each gate takes
             // `max(fanin arrivals) + nominal * slowdown` per lane — the
@@ -1018,6 +1027,49 @@ mod tests {
                         let plan = TrialPlan::of(strategy);
                         assert_die_pass_matches_per_lane(&prepared, &mut ws, plan, start, w);
                     }
+                }
+            }
+        }
+    }
+
+    /// The portable compute body equals the dispatched one (AVX2 + FMA
+    /// where the CPU has them, full width specialized) bit for bit, on
+    /// full and ragged passes, with and without per-gate σ, plain and
+    /// antithetic.
+    #[test]
+    fn portable_compute_pass_equals_dispatched() {
+        use crate::strategy::TrialStrategy;
+        for var in [
+            VariationConfig::combined(20.0, 35.0, 15.0),
+            VariationConfig::inter_only(40.0),
+            VariationConfig::random_only(35.0),
+        ] {
+            let mc =
+                PipelineMc::new(CellLibrary::default(), var, None).with_kernel(TrialKernel::V3);
+            let prepared = PreparedPipelineMc::new(&mc, &pipe(4, 9));
+            let mut ws = prepared.workspace();
+            for strategy in [TrialStrategy::Plain, TrialStrategy::Antithetic] {
+                for (start, w) in [(0u64, V3_WIDTH), (507, 5), (1001, 13)] {
+                    let plan = TrialPlan::of(strategy);
+                    let mut ps = PlanSampler::new(plan, prepared.die_dims(), seed_of(0));
+                    let signs = prepared.draw_dies_v3(&mut ws, &mut ps, start, w, &seed_of);
+                    let mut portable = ws.clone();
+                    prepared.compute_pass_v3(&mut ws, w, &signs);
+                    prepared.compute_pass_v3_body(&mut portable, w, &signs);
+                    let bits = |ws: &TrialWorkspace| -> Vec<u64> {
+                        let wide = &ws.wide;
+                        wide.sd
+                            .iter()
+                            .chain(&wide.maxd[..w])
+                            .map(|x| x.to_bits())
+                            .collect()
+                    };
+                    assert_eq!(
+                        bits(&ws),
+                        bits(&portable),
+                        "{var:?} {strategy:?} {start}+{w}"
+                    );
+                    assert_eq!(ws.wide.rngs, portable.wide.rngs, "stream positions");
                 }
             }
         }

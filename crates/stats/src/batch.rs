@@ -22,8 +22,10 @@
 //!   The v3 kernel draws its die-level, latch-jitter and criticality
 //!   normals through it.
 //! * **Fused inverse-CDF** ([`standard_normal_inv_cdf_fma`],
-//!   [`fill_standard_normals_inv_cdf_fma`]) — the same quantile with its
-//!   central Horner chains fused; the v3 kernel's gate normals.
+//!   [`fill_standard_normals_inv_cdf_fma_lanes`]) — the same quantile
+//!   with its central Horner chains fused; the v3 kernel's gate normals.
+//!   The lane fills draw many generator streams at once, gate-major
+//!   (`out[k * n + lane]`), four streams per SIMD register.
 //! * **Frozen `powf` replacement** ([`ln_one_minus_fma`],
 //!   [`exp_approx_fma`]) — the two polynomial halves of
 //!   `(1-r)^(-alpha) = exp(-alpha · ln(1-r))`, the alpha-power slowdown
@@ -34,6 +36,7 @@
 //! None of these functions is used by any v1 code path: v1's bytes are
 //! pinned by the scalar implementations and must never change.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// `2^-52`, the uniform-grid step of the open-interval conversion.
@@ -112,41 +115,6 @@ fn acklam_tail(q: f64) -> f64 {
         / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
 }
 
-/// The central-rational map over one lane of uniforms. Marked
-/// `inline(always)` so the AVX-multiversioned wrapper below inherits the
-/// body and auto-vectorizes it 4-wide; plain mul/add/div vectorization
-/// is IEEE-exact per element (FMA is *not* enabled), so every dispatch
-/// target produces identical bits.
-#[inline(always)]
-fn acklam_central_pass(out: &mut [f64], u: &[f64]) {
-    for (z, &p) in out.iter_mut().zip(u) {
-        *z = acklam_central(p - 0.5);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn acklam_central_pass_avx(out: &mut [f64], u: &[f64]) {
-    acklam_central_pass(out, u);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn acklam_central_pass_dispatch(out: &mut [f64], u: &[f64]) {
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: the AVX feature was just detected at runtime.
-        unsafe { acklam_central_pass_avx(out, u) }
-    } else {
-        acklam_central_pass(out, u);
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn acklam_central_pass_dispatch(out: &mut [f64], u: &[f64]) {
-    acklam_central_pass(out, u);
-}
-
 /// Standard normal quantile by Acklam's rational approximation
 /// **without** the Halley refinement step that [`crate::inv_cap_phi`]
 /// adds.
@@ -185,43 +153,34 @@ pub fn sample_standard_normal_inv_cdf<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// Fills `out` with standard normals via the inverse CDF, one `u64` per
 /// element in order — element-wise identical to calling
 /// [`standard_normal_inv_cdf`] on each uniform, but structured for
-/// throughput: uniforms for a whole lane are drawn into scratch first
-/// (recording the tail indices as they are drawn), then a branch-free
-/// pass evaluates the central rational for every element (vectorizable —
-/// ~95.15% of draws need nothing else), and only the recorded tail
-/// elements are re-evaluated.
+/// throughput: a chunk of generator words is drawn first, then the lane
+/// fills' quantile pass converts the whole chunk (vectorized central
+/// rational, ~95.15% of draws need nothing else; only the tails are
+/// re-evaluated). Fills shorter than [`SHORT_FILL`] (a moment-form
+/// trial's few stage normals) skip the pass, whose set-up costs more
+/// than it saves there, and run the scalar quantile per element.
 pub fn fill_standard_normals_inv_cdf<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    fill_row(rng, out, quantile_chunk);
-}
-
-/// One quantile chunk of the non-fused fill: the vectorized central
-/// rational over every element, then the tail fixup on the recorded
-/// indices only.
-#[inline]
-fn quantile_chunk(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
-    // For tail elements this evaluates the central rational out of its
-    // domain — finite junk, overwritten below. Keeping the map
-    // reduction-free lets it vectorize.
-    acklam_central_pass_dispatch(chunk, u);
-    fix_tails(chunk, u, tails);
-}
-
-/// Fills one row from one stream, 64 uniforms at a time, through
-/// `quantile` — the single-stream body of every inverse-CDF fill.
-#[inline]
-fn fill_row<R: Rng + ?Sized>(
-    rng: &mut R,
-    out: &mut [f64],
-    quantile: impl Fn(&mut [f64], &[f64], &[u8]),
-) {
-    let mut uniforms = [0.0f64; 64];
-    let mut tails = [0u8; 64];
+    if out.len() < SHORT_FILL {
+        for z in out.iter_mut() {
+            *z = sample_standard_normal_inv_cdf(rng);
+        }
+        return;
+    }
+    let mut words = [0u64; 64];
     for chunk in out.chunks_mut(64) {
-        let u = &mut uniforms[..chunk.len()];
-        let tn = draw_uniform_chunk(rng, u, &mut tails);
-        quantile(chunk, u, &tails[..tn]);
+        let words = &mut words[..chunk.len()];
+        for w in words.iter_mut() {
+            *w = rng.next_u64();
+        }
+        quantile_words_dispatch::<false>(words, chunk);
     }
 }
+
+/// Length below which [`fill_standard_normals_inv_cdf`] draws one scalar
+/// quantile at a time. Measured on a 2.1 GHz AVX2 Xeon: 4 normals took
+/// 24–40 ns per call that way against 66–71 ns through the pass, and
+/// the two break even near 16.
+const SHORT_FILL: usize = 16;
 
 // ---------------------------------------------------------------------
 // FMA-fused variants.
@@ -285,214 +244,183 @@ fn acklam_central_fma(q: f64) -> f64 {
     num / den
 }
 
-/// The fused central-rational map over one lane of uniforms; the
-/// `avx,fma` wrapper below inherits the body, where `mul_add` lowers to
-/// 4-wide `vfmadd` — and to the correctly-rounded `fma` runtime call in
-/// the portable build, producing identical bits.
-#[inline(always)]
-fn acklam_central_pass_fma(out: &mut [f64], u: &[f64]) {
-    // Two independent rational chains per iteration (lock-step halves):
-    // the num/den/divide chain is latency-bound, and pairing elements
-    // doubles what the out-of-order core can overlap. Identical
-    // per-element operations, so bits match the straight-line walk.
-    let n = out.len();
-    let half = n / 2;
-    let (z_lo, z_hi) = out.split_at_mut(half);
-    let (u_lo, u_hi) = u.split_at(half);
-    for ((zl, &pl), (zh, &ph)) in z_lo.iter_mut().zip(u_lo).zip(z_hi.iter_mut().zip(u_hi)) {
-        *zl = acklam_central_fma(pl - 0.5);
-        *zh = acklam_central_fma(ph - 0.5);
-    }
-    if n % 2 == 1 {
-        z_hi[half] = acklam_central_fma(u_hi[half] - 0.5);
+/// Standard normals from several **independent** generator streams at
+/// once, lane-interleaved — the v3 kernel's die and latch-jitter draws:
+/// with `n = streams.len()`, `out[k * n + lane]` is
+/// `standard_normal_inv_cdf(uniform_open_from_u64(w))` for the word `w`
+/// stream `lane`'s `k`-th `next_u64` returns, and every stream ends
+/// where `out.len() / n` such calls leave it. See
+/// [`fill_standard_normals_inv_cdf_fma_lanes`] for the pass structure.
+///
+/// # Panics
+///
+/// Panics if `streams` is empty or `out.len()` is not a multiple of
+/// `streams.len()`.
+pub fn fill_standard_normals_inv_cdf_lanes(streams: &mut [StdRng], out: &mut [f64]) {
+    fill_lanes::<false>(streams, out);
+}
+
+/// [`fill_standard_normals_inv_cdf_lanes`] on the fused quantile — the
+/// v3 kernel's gate normals, `out[k * n + lane]` being
+/// [`standard_normal_inv_cdf_fma`] of stream `lane`'s `k`-th uniform, so
+/// a stage's `gates × n` block lands gate-major, ready for the wide
+/// slowdown pass. [`StdRng::fill_lanes`] draws a chunk of words four
+/// streams per SIMD register; one pass then converts them to uniforms
+/// (the exact magic-number form of [`uniform_open_from_u64`]), marks
+/// the tails, evaluates the central rational over the whole chunk and
+/// fixes up only the marked tails.
+///
+/// # Panics
+///
+/// Panics if `streams` is empty or `out.len()` is not a multiple of
+/// `streams.len()`.
+pub fn fill_standard_normals_inv_cdf_fma_lanes(streams: &mut [StdRng], out: &mut [f64]) {
+    fill_lanes::<true>(streams, out);
+}
+
+/// [`fill_standard_normals_inv_cdf_fma_lanes`] under the name the
+/// perfbench normal-fill probe calls; the layout is the lane fill's
+/// (`out[k * n + lane]`).
+///
+/// # Panics
+///
+/// As [`fill_standard_normals_inv_cdf_fma_lanes`].
+pub fn fill_standard_normals_inv_cdf_fma_multi(streams: &mut [StdRng], out: &mut [f64]) {
+    fill_standard_normals_inv_cdf_fma_lanes(streams, out);
+}
+
+/// Generator words per lane-fill chunk: one stack buffer of draws, run
+/// through the quantile pass before the next chunk is drawn. Large
+/// enough that loading and storing the streams' states once per chunk
+/// stays cheap.
+const LANE_CHUNK: usize = 256;
+
+/// The body of both lane fills: whole rows of every stream per chunk,
+/// or, past [`LANE_CHUNK`] streams, one row in runs of `LANE_CHUNK`
+/// streams — either way each chunk's output is contiguous.
+#[inline]
+fn fill_lanes<const FUSED: bool>(streams: &mut [StdRng], out: &mut [f64]) {
+    let n = streams.len();
+    assert!(n > 0, "need at least one stream");
+    assert!(
+        out.len().is_multiple_of(n),
+        "output length {} is not a multiple of the stream count {n}",
+        out.len()
+    );
+    let mut words = [0u64; LANE_CHUNK];
+    let rows = (LANE_CHUNK / n).max(1);
+    for block in out.chunks_mut(rows * n) {
+        let runs = streams
+            .chunks_mut(LANE_CHUNK)
+            .zip(block.chunks_mut(LANE_CHUNK));
+        for (run, chunk) in runs {
+            let words = &mut words[..chunk.len()];
+            StdRng::fill_lanes(run, words);
+            quantile_words_dispatch::<FUSED>(words, chunk);
+        }
     }
 }
 
+/// `2^52`'s bit pattern: OR-ing a 52-bit integer into its mantissa gives
+/// the double `2^52 + m` exactly.
+const MAGIC_2_52: u64 = 0x4330_0000_0000_0000;
+
+/// [`uniform_open_from_u64`] in a form that vectorizes without a
+/// 64-bit integer conversion: `(2^52 + m) - (2^52 - 0.5)` is exactly
+/// `m + 0.5` (both operands and the result are representable and within
+/// a factor of two of each other), and the scaling by `2^-52` is exact,
+/// so the result is bit-identical to the reference for every `u`.
+#[inline(always)]
+fn uniform_open_magic(u: u64) -> f64 {
+    (f64::from_bits((u >> 12) | MAGIC_2_52) - (4_503_599_627_370_496.0 - 0.5)) * TWO_NEG_52
+}
+
+/// The quantile pass of every inverse-CDF fill over raw generator words:
+/// `out[i]` is [`standard_normal_inv_cdf_fma`] (`FUSED`) or
+/// [`standard_normal_inv_cdf`] of `uniform_open_from_u64(words[i])`.
+/// Per 64 words: one tail bit per element in a mask (a vector compare,
+/// no index bookkeeping), the central rational over every element (for
+/// a tail element it is finite junk, overwritten below; staying
+/// branch-free lets it vectorize), then the tail rational on the set
+/// bits only, gathered so it runs vectorized. Every element sees the
+/// scalar quantile's operations, so the bits are its bits. The map is
+/// inlined into the AVX2 build below, where plain mul/add/div
+/// vectorization is IEEE-exact per element and `mul_add` is one
+/// correctly rounded `vfmadd`.
+#[inline(always)]
+fn quantile_words<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
+    debug_assert_eq!(words.len(), out.len());
+    let mut tail_at = [0u8; 64];
+    let mut tail_q = [0.0f64; 64];
+    for (wc, chunk) in words.chunks(64).zip(out.chunks_mut(64)) {
+        let mut mask = 0u64;
+        for (i, &w) in wc.iter().enumerate() {
+            let p = uniform_open_magic(w);
+            mask |= u64::from(!(ACKLAM_P_LOW..=1.0 - ACKLAM_P_LOW).contains(&p)) << i;
+        }
+        for (z, &w) in chunk.iter_mut().zip(wc) {
+            let q = uniform_open_magic(w) - 0.5;
+            *z = if FUSED {
+                acklam_central_fma(q)
+            } else {
+                acklam_central(q)
+            };
+        }
+        // Tails: the `ln` of each tail's distance to its end (a libm
+        // call per tail, the argument of the scalar quantile's tail
+        // branch), then the square root and tail rational of all of them
+        // in one vectorizable sweep, then the branch's sign.
+        let mut tn = 0usize;
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let p = uniform_open_magic(wc[i]);
+            tail_at[tn] = i as u8;
+            tail_q[tn] = if p >= ACKLAM_P_LOW { 1.0 - p } else { p }.ln();
+            tn += 1;
+        }
+        for q in &mut tail_q[..tn] {
+            *q = acklam_tail((-2.0 * *q).sqrt());
+        }
+        for (&i, &t) in tail_at[..tn].iter().zip(&tail_q[..tn]) {
+            let i = usize::from(i);
+            chunk[i] = if uniform_open_magic(wc[i]) >= ACKLAM_P_LOW {
+                -t
+            } else {
+                t
+            };
+        }
+    }
+}
+
+/// [`quantile_words`] compiled for AVX2 and FMA. The non-fused quantile
+/// has no `mul_add` and Rust never contracts a separate multiply and
+/// add, so enabling FMA changes no bit of it.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx,fma")]
-unsafe fn acklam_central_pass_fma_avx(out: &mut [f64], u: &[f64]) {
-    acklam_central_pass_fma(out, u);
+#[target_feature(enable = "avx2,fma")]
+unsafe fn quantile_words_avx2<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
+    quantile_words::<FUSED>(words, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn acklam_central_pass_fma_dispatch(out: &mut [f64], u: &[f64]) {
-    if std::arch::is_x86_feature_detected!("fma") && std::arch::is_x86_feature_detected!("avx") {
+fn quantile_words_dispatch<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
         // SAFETY: both features were just detected at runtime.
-        unsafe { acklam_central_pass_fma_avx(out, u) }
+        unsafe { quantile_words_avx2::<FUSED>(words, out) }
     } else {
-        acklam_central_pass_fma(out, u);
+        quantile_words::<FUSED>(words, out);
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
-fn acklam_central_pass_fma_dispatch(out: &mut [f64], u: &[f64]) {
-    acklam_central_pass_fma(out, u);
-}
-
-/// Draw one chunk of open-interval uniforms, recording which indices
-/// fall in the quantile's tail regions. The branchless index push rides
-/// in the shadow of the generator's serial dependency chain, so tail
-/// detection is free here where a separate scan pass over the chunk is
-/// not.
-#[inline]
-fn draw_uniform_chunk<R: Rng + ?Sized>(rng: &mut R, u: &mut [f64], tails: &mut [u8; 64]) -> usize {
-    let mut tn = 0usize;
-    for (i, v) in u.iter_mut().enumerate() {
-        let p = uniform_open_from_u64(rng.next_u64());
-        *v = p;
-        tails[tn] = i as u8;
-        tn += usize::from(!(ACKLAM_P_LOW..=1.0 - ACKLAM_P_LOW).contains(&p));
-    }
-    tn
-}
-
-/// One quantile chunk of the fused fill: the vectorized central
-/// rational over every element, then the tail fixup on the recorded
-/// indices only. Shared by the single- and multi-stream fills so both
-/// produce identical bits for identical uniforms.
-#[inline]
-fn quantile_chunk_fma(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
-    // For tail elements this evaluates the central rational out of
-    // its domain — finite junk, overwritten below.
-    acklam_central_pass_fma_dispatch(chunk, u);
-    fix_tails(chunk, u, tails);
-}
-
-/// Overwrites the recorded tail indices of a quantile chunk with the
-/// tail rational — the fix-up shared by the plain and fused fills (both
-/// use [`acklam_tail`] verbatim).
-#[inline]
-fn fix_tails(chunk: &mut [f64], u: &[f64], tails: &[u8]) {
-    for &i in tails {
-        let i = i as usize;
-        let p = u[i];
-        chunk[i] = if p < ACKLAM_P_LOW {
-            acklam_tail((-2.0 * p.ln()).sqrt())
-        } else {
-            -acklam_tail((-2.0 * (1.0 - p).ln()).sqrt())
-        };
-    }
-}
-
-/// [`fill_standard_normals_inv_cdf`] on the fused quantile — the v3
-/// kernel's gate-normal fill. One `u64` per element in order (identical
-/// RNG consumption to the plain fill, so swapping fills cannot shift any
-/// later draw), element-wise identical to
-/// [`standard_normal_inv_cdf_fma`] on each uniform.
-pub fn fill_standard_normals_inv_cdf_fma<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    fill_row(rng, out, quantile_chunk_fma);
-}
-
-/// [`fill_standard_normals_inv_cdf`] over several **independent**
-/// generator streams at once — the v3 kernel's die and latch-jitter
-/// draws: row `i` of `out` (rows are `out.len() / rngs.len()`
-/// contiguous elements) is filled element-wise and bit-identically as
-/// `fill_standard_normals_inv_cdf(&mut rngs[i], row_i)` would fill it,
-/// consuming only `rngs[i]`. See
-/// [`fill_standard_normals_inv_cdf_fma_multi`] for the interleaving.
-///
-/// # Panics
-///
-/// Panics if `rngs` is empty or `out.len()` is not a multiple of
-/// `rngs.len()`.
-pub fn fill_standard_normals_inv_cdf_multi<R: Rng>(rngs: &mut [R], out: &mut [f64]) {
-    fill_rows(rngs, out, quantile_chunk);
-}
-
-/// [`fill_standard_normals_inv_cdf_fma`] over several **independent**
-/// generator streams at once: row `i` of `out` (rows are `out.len() /
-/// rngs.len()` contiguous elements) is filled element-wise and
-/// bit-identically as `fill_standard_normals_inv_cdf_fma(&mut rngs[i],
-/// row_i)` would fill it, consuming only `rngs[i]`. The point is
-/// throughput: a single xoshiro stream is a serial dependency chain
-/// (~4–5 cycles per `u64`, un-hideable), but four interleaved
-/// independent streams keep the scalar units saturated, roughly
-/// tripling generation throughput. Rows are processed in quads;
-/// leftover rows (fewer than four) fall back to the single-stream
-/// fill, which produces the same bits.
-///
-/// # Panics
-///
-/// Panics if `rngs` is empty or `out.len()` is not a multiple of
-/// `rngs.len()`.
-pub fn fill_standard_normals_inv_cdf_fma_multi<R: Rng>(rngs: &mut [R], out: &mut [f64]) {
-    fill_rows(rngs, out, quantile_chunk_fma);
-}
-
-/// The multi-stream body of both inverse-CDF fills: rows in quads of
-/// interleaved streams, leftover rows through [`fill_row`], every chunk
-/// through `quantile`.
-#[inline]
-fn fill_rows<R: Rng>(
-    rngs: &mut [R],
-    out: &mut [f64],
-    quantile: impl Fn(&mut [f64], &[f64], &[u8]),
-) {
-    assert!(!rngs.is_empty(), "need at least one stream");
-    assert!(
-        out.len().is_multiple_of(rngs.len()),
-        "output length {} is not a multiple of the stream count {}",
-        out.len(),
-        rngs.len()
-    );
-    let row_len = out.len() / rngs.len();
-    if row_len == 0 {
-        // Zero-length rows consume nothing from any stream — exactly
-        // like the single-stream fill on an empty slice.
-        return;
-    }
-    for (rq, oq) in rngs.chunks_mut(4).zip(out.chunks_mut(row_len * 4)) {
-        if let [a, b, c, d] = rq {
-            let mut u = [[0.0f64; 64]; 4];
-            let mut tails = [[0u8; 64]; 4];
-            let mut start = 0usize;
-            while start < row_len {
-                let len = 64.min(row_len - start);
-                let mut tn = [0usize; 4];
-                let (u01, u23) = u.split_at_mut(2);
-                let (u0, u1) = u01.split_at_mut(1);
-                let (u2, u3) = u23.split_at_mut(1);
-                let rows = u0[0][..len]
-                    .iter_mut()
-                    .zip(&mut u1[0][..len])
-                    .zip(u2[0][..len].iter_mut().zip(&mut u3[0][..len]));
-                for (i, ((x0, x1), (x2, x3))) in rows.enumerate() {
-                    let p0 = uniform_open_from_u64(a.next_u64());
-                    let p1 = uniform_open_from_u64(b.next_u64());
-                    let p2 = uniform_open_from_u64(c.next_u64());
-                    let p3 = uniform_open_from_u64(d.next_u64());
-                    *x0 = p0;
-                    *x1 = p1;
-                    *x2 = p2;
-                    *x3 = p3;
-                    let range = ACKLAM_P_LOW..=1.0 - ACKLAM_P_LOW;
-                    tails[0][tn[0]] = i as u8;
-                    tn[0] += usize::from(!range.contains(&p0));
-                    tails[1][tn[1]] = i as u8;
-                    tn[1] += usize::from(!range.contains(&p1));
-                    tails[2][tn[2]] = i as u8;
-                    tn[2] += usize::from(!range.contains(&p2));
-                    tails[3][tn[3]] = i as u8;
-                    tn[3] += usize::from(!range.contains(&p3));
-                }
-                for (lane, ul) in u.iter().enumerate() {
-                    let off = lane * row_len + start;
-                    quantile(
-                        &mut oq[off..off + len],
-                        &ul[..len],
-                        &tails[lane][..tn[lane]],
-                    );
-                }
-                start += len;
-            }
-        } else {
-            for (rng, row) in rq.iter_mut().zip(oq.chunks_mut(row_len)) {
-                fill_row(rng, row, &quantile);
-            }
-        }
-    }
+fn quantile_words_dispatch<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
+    quantile_words::<FUSED>(words, out);
 }
 
 /// Largest `|r|` the polynomial `ln(1-r)`/`exp` pair is certified for.
@@ -715,44 +643,132 @@ mod tests {
         assert_eq!(edges, [true; 3], "tail draws at chunk edges");
     }
 
-    /// Both multi-stream fills give every row the single-stream fill's
-    /// bits and leave each stream where that fill leaves it, across quad
-    /// and leftover rows and 64-element chunk edges.
+    /// Both lane fills give `out[k * n + lane]` the single-stream
+    /// quantile of stream `lane`'s `k`-th word and park every stream where
+    /// the scalar calls do, for 1..=17 streams and row counts across the
+    /// chunk edges (zero-length output included), with tails seen.
     #[test]
-    fn multi_stream_fills_match_single_stream_rows() {
-        type Multi = fn(&mut [StdRng], &mut [f64]);
-        type Single = fn(&mut StdRng, &mut [f64]);
-        let fills: [(Multi, Single); 2] = [
+    fn lane_fills_match_per_stream_quantiles() {
+        type Lanes = fn(&mut [StdRng], &mut [f64]);
+        type Quantile = fn(f64) -> f64;
+        let fills: [(Lanes, Quantile); 2] = [
+            (fill_standard_normals_inv_cdf_lanes, standard_normal_inv_cdf),
             (
-                fill_standard_normals_inv_cdf_multi,
-                fill_standard_normals_inv_cdf,
-            ),
-            (
-                fill_standard_normals_inv_cdf_fma_multi,
-                fill_standard_normals_inv_cdf_fma,
+                fill_standard_normals_inv_cdf_fma_lanes,
+                standard_normal_inv_cdf_fma,
             ),
         ];
-        for (multi, single) in fills {
-            for streams in [1usize, 2, 4, 5, 16] {
-                for row in [0usize, 1, 3, 20, 64, 65, 130] {
+        let mut tails = [false; 2];
+        for (lanes, quantile) in fills {
+            for n in 1..=17usize {
+                for rows in [0usize, 1, 3, 15, 16, 17, 64, 65] {
                     let seeded = || -> Vec<StdRng> {
-                        (0..streams as u64)
-                            .map(|s| StdRng::seed_from_u64(s * 977 + row as u64))
+                        (0..n as u64)
+                            .map(|s| StdRng::seed_from_u64(s * 977 + rows as u64))
                             .collect()
                     };
                     let (mut a, mut b) = (seeded(), seeded());
-                    let mut out = vec![0.0; streams * row];
-                    multi(&mut a, &mut out);
-                    let mut want = vec![0.0; row];
-                    for (i, (ra, rb)) in a.iter_mut().zip(&mut b).enumerate() {
-                        single(rb, &mut want);
-                        let got = &out[i * row..(i + 1) * row];
-                        assert_eq!(got, &want[..], "{streams} streams, row {i} of {row}");
-                        assert_eq!(ra.next_u64(), rb.next_u64(), "row {i} consumption");
+                    let mut out = vec![0.0; n * rows];
+                    lanes(&mut a, &mut out);
+                    for k in 0..rows {
+                        for (lane, rng) in b.iter_mut().enumerate() {
+                            let p = uniform_open_from_u64(rng.next_u64());
+                            tails[0] |= p < ACKLAM_P_LOW;
+                            tails[1] |= p > 1.0 - ACKLAM_P_LOW;
+                            let got = out[k * n + lane];
+                            assert_eq!(
+                                got.to_bits(),
+                                quantile(p).to_bits(),
+                                "{n} streams, row {k}"
+                            );
+                        }
                     }
+                    assert_eq!(a, b, "{n} streams, {rows} rows: stream positions");
                 }
             }
         }
+        assert_eq!(tails, [true; 2], "both tails drawn");
+    }
+
+    /// More streams than one lane-fill chunk holds: each row is split
+    /// into runs of streams, with the same bits.
+    #[test]
+    fn lane_fill_wider_than_a_chunk_matches_per_stream() {
+        let n = LANE_CHUNK + 5;
+        let seeded = || -> Vec<StdRng> { (0..n as u64).map(StdRng::seed_from_u64).collect() };
+        let (mut a, mut b) = (seeded(), seeded());
+        let mut out = vec![0.0; n * 3];
+        fill_standard_normals_inv_cdf_fma_lanes(&mut a, &mut out);
+        for k in 0..3 {
+            for (lane, rng) in b.iter_mut().enumerate() {
+                let want = standard_normal_inv_cdf_fma(uniform_open_from_u64(rng.next_u64()));
+                assert_eq!(
+                    out[k * n + lane].to_bits(),
+                    want.to_bits(),
+                    "row {k} lane {lane}"
+                );
+            }
+        }
+        assert_eq!(a, b);
+    }
+
+    /// The magic-number uniform equals the reference conversion at the
+    /// ends of the word range and around every 2^12 step it keeps.
+    #[test]
+    fn magic_uniform_equals_reference() {
+        let mut words = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1];
+        for k in [1u64, 2, 3, 1 << 20, (1 << 52) - 1] {
+            let b = k << 12;
+            words.extend([b - 1, b, b + 1, b | 0xfff]);
+        }
+        for u in words {
+            let (got, want) = (uniform_open_magic(u), uniform_open_from_u64(u));
+            assert_eq!(got.to_bits(), want.to_bits(), "word {u:#x}");
+        }
+    }
+
+    /// The quantile pass over words equals both scalar quantiles element
+    /// by element, tails included (words chosen to land in both tails
+    /// and on the branch points), and the portable body equals the
+    /// dispatched (AVX2 + FMA where available) body bit for bit.
+    #[test]
+    fn word_quantile_pass_matches_scalar_and_dispatch() {
+        let mut rng = StdRng::seed_from_u64(0x70DD);
+        let mut words: Vec<u64> = (0..700).map(|_| rng.next_u64()).collect();
+        let word_of = |p: f64| ((p / TWO_NEG_52) as u64) << 12;
+        for p in [
+            1e-15,
+            1e-9,
+            0.001,
+            ACKLAM_P_LOW,
+            0.5,
+            1.0 - ACKLAM_P_LOW,
+            0.999_999,
+        ] {
+            words.extend([
+                word_of(p).wrapping_sub(1 << 12),
+                word_of(p),
+                word_of(p) + (1 << 12),
+            ]);
+        }
+        words.extend([0, u64::MAX]);
+        let check = |fused: bool, body: fn(&[u64], &mut [f64]), what: &str| {
+            let mut out = vec![0.0; words.len()];
+            body(&words, &mut out);
+            for (i, (&w, &z)) in words.iter().zip(&out).enumerate() {
+                let p = uniform_open_from_u64(w);
+                let want = if fused {
+                    standard_normal_inv_cdf_fma(p)
+                } else {
+                    standard_normal_inv_cdf(p)
+                };
+                assert_eq!(z.to_bits(), want.to_bits(), "{what}: word {i} (p = {p})");
+            }
+        };
+        check(false, quantile_words::<false>, "portable");
+        check(false, quantile_words_dispatch::<false>, "dispatched");
+        check(true, quantile_words::<true>, "portable fused");
+        check(true, quantile_words_dispatch::<true>, "dispatched fused");
     }
 
     #[test]
@@ -767,13 +783,12 @@ mod tests {
 
     #[test]
     fn fma_fill_matches_fma_scalar_quantile_elementwise() {
-        // The fused vector-pass fill must be bit-identical to the fused
-        // scalar quantile per element, with identical RNG consumption to
-        // the plain fill (97 draws ⇒ tail elements and a partial final
-        // lane).
+        // The fused lane fill on one stream must be bit-identical to the
+        // fused scalar quantile per element, with one draw per element
+        // (97 draws ⇒ tail elements and a partial final chunk lane).
         let mut a = StdRng::seed_from_u64(0xF3A);
         let mut buf = [0.0; 97];
-        fill_standard_normals_inv_cdf_fma(&mut a, &mut buf);
+        fill_standard_normals_inv_cdf_fma_lanes(std::slice::from_mut(&mut a), &mut buf);
         let mut b = StdRng::seed_from_u64(0xF3A);
         for (i, &z) in buf.iter().enumerate() {
             let want = standard_normal_inv_cdf_fma(uniform_open_from_u64(b.next_u64()));
