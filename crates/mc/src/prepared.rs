@@ -497,45 +497,7 @@ impl PreparedPipelineMc {
     /// buffers are packed at width `w`; the per-lane arithmetic is
     /// element-wise throughout, so a lane's bits never depend on its
     /// pass-mates.
-    ///
-    /// Runs compiled for AVX2 and FMA where the CPU has them, with the
-    /// full-width pass specialized. Rust never contracts a separate
-    /// multiply and add into an FMA and every `mul_add` is correctly
-    /// rounded, so the target cannot move a bit.
     fn compute_pass_v3(&self, ws: &mut TrialWorkspace, w: usize, signs: &[f64; V3_WIDTH]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: both features were just detected at runtime.
-            return unsafe { self.compute_pass_v3_avx2(ws, w, signs) };
-        }
-        self.compute_pass_v3_body(ws, w, signs);
-    }
-
-    /// [`PreparedPipelineMc::compute_pass_v3_body`] compiled for AVX2 and
-    /// FMA, with the full-width pass specialized.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn compute_pass_v3_avx2(
-        &self,
-        ws: &mut TrialWorkspace,
-        w: usize,
-        signs: &[f64; V3_WIDTH],
-    ) {
-        if w == V3_WIDTH {
-            self.compute_pass_v3_body(ws, V3_WIDTH, signs);
-        } else {
-            self.compute_pass_v3_body(ws, w, signs);
-        }
-    }
-
-    /// The portable body of [`PreparedPipelineMc::compute_pass_v3`].
-    #[inline(always)]
-    fn compute_pass_v3_body(&self, ws: &mut TrialWorkspace, w: usize, signs: &[f64; V3_WIDTH]) {
         const W: usize = V3_WIDTH;
         let WideScratch {
             dvth,
@@ -1027,49 +989,6 @@ mod tests {
                         let plan = TrialPlan::of(strategy);
                         assert_die_pass_matches_per_lane(&prepared, &mut ws, plan, start, w);
                     }
-                }
-            }
-        }
-    }
-
-    /// The portable compute body equals the dispatched one (AVX2 + FMA
-    /// where the CPU has them, full width specialized) bit for bit, on
-    /// full and ragged passes, with and without per-gate σ, plain and
-    /// antithetic.
-    #[test]
-    fn portable_compute_pass_equals_dispatched() {
-        use crate::strategy::TrialStrategy;
-        for var in [
-            VariationConfig::combined(20.0, 35.0, 15.0),
-            VariationConfig::inter_only(40.0),
-            VariationConfig::random_only(35.0),
-        ] {
-            let mc =
-                PipelineMc::new(CellLibrary::default(), var, None).with_kernel(TrialKernel::V3);
-            let prepared = PreparedPipelineMc::new(&mc, &pipe(4, 9));
-            let mut ws = prepared.workspace();
-            for strategy in [TrialStrategy::Plain, TrialStrategy::Antithetic] {
-                for (start, w) in [(0u64, V3_WIDTH), (507, 5), (1001, 13)] {
-                    let plan = TrialPlan::of(strategy);
-                    let mut ps = PlanSampler::new(plan, prepared.die_dims(), seed_of(0));
-                    let signs = prepared.draw_dies_v3(&mut ws, &mut ps, start, w, &seed_of);
-                    let mut portable = ws.clone();
-                    prepared.compute_pass_v3(&mut ws, w, &signs);
-                    prepared.compute_pass_v3_body(&mut portable, w, &signs);
-                    let bits = |ws: &TrialWorkspace| -> Vec<u64> {
-                        let wide = &ws.wide;
-                        wide.sd
-                            .iter()
-                            .chain(&wide.maxd[..w])
-                            .map(|x| x.to_bits())
-                            .collect()
-                    };
-                    assert_eq!(
-                        bits(&ws),
-                        bits(&portable),
-                        "{var:?} {strategy:?} {start}+{w}"
-                    );
-                    assert_eq!(ws.wide.rngs, portable.wide.rngs, "stream positions");
                 }
             }
         }

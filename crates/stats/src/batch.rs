@@ -156,16 +156,8 @@ pub fn sample_standard_normal_inv_cdf<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// throughput: a chunk of generator words is drawn first, then the lane
 /// fills' quantile pass converts the whole chunk (vectorized central
 /// rational, ~95.15% of draws need nothing else; only the tails are
-/// re-evaluated). Fills shorter than [`SHORT_FILL`] (a moment-form
-/// trial's few stage normals) skip the pass, whose set-up costs more
-/// than it saves there, and run the scalar quantile per element.
+/// re-evaluated).
 pub fn fill_standard_normals_inv_cdf<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    if out.len() < SHORT_FILL {
-        for z in out.iter_mut() {
-            *z = sample_standard_normal_inv_cdf(rng);
-        }
-        return;
-    }
     let mut words = [0u64; 64];
     for chunk in out.chunks_mut(64) {
         let words = &mut words[..chunk.len()];
@@ -175,12 +167,6 @@ pub fn fill_standard_normals_inv_cdf<R: Rng + ?Sized>(rng: &mut R, out: &mut [f6
         quantile_words_dispatch::<false>(words, chunk);
     }
 }
-
-/// Length below which [`fill_standard_normals_inv_cdf`] draws one scalar
-/// quantile at a time. Measured on a 2.1 GHz AVX2 Xeon: 4 normals took
-/// 24–40 ns per call that way against 66–71 ns through the pass, and
-/// the two break even near 16.
-const SHORT_FILL: usize = 16;
 
 // ---------------------------------------------------------------------
 // FMA-fused variants.
@@ -254,8 +240,8 @@ fn acklam_central_fma(q: f64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `streams` is empty or `out.len()` is not a multiple of
-/// `streams.len()`.
+/// Panics if `streams` is empty or holds more than 256 streams, or if
+/// `out.len()` is not a multiple of `streams.len()`.
 pub fn fill_standard_normals_inv_cdf_lanes(streams: &mut [StdRng], out: &mut [f64]) {
     fill_lanes::<false>(streams, out);
 }
@@ -272,8 +258,8 @@ pub fn fill_standard_normals_inv_cdf_lanes(streams: &mut [StdRng], out: &mut [f6
 ///
 /// # Panics
 ///
-/// Panics if `streams` is empty or `out.len()` is not a multiple of
-/// `streams.len()`.
+/// Panics if `streams` is empty or holds more than 256 streams, or if
+/// `out.len()` is not a multiple of `streams.len()`.
 pub fn fill_standard_normals_inv_cdf_fma_lanes(streams: &mut [StdRng], out: &mut [f64]) {
     fill_lanes::<true>(streams, out);
 }
@@ -295,29 +281,25 @@ pub fn fill_standard_normals_inv_cdf_fma_multi(streams: &mut [StdRng], out: &mut
 /// stays cheap.
 const LANE_CHUNK: usize = 256;
 
-/// The body of both lane fills: whole rows of every stream per chunk,
-/// or, past [`LANE_CHUNK`] streams, one row in runs of `LANE_CHUNK`
-/// streams — either way each chunk's output is contiguous.
+/// The body of both lane fills: whole rows of every stream per chunk, so
+/// each chunk's output is contiguous.
 #[inline]
 fn fill_lanes<const FUSED: bool>(streams: &mut [StdRng], out: &mut [f64]) {
     let n = streams.len();
-    assert!(n > 0, "need at least one stream");
+    assert!(
+        (1..=LANE_CHUNK).contains(&n),
+        "need 1..={LANE_CHUNK} streams, got {n}"
+    );
     assert!(
         out.len().is_multiple_of(n),
         "output length {} is not a multiple of the stream count {n}",
         out.len()
     );
     let mut words = [0u64; LANE_CHUNK];
-    let rows = (LANE_CHUNK / n).max(1);
-    for block in out.chunks_mut(rows * n) {
-        let runs = streams
-            .chunks_mut(LANE_CHUNK)
-            .zip(block.chunks_mut(LANE_CHUNK));
-        for (run, chunk) in runs {
-            let words = &mut words[..chunk.len()];
-            StdRng::fill_lanes(run, words);
-            quantile_words_dispatch::<FUSED>(words, chunk);
-        }
+    for chunk in out.chunks_mut(LANE_CHUNK / n * n) {
+        let words = &mut words[..chunk.len()];
+        StdRng::fill_lanes(streams, words);
+        quantile_words_dispatch::<FUSED>(words, chunk);
     }
 }
 
@@ -688,28 +670,6 @@ mod tests {
             }
         }
         assert_eq!(tails, [true; 2], "both tails drawn");
-    }
-
-    /// More streams than one lane-fill chunk holds: each row is split
-    /// into runs of streams, with the same bits.
-    #[test]
-    fn lane_fill_wider_than_a_chunk_matches_per_stream() {
-        let n = LANE_CHUNK + 5;
-        let seeded = || -> Vec<StdRng> { (0..n as u64).map(StdRng::seed_from_u64).collect() };
-        let (mut a, mut b) = (seeded(), seeded());
-        let mut out = vec![0.0; n * 3];
-        fill_standard_normals_inv_cdf_fma_lanes(&mut a, &mut out);
-        for k in 0..3 {
-            for (lane, rng) in b.iter_mut().enumerate() {
-                let want = standard_normal_inv_cdf_fma(uniform_open_from_u64(rng.next_u64()));
-                assert_eq!(
-                    out[k * n + lane].to_bits(),
-                    want.to_bits(),
-                    "row {k} lane {lane}"
-                );
-            }
-        }
-        assert_eq!(a, b);
     }
 
     /// The magic-number uniform equals the reference conversion at the
