@@ -24,8 +24,9 @@
 //! length is recorded in `len`, and `crc` is the FNV-1a hash of exactly
 //! those bytes. Opening a store scans every segment once and builds an
 //! in-memory index of `(unit, contract) → (segment, offset, len, crc)`;
-//! a hit seeks straight to the payload and hard-errors if the checksum
-//! disagrees. Torn **final** records (a writer killed mid-append) are
+//! a hit reads the payload at its offset through the segment's one read
+//! handle (opened on the segment's first hit) and hard-errors if the
+//! checksum disagrees. Torn **final** records (a writer killed mid-append) are
 //! tolerated per segment, exactly like the engine's resume journals —
 //! the scan is [`vardelay_engine::journal::scan_jsonl`], the same
 //! implementation `--resume` uses.
@@ -59,7 +60,8 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize, Value};
@@ -164,6 +166,8 @@ struct Segment {
     bytes: u64,
     records: usize,
     torn: bool,
+    /// The read handle hits share, opened on the segment's first hit.
+    reader: Option<fs::File>,
 }
 
 /// Where a unit's newest payload lives.
@@ -387,6 +391,7 @@ impl ResultStore {
                 bytes: text.len() as u64,
                 records: scan.lines.len(),
                 torn: scan.torn_tail,
+                reader: None,
             });
         }
         Ok(store)
@@ -421,15 +426,18 @@ impl ResultStore {
         let Some(loc) = self.index.get(&(unit, contract)) else {
             return Ok(None);
         };
-        let seg = &self.segments[loc.seg];
-        let read = || -> std::io::Result<Vec<u8>> {
-            let mut f = fs::File::open(&seg.path)?;
-            f.seek(SeekFrom::Start(loc.offset))?;
+        let seg = &mut self.segments[loc.seg];
+        let read = |reader: &mut Option<fs::File>| -> std::io::Result<Vec<u8>> {
+            let f = match reader {
+                Some(f) => f,
+                None => reader.insert(fs::File::open(&seg.path)?),
+            };
             let mut buf = vec![0u8; loc.len];
-            f.read_exact(&mut buf)?;
+            f.read_exact_at(&mut buf, loc.offset)?;
             Ok(buf)
         };
-        let buf = read().map_err(|e| CacheError::new(format!("'{}': {e}", seg.path.display())))?;
+        let buf = read(&mut seg.reader)
+            .map_err(|e| CacheError::new(format!("'{}': {e}", seg.path.display())))?;
         if fnv1a64(&buf) != loc.crc {
             return Err(CacheError::new(format!(
                 "corrupt cache record for unit {unit:016x} in '{}': checksum mismatch \
@@ -525,6 +533,7 @@ impl ResultStore {
             bytes: 0,
             records: 0,
             torn: false,
+            reader: None,
         });
         self.writer = Some(Writer { seg, marker, file });
         Ok(())

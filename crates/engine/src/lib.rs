@@ -108,7 +108,7 @@ pub use spec::{
 };
 pub use verify::verify_yield_pooled;
 pub use workload::{
-    checkpoint_line, plan_workload, run_units, run_workload, Checkpoint, Progress, ProgressUpdate,
-    ResultCache, Shard, StepContext, UnitOrigin, Workload, WorkloadOptions, WorkloadPlan,
-    WorkloadReport, WorkloadStats, CONTRACT_VERSION,
+    checkpoint_line, plan_workload, run_units, run_workload, split_checkpoint_line, Checkpoint,
+    Progress, ProgressUpdate, ResultCache, Shard, StepContext, UnitOrigin, Workload,
+    WorkloadOptions, WorkloadPlan, WorkloadReport, WorkloadStats, CONTRACT_VERSION,
 };

@@ -596,11 +596,9 @@ fn execute_run(
 
     // Resolve the target and the individually-optimized baseline (the
     // Fig. 9 flow's stated input) from the pipeline prepare_run built.
-    let resolved = {
-        let _sp = vardelay_obs::span("opt", "resolve_target").key(p.id);
-        spec.target_delay
-            .resolve(&opt, &p.pipeline, spec.yield_target)
-    };
+    let resolved = spec
+        .target_delay
+        .resolve(&opt, &p.pipeline, spec.yield_target);
     let target = resolved.target_ps;
 
     let mc = PipelineMc::new(lib, variation, None).with_kernel(spec.kernel.to_kernel());

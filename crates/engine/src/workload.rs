@@ -248,6 +248,19 @@ pub fn checkpoint_line<R: Serialize>(id: u64, result: &R) -> String {
     serde_json::to_string(&line).expect("unit results are finite")
 }
 
+/// Splits a [`checkpoint_line`] into its unit ID and the compact bytes
+/// of its `result`, without parsing the result; `None` for a line of
+/// any other shape.
+pub fn split_checkpoint_line(line: &str) -> Option<(u64, &str)> {
+    let rest = line.strip_prefix("{\"unit\":\"")?;
+    let id = u64::from_str_radix(rest.get(..16)?, 16).ok()?;
+    let result = rest
+        .get(16..)?
+        .strip_prefix("\",\"result\":")?
+        .strip_suffix('}')?;
+    Some((id, result))
+}
+
 /// A parsed checkpoint: completed unit results keyed by content-hash
 /// unit ID, as written by [`checkpoint_line`] (one JSON object per
 /// line).
@@ -523,7 +536,8 @@ pub struct WorkloadStats {
     /// Scheduling steps dispatched to the worker pool.
     pub steps: usize,
     /// Journal keys ([`Workload::unit_key`]) of this run's units, in
-    /// expansion order — what reassembles a report from streamed lines.
+    /// expansion order — the order in which the CLI splices the units'
+    /// streamed result bytes into the `--out` aggregate.
     pub keys: Vec<u64>,
 }
 
@@ -861,6 +875,12 @@ mod tests {
         let line = checkpoint_line(0xDEAD_BEEF_0123_4567, &result);
         assert!(line.starts_with("{\"unit\":\"deadbeef01234567\""), "{line}");
         assert!(!line.contains('\n'), "one line per unit");
+        let compact = serde_json::to_string(&result).unwrap();
+        assert_eq!(
+            split_checkpoint_line(&line),
+            Some((0xDEAD_BEEF_0123_4567, compact.as_str()))
+        );
+        assert_eq!(split_checkpoint_line(&line[..line.len() - 1]), None);
         let ckpt: Checkpoint<Vec<f64>> = Checkpoint::parse(&line).unwrap();
         let back = ckpt.get(0xDEAD_BEEF_0123_4567).unwrap();
         assert_eq!(result.len(), back.len());

@@ -38,8 +38,9 @@ use vardelay_circuit::generators::{inverter_chain, iscas};
 use vardelay_circuit::{parse_bench, write_bench, CellLibrary, Netlist};
 use vardelay_core::{Pipeline, StageDelay};
 use vardelay_engine::{
-    checkpoint_line, plan_workload, run_units, Checkpoint, EngineError, KernelSpec, Shard,
-    StrategySpec, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
+    checkpoint_line, plan_workload, run_units, split_checkpoint_line, Checkpoint, EngineError,
+    KernelSpec, Shard, StrategySpec, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport,
+    CONTRACT_VERSION,
 };
 use vardelay_process::VariationConfig;
 use vardelay_ssta::SstaEngine;
@@ -541,14 +542,75 @@ impl vardelay_engine::Progress for StderrProgress {
     }
 }
 
-/// Writes `contents` to `path` atomically (temp file + rename), so an
-/// aggregate result file is never observable half-written.
-fn write_atomic(path: &str, contents: &str) -> Result<(), CliError> {
+/// Writes `path` atomically (temp file + rename), so an aggregate
+/// result file is never observable half-written: `write` fills the
+/// buffered temp file, which replaces `path` once flushed.
+fn write_atomic(
+    path: &str,
+    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> Result<(), CliError> {
     let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).map_err(|e| CliError(format!("cannot write '{tmp}': {e}")))?;
+    std::fs::File::create(&tmp)
+        .and_then(|file| {
+            let mut f = std::io::BufWriter::new(file);
+            write(&mut f)?;
+            f.flush()
+        })
+        .map_err(|e| CliError(format!("cannot write '{tmp}': {e}")))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| CliError(format!("cannot move '{tmp}' to '{path}': {e}")))?;
     Ok(())
+}
+
+/// Replaces the `--out` stream at `path` with the aggregate report, in
+/// one byte pass: the header of `empty_report` (the workload's report
+/// with no units, serialized), then each unit's streamed `result` bytes
+/// re-indented as an element of the report's unit array in `keys`
+/// order, then the footer. A unit's compact stream bytes are exactly
+/// what the pretty writer indents for the same value, so the file is
+/// byte-identical to the assembled report's JSON without parsing or
+/// re-serializing a result. Returns the bytes written.
+fn write_aggregate(path: &str, empty_report: &str, keys: &[u64]) -> Result<usize, CliError> {
+    let stream = std::fs::read_to_string(path).map_err(|e| CliError(format!("'{path}': {e}")))?;
+    let mut index = std::collections::HashMap::with_capacity(keys.len());
+    for (n, line) in stream.lines().enumerate() {
+        let (key, result) = split_checkpoint_line(line)
+            .ok_or_else(|| CliError(format!("stream '{path}': malformed line {}", n + 1)))?;
+        index.insert(key, result);
+    }
+    let results = keys
+        .iter()
+        .map(|id| {
+            index
+                .get(id)
+                .copied()
+                .ok_or_else(|| CliError(format!("stream '{path}' lost unit {id:016x}")))
+        })
+        .collect::<Result<Vec<&str>, _>>()?;
+    // Reports list their units last: the one `[]` closing the empty
+    // report is where the unit array goes.
+    let (head, foot) = empty_report
+        .rsplit_once("[]")
+        .expect("a report ends in its unit array");
+    let mut written = 0;
+    write_atomic(path, |f| {
+        // The report's unit array sits at depth 1, its units at depth 2.
+        let mut buf = String::from(head);
+        for (i, result) in results.iter().enumerate() {
+            buf.push_str(if i == 0 { "[\n    " } else { ",\n    " });
+            serde_json::reindent_compact(result, 2, &mut buf)
+                .map_err(|e| std::io::Error::other(format!("stream '{path}': {e}")))?;
+            f.write_all(buf.as_bytes())?;
+            written += buf.len();
+            buf.clear();
+        }
+        buf.push_str(if results.is_empty() { "[]" } else { "\n  ]" });
+        buf.push_str(foot);
+        f.write_all(buf.as_bytes())?;
+        written += buf.len();
+        Ok(())
+    })?;
+    Ok(written)
 }
 
 /// The one driver behind `vardelay sweep <spec>` and `vardelay optimize
@@ -565,9 +627,15 @@ fn write_atomic(path: &str, contents: &str) -> Result<(), CliError> {
 ///   results byte-exactly; new completions are appended to `f` so
 ///   repeated kill/resume cycles keep extending one journal.
 /// * `--out f` — stream completed units to `f` incrementally (JSONL),
-///   then atomically replace it with the aggregate report. Nothing is
-///   buffered in memory during the run; a killed run leaves a valid
-///   resume journal at `f`.
+///   then atomically replace it with the aggregate report, spliced from
+///   the streamed bytes ([`write_aggregate`]): no result is parsed back
+///   or serialized twice. A killed run leaves a valid resume journal at
+///   `f`.
+///
+/// The stdout summary table comes from the typed results the sink
+/// keeps, with or without `--out`. A `--trace`/`--metrics` recording
+/// covers the run and the `--out` write (an `io/aggregate` span whose
+/// value is the bytes written).
 fn run_workload_cmd<W>(
     kind: &str,
     spec_text: &str,
@@ -674,10 +742,9 @@ where
         .map(|p| open(p, false).map(|f| (p.clone(), f)))
         .transpose()?;
 
-    // Results are retained in memory only when there is no `--out`
-    // stream to reassemble the aggregate from afterwards.
+    // Every unit's typed result, in (sharded) expansion order: the rows
+    // of the summary table.
     let mut kept: Vec<Option<W::UnitResult>> = Vec::new();
-    let retain = args.out.is_none();
 
     let started = std::time::Instant::now();
     let stats = run_units(w, &options, |slot, id, result, origin| {
@@ -704,16 +771,13 @@ where
                 .and_then(|()| f.flush())
                 .map_err(|e| EngineError::new(format!("'{path}': {e}")))?;
         }
-        if retain {
-            if kept.len() <= slot {
-                kept.resize_with(slot + 1, || None);
-            }
-            kept[slot] = Some(result);
+        if kept.len() <= slot {
+            kept.resize_with(slot + 1, || None);
         }
+        kept[slot] = Some(result);
         Ok(())
     })
     .map_err(|e| CliError(format!("{kind} failed: {e}")))?;
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     drop(journal);
     drop(out_stream);
     if let Some(p) = &progress {
@@ -765,34 +829,11 @@ where
             stats.cached, stats.executed
         );
     }
-    // Stop recording before the aggregate reassembly below: the
-    // recording covers exactly the run.
-    let recording = session.map(vardelay_obs::Session::finish);
-
-    // Assemble the aggregate: from memory, or — when it was streamed —
-    // by reading the JSONL back, so the run itself buffered nothing.
-    let report: W::Report = if let Some(path) = &args.out {
-        let text = std::fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-        let ckpt: Checkpoint<W::UnitResult> = Checkpoint::parse(&text)
-            .map_err(|e| CliError(format!("re-reading stream '{path}': {e}")))?;
-        let results = stats
-            .keys
-            .iter()
-            .map(|&id| {
-                ckpt.get(id)
-                    .cloned()
-                    .ok_or_else(|| CliError(format!("stream '{path}' lost unit {id:016x}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        w.assemble(results)
-    } else {
-        w.assemble(
-            kept.into_iter()
-                .map(|r| r.expect("every unit sinks exactly once"))
-                .collect(),
-        )
-    };
-
+    let report = w.assemble(
+        kept.into_iter()
+            .map(|r| r.expect("every unit sinks exactly once"))
+            .collect(),
+    );
     let mut text = format!(
         "{kind} '{}' — {} {noun}s (seed {})\n\n{}",
         w.name(),
@@ -801,13 +842,18 @@ where
         report.summary_table()
     );
     if let Some(path) = &args.out {
-        write_atomic(path, &report.to_json())?;
+        let sp = vardelay_obs::span("io", "aggregate");
+        let written = write_aggregate(path, &w.assemble(Vec::new()).to_json(), &stats.keys)?;
+        drop(sp.value(written as f64));
         let _ = writeln!(text, "\nresults written to {path}");
     }
+    // The recording covers the run and the `--out` write.
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let recording = session.map(vardelay_obs::Session::finish);
     if let Some(rec) = &recording {
         if let Some(path) = &args.trace {
             let trace = vardelay_obs::chrome_trace(rec, &format!("vardelay {kind} '{}'", w.name()));
-            write_atomic(path, &trace)?;
+            write_atomic(path, |f| f.write_all(trace.as_bytes()))?;
             let _ = writeln!(text, "\ntrace written to {path}");
         }
         if let Some(path) = &args.metrics {
@@ -824,7 +870,7 @@ where
                 steps: stats.steps,
             };
             let metrics = vardelay_obs::metrics_json(&info, &vardelay_obs::aggregate(rec));
-            write_atomic(path, &metrics)?;
+            write_atomic(path, |f| f.write_all(metrics.as_bytes()))?;
             let _ = writeln!(text, "\nmetrics written to {path}");
         }
     }
@@ -1842,6 +1888,123 @@ mod tests {
             cache_dir("cache-missing")
         ])
         .is_err());
+    }
+
+    /// Every JSON metacharacter, a control character and non-BMP text,
+    /// for names and labels the aggregate writer must carry unchanged.
+    const METACHARS: &str = "q\"uote \\back [a] {o}, k:v \u{1}\t\n é 😀 𝄞";
+
+    /// `run_workload(w, opts).to_json()`: what `--out` must hold.
+    fn assembled<W: Workload>(w: &W, opts: &WorkloadOptions<'_, W::UnitResult>) -> String
+    where
+        W::Report: WorkloadReport,
+    {
+        vardelay_engine::workload::run_workload(w, opts)
+            .unwrap()
+            .to_json()
+    }
+
+    fn read(path: &str) -> String {
+        std::fs::read_to_string(path).unwrap()
+    }
+
+    #[test]
+    fn out_aggregate_equals_the_assembled_report() {
+        let mut sweep = cache_test_sweep();
+        sweep.name = METACHARS.to_owned();
+        for (i, s) in sweep.scenarios.iter_mut().enumerate() {
+            s.label = format!("{i} {METACHARS}");
+        }
+        let spec = sweep.to_json();
+        let sweep = vardelay_engine::Sweep::from_json(&spec).unwrap();
+        let want = assembled(&sweep, &WorkloadOptions::sequential());
+        assert!(want.contains("😀"), "{want}");
+
+        let out = tmp("meta.json");
+        let run = |opts: &[&str]| {
+            let mut args = vec!["--out".to_owned(), out.clone()];
+            args.extend(opts.iter().map(|s| (*s).to_owned()));
+            sweep_cmd(&spec, args).unwrap();
+            read(&out)
+        };
+        assert_eq!(run(&["--workers", "2"]), want, "plain run");
+
+        // A warm cache serves every unit.
+        let cache = cache_dir("meta-cache");
+        run(&["--cache", &cache]);
+        assert_eq!(run(&["--cache", &cache]), want, "warm cache");
+
+        // A resume from a journal whose second line was torn mid-write.
+        let journal = tmp("meta-journal.jsonl");
+        sweep_cmd(&spec, vec!["--checkpoint".into(), journal.clone()]).unwrap();
+        let text = read(&journal);
+        let second = text.find('\n').unwrap() + 1;
+        std::fs::write(&journal, &text[..second + (text.len() - second) / 2]).unwrap();
+        assert_eq!(run(&["--resume", &journal]), want, "torn-tail resume");
+
+        // Of two shards of a one-scenario sweep, one owns no unit.
+        let mut one = cache_test_sweep();
+        one.scenarios.truncate(1);
+        let spec = one.to_json();
+        let one = vardelay_engine::Sweep::from_json(&spec).unwrap();
+        let mut empty = 0;
+        for i in 1..=2 {
+            let shard = format!("{i}/2");
+            sweep_cmd(
+                &spec,
+                vec!["--shard".into(), shard.clone(), "--out".into(), out.clone()],
+            )
+            .unwrap();
+            let got = read(&out);
+            let opts = WorkloadOptions::sequential().with_shard(Shard::parse(&shard).unwrap());
+            assert_eq!(got, assembled(&one, &opts), "shard {shard}");
+            empty += usize::from(got.contains("\"scenarios\": []\n}"));
+        }
+        assert_eq!(empty, 1, "exactly one shard owns no unit");
+    }
+
+    #[test]
+    fn campaign_out_aggregate_equals_the_assembled_report() {
+        let mut campaign = vardelay_engine::OptimizationCampaign::example();
+        campaign.name = METACHARS.to_owned();
+        campaign.grid = None;
+        campaign.runs.truncate(1);
+        let run = &mut campaign.runs[0];
+        run.label = METACHARS.to_owned();
+        run.rounds = 1;
+        run.verify_trials = 256;
+        if let vardelay_opt::TargetDelayPolicy::FrontierQuantile { refine, .. } =
+            &mut run.target_delay
+        {
+            *refine = 1;
+        }
+        let spec = campaign.to_json();
+        let campaign = vardelay_engine::OptimizationCampaign::from_json(&spec).unwrap();
+        let out = tmp("meta-campaign.json");
+        optimize_cmd(&spec, vec!["--out".into(), out.clone()]).unwrap();
+        assert_eq!(
+            read(&out),
+            assembled(&campaign, &WorkloadOptions::sequential())
+        );
+    }
+
+    #[test]
+    fn stream_missing_a_unit_fails_and_keeps_the_stream() {
+        let path = tmp("lost.jsonl");
+        let stream = format!("{}\n", checkpoint_line(1, &[1.5f64]));
+        std::fs::write(&path, &stream).unwrap();
+        let report = "{\n  \"units\": []\n}";
+        let err = write_aggregate(&path, report, &[1, 2])
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&format!("stream '{path}' lost unit 0000000000000002")),
+            "{err}"
+        );
+        assert_eq!(read(&path), stream, "the stream is left in place");
+        let written = write_aggregate(&path, report, &[1]).unwrap();
+        let want = "{\n  \"units\": [\n    [\n      1.5\n    ]\n  ]\n}";
+        assert_eq!((read(&path).as_str(), written), (want, want.len()));
     }
 
     #[test]

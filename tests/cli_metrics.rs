@@ -1,0 +1,70 @@
+//! What a `--metrics` file of a `vardelay optimize … --out` run
+//! attributes: one `opt/resolve_target` span per run and one
+//! `io/aggregate` span whose value is the bytes of the `--out` file.
+//! The run is a child process, so no other test's spans reach its
+//! recording and the counts are exact.
+
+use std::process::Command;
+
+use serde::{Number, Value};
+
+fn num(v: Option<&Value>) -> f64 {
+    match v {
+        Some(Value::Number(Number::U64(n))) => *n as f64,
+        Some(Value::Number(Number::F64(x))) => *x,
+        other => panic!("not a number: {other:?}"),
+    }
+}
+
+#[test]
+fn campaign_metrics_count_one_target_resolution_per_run_and_the_aggregate_write() {
+    let mut campaign = vardelay_engine::OptimizationCampaign::example();
+    campaign.grid = None;
+    campaign.runs.truncate(2);
+    for run in &mut campaign.runs {
+        run.rounds = 1;
+        run.verify_trials = 0;
+        if let vardelay_opt::TargetDelayPolicy::FrontierQuantile { refine, .. } =
+            &mut run.target_delay
+        {
+            *refine = 1;
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("vardelay-cli-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (spec, out, metrics) = (
+        dir.join("campaign.json"),
+        dir.join("out.json"),
+        dir.join("metrics.json"),
+    );
+    std::fs::write(&spec, campaign.to_json()).unwrap();
+
+    let run = Command::new(env!("CARGO_BIN_EXE_vardelay"))
+        .arg("optimize")
+        .arg(&spec)
+        .arg("--out")
+        .arg(&out)
+        .arg("--metrics")
+        .arg(&metrics)
+        .output()
+        .expect("the binary runs");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+
+    let m: Value = serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let phases = m.get("phases").expect("phases section");
+    let phase = |name: &str| {
+        phases
+            .get(name)
+            .unwrap_or_else(|| panic!("no {name} phase"))
+    };
+    assert_eq!(num(phase("opt/resolve_target").get("count")), 2.0);
+    let aggregate = phase("io/aggregate");
+    assert_eq!(num(aggregate.get("count")), 1.0);
+    let bytes = std::fs::metadata(&out).unwrap().len();
+    assert_eq!(num(aggregate.get("value_sum")), bytes as f64);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
