@@ -26,10 +26,11 @@
 //! in-memory index of `(unit, contract) → (segment, offset, len, crc)`;
 //! a hit reads the payload at its offset through the segment's one read
 //! handle (opened on the segment's first hit) and hard-errors if the
-//! checksum disagrees. Torn **final** records (a writer killed mid-append) are
-//! tolerated per segment, exactly like the engine's resume journals —
-//! the scan is [`vardelay_engine::journal::scan_jsonl`], the same
-//! implementation `--resume` uses.
+//! checksum disagrees. Torn **final** records (a writer killed
+//! mid-append) are tolerated per segment, exactly like the engine's
+//! resume journals — the scan is
+//! [`vardelay_engine::journal::scan_jsonl`], the same implementation
+//! `--resume` uses.
 //!
 //! ## Concurrency
 //!
