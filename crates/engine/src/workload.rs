@@ -592,12 +592,14 @@ pub fn run_units<W: Workload>(
     opts: &WorkloadOptions<'_, W::UnitResult>,
     mut sink: impl FnMut(usize, u64, W::UnitResult, UnitOrigin) -> Result<(), EngineError>,
 ) -> Result<WorkloadStats, EngineError> {
+    let expand = vardelay_obs::span("spec", "expand");
     let specs: Vec<(u64, W::UnitSpec)> = w
         .check()?
         .into_iter()
         .map(|spec| (w.unit_key(&spec), spec))
         .filter(|(key, _)| opts.shard.is_none_or(|shard| shard.owns(*key)))
         .collect();
+    drop(expand.value(specs.len() as f64));
 
     // Where each unit's result comes from, decided on keys alone: the
     // resume journal, then the cache's index, then execution. Only the

@@ -43,6 +43,7 @@ fn traced<W: Workload>(w: &W) -> (Value, W::Report) {
         kind: "test",
         name: "metrics",
         workers: 1,
+        simd_tier: vardelay_stats::simd::SimdTier::detected().name(),
         wall_ms: 1.0,
         units_total: 0,
         units_executed: 0,

@@ -243,6 +243,7 @@ fn metrics_json_reports_phases_and_unit_accounting() {
         kind: "sweep",
         name: "t",
         workers: 1,
+        simd_tier: vardelay_stats::simd::SimdTier::detected().name(),
         wall_ms: 12.5,
         units_total: stats.units,
         units_executed: stats.executed,

@@ -30,6 +30,7 @@ use vardelay_stats::batch::{
     fill_standard_normals_inv_cdf_fma_lanes, fill_standard_normals_inv_cdf_lanes,
 };
 use vardelay_stats::normal::sample_standard_normal;
+use vardelay_stats::simd;
 use vardelay_stats::{DrawOverlay, NormalFill};
 
 use crate::kernel::{LaneFold, TrialKernel, V3_WIDTH};
@@ -61,6 +62,60 @@ impl PreparedStage {
             .iter()
             .map(|o| at[o.0])
             .fold(0.0, f64::max)
+    }
+}
+
+/// Wide arrival-time propagation of one stage over whole
+/// [`V3_WIDTH`]-lane rows: inputs arrive at 0, each gate takes
+/// `max(fanin arrivals) + nominal * slowdown` per lane, and the result
+/// is each lane's latest primary output (floored at 0). The same
+/// operations in the same order as `arrival_times_into` and
+/// [`PreparedStage::comb_delay`], so each lane's bits match the scalar
+/// propagation on every [`simd`] tier; the fixed row width leaves one
+/// bounds check per fanin, not per lane.
+struct Arrivals<'a> {
+    netlist: &'a Netlist,
+    nominal: &'a [f64],
+    /// Per-gate slowdown rows.
+    slow: &'a [[f64; V3_WIDTH]],
+    /// Per-signal arrival rows, written here.
+    at: &'a mut [[f64; V3_WIDTH]],
+}
+
+impl simd::Kernel for Arrivals<'_> {
+    type Output = [f64; V3_WIDTH];
+
+    #[inline(always)]
+    fn run(self) -> [f64; V3_WIDTH] {
+        let Arrivals {
+            netlist,
+            nominal,
+            slow,
+            at,
+        } = self;
+        let inputs = netlist.input_count();
+        at[..inputs].fill([0.0; V3_WIDTH]);
+        for (i, g) in netlist.gates().iter().enumerate() {
+            let mut row = [f64::NEG_INFINITY; V3_WIDTH];
+            for f in &g.fanins {
+                let fr = &at[f.0];
+                for (r, &a) in row.iter_mut().zip(fr) {
+                    *r = r.max(a);
+                }
+            }
+            let nom = nominal[i];
+            for (r, &sl) in row.iter_mut().zip(&slow[i]) {
+                *r += nom * sl;
+            }
+            at[inputs + i] = row;
+        }
+        let mut comb = [0.0f64; V3_WIDTH];
+        for o in netlist.outputs() {
+            for (c, &a) in comb.iter_mut().zip(&at[o.0]) {
+                *c = c.max(a);
+            }
+        }
+        comb
     }
 }
 
@@ -97,13 +152,13 @@ pub struct TrialWorkspace {
 
 /// Structure-of-arrays scratch of the v3 wide kernel: every buffer holds
 /// one `f64` per lane per item, gate-major (item-major): no buffer is
-/// ever transposed. The per-pass buffers (`die_rows`, `dvth`, `slow`,
-/// `at`) are packed at the pass's own width `w` (`item * w + lane`) so a
-/// ragged final pass stays dense; the cross-pass buffers (`die_z`,
-/// `shared`, `latch`, `sd`) keep the fixed `item * V3_WIDTH + lane`
-/// stride the die and record phases index by. Each lane's values are a
-/// pure function of its own trial, so pass width cannot leak into result
-/// bytes.
+/// ever transposed. `die_rows` is packed at the pass's own width `w`
+/// (`item * w + lane`), the lane fill's layout; every other buffer keeps
+/// the fixed `item * V3_WIDTH + lane` stride, so the compute phase works
+/// on whole `[f64; V3_WIDTH]` rows in every pass. A ragged final pass
+/// (`w < V3_WIDTH`) pads its shift rows with zeros; no padding lane's
+/// result is ever read. Each lane's values are a pure function of its own trial, so pass
+/// width cannot leak into result bytes.
 #[derive(Debug, Clone, Default)]
 struct WideScratch {
     /// Die-phase draws (`k * w + lane`): each lane's die-level normals
@@ -116,9 +171,9 @@ struct WideScratch {
     /// The pass's dies, lane-major.
     die: DieLanes<V3_WIDTH>,
     /// Per-gate per-lane total ΔVth shifts (`shared + sigma·z`) of the
-    /// stage currently being timed (`g * w + lane`): the lane fill writes
-    /// the stage's gate normals here, gate-major, and they become shifts
-    /// in place, so one wide polynomial call covers the stage.
+    /// stage currently being timed (`g * V3_WIDTH + lane`): the lane fill
+    /// writes the stage's gate normals here, gate-major, and they become
+    /// shifts in place, so one wide polynomial call covers the stage.
     dvth: Vec<f64>,
     /// Per-stage per-lane shared die ΔVth (`s * V3_WIDTH + lane`).
     shared: Vec<f64>,
@@ -127,10 +182,10 @@ struct WideScratch {
     /// jitter).
     latch: Vec<f64>,
     /// Per-gate per-lane slowdown factors of the stage currently being
-    /// timed (`g * w + lane`).
+    /// timed (`g * V3_WIDTH + lane`).
     slow: Vec<f64>,
     /// Per-signal per-lane arrival times of the stage currently being
-    /// timed (`signal * w + lane`).
+    /// timed (`signal * V3_WIDTH + lane`).
     at: Vec<f64>,
     /// Per-stage per-lane stage delays (`s * V3_WIDTH + lane`).
     sd: Vec<f64>,
@@ -140,7 +195,7 @@ struct WideScratch {
     weight: [f64; V3_WIDTH],
     /// Per-lane generators, parked after the die/latch draws at each
     /// lane's first gate normal; every stage's gate normals are drawn
-    /// from them lane-interleaved, four streams per SIMD register.
+    /// from them lane-interleaved.
     rngs: Vec<StdRng>,
 }
 
@@ -157,25 +212,30 @@ impl TrialWorkspace {
         self.reuses
     }
 
-    /// Every scratch buffer, in a fixed order — what the zero-allocation
-    /// checks watch for capacity growth and storage moves.
-    fn buffers(&self) -> [&Vec<f64>; 14] {
+    /// Every scratch buffer's storage address and capacity, in a fixed
+    /// order — what the zero-allocation checks watch for growth and
+    /// moves.
+    fn buffers(&self) -> [(*const u8, usize); 15] {
+        fn storage<T>(v: &Vec<T>) -> (*const u8, usize) {
+            (v.as_ptr().cast(), v.capacity())
+        }
         let w = &self.wide;
         [
-            &self.z,
-            &self.die.region_dvth,
-            &self.slowdown,
-            &self.at,
-            &self.stage_delays,
-            &w.die_rows,
-            &w.die_z,
-            w.die.storage(),
-            &w.dvth,
-            &w.shared,
-            &w.latch,
-            &w.slow,
-            &w.at,
-            &w.sd,
+            storage(&self.z),
+            storage(&self.die.region_dvth),
+            storage(&self.slowdown),
+            storage(&self.at),
+            storage(&self.stage_delays),
+            storage(&w.die_rows),
+            storage(&w.die_z),
+            storage(w.die.storage()),
+            storage(&w.dvth),
+            storage(&w.shared),
+            storage(&w.latch),
+            storage(&w.slow),
+            storage(&w.at),
+            storage(&w.sd),
+            storage(&w.rngs),
         ]
     }
 }
@@ -293,7 +353,7 @@ impl PreparedPipelineMc {
             .max()
             .unwrap_or(0);
         let regions = self.sampler.region_value_count();
-        let before = ws.buffers().map(Vec::capacity);
+        let before = ws.buffers();
         // +1: the inter-die draw shares the buffer with the region draws.
         grow(&mut ws.z, regions + 1);
         grow(&mut ws.die.region_dvth, regions);
@@ -315,8 +375,10 @@ impl PreparedPipelineMc {
             ws.wide.slow.resize(max_gates * V3_WIDTH, 0.0);
             ws.wide.at.resize(max_signals * V3_WIDTH, 0.0);
             ws.wide.sd.resize(stages * V3_WIDTH, 0.0);
+            let rngs = &mut ws.wide.rngs;
+            rngs.reserve(V3_WIDTH.saturating_sub(rngs.len()));
         }
-        if before != ws.buffers().map(Vec::capacity) {
+        if before != ws.buffers() {
             ws.reuses = 0;
         }
     }
@@ -488,15 +550,17 @@ impl PreparedPipelineMc {
     /// Lane-major compute phase of one v3 pass over `w` lanes whose dies
     /// are drawn, visiting each stage and gate **once for the whole
     /// pass**: the lane fill draws a stage's gate normals gate-major
-    /// straight into its `gates × w` shift block, which becomes total
-    /// ΔVth shifts (`shared + sigma·(sign·z)`) in place; one wide
-    /// polynomial call turns the block into slowdown factors, then wide
-    /// arrival-time propagation (the fanin metadata of each gate is
-    /// loaded once per pass instead of once per trial) and per-lane
-    /// combinational max / latch overhead / stage delay. The per-pass
-    /// buffers are packed at width `w`; the per-lane arithmetic is
-    /// element-wise throughout, so a lane's bits never depend on its
-    /// pass-mates.
+    /// straight into its `gates × V3_WIDTH` shift block, which becomes
+    /// total ΔVth shifts (`shared + sigma·(sign·z)`) in place; one wide
+    /// polynomial call turns the block into slowdown factors, then
+    /// [`Arrivals`] propagates them (the fanin metadata of each gate is
+    /// loaded once per pass instead of once per trial), then per-lane
+    /// latch overhead and stage delay. A ragged pass (`w < V3_WIDTH`)
+    /// spreads its normals to the full row stride and zeroes the padding
+    /// lanes' shifts, so every pass runs the same full-row kernels and a
+    /// padding lane can never reach the `powf` fallback. The per-lane
+    /// arithmetic is element-wise throughout, so a lane's bits never
+    /// depend on its pass-mates.
     fn compute_pass_v3(&self, ws: &mut TrialWorkspace, w: usize, signs: &[f64; V3_WIDTH]) {
         const W: usize = V3_WIDTH;
         let WideScratch {
@@ -515,57 +579,45 @@ impl PreparedPipelineMc {
         maxd[..w].fill(f64::NEG_INFINITY);
         for (s, stage) in self.stages.iter().enumerate() {
             let gates = stage.netlist.gate_count();
-            let sh = &shared[s * W..s * W + w];
-            let slow = &mut slow[..gates * w];
+            let sh = &shared.as_chunks::<W>().0[s];
+            let slow = &mut slow[..gates * W];
             if stage.rand_sigma.is_empty() {
                 // No per-gate randomness: one slowdown factor per lane
                 // covers the stage (the same wide kernel as the per-gate
                 // form, so the bits match it).
                 let mut f = [0.0f64; W];
-                self.lib.vth_slowdown_factors_v3_shift_into(sh, &mut f[..w]);
-                for row in slow.chunks_exact_mut(w) {
-                    row.copy_from_slice(&f[..w]);
-                }
+                self.lib
+                    .vth_slowdown_factors_v3_shift_into(&sh[..w], &mut f[..w]);
+                slow.as_chunks_mut::<W>().0.fill(f);
             } else {
-                let dv = &mut dvth[..gates * w];
-                fill_standard_normals_inv_cdf_fma_lanes(&mut rngs[..w], dv);
-                for (row, &sig) in dv.chunks_exact_mut(w).zip(&stage.rand_sigma) {
+                let dv = &mut dvth[..gates * W];
+                fill_standard_normals_inv_cdf_fma_lanes(&mut rngs[..w], &mut dv[..gates * w]);
+                if w < W {
+                    // Back to front, so no row overwrites one not yet
+                    // moved.
+                    for g in (1..gates).rev() {
+                        dv.copy_within(g * w..(g + 1) * w, g * W);
+                    }
+                }
+                let rows = dv.as_chunks_mut::<W>().0;
+                for (row, &sig) in rows.iter_mut().zip(&stage.rand_sigma) {
                     for ((d, &base), &sign) in row.iter_mut().zip(sh).zip(signs) {
                         *d = base + sig * (sign * *d);
                     }
                 }
-                self.lib.vth_slowdown_factors_v3_shift_into(dv, slow);
-            }
-            // Wide arrival times: inputs arrive at 0, each gate takes
-            // `max(fanin arrivals) + nominal * slowdown` per lane — the
-            // same operations in the same order as `arrival_times_into`,
-            // so each lane's bits match the scalar propagation.
-            let inputs = stage.netlist.input_count();
-            at[..inputs * w].fill(0.0);
-            for (i, g) in stage.netlist.gates().iter().enumerate() {
-                let out_off = (inputs + i) * w;
-                let (pre, rest) = at.split_at_mut(out_off);
-                let row = &mut rest[..w];
-                row.fill(f64::NEG_INFINITY);
-                for f in &g.fanins {
-                    let fr = &pre[f.0 * w..(f.0 + 1) * w];
-                    for (r, &a) in row.iter_mut().zip(fr) {
-                        *r = r.max(a);
+                if w < W {
+                    for row in rows.iter_mut() {
+                        row[w..].fill(0.0);
                     }
                 }
-                let nom = stage.nominal[i];
-                let srow = &slow[i * w..(i + 1) * w];
-                for (r, &sl) in row.iter_mut().zip(srow) {
-                    *r += nom * sl;
-                }
+                self.lib.vth_slowdown_factors_v3_shift_into(dv, slow);
             }
-            let mut comb = [0.0f64; W];
-            for o in stage.netlist.outputs() {
-                let orow = &at[o.0 * w..(o.0 + 1) * w];
-                for (c, &a) in comb[..w].iter_mut().zip(orow) {
-                    *c = c.max(a);
-                }
-            }
+            let comb = simd::dispatch(Arrivals {
+                netlist: &stage.netlist,
+                nominal: &stage.nominal,
+                slow: slow.as_chunks::<W>().0,
+                at: at.as_chunks_mut::<W>().0,
+            });
             for (lane, &c) in comb[..w].iter().enumerate() {
                 let mut overhead = latch_base;
                 if latch_sigma != 0.0 {
@@ -646,8 +698,7 @@ impl PreparedPipelineMc {
         // The zero-allocation contract, made checkable: after the
         // workspace is warm, no buffer may move for the rest of the
         // block.
-        let fingerprint = |ws: &TrialWorkspace| ws.buffers().map(Vec::as_ptr);
-        let warm = fingerprint(ws);
+        let warm = ws.buffers();
         let mut ps = PlanSampler::new(plan, self.die_dims(), seed_of(0));
         let mut fold = LaneFold::new(self.kernel, stats);
         match self.kernel {
@@ -657,11 +708,7 @@ impl PreparedPipelineMc {
                     let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
                     let (maxd, w) = self.sample_trial(ws, &mut rng, &overlay);
                     fold.record(t, &ws.stage_delays, maxd, w);
-                    debug_assert_eq!(
-                        fingerprint(ws),
-                        warm,
-                        "hot-path buffer reallocated mid-block"
-                    );
+                    debug_assert_eq!(ws.buffers(), warm, "hot-path buffer reallocated mid-block");
                 }
             }
             TrialKernel::V3 => {
@@ -682,11 +729,7 @@ impl PreparedPipelineMc {
                     }
                     ws.reuses += w as u64;
                     t += w as u64;
-                    debug_assert_eq!(
-                        fingerprint(ws),
-                        warm,
-                        "hot-path buffer reallocated mid-block"
-                    );
+                    debug_assert_eq!(ws.buffers(), warm, "hot-path buffer reallocated mid-block");
                 }
             }
         }
@@ -1005,11 +1048,91 @@ mod tests {
         let p = pipe(3, 5);
         let prepared = PreparedPipelineMc::new(&mc, &p);
         let mut ws = prepared.workspace();
+        // A fresh workspace is fully reserved: not even its first block
+        // moves a buffer (the per-lane generators included).
+        let fresh = ws.buffers();
         let mut stats = PipelineBlockStats::new(p.stage_count(), &[]);
         run(&prepared, &mut ws, 0..64, &mut stats);
+        assert_eq!(ws.buffers(), fresh, "first block moved a buffer");
         run(&prepared, &mut ws, 64..128, &mut stats);
         assert_eq!(ws.reuses(), 128, "v3 hot path must not reallocate");
         assert_eq!(stats.trials(), 128);
+    }
+
+    /// [`Arrivals`] on `tier` over `slow`, with the arrival rows it wrote.
+    fn arrivals_on(
+        tier: simd::SimdTier,
+        netlist: &Netlist,
+        nominal: &[f64],
+        slow: &[[f64; V3_WIDTH]],
+    ) -> Option<(Vec<u64>, Vec<u64>)> {
+        let mut at = vec![[f64::NAN; V3_WIDTH]; netlist.input_count() + netlist.gate_count()];
+        let kernel = Arrivals {
+            netlist,
+            nominal,
+            slow,
+            at: &mut at,
+        };
+        let comb = simd::run_on(tier, kernel)?;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        Some((bits(&comb), bits(at.as_flattened())))
+    }
+
+    /// Wide arrival propagation equals the scalar propagation per lane
+    /// and is bit-identical on every tier, on random multi-fanin DAGs at
+    /// pass widths 1, 5, 13 and 16 (padding lanes zero, as a ragged pass
+    /// leaves them).
+    #[test]
+    fn arrival_kernel_tiers_are_bit_identical() {
+        use rand::RngExt as _;
+        use vardelay_circuit::generators::{random_logic, RandomLogicConfig};
+        let lib = CellLibrary::default();
+        let mut rng = StdRng::seed_from_u64(0xA77);
+        let mut skipped = [false; 3];
+        for seed in 0..6u64 {
+            let mut cfg = RandomLogicConfig::new("dag", seed);
+            (cfg.inputs, cfg.gates, cfg.depth, cfg.outputs) = (9, 70 + 13 * seed as usize, 8, 5);
+            let netlist = random_logic(&cfg);
+            assert!(netlist.gates().iter().any(|g| g.fanins.len() > 2));
+            let nominal = nominal_gate_delays(&netlist, &lib, 1.0);
+            for w in [1, 5, 13, V3_WIDTH] {
+                let slow: Vec<[f64; V3_WIDTH]> = (0..netlist.gate_count())
+                    .map(|_| {
+                        std::array::from_fn(|l| {
+                            if l < w {
+                                rng.random_range(0.7..1.5)
+                            } else {
+                                0.0
+                            }
+                        })
+                    })
+                    .collect();
+                let portable = arrivals_on(simd::SimdTier::Portable, &netlist, &nominal, &slow);
+                let (comb, _) = portable.clone().unwrap();
+                for lane in 0..w {
+                    let lane_slow: Vec<f64> = slow.iter().map(|r| r[lane]).collect();
+                    let stage = PreparedStage {
+                        netlist: netlist.clone(),
+                        nominal: nominal.clone(),
+                        rand_sigma: Vec::new(),
+                        region: 0,
+                    };
+                    let want = stage.comb_delay(&lane_slow, &mut Vec::new());
+                    assert_eq!(comb[lane], want.to_bits(), "seed {seed} w {w} lane {lane}");
+                }
+                for (t, tier) in simd::SimdTier::ALL.into_iter().enumerate().skip(1) {
+                    match arrivals_on(tier, &netlist, &nominal, &slow) {
+                        Some(got) => assert_eq!(Some(got), portable, "{tier:?} seed {seed} w {w}"),
+                        None => skipped[t] = true,
+                    }
+                }
+            }
+        }
+        for (t, tier) in simd::SimdTier::ALL.into_iter().enumerate() {
+            if skipped[t] {
+                eprintln!("skipped the {} tier: this CPU lacks it", tier.name());
+            }
+        }
     }
 
     /// The trial-plan contract in miniature: for every strategy × kernel,

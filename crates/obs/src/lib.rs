@@ -648,6 +648,10 @@ pub struct RunInfo<'a> {
     pub name: &'a str,
     /// Worker count the run was configured with.
     pub workers: usize,
+    /// The SIMD tier the hot kernels ran under
+    /// (`vardelay_stats::simd::SimdTier::name`): results are
+    /// tier-independent, timings are not.
+    pub simd_tier: &'a str,
     /// Wall-clock time of the run, milliseconds.
     pub wall_ms: f64,
     /// Total units in (this shard of) the workload.
@@ -697,6 +701,7 @@ pub fn metrics_json(info: &RunInfo<'_>, agg: &Aggregate) -> String {
     out.push_str(&format!("  \"kind\": \"{}\",\n", esc(info.kind)));
     out.push_str(&format!("  \"name\": \"{}\",\n", esc(info.name)));
     out.push_str(&format!("  \"workers\": {},\n", info.workers));
+    out.push_str(&format!("  \"simd_tier\": \"{}\",\n", esc(info.simd_tier)));
     out.push_str(&format!("  \"wall_ms\": {:.3},\n", info.wall_ms));
     out.push_str(&format!(
         "  \"units\": {{\"total\": {}, \"executed\": {}, \"resumed\": {}, \"cached\": {}, \"torn_tail_normalized\": {}}},\n",
@@ -1019,6 +1024,7 @@ mod tests {
             kind: "sweep",
             name: "demo",
             workers: 2,
+            simd_tier: "avx2-fma",
             wall_ms: 10.0,
             units_total: 4,
             units_executed: 3,
@@ -1030,6 +1036,7 @@ mod tests {
         let json = metrics_json(&info, &agg);
         assert!(json.starts_with("{\n  \"schema_version\": 2,\n"));
         assert!(json.contains("\"kind\": \"sweep\""));
+        assert!(json.contains("\"workers\": 2,\n  \"simd_tier\": \"avx2-fma\",\n"));
         assert!(json.contains("\"resumed\": 1"));
         assert!(json.contains("\"cached\": 0"));
         assert!(json.contains(

@@ -15,8 +15,10 @@
 
 use serde::{Deserialize, Serialize};
 use vardelay_stats::batch::{
-    exp_approx_fma, exp_approx_fma_raw, ln_one_minus_ratio_fma_raw, LN_ONE_MINUS_MAX_R,
+    exp_approx_fma, exp_approx_fma_raw, ln_one_minus_ratio_fma_raw, EXP_APPROX_MAX_X,
+    LN_ONE_MINUS_MAX_R,
 };
+use vardelay_stats::simd;
 
 use crate::tech::Technology;
 
@@ -39,7 +41,12 @@ use crate::tech::Technology;
 pub fn slowdown_factors_shift_approx_into(od: f64, alpha: f64, shift: &[f64], out: &mut [f64]) {
     assert!(od > 0.0, "overdrive must be positive");
     assert!(shift.len() == out.len(), "slice length mismatch");
-    if fast_path_shift_dispatch(od, alpha, shift, out) {
+    if simd::dispatch(FastPathShift {
+        od,
+        alpha,
+        shift,
+        out,
+    }) {
         return;
     }
     // Some element left the certified range: `out` holds intermediate
@@ -82,7 +89,7 @@ pub fn slowdown_factor_approx_fma(od: f64, alpha: f64, dvth: f64) -> f64 {
         return (od / (od - dvth)).powf(alpha);
     }
     let x = -alpha * ln_one_minus_ratio_fma_raw(dvth, od);
-    if x.abs() > vardelay_stats::batch::EXP_APPROX_MAX_X {
+    if x.abs() > EXP_APPROX_MAX_X {
         return (od / (od - dvth)).powf(alpha);
     }
     exp_approx_fma(x)
@@ -96,56 +103,33 @@ pub fn slowdown_factor_approx_fma(od: f64, alpha: f64, dvth: f64) -> f64 {
 /// `false` return tells the caller to discard wholesale. In-range
 /// elements see the exact same operation sequence as the scalar
 /// reference, so bits are unchanged.
-#[inline(always)]
-fn fast_path_shift(od: f64, alpha: f64, shift: &[f64], out: &mut [f64]) -> bool {
+struct FastPathShift<'a> {
+    od: f64,
+    alpha: f64,
+    shift: &'a [f64],
+    out: &'a mut [f64],
+}
+
+impl simd::Kernel for FastPathShift<'_> {
+    type Output = bool;
+
     #[inline(always)]
-    fn one(od: f64, alpha: f64, sh: f64, o: &mut f64, ok: &mut bool) {
-        *ok &= sh.abs() <= LN_ONE_MINUS_MAX_R * od;
-        let x = -alpha * ln_one_minus_ratio_fma_raw(sh, od);
-        *ok &= x.abs() <= vardelay_stats::batch::EXP_APPROX_MAX_X;
-        *o = exp_approx_fma_raw(x);
+    fn run(self) -> bool {
+        let (od, alpha) = (self.od, self.alpha);
+        // A straight element walk with one flag (an AND reduction): the
+        // loop vectorizer runs it a register of lanes at a time, several
+        // registers interleaved, so independent latency-bound chains are
+        // in flight on every tier. Identical per-element operations, so
+        // the bits match the scalar reference.
+        let mut ok = true;
+        for (o, &sh) in self.out.iter_mut().zip(self.shift) {
+            ok &= sh.abs() <= LN_ONE_MINUS_MAX_R * od;
+            let x = -alpha * ln_one_minus_ratio_fma_raw(sh, od);
+            ok &= x.abs() <= EXP_APPROX_MAX_X;
+            *o = exp_approx_fma_raw(x);
+        }
+        ok
     }
-    // Walk the two halves of the slice in lock-step so every iteration
-    // carries two independent div → ln → exp chains: the chains are
-    // latency-bound, and pairing them roughly doubles what the
-    // out-of-order core can overlap. Identical per-element operations,
-    // so the bits match the straight-line walk exactly.
-    let mut ok = true;
-    let n = out.len();
-    let half = n / 2;
-    let (o_lo, o_hi) = out.split_at_mut(half);
-    let (s_lo, s_hi) = shift.split_at(half);
-    for ((ol, &sl), (oh, &sh2)) in o_lo.iter_mut().zip(s_lo).zip(o_hi.iter_mut().zip(s_hi)) {
-        one(od, alpha, sl, ol, &mut ok);
-        one(od, alpha, sh2, oh, &mut ok);
-    }
-    if n % 2 == 1 {
-        one(od, alpha, s_hi[half], &mut o_hi[half], &mut ok);
-    }
-    ok
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx,fma")]
-unsafe fn fast_path_shift_avx(od: f64, alpha: f64, shift: &[f64], out: &mut [f64]) -> bool {
-    fast_path_shift(od, alpha, shift, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn fast_path_shift_dispatch(od: f64, alpha: f64, shift: &[f64], out: &mut [f64]) -> bool {
-    if std::arch::is_x86_feature_detected!("fma") && std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: both features were just detected at runtime.
-        unsafe { fast_path_shift_avx(od, alpha, shift, out) }
-    } else {
-        fast_path_shift(od, alpha, shift, out)
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn fast_path_shift_dispatch(od: f64, alpha: f64, shift: &[f64], out: &mut [f64]) -> bool {
-    fast_path_shift(od, alpha, shift, out)
 }
 
 /// Alpha-power-law delay evaluator bound to a [`Technology`].
@@ -313,30 +297,66 @@ mod tests {
         let _ = slowdown_factor_approx_fma(0.7, 1.3, 0.7);
     }
 
+    /// [`slowdown_factors_shift_approx_into`] with its fast path run
+    /// under `tier`: whether the fast path held, and the output.
+    fn shift_on(tier: simd::SimdTier, alpha: f64, shift: &[f64]) -> (bool, Vec<f64>) {
+        let od = 0.7;
+        let mut out = vec![0.0; shift.len()];
+        let fast = FastPathShift {
+            od,
+            alpha,
+            shift,
+            out: &mut out,
+        };
+        let ok = simd::run_on(tier, fast).expect("supported tier");
+        if !ok {
+            for (o, &sh) in out.iter_mut().zip(shift) {
+                *o = slowdown_factor_approx_fma(od, alpha, sh);
+            }
+        }
+        (ok, out)
+    }
+
+    /// The v3 shift form reproduces its fused scalar reference exactly on
+    /// every tier this CPU supports (so the tiers equal each other bit
+    /// for bit): in-range shifts, and one wild shift that forces the
+    /// `powf` fallback (past the ratio bound, or past the `exp` bound at
+    /// a large alpha), at every length up to 41, so the wild element sits
+    /// at either end and in the middle of a vector step.
     #[test]
     fn shift_slowdown_matches_fma_scalar_bit_for_bit() {
-        // The v3 shift form must reproduce its fused scalar reference
-        // exactly, including through the fallback.
-        let (od, alpha) = (0.7, 1.3);
-        let shift: Vec<f64> = (0..48).map(|i| -0.25 + 0.01 * i as f64).collect();
-        let mut out = vec![0.0; 48];
-        slowdown_factors_shift_approx_into(od, alpha, &shift, &mut out);
-        for (i, &got) in out.iter().enumerate() {
-            let want = slowdown_factor_approx_fma(od, alpha, shift[i]);
-            assert_eq!(got, want, "element {i}");
+        let in_range: Vec<f64> = (0..41).map(|i| -0.3 + 0.0147 * f64::from(i)).collect();
+        let mut cases = vec![(1.3, in_range.clone(), true)];
+        for (at, wild, alpha) in [
+            (0, 0.55, 1.3),
+            (7, -0.5, 1.3),
+            (40, 0.55, 1.3),
+            (16, 0.35, 5.0),
+        ] {
+            let mut sh = in_range.clone();
+            sh[at] = wild;
+            cases.push((alpha, sh, false));
         }
-
-        // Ragged width (partial final pass) and fallback: one wild
-        // element forces the scalar path, in-range elements keep their
-        // bits.
-        let mut sh_wild = shift[..11].to_vec();
-        sh_wild[4] = 0.55; // |r| > 0.6 against od = 0.7
-        let mut out_wild = vec![0.0; 11];
-        slowdown_factors_shift_approx_into(od, alpha, &sh_wild, &mut out_wild);
-        for (i, &got) in out_wild.iter().enumerate() {
-            let want = slowdown_factor_approx_fma(od, alpha, sh_wild[i]);
-            assert_eq!(got, want, "fallback element {i}");
+        for tier in simd::SimdTier::ALL {
+            if !tier.supported() {
+                eprintln!("skipping the {} tier: this CPU lacks it", tier.name());
+                continue;
+            }
+            for (alpha, sh, fast) in &cases {
+                for len in 0..=sh.len() {
+                    let (_, out) = shift_on(tier, *alpha, &sh[..len]);
+                    for (i, (&got, &x)) in out.iter().zip(sh).enumerate() {
+                        let want = slowdown_factor_approx_fma(0.7, *alpha, x);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{tier:?} len {len} at {i}");
+                    }
+                }
+                assert_eq!(shift_on(tier, *alpha, sh).0, *fast, "{tier:?}: fast path");
+            }
         }
-        assert_eq!(out_wild[2], out[2], "element bits are width-independent");
+        for (alpha, sh, _) in &cases {
+            let mut out = vec![0.0; sh.len()];
+            slowdown_factors_shift_approx_into(0.7, *alpha, sh, &mut out);
+            assert_eq!(out, shift_on(simd::SimdTier::detected(), *alpha, sh).1);
+        }
     }
 }

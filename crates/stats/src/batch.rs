@@ -25,7 +25,8 @@
 //!   [`fill_standard_normals_inv_cdf_fma_lanes`]) — the same quantile
 //!   with its central Horner chains fused; the v3 kernel's gate normals.
 //!   The lane fills draw many generator streams at once, gate-major
-//!   (`out[k * n + lane]`), four streams per SIMD register.
+//!   (`out[k * n + lane]`), and run their quantile pass under the
+//!   detected [`crate::simd`] tier.
 //! * **Frozen `powf` replacement** ([`ln_one_minus_fma`],
 //!   [`exp_approx_fma`]) — the two polynomial halves of
 //!   `(1-r)^(-alpha) = exp(-alpha · ln(1-r))`, the alpha-power slowdown
@@ -38,6 +39,8 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+
+use crate::simd;
 
 /// `2^-52`, the uniform-grid step of the open-interval conversion.
 const TWO_NEG_52: f64 = 1.0 / 4_503_599_627_370_496.0;
@@ -325,10 +328,8 @@ fn uniform_open_magic(u: u64) -> f64 {
 /// a tail element it is finite junk, overwritten below; staying
 /// branch-free lets it vectorize), then the tail rational on the set
 /// bits only, gathered so it runs vectorized. Every element sees the
-/// scalar quantile's operations, so the bits are its bits. The map is
-/// inlined into the AVX2 build below, where plain mul/add/div
-/// vectorization is IEEE-exact per element and `mul_add` is one
-/// correctly rounded `vfmadd`.
+/// scalar quantile's operations, so the bits are its bits on every
+/// [`simd`] tier.
 #[inline(always)]
 fn quantile_words<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
     debug_assert_eq!(words.len(), out.len());
@@ -375,34 +376,24 @@ fn quantile_words<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
     }
 }
 
-/// [`quantile_words`] compiled for AVX2 and FMA. The non-fused quantile
-/// has no `mul_add` and Rust never contracts a separate multiply and
-/// add, so enabling FMA changes no bit of it.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn quantile_words_avx2<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
-    quantile_words::<FUSED>(words, out);
+/// [`quantile_words`] as a [`simd::Kernel`], so every fill runs it under
+/// the detected tier.
+struct QuantileWords<'a, const FUSED: bool> {
+    words: &'a [u64],
+    out: &'a mut [f64],
 }
 
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn quantile_words_dispatch<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: both features were just detected at runtime.
-        unsafe { quantile_words_avx2::<FUSED>(words, out) }
-    } else {
-        quantile_words::<FUSED>(words, out);
+impl<const FUSED: bool> simd::Kernel for QuantileWords<'_, FUSED> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        quantile_words::<FUSED>(self.words, self.out);
     }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
 #[inline]
 fn quantile_words_dispatch<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
-    quantile_words::<FUSED>(words, out);
+    simd::dispatch(QuantileWords::<FUSED> { words, out });
 }
 
 /// Largest `|r|` the polynomial `ln(1-r)`/`exp` pair is certified for.
@@ -687,15 +678,41 @@ mod tests {
         }
     }
 
+    /// The quantile pass under `tier`, or `None` when this CPU lacks it.
+    fn quantile_on(tier: simd::SimdTier, fused: bool, words: &[u64]) -> Option<Vec<f64>> {
+        let mut out = vec![0.0; words.len()];
+        let ran = if fused {
+            simd::run_on(
+                tier,
+                QuantileWords::<true> {
+                    words,
+                    out: &mut out,
+                },
+            )
+        } else {
+            simd::run_on(
+                tier,
+                QuantileWords::<false> {
+                    words,
+                    out: &mut out,
+                },
+            )
+        };
+        ran.map(|()| out)
+    }
+
     /// The quantile pass over words equals both scalar quantiles element
-    /// by element, tails included (words chosen to land in both tails
-    /// and on the branch points), and the portable body equals the
-    /// dispatched (AVX2 + FMA where available) body bit for bit.
+    /// by element on every tier this CPU supports (so the tiers equal
+    /// each other bit for bit), at lengths 1..=130 (whole and partial
+    /// 64-word chunks) and at full length, with words on the branch
+    /// points, deep in both tails, and at `0` and `u64::MAX` spread
+    /// through the first two chunks.
     #[test]
     fn word_quantile_pass_matches_scalar_and_dispatch() {
         let mut rng = StdRng::seed_from_u64(0x70DD);
         let mut words: Vec<u64> = (0..700).map(|_| rng.next_u64()).collect();
         let word_of = |p: f64| ((p / TWO_NEG_52) as u64) << 12;
+        let mut special = vec![0, u64::MAX];
         for p in [
             1e-15,
             1e-9,
@@ -705,30 +722,40 @@ mod tests {
             1.0 - ACKLAM_P_LOW,
             0.999_999,
         ] {
-            words.extend([
+            special.extend([
                 word_of(p).wrapping_sub(1 << 12),
                 word_of(p),
                 word_of(p) + (1 << 12),
             ]);
         }
-        words.extend([0, u64::MAX]);
-        let check = |fused: bool, body: fn(&[u64], &mut [f64]), what: &str| {
-            let mut out = vec![0.0; words.len()];
-            body(&words, &mut out);
-            for (i, (&w, &z)) in words.iter().zip(&out).enumerate() {
-                let p = uniform_open_from_u64(w);
-                let want = if fused {
-                    standard_normal_inv_cdf_fma(p)
-                } else {
-                    standard_normal_inv_cdf(p)
-                };
-                assert_eq!(z.to_bits(), want.to_bits(), "{what}: word {i} (p = {p})");
+        for (i, w) in special.into_iter().enumerate() {
+            words[i * 5 + 1] = w;
+        }
+        for tier in simd::SimdTier::ALL {
+            if !tier.supported() {
+                eprintln!("skipping the {} tier: this CPU lacks it", tier.name());
+                continue;
             }
-        };
-        check(false, quantile_words::<false>, "portable");
-        check(false, quantile_words_dispatch::<false>, "dispatched");
-        check(true, quantile_words::<true>, "portable fused");
-        check(true, quantile_words_dispatch::<true>, "dispatched fused");
+            for fused in [false, true] {
+                for len in (1..=130).chain([words.len()]) {
+                    let words = &words[..len];
+                    let out = quantile_on(tier, fused, words).expect("supported tier");
+                    for (i, (&w, &z)) in words.iter().zip(&out).enumerate() {
+                        let p = uniform_open_from_u64(w);
+                        let want = if fused {
+                            standard_normal_inv_cdf_fma(p)
+                        } else {
+                            standard_normal_inv_cdf(p)
+                        };
+                        assert_eq!(
+                            z.to_bits(),
+                            want.to_bits(),
+                            "{tier:?} fused={fused} len {len}: word {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! * [`batch`] — batch-shaped normal samplers (pinned-coefficient
 //!   inverse-CDF, plain and fused) and frozen polynomial `ln`/`exp`
 //!   kernels for the versioned v3 Monte-Carlo trial kernel.
+//! * [`simd`] — the SIMD tier the v3 kernels run under, detected once,
+//!   and the dispatch that compiles each kernel body per tier.
 //! * [`ks`] — Kolmogorov–Smirnov distance between samples and a reference
 //!   distribution, used to validate analytical models against Monte-Carlo.
 //! * [`sobol`] — hand-rolled Sobol low-discrepancy sequences with
@@ -54,6 +56,7 @@ pub mod matrix;
 pub mod mix;
 pub mod mvn;
 pub mod normal;
+pub mod simd;
 pub mod sobol;
 pub mod strata;
 

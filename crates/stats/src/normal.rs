@@ -10,6 +10,8 @@ use std::fmt;
 use rand::{Rng, RngExt as _};
 use serde::{Deserialize, Serialize};
 
+use crate::simd;
+
 /// `1/sqrt(2*pi)`.
 pub(crate) const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
 /// `sqrt(2)`.
@@ -238,9 +240,9 @@ type Lanes = [f64; QUANTILE_LANES];
 /// the scalar order and stops (its sum frozen) on the step its own
 /// stopping rule fires. Frozen lanes keep stepping their term (never
 /// read again) so the body stays branch-free. Marked `inline(always)`
-/// so the AVX wrapper below inherits the body and vectorizes it 4-wide;
-/// mul/add/div vectorization is IEEE-exact per element (FMA is not
-/// enabled), so every dispatch target produces the scalar bits.
+/// so each [`simd`] tier's wrapper inherits the body and vectorizes it;
+/// mul/add/div vectorization is IEEE-exact per element (and the body has
+/// no `mul_add`), so every tier produces the scalar bits.
 #[inline(always)]
 fn erf_series_lanes(x: &Lanes, mut live: [bool; QUANTILE_LANES]) -> Lanes {
     let x2 = x.map(|v| v * v);
@@ -261,25 +263,20 @@ fn erf_series_lanes(x: &Lanes, mut live: [bool; QUANTILE_LANES]) -> Lanes {
     sum
 }
 
-/// [`erf_series_lanes`] compiled for AVX.
-///
-/// # Safety
-///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn erf_series_lanes_avx(x: &Lanes, live: [bool; QUANTILE_LANES]) -> Lanes {
-    erf_series_lanes(x, live)
+/// [`erf_series_lanes`] as a [`simd::Kernel`].
+struct ErfSeriesLanes<'a>(&'a Lanes, [bool; QUANTILE_LANES]);
+
+impl simd::Kernel for ErfSeriesLanes<'_> {
+    type Output = Lanes;
+    #[inline(always)]
+    fn run(self) -> Lanes {
+        erf_series_lanes(self.0, self.1)
+    }
 }
 
 #[inline]
 fn erf_series_lanes_dispatch(x: &Lanes, live: [bool; QUANTILE_LANES]) -> Lanes {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: the AVX feature was just detected at runtime.
-        return unsafe { erf_series_lanes_avx(x, live) };
-    }
-    erf_series_lanes(x, live)
+    simd::dispatch(ErfSeriesLanes(x, live))
 }
 
 /// Acklam's rational approximation of the quantile — the starting point

@@ -751,8 +751,10 @@ where
         // Only journal-spliced units already have their line in the
         // append-mode journal; cache-spliced units are new to it.
         let journal_skips = origin == vardelay_engine::UnitOrigin::Journal && journal_appends;
-        let line = (out_stream.is_some() || (journal.is_some() && !journal_skips))
-            .then(|| checkpoint_line(id, &result));
+        let line = (out_stream.is_some() || (journal.is_some() && !journal_skips)).then(|| {
+            let _sp = vardelay_obs::span("io", "serialize").key(id);
+            checkpoint_line(id, &result)
+        });
         if let Some((path, f)) = &mut journal {
             if !journal_skips {
                 let _sp = vardelay_obs::span("io", "journal").key(id);
@@ -861,6 +863,7 @@ where
                 kind,
                 name: w.name(),
                 workers: options.workers,
+                simd_tier: vardelay_stats::simd::SimdTier::detected().name(),
                 wall_ms,
                 units_total: stats.units,
                 units_executed: stats.executed,

@@ -202,7 +202,12 @@ fn from_metrics(v: &Value) -> Result<String, CliError> {
             ));
         }
     }
-    let header = format!("{kind} '{name}' — metrics ({workers} workers)");
+    // Files written before the tier was recorded say nothing about it.
+    let tier = v
+        .get("simd_tier")
+        .and_then(string)
+        .map_or(String::new(), |t| format!(", simd tier {t}"));
+    let header = format!("{kind} '{name}' — metrics ({workers} workers{tier})");
     Ok(render(header, wall_ms, &phases, &counters, &extra))
 }
 
@@ -303,7 +308,7 @@ mod tests {
     fn metrics_report_renders_phases_and_units() {
         let text = r#"{
             "schema_version": 2,
-            "kind": "campaign", "name": "t", "workers": 2, "wall_ms": 100.0,
+            "kind": "campaign", "name": "t", "workers": 2, "simd_tier": "avx512", "wall_ms": 100.0,
             "units": {"total": 6, "executed": 2, "resumed": 1, "cached": 3, "torn_tail_normalized": true},
             "cache": {"hits": 3, "misses": 2, "hit_rate": 0.6, "bytes_saved": 420},
             "steps": 2, "trials": 6000,
@@ -320,7 +325,10 @@ mod tests {
             "events_dropped": 0
         }"#;
         let out = report_cmd("m.json", text).expect("valid metrics");
-        assert!(out.contains("campaign 't'"), "{out}");
+        assert!(
+            out.starts_with("campaign 't' — metrics (2 workers, simd tier avx512)\n"),
+            "{out}"
+        );
         assert!(out.contains("mc/verify{kernel=v3,plan=plain}"), "{out}");
         assert!(out.contains("60.000"), "{out}");
         assert!(

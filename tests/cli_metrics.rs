@@ -1,8 +1,10 @@
 //! What a `--metrics` file of a `vardelay optimize … --out` run
-//! attributes: one `opt/resolve_target` span per run and one
-//! `io/aggregate` span whose value is the bytes of the `--out` file.
-//! The run is a child process, so no other test's spans reach its
-//! recording and the counts are exact.
+//! attributes: one `spec/expand` span, one `opt/resolve_target` span
+//! per run, one `io/serialize` span per streamed unit and one
+//! `io/aggregate` span whose value is the bytes of the `--out` file; its
+//! run section, and the `vardelay report` header, name the SIMD tier the
+//! kernels ran under. The run is a child process, so no other test's
+//! spans reach its recording and the counts are exact.
 
 use std::process::Command;
 
@@ -62,6 +64,28 @@ fn campaign_metrics_count_one_target_resolution_per_run_and_the_aggregate_write(
             .unwrap_or_else(|| panic!("no {name} phase"))
     };
     assert_eq!(num(phase("opt/resolve_target").get("count")), 2.0);
+    let expand = phase("spec/expand");
+    assert_eq!(num(expand.get("count")), 1.0);
+    assert_eq!(num(expand.get("value_sum")), 2.0, "units expanded");
+    assert_eq!(num(phase("io/serialize").get("count")), 2.0);
+    let tier = match m.get("simd_tier") {
+        Some(Value::String(t)) => t.clone(),
+        other => panic!("simd_tier is not a string: {other:?}"),
+    };
+    assert_eq!(tier, vardelay_stats::simd::SimdTier::detected().name());
+    assert!(["portable", "avx2-fma", "avx512"].contains(&tier.as_str()));
+    let report = Command::new(env!("CARGO_BIN_EXE_vardelay"))
+        .arg("report")
+        .arg(&metrics)
+        .output()
+        .expect("the binary runs");
+    assert!(report.status.success());
+    let header = String::from_utf8_lossy(&report.stdout);
+    let header = header.lines().next().unwrap_or_default();
+    assert!(
+        header.ends_with(&format!(", simd tier {tier})")),
+        "{header}"
+    );
     let aggregate = phase("io/aggregate");
     assert_eq!(num(aggregate.get("count")), 1.0);
     let bytes = std::fs::metadata(&out).unwrap().len();
