@@ -678,27 +678,16 @@ mod tests {
         }
     }
 
-    /// The quantile pass under `tier`, or `None` when this CPU lacks it.
-    fn quantile_on(tier: simd::SimdTier, fused: bool, words: &[u64]) -> Option<Vec<f64>> {
+    /// The quantile pass under `tier`, which this CPU must support.
+    fn quantile_on(tier: simd::SimdTier, fused: bool, words: &[u64]) -> Vec<f64> {
         let mut out = vec![0.0; words.len()];
         let ran = if fused {
-            simd::run_on(
-                tier,
-                QuantileWords::<true> {
-                    words,
-                    out: &mut out,
-                },
-            )
+            simd::run_on(tier, QuantileWords::<true> { words, out: &mut out })
         } else {
-            simd::run_on(
-                tier,
-                QuantileWords::<false> {
-                    words,
-                    out: &mut out,
-                },
-            )
+            simd::run_on(tier, QuantileWords::<false> { words, out: &mut out })
         };
-        ran.map(|()| out)
+        ran.expect("supported tier");
+        out
     }
 
     /// The quantile pass over words equals both scalar quantiles element
@@ -739,7 +728,7 @@ mod tests {
             for fused in [false, true] {
                 for len in (1..=130).chain([words.len()]) {
                     let words = &words[..len];
-                    let out = quantile_on(tier, fused, words).expect("supported tier");
+                    let out = quantile_on(tier, fused, words);
                     for (i, (&w, &z)) in words.iter().zip(&out).enumerate() {
                         let p = uniform_open_from_u64(w);
                         let want = if fused {
