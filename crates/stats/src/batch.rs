@@ -167,7 +167,7 @@ pub fn fill_standard_normals_inv_cdf<R: Rng + ?Sized>(rng: &mut R, out: &mut [f6
         for w in words.iter_mut() {
             *w = rng.next_u64();
         }
-        quantile_words_dispatch::<false>(words, chunk);
+        simd::dispatch(QuantileWords::<false> { words, out: chunk });
     }
 }
 
@@ -302,7 +302,7 @@ fn fill_lanes<const FUSED: bool>(streams: &mut [StdRng], out: &mut [f64]) {
     for chunk in out.chunks_mut(LANE_CHUNK / n * n) {
         let words = &mut words[..chunk.len()];
         StdRng::fill_lanes(streams, words);
-        quantile_words_dispatch::<FUSED>(words, chunk);
+        simd::dispatch(QuantileWords::<FUSED> { words, out: chunk });
     }
 }
 
@@ -389,11 +389,6 @@ impl<const FUSED: bool> simd::Kernel for QuantileWords<'_, FUSED> {
     fn run(self) {
         quantile_words::<FUSED>(self.words, self.out);
     }
-}
-
-#[inline]
-fn quantile_words_dispatch<const FUSED: bool>(words: &[u64], out: &mut [f64]) {
-    simd::dispatch(QuantileWords::<FUSED> { words, out });
 }
 
 /// Largest `|r|` the polynomial `ln(1-r)`/`exp` pair is certified for.
@@ -682,9 +677,21 @@ mod tests {
     fn quantile_on(tier: simd::SimdTier, fused: bool, words: &[u64]) -> Vec<f64> {
         let mut out = vec![0.0; words.len()];
         let ran = if fused {
-            simd::run_on(tier, QuantileWords::<true> { words, out: &mut out })
+            simd::run_on(
+                tier,
+                QuantileWords::<true> {
+                    words,
+                    out: &mut out,
+                },
+            )
         } else {
-            simd::run_on(tier, QuantileWords::<false> { words, out: &mut out })
+            simd::run_on(
+                tier,
+                QuantileWords::<false> {
+                    words,
+                    out: &mut out,
+                },
+            )
         };
         ran.expect("supported tier");
         out

@@ -217,7 +217,7 @@ fn inv_cap_phi_batch(p: &mut [f64]) {
         for ((v, l), &i) in lanes.iter_mut().zip(&mut live).zip(group) {
             (*v, *l) = (a[usize::from(i)], true);
         }
-        let s = erf_series_lanes_dispatch(&lanes, live);
+        let s = simd::dispatch(ErfSeriesLanes(&lanes, live));
         for (&i, &v) in group.iter().zip(&s) {
             sum[usize::from(i)] = v;
         }
@@ -272,11 +272,6 @@ impl simd::Kernel for ErfSeriesLanes<'_> {
     fn run(self) -> Lanes {
         erf_series_lanes(self.0, self.1)
     }
-}
-
-#[inline]
-fn erf_series_lanes_dispatch(x: &Lanes, live: [bool; QUANTILE_LANES]) -> Lanes {
-    simd::dispatch(ErfSeriesLanes(x, live))
 }
 
 /// Acklam's rational approximation of the quantile — the starting point
