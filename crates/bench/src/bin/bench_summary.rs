@@ -1,6 +1,6 @@
 //! Machine-readable performance summary: writes `BENCH_10.json`.
 //!
-//! CI runs this after the criterion benches so the perf trajectory is
+//! CI runs this after its smoke tests so the perf trajectory is
 //! tracked as data, not just as log lines: campaign wall-clock per
 //! backend **with its phase breakdown** (sizing / criticality / MC
 //! verification ms, attributed by the `vardelay-obs` metrics layer
@@ -52,8 +52,8 @@ use vardelay_circuit::generators::{inverter_chain, random_logic, RandomLogicConf
 use vardelay_circuit::{CellLibrary, LatchParams, StagedPipeline};
 use vardelay_engine::optimize::{OptimizationCampaign, OptimizeSpec, YieldBackendSpec};
 use vardelay_engine::{
-    run_campaign, run_workload, KernelSpec, LatchSpec, PipelineSpec, SweepOptions, TrialPlanSpec,
-    VariationSpec, WorkloadOptions,
+    run_workload, KernelSpec, LatchSpec, PipelineSpec, TrialPlanSpec, VariationSpec,
+    WorkloadOptions,
 };
 use vardelay_mc::{
     PipelineBlockStats, PipelineMc, PreparedPipelineMc, TrialKernel, TrialPlan, TrialStrategy,
@@ -224,11 +224,11 @@ fn main() {
     let mut campaign_samples = Vec::new();
     for backend in [YieldBackendSpec::Analytic, YieldBackendSpec::Netlist] {
         let spec = campaign(backend);
-        let a = run_campaign(&spec, &SweepOptions::sequential()).unwrap();
-        let b = run_campaign(&spec, &SweepOptions::sequential().with_workers(4)).unwrap();
+        let a = run_workload(&spec, &WorkloadOptions::sequential()).unwrap();
+        let b = run_workload(&spec, &WorkloadOptions::sequential().with_workers(4)).unwrap();
         assert_eq!(a.to_json(), b.to_json(), "worker count must not matter");
         let session = vardelay_obs::Session::start();
-        let traced = run_campaign(&spec, &SweepOptions::sequential()).unwrap();
+        let traced = run_workload(&spec, &WorkloadOptions::sequential()).unwrap();
         drop(session.finish());
         assert_eq!(
             a.to_json(),
@@ -236,7 +236,7 @@ fn main() {
             "tracing must not change bytes"
         );
         let sample = median_traced(|| {
-            std::hint::black_box(run_campaign(&spec, &SweepOptions::sequential()).unwrap());
+            std::hint::black_box(run_workload(&spec, &WorkloadOptions::sequential()).unwrap());
         });
         campaign_samples.push((backend.keyword(), sample));
     }
@@ -273,7 +273,7 @@ fn main() {
     let cache_hit_rate = hits as f64 / (hits + misses) as f64;
     assert_eq!(
         warm.to_json(),
-        run_campaign(&cache_spec, &SweepOptions::sequential())
+        run_workload(&cache_spec, &WorkloadOptions::sequential())
             .expect("uncached run")
             .to_json(),
         "warm cache run must reproduce uncached bytes"

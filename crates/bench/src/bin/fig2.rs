@@ -14,8 +14,8 @@
 
 use vardelay_bench::render::histogram_vs_normal;
 use vardelay_engine::{
-    run_sweep, BackendSpec, KernelSpec, LatchSpec, PipelineSpec, Scenario, Sweep, SweepOptions,
-    TrialPlanSpec, VariationSpec,
+    run_workload, BackendSpec, KernelSpec, LatchSpec, PipelineSpec, Scenario, Sweep, TrialPlanSpec,
+    VariationSpec, WorkloadOptions,
 };
 use vardelay_stats::Normal;
 
@@ -71,7 +71,7 @@ fn main() {
     println!("(stage logic depth = 10), analytical model vs {trials}-trial Monte-Carlo");
     println!("(engine netlist backend, histograms streamed through block stats)\n");
 
-    let result = run_sweep(&sweep, &SweepOptions::default()).expect("valid spec");
+    let result = run_workload(&sweep, &WorkloadOptions::parallel()).expect("valid spec");
     for s in &result.scenarios {
         let mc = s.mc.as_ref().expect("trials requested");
         let hist = mc.histogram.as_ref().expect("histogram requested");

@@ -11,8 +11,8 @@
 
 use vardelay_bench::render::xy_table;
 use vardelay_engine::{
-    run_sweep, BackendSpec, KernelSpec, PipelineSpec, Scenario, StageMoments, Sweep, SweepOptions,
-    TrialPlanSpec, VariationSpec,
+    run_workload, BackendSpec, KernelSpec, PipelineSpec, Scenario, StageMoments, Sweep,
+    TrialPlanSpec, VariationSpec, WorkloadOptions,
 };
 
 /// A moment-form scenario: `ns` slightly staggered stages at correlation
@@ -61,7 +61,7 @@ fn main() {
             .collect(),
         grid: None,
     };
-    let result = run_sweep(&sweep, &SweepOptions::default()).expect("valid spec");
+    let result = run_workload(&sweep, &WorkloadOptions::parallel()).expect("valid spec");
     let errors = |i: usize| {
         let s = &result.scenarios[i];
         let mc = s.mc.as_ref().expect("trials requested");

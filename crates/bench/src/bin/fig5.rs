@@ -15,8 +15,8 @@
 
 use vardelay_bench::render::xy_table;
 use vardelay_engine::{
-    run_sweep, BackendSpec, GridSpec, KernelSpec, LatchSpec, PipelineSpec, Scenario, StageMoments,
-    Sweep, SweepOptions, TrialPlanSpec, VariationSpec,
+    run_workload, BackendSpec, GridSpec, KernelSpec, LatchSpec, PipelineSpec, Scenario,
+    StageMoments, Sweep, TrialPlanSpec, VariationSpec, WorkloadOptions,
 };
 
 /// Runs an analytic-only sweep and returns each scenario's σ/μ.
@@ -27,7 +27,7 @@ fn variabilities(name: &str, scenarios: Vec<Scenario>) -> Vec<f64> {
         scenarios,
         grid: None,
     };
-    run_sweep(&sweep, &SweepOptions::default())
+    run_workload(&sweep, &WorkloadOptions::parallel())
         .expect("valid spec")
         .scenarios
         .iter()
@@ -100,7 +100,7 @@ fn panel_a() {
             histogram_bins: 0,
         }),
     };
-    let vars: Vec<f64> = run_sweep(&sweep, &SweepOptions::default())
+    let vars: Vec<f64> = run_workload(&sweep, &WorkloadOptions::parallel())
         .expect("valid spec")
         .scenarios
         .iter()

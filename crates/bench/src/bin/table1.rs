@@ -20,8 +20,8 @@
 
 use vardelay_bench::render::{pct, TextTable};
 use vardelay_engine::{
-    run_sweep, BackendSpec, KernelSpec, LatchSpec, PipelineSpec, Scenario, Sweep, SweepOptions,
-    TrialPlanSpec, VariationSpec,
+    run_workload, BackendSpec, KernelSpec, LatchSpec, PipelineSpec, Scenario, Sweep, TrialPlanSpec,
+    VariationSpec, WorkloadOptions,
 };
 
 fn grid(stages: usize, depth: usize) -> PipelineSpec {
@@ -84,7 +84,7 @@ fn main() {
             .collect(),
         grid: None,
     };
-    let result = run_sweep(&sweep, &SweepOptions::default()).expect("valid spec");
+    let result = run_workload(&sweep, &WorkloadOptions::parallel()).expect("valid spec");
 
     let mut t = TextTable::new([
         "Pipeline config",

@@ -22,7 +22,7 @@
 use vardelay_bench::iscas_pipeline_spec;
 use vardelay_bench::render::{pct, TextTable};
 use vardelay_engine::optimize::{OptimizationCampaign, OptimizeSpec, YieldBackendSpec};
-use vardelay_engine::{run_campaign, KernelSpec, SweepOptions, TrialPlanSpec, VariationSpec};
+use vardelay_engine::{run_workload, KernelSpec, TrialPlanSpec, VariationSpec, WorkloadOptions};
 use vardelay_opt::{OptimizationGoal, TargetDelayPolicy};
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
         }],
         grid: None,
     };
-    let result = run_campaign(&campaign, &SweepOptions::default()).expect("campaign is valid");
+    let result = run_workload(&campaign, &WorkloadOptions::parallel()).expect("campaign is valid");
     let run = &result.runs[0];
     let report = &run.report;
     let target = run.target_ps;

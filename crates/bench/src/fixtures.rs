@@ -1,61 +1,13 @@
 //! Shared experiment fixtures: the calibrated setups every binary uses.
 
-use vardelay_circuit::{CellLibrary, LatchParams, StagedPipeline};
+use vardelay_circuit::CellLibrary;
 use vardelay_core::{Pipeline, StageDelay};
-use vardelay_mc::{McConfig, PipelineMc, PipelineMcResult};
-use vardelay_process::{Technology, VariationConfig};
-use vardelay_ssta::{PipelineTiming, SstaEngine};
-use vardelay_stats::Normal;
-
-/// The paper's three verification scenarios (§2.4 / Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
-    /// Only random intra-die variation — independent stage delays.
-    IntraRandomOnly,
-    /// Only inter-die variation — perfectly correlated stage delays.
-    InterOnly,
-    /// Inter + intra (random + systematic) — partially correlated.
-    Combined,
-}
-
-impl Scenario {
-    /// The calibrated variation configuration for this scenario.
-    pub fn variation(self) -> VariationConfig {
-        match self {
-            Scenario::IntraRandomOnly => VariationConfig::random_only(35.0),
-            Scenario::InterOnly => VariationConfig::inter_only(40.0),
-            Scenario::Combined => VariationConfig::combined(20.0, 35.0, 15.0),
-        }
-    }
-
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scenario::IntraRandomOnly => "random intra-die only",
-            Scenario::InterOnly => "inter-die only",
-            Scenario::Combined => "inter + intra (random + systematic)",
-        }
-    }
-}
+use vardelay_process::Technology;
+use vardelay_ssta::PipelineTiming;
 
 /// The standard cell library (BPTM-70nm-like).
 pub fn library() -> CellLibrary {
     CellLibrary::new(Technology::bptm70())
-}
-
-/// An SSTA engine for a scenario.
-pub fn engine(scenario: Scenario) -> SstaEngine {
-    SstaEngine::new(library(), scenario.variation(), None)
-}
-
-/// A pipeline Monte-Carlo runner for a scenario.
-pub fn pipeline_mc(scenario: Scenario) -> PipelineMc {
-    PipelineMc::new(library(), scenario.variation(), None)
-}
-
-/// An `ns × nl` inverter-chain pipeline with the paper's flip-flops.
-pub fn inverter_pipeline(ns: usize, nl: usize) -> StagedPipeline {
-    StagedPipeline::inverter_grid(ns, nl, 1.0, LatchParams::tg_msff_70nm())
 }
 
 /// The Tables II/III pipeline as a campaign spec: the four synthetic
@@ -85,97 +37,6 @@ pub fn to_core_pipeline(timing: &PipelineTiming) -> Pipeline {
         .expect("SSTA timing dimensions are consistent")
 }
 
-/// Analytic (SSTA + Clark) pipeline delay for a staged pipeline.
-pub fn analytic_delay(scenario: Scenario, pipeline: &StagedPipeline) -> Normal {
-    to_core_pipeline(&engine(scenario).analyze_pipeline(pipeline)).delay_distribution()
-}
-
-/// Monte-Carlo pipeline delay with the default experiment budget.
-pub fn mc_delay(
-    scenario: Scenario,
-    pipeline: &StagedPipeline,
-    trials: usize,
-    seed: u64,
-) -> PipelineMcResult {
-    pipeline_mc(scenario).run(
-        pipeline,
-        &McConfig {
-            trials,
-            seed,
-            threads: 4,
-        },
-    )
-}
-
-/// A side-by-side comparison row: analytic vs Monte-Carlo.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonRow {
-    /// Configuration label (e.g. "5x8").
-    pub label: String,
-    /// Target delay used for the yield column (ps).
-    pub target_ps: f64,
-    /// Monte-Carlo mean (ps).
-    pub mc_mean: f64,
-    /// Monte-Carlo sd (ps).
-    pub mc_sd: f64,
-    /// Monte-Carlo yield (0..1).
-    pub mc_yield: f64,
-    /// Analytical mean (ps).
-    pub model_mean: f64,
-    /// Analytical sd (ps).
-    pub model_sd: f64,
-    /// Analytical yield (0..1).
-    pub model_yield: f64,
-}
-
-impl ComparisonRow {
-    /// Relative mean error in percent.
-    pub fn mean_error_pct(&self) -> f64 {
-        100.0 * (self.model_mean - self.mc_mean).abs() / self.mc_mean
-    }
-
-    /// Relative sd error in percent.
-    pub fn sd_error_pct(&self) -> f64 {
-        100.0 * (self.model_sd - self.mc_sd).abs() / self.mc_sd
-    }
-}
-
-/// Runs one Table-I style comparison for a pipeline configuration,
-/// following the paper's §2.4 methodology: the per-stage `(μᵢ, σᵢ)` are
-/// *measured* from the Monte-Carlo (the paper uses SPICE MC), then fed
-/// into the analytical model together with the SSTA-derived stage
-/// correlations — so the comparison isolates the Clark-model error, not
-/// the stage-characterization error.
-pub fn compare(
-    scenario: Scenario,
-    pipeline: &StagedPipeline,
-    target_ps: f64,
-    trials: usize,
-    seed: u64,
-) -> ComparisonRow {
-    let mc = mc_delay(scenario, pipeline, trials, seed);
-    let correlation = engine(scenario).analyze_pipeline(pipeline).correlation;
-    let stages: Vec<StageDelay> = mc
-        .stage_stats
-        .iter()
-        .map(|s| {
-            StageDelay::from_moments(s.mean(), s.sample_sd()).expect("MC stage moments are finite")
-        })
-        .collect();
-    let model = Pipeline::new(stages, correlation).expect("dimensions match");
-    let analytic = model.delay_distribution();
-    ComparisonRow {
-        label: pipeline.name().to_owned(),
-        target_ps,
-        mc_mean: mc.pipeline.mean(),
-        mc_sd: mc.pipeline.sd(),
-        mc_yield: mc.pipeline.yield_at(target_ps).value,
-        model_mean: analytic.mean(),
-        model_sd: analytic.sd(),
-        model_yield: model.yield_at(target_ps),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,40 +50,5 @@ mod tests {
         for (b, w) in built.stages().iter().zip(&want) {
             assert_eq!(b.gate_count(), w.gate_count());
         }
-    }
-
-    #[test]
-    fn scenarios_map_to_expected_components() {
-        assert!(!Scenario::IntraRandomOnly.variation().has_inter());
-        assert!(!Scenario::InterOnly.variation().has_random());
-        assert!(Scenario::Combined.variation().has_systematic());
-    }
-
-    #[test]
-    fn comparison_row_errors_match_paper_bounds() {
-        // Small 4x6 pipeline: the model should track MC within the paper's
-        // reported error envelope (mean < ~1%, sd < ~10% incl. MC noise).
-        let p = inverter_pipeline(4, 6);
-        let row = compare(Scenario::IntraRandomOnly, &p, 230.0, 8_000, 42);
-        assert!(
-            row.mean_error_pct() < 1.0,
-            "mean err {}",
-            row.mean_error_pct()
-        );
-        assert!(row.sd_error_pct() < 12.0, "sd err {}", row.sd_error_pct());
-        assert!((row.mc_yield - row.model_yield).abs() < 0.05);
-    }
-
-    #[test]
-    fn analytic_delay_exceeds_slowest_stage() {
-        let p = inverter_pipeline(5, 8);
-        let timing = engine(Scenario::IntraRandomOnly).analyze_pipeline(&p);
-        let d = analytic_delay(Scenario::IntraRandomOnly, &p);
-        let slowest = timing
-            .stage_delays
-            .iter()
-            .map(Normal::mean)
-            .fold(0.0, f64::max);
-        assert!(d.mean() >= slowest);
     }
 }

@@ -794,6 +794,7 @@ impl UnitCache {
 
     /// Binds a store to an explicit contract version — test hook for
     /// pinning that a version bump turns every entry into a miss.
+    // Kept: crates/cache/tests/store.rs calls it.
     pub fn with_contract(store: ResultStore, contract: u32) -> Self {
         UnitCache {
             store: RefCell::new(store),
@@ -803,6 +804,7 @@ impl UnitCache {
 
     /// Releases the underlying store (e.g. to read
     /// [`ResultStore::stats`] after a run).
+    // Kept: crates/cache/tests/store.rs calls it.
     pub fn into_store(self) -> ResultStore {
         self.store.into_inner()
     }

@@ -64,6 +64,7 @@ pub fn c3540() -> Netlist {
 
 /// The paper's 4-stage pipeline in Table II/III order
 /// (c3540, c2670, c1908, c432).
+// Kept: the bench fixtures test calls it.
 pub fn table2_stages() -> Vec<Netlist> {
     vec![c3540(), c2670(), c1908(), c432()]
 }

@@ -64,6 +64,7 @@ impl CellLibrary {
     /// # Panics
     ///
     /// Panics if `size <= 0`.
+    // Kept: crates/circuit/tests/properties.rs calls it.
     pub fn input_cap(&self, kind: GateKind, size: f64) -> f64 {
         assert!(size > 0.0, "size must be positive");
         size * kind.logical_effort()

@@ -191,19 +191,6 @@ impl Netlist {
         signal.0.checked_sub(self.input_count)
     }
 
-    /// Returns a copy with gate `i` resized to `size`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or `size <= 0`.
-    pub fn with_gate_size(&self, i: usize, size: f64) -> Netlist {
-        assert!(i < self.gates.len(), "gate index out of range");
-        assert!(size.is_finite() && size > 0.0, "invalid size {size}");
-        let mut n = self.clone();
-        n.gates[i].size = size;
-        n
-    }
-
     /// Sets gate `i`'s size in place.
     ///
     /// # Panics
@@ -220,6 +207,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `factor <= 0`.
+    // Kept: the ssta, mc and opt tests and crates/circuit/tests/properties.rs call it.
     pub fn scale_sizes(&mut self, factor: f64) {
         assert!(factor.is_finite() && factor > 0.0, "invalid factor");
         for g in &mut self.gates {
@@ -265,34 +253,9 @@ impl Netlist {
         load
     }
 
-    /// Fanout signal counts per signal (how many gate inputs each signal
-    /// drives; primary-output connections not included).
-    pub fn fanout_counts(&self) -> Vec<usize> {
-        let mut n = vec![0usize; self.input_count + self.gates.len()];
-        for g in &self.gates {
-            for &f in &g.fanins {
-                n[f.0] += 1;
-            }
-        }
-        n
-    }
-
     /// Gate sizes as a vector (the sizing algorithms' decision variables).
     pub fn sizes(&self) -> Vec<f64> {
         self.gates.iter().map(|g| g.size).collect()
-    }
-
-    /// Applies a full size vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sizes.len() != gate_count()` or any size is invalid.
-    pub fn apply_sizes(&mut self, sizes: &[f64]) {
-        assert_eq!(sizes.len(), self.gates.len(), "size vector length");
-        for (i, (&s, g)) in sizes.iter().zip(&mut self.gates).enumerate() {
-            assert!(s.is_finite() && s > 0.0, "invalid size {s} for gate {i}");
-            g.size = s;
-        }
     }
 }
 
@@ -429,14 +392,8 @@ mod tests {
         let mut n = tiny();
         n.set_gate_size(0, 4.0);
         assert_eq!(n.gates()[0].size, 4.0);
-        let n2 = n.with_gate_size(1, 8.0);
-        assert_eq!(n2.gates()[1].size, 8.0);
-        assert_eq!(n.gates()[1].size, 2.0);
         n.scale_sizes(2.0);
-        assert_eq!(n.gates()[0].size, 8.0);
-        let mut n3 = tiny();
-        n3.apply_sizes(&[5.0, 6.0]);
-        assert_eq!(n3.sizes(), vec![5.0, 6.0]);
+        assert_eq!(n.sizes(), vec![8.0, 4.0]);
     }
 
     #[test]

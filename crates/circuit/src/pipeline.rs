@@ -106,31 +106,6 @@ impl StagedPipeline {
         }
     }
 
-    /// Creates a pipeline with explicit die positions per stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is empty or lengths differ.
-    pub fn with_positions(
-        name: &str,
-        stages: Vec<Netlist>,
-        latch: LatchParams,
-        positions: Vec<DiePosition>,
-    ) -> Self {
-        assert!(!stages.is_empty(), "pipeline needs at least one stage");
-        assert_eq!(
-            stages.len(),
-            positions.len(),
-            "one position per stage required"
-        );
-        StagedPipeline {
-            name: name.to_owned(),
-            stages,
-            latch,
-            positions,
-        }
-    }
-
     /// A homogeneous pipeline of `ns` inverter-chain stages of depth `nl`
     /// — the paper's `ns × nl` configurations (§2.4, Fig. 5).
     ///
@@ -158,15 +133,6 @@ impl StagedPipeline {
     /// The stage netlists.
     pub fn stages(&self) -> &[Netlist] {
         &self.stages
-    }
-
-    /// Mutable access to a stage (for sizing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn stage_mut(&mut self, i: usize) -> &mut Netlist {
-        &mut self.stages[i]
     }
 
     /// Replaces a stage netlist.
@@ -243,7 +209,9 @@ mod tests {
         );
         p.set_stage(1, inverter_chain(5, 2.0));
         assert_eq!(p.stages()[1].gate_count(), 5);
-        p.stage_mut(0).scale_sizes(3.0);
+        let mut s0 = p.stages()[0].clone();
+        s0.scale_sizes(3.0);
+        p.set_stage(0, s0);
         assert!((p.stages()[0].area() - 9.0).abs() < 1e-12);
     }
 

@@ -118,16 +118,6 @@ pub fn pipeline_power(
     PowerReport { dynamic, leakage }
 }
 
-/// Leakage amplification factor for a Vth shift: fast (low-Vth) dies leak
-/// exponentially more — `exp(−ΔVth / (n·v_T))`.
-///
-/// This is the power face of the delay–leakage trade the paper's inter-die
-/// variation induces: the same die that is fast (negative ΔVth, high delay
-/// yield) is the one that burns leakage.
-pub fn leakage_factor(dvth: f64) -> f64 {
-    (-dvth / SUBTHRESHOLD_NVT).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,11 +146,5 @@ mod tests {
         assert!((fast.leakage / nominal.leakage - std::f64::consts::E).abs() < 1e-9);
         // Dynamic power unaffected by Vth.
         assert!((fast.dynamic - nominal.dynamic).abs() < 1e-12);
-    }
-
-    #[test]
-    fn leakage_factor_is_exponential() {
-        assert!((leakage_factor(0.0) - 1.0).abs() < 1e-15);
-        assert!((leakage_factor(-0.080) - std::f64::consts::E.powi(2)).abs() < 1e-9);
     }
 }

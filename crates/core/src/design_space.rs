@@ -16,7 +16,6 @@
 //!   under μ (and hence σ).
 
 use serde::{Deserialize, Serialize};
-use vardelay_stats::inv_cap_phi;
 
 /// The admissibility bounds for one stage of a pipeline with a yield
 /// target (eqs. 10–12).
@@ -62,12 +61,6 @@ impl DesignSpace {
     /// Pipeline yield target `P_D`.
     pub fn yield_target(&self) -> f64 {
         self.yield_target
-    }
-
-    /// Eq. (10): upper bound on any stage mean given the pipeline σ_T:
-    /// `μᵢ ≤ μ_T ≤ T − σ_T·Φ⁻¹(P_D)`.
-    pub fn mu_upper_bound(&self, sigma_t_ps: f64) -> f64 {
-        self.target_ps - sigma_t_ps * inv_cap_phi(self.yield_target)
     }
 
     /// Eq. (11): the relaxed σ bound at mean `mu`:
@@ -154,17 +147,6 @@ impl RealizableCurve {
         assert!(mu_ps >= 0.0, "mean must be non-negative");
         self.sigma_gate_ps * (mu_ps / self.mu_gate_ps).sqrt()
     }
-
-    /// Stage moments at logic depth `nl`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nl == 0`.
-    pub fn at_depth(&self, nl: usize) -> (f64, f64) {
-        assert!(nl > 0, "logic depth must be positive");
-        let mu = nl as f64 * self.mu_gate_ps;
-        (mu, self.sigma_gate_ps * (nl as f64).sqrt())
-    }
 }
 
 /// The full Fig. 4 picture: admissibility bounds plus the realizable band
@@ -235,13 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn mu_upper_bound_monotone_in_sigma() {
-        let ds = DesignSpace::new(200.0, 0.9).unwrap();
-        assert!(ds.mu_upper_bound(10.0) < ds.mu_upper_bound(5.0));
-        assert!(ds.mu_upper_bound(0.0) == 200.0);
-    }
-
-    #[test]
     fn stage_allocation_matches_yield_model() {
         let ds = DesignSpace::new(200.0, 0.8).unwrap();
         let y = ds.stage_allocation(4);
@@ -258,9 +233,6 @@ mod tests {
     #[test]
     fn realizable_curve_sqrt_scaling() {
         let c = RealizableCurve::new(10.0, 1.0);
-        let (mu, sd) = c.at_depth(16);
-        assert!((mu - 160.0).abs() < 1e-12);
-        assert!((sd - 4.0).abs() < 1e-12);
         assert!((c.sigma_at(160.0) - 4.0).abs() < 1e-12);
     }
 

@@ -77,51 +77,6 @@ impl Pipeline {
         &self.correlation
     }
 
-    /// Adds an independent clock-skew/jitter term to every stage — an
-    /// extension of eq. (1): `SD_i += N(skew_mean, skew_sd²)`, independent
-    /// per stage boundary. Clock uncertainty eats directly into the cycle
-    /// budget, so it shifts and widens every stage-delay distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `skew_sd_ps < 0` or `skew_mean_ps` is not finite.
-    pub fn with_clock_skew(&self, skew_mean_ps: f64, skew_sd_ps: f64) -> Pipeline {
-        assert!(skew_mean_ps.is_finite(), "skew mean must be finite");
-        assert!(
-            skew_sd_ps.is_finite() && skew_sd_ps >= 0.0,
-            "skew sd must be finite and non-negative"
-        );
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| {
-                let d = s.as_normal();
-                StageDelay::from_moments(
-                    d.mean() + skew_mean_ps,
-                    (d.variance() + skew_sd_ps * skew_sd_ps).sqrt(),
-                )
-                .expect("skewed moments remain finite")
-            })
-            .collect();
-        Pipeline {
-            stages,
-            correlation: self.correlation.clone(),
-        }
-    }
-
-    /// Replaces stage `i`, returning the modified pipeline (used by the
-    /// global optimizer, which re-analyzes one stage at a time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn with_stage(&self, i: usize, stage: StageDelay) -> Pipeline {
-        assert!(i < self.stages.len(), "stage index out of range");
-        let mut p = self.clone();
-        p.stages[i] = stage;
-        p
-    }
-
     /// The overall pipeline delay distribution `T_P = max_i SD_i`
     /// approximated as a Gaussian via Clark's recursion (eqs. 4–6),
     /// processing stages in increasing order of mean (§2.4).
@@ -162,6 +117,7 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidProbability`] if `y` is outside `(0, 1)`.
+    // Kept: crates/core/tests/properties.rs calls it.
     pub fn target_for_yield(&self, y: f64) -> Result<f64, CoreError> {
         if !(y > 0.0 && y < 1.0) {
             return Err(CoreError::InvalidProbability { value: y });
@@ -177,6 +133,7 @@ impl Pipeline {
     /// # Panics
     ///
     /// Panics if `trials == 0` or the correlation matrix is not PSD.
+    // Kept: crates/core/tests/properties.rs calls it.
     pub fn criticality_probabilities(&self, trials: usize, seed: u64) -> Vec<f64> {
         self.criticality_probabilities_with(NormalFill::Scalar, trials, seed)
     }
@@ -187,6 +144,7 @@ impl Pipeline {
     /// # Panics
     ///
     /// Panics if `trials == 0` or the correlation matrix is not PSD.
+    // Kept: perfbench's criticality probe calls it.
     pub fn criticality_probabilities_v3(&self, trials: usize, seed: u64) -> Vec<f64> {
         self.criticality_probabilities_with(NormalFill::InvCdf, trials, seed)
     }
@@ -426,30 +384,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn clock_skew_widens_and_shifts() {
-        let p = Pipeline::independent(vec![sd(200.0, 4.0), sd(198.0, 5.0)]).unwrap();
-        let q = p.with_clock_skew(2.0, 3.0);
-        for (a, b) in p.stages().iter().zip(q.stages()) {
-            assert!((b.mean() - a.mean() - 2.0).abs() < 1e-12);
-            assert!((b.sd() * b.sd() - a.sd() * a.sd() - 9.0).abs() < 1e-9);
-        }
-        // Skew can only hurt yield at a fixed target.
-        assert!(q.yield_at(210.0) < p.yield_at(210.0));
-        // Zero skew is identity.
-        let r = p.with_clock_skew(0.0, 0.0);
-        assert_eq!(r.stages(), p.stages());
-    }
-
-    #[test]
-    fn with_stage_replaces_one_entry() {
-        let p = Pipeline::independent(vec![sd(100.0, 1.0), sd(110.0, 1.0)]).unwrap();
-        let q = p.with_stage(1, sd(90.0, 1.0));
-        assert_eq!(q.stages()[1].mean(), 90.0);
-        assert_eq!(p.stages()[1].mean(), 110.0);
-        // Replacing the slow stage shifts the pipeline distribution down.
-        assert!(q.delay_distribution().mean() < p.delay_distribution().mean());
     }
 }

@@ -34,14 +34,6 @@ impl StageDelay {
         })
     }
 
-    /// Builds from the three independent components of eq. (1):
-    /// clock-to-Q, combinational, and setup.
-    pub fn from_components(tcq: Normal, tcomb: Normal, tsetup: Normal) -> Self {
-        StageDelay {
-            dist: tcq.add_independent(&tcomb).add_independent(&tsetup),
-        }
-    }
-
     /// Wraps an existing [`Normal`].
     pub fn from_normal(dist: Normal) -> Self {
         StageDelay { dist }
@@ -76,16 +68,6 @@ impl StageDelay {
     pub fn yield_at(&self, target_ps: f64) -> f64 {
         self.dist.cdf(target_ps)
     }
-
-    /// The mean delay this stage must have — holding σ fixed — to meet
-    /// `target` with probability `y` (inverts eq. 11).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` is outside `(0, 1)`.
-    pub fn mean_budget_for_yield(&self, target_ps: f64, y: f64) -> f64 {
-        target_ps - self.sd() * vardelay_stats::inv_cap_phi(y)
-    }
 }
 
 impl From<Normal> for StageDelay {
@@ -99,29 +81,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn components_add_independently() {
-        let tcq = Normal::new(5.0, 0.2).unwrap();
-        let tcomb = Normal::new(190.0, 4.0).unwrap();
-        let tsetup = Normal::new(3.0, 0.1).unwrap();
-        let sd = StageDelay::from_components(tcq, tcomb, tsetup);
-        assert!((sd.mean() - 198.0).abs() < 1e-12);
-        let want_var: f64 = 0.04 + 16.0 + 0.01;
-        assert!((sd.sd() - want_var.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
     fn yield_is_cdf() {
         let sd = StageDelay::from_moments(200.0, 5.0).unwrap();
         assert!((sd.yield_at(200.0) - 0.5).abs() < 1e-12);
         assert!(sd.yield_at(215.0) > 0.99);
-    }
-
-    #[test]
-    fn mean_budget_inverts_yield() {
-        let sd = StageDelay::from_moments(200.0, 5.0).unwrap();
-        let budget = sd.mean_budget_for_yield(210.0, 0.95);
-        let check = StageDelay::from_moments(budget, 5.0).unwrap();
-        assert!((check.yield_at(210.0) - 0.95).abs() < 1e-9);
     }
 
     #[test]

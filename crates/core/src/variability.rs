@@ -42,16 +42,6 @@ pub fn stage_moments(nl: usize, mu_gate_ps: f64, f_shared: f64, f_rand: f64) -> 
     Normal::new(mu, (var_shared + var_rand).sqrt()).expect("moments are finite")
 }
 
-/// σ/μ of a stage vs logic depth (Fig. 5a):
-/// `sqrt(f_shared² + f_rand²/N_L)`.
-///
-/// # Panics
-///
-/// Panics on the same conditions as [`stage_moments`].
-pub fn stage_variability(nl: usize, f_shared: f64, f_rand: f64) -> f64 {
-    stage_moments(nl, 1.0, f_shared, f_rand).variability()
-}
-
 /// The stage-to-stage correlation implied by the shared/random split:
 /// `ρ = σ_shared² / (σ_shared² + σ_rand²)` for identical stages.
 ///
@@ -169,6 +159,12 @@ mod tests {
             "inter-dominated favors many stages, got {}",
             inter.ns
         );
+    }
+
+    /// σ/μ of a stage vs logic depth (Fig. 5a):
+    /// `sqrt(f_shared² + f_rand²/N_L)`.
+    fn stage_variability(nl: usize, f_shared: f64, f_rand: f64) -> f64 {
+        stage_moments(nl, 1.0, f_shared, f_rand).variability()
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! ## Example
 //!
 //! ```
-//! use vardelay_engine::{run_sweep, Sweep, SweepOptions};
+//! use vardelay_engine::{run_workload, Sweep, WorkloadOptions};
 //!
 //! let mut sweep = Sweep::example();
 //! // Keep the doctest quick: one scenario, a small trial budget.
@@ -70,8 +70,8 @@
 //! sweep.grid = None;
 //! sweep.scenarios[0].trials = 200;
 //!
-//! let a = run_sweep(&sweep, &SweepOptions::sequential()).unwrap();
-//! let b = run_sweep(&sweep, &SweepOptions::sequential().with_workers(4)).unwrap();
+//! let a = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap();
+//! let b = run_workload(&sweep, &WorkloadOptions::sequential().with_workers(4)).unwrap();
 //! assert_eq!(a, b); // worker count never changes results
 //! assert_eq!(a.scenarios[0].mc.as_ref().unwrap().trials, 200);
 //! ```
@@ -92,14 +92,12 @@ pub mod verify;
 pub mod workload;
 
 pub use design_space::{design_space, DesignSpaceResult, DesignSpaceSpec};
-pub use optimize::{
-    run_campaign, OptimizationCampaign, OptimizeGridSpec, OptimizeSpec, YieldBackendSpec,
-};
+pub use optimize::{OptimizationCampaign, OptimizeGridSpec, OptimizeSpec, YieldBackendSpec};
 pub use plan::{plan_campaign, plan_sweep, CampaignPlan, RunPlan, ScenarioPlan, SweepPlan};
 pub use result::{
     CampaignResult, McSummary, McVerification, OptimizationRunResult, ScenarioResult, SweepResult,
 };
-pub use run::{run_sweep, EngineError, SweepOptions};
+pub use run::EngineError;
 pub use seed::trial_seed;
 pub use sim::Simulator;
 pub use spec::{

@@ -41,13 +41,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::plan::{CampaignPlan, RunPlan};
 use crate::result::{BaselineOutcome, CampaignResult, McVerification, OptimizationRunResult};
-use crate::run::{build_model_from_mc, EngineError, SweepOptions, MAX_TRIALS};
+use crate::run::{build_model_from_mc, EngineError, MAX_TRIALS};
 use crate::seed::{fnv1a64, trial_seed};
 use crate::spec::{
     is_default, keyword_enum, trials_from_value, trials_to_value, KernelSpec, PipelineSpec,
     StrategySpec, TrialPlanSpec, VariationSpec,
 };
-use crate::workload::{run_workload, StepContext, Workload, WorkloadOptions};
+use crate::workload::{StepContext, Workload};
 
 keyword_enum! {
     /// Which backend measures pipeline yield *inside* the sizing loop.
@@ -881,25 +881,6 @@ impl Workload for OptimizationCampaign {
             total_verify_trials,
         }
     }
-}
-
-/// Executes an optimization campaign and assembles per-run results.
-///
-/// Thin wrapper over the unified [`run_workload`] pipeline. Results are
-/// byte-identical for any `opts.workers` — the spec (including its
-/// seed) alone determines every number.
-///
-/// # Errors
-///
-/// Returns an [`EngineError`] naming the first invalid run.
-pub fn run_campaign(
-    campaign: &OptimizationCampaign,
-    opts: &SweepOptions,
-) -> Result<CampaignResult, EngineError> {
-    run_workload(
-        campaign,
-        &WorkloadOptions::sequential().with_workers(opts.workers),
-    )
 }
 
 #[cfg(test)]

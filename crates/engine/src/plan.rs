@@ -199,7 +199,7 @@ impl WorkloadPlan for SweepPlan {
 ///
 /// # Errors
 ///
-/// Returns the same [`EngineError`] a real [`crate::run_sweep`] would
+/// Returns the same [`EngineError`] a real [`crate::run_workload`] would
 /// return for the first invalid scenario.
 pub fn plan_sweep(sweep: &Sweep) -> Result<SweepPlan, EngineError> {
     plan_workload(sweep, |_, _| {})
@@ -320,7 +320,7 @@ impl WorkloadPlan for CampaignPlan {
 ///
 /// # Errors
 ///
-/// Returns the same [`EngineError`] a real [`crate::run_campaign`]
+/// Returns the same [`EngineError`] a real [`crate::run_workload`]
 /// would return for the first invalid run.
 pub fn plan_campaign(campaign: &OptimizationCampaign) -> Result<CampaignPlan, EngineError> {
     plan_workload(campaign, |_, _| {})

@@ -34,7 +34,7 @@ use crate::result::{
 use crate::seed::fnv1a64;
 use crate::sim::{GateLevelSim, MvnSim, Simulator};
 use crate::spec::{BackendSpec, PipelineSpec, Scenario, StrategySpec, Sweep, VariationSpec};
-use crate::workload::{run_workload, StepContext, Workload, WorkloadOptions};
+use crate::workload::{StepContext, Workload};
 
 /// Sweep execution error: an invalid scenario spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,35 +79,6 @@ pub const MAX_TRIALS: u64 = 100_000_000;
 /// Cap on a scenario's `histogram_bins` — enough for any plot while
 /// keeping block messages small.
 pub const MAX_HISTOGRAM_BINS: usize = 4_096;
-
-/// Worker-pool configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepOptions {
-    /// Worker threads; 1 runs everything on the calling thread. Has no
-    /// effect on results, only on wall-clock time.
-    pub workers: usize,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            workers: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        }
-    }
-}
-
-impl SweepOptions {
-    /// Sequential execution (the determinism baseline).
-    pub fn sequential() -> Self {
-        SweepOptions { workers: 1 }
-    }
-
-    /// Sets the worker count (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-}
 
 /// The engine's shared worker pool: runs `items` indexed work functions
 /// over `workers` threads (on the calling thread when `workers <= 1`),
@@ -620,22 +591,6 @@ impl Workload for Sweep {
     }
 }
 
-/// Executes a sweep and assembles per-scenario results.
-///
-/// Thin wrapper over the unified [`run_workload`] pipeline. Results are
-/// bit-identical for any `opts.workers` — the spec (including its seed)
-/// alone determines every number.
-///
-/// # Errors
-///
-/// Returns an [`EngineError`] naming the first invalid scenario.
-pub fn run_sweep(sweep: &Sweep, opts: &SweepOptions) -> Result<SweepResult, EngineError> {
-    run_workload(
-        sweep,
-        &WorkloadOptions::sequential().with_workers(opts.workers),
-    )
-}
-
 fn finalize(p: &Prepared, stats: Option<PipelineBlockStats>) -> ScenarioResult {
     let d = p.analytic.delay_distribution();
     let analytic = AnalyticSummary {
@@ -746,6 +701,7 @@ mod tests {
     use crate::spec::{
         KernelSpec, LatchSpec, PipelineSpec, StageMoments, TrialPlanSpec, VariationSpec,
     };
+    use crate::workload::{run_workload, WorkloadOptions};
 
     fn tiny_sweep(trials: u64) -> Sweep {
         Sweep {
@@ -804,7 +760,7 @@ mod tests {
 
     #[test]
     fn analytic_only_when_no_trials() {
-        let res = run_sweep(&tiny_sweep(0), &SweepOptions::sequential()).unwrap();
+        let res = run_workload(&tiny_sweep(0), &WorkloadOptions::sequential()).unwrap();
         assert_eq!(res.scenarios.len(), 2);
         for s in &res.scenarios {
             assert!(s.mc.is_none());
@@ -815,7 +771,7 @@ mod tests {
 
     #[test]
     fn mc_tracks_analytic_model() {
-        let res = run_sweep(&tiny_sweep(4_000), &SweepOptions::default()).unwrap();
+        let res = run_workload(&tiny_sweep(4_000), &WorkloadOptions::parallel()).unwrap();
         for s in &res.scenarios {
             let mc = s.mc.as_ref().expect("trials requested");
             assert_eq!(mc.trials, 4_000);
@@ -837,16 +793,16 @@ mod tests {
         // 1000 trials > BLOCK_TRIALS, so the parallel runs genuinely
         // interleave blocks of the same scenario across workers.
         let sweep = tiny_sweep(1_000);
-        let seq = run_sweep(&sweep, &SweepOptions::sequential()).unwrap();
-        let par = run_sweep(&sweep, &SweepOptions { workers: 8 }).unwrap();
-        let odd = run_sweep(&sweep, &SweepOptions { workers: 3 }).unwrap();
+        let seq = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap();
+        let par = run_workload(&sweep, &WorkloadOptions::sequential().with_workers(8)).unwrap();
+        let odd = run_workload(&sweep, &WorkloadOptions::sequential().with_workers(3)).unwrap();
         assert_eq!(seq, par, "1 vs 8 workers");
         assert_eq!(seq, odd, "1 vs 3 workers");
     }
 
     #[test]
     fn auto_targets_resolve_from_the_analytic_model() {
-        let res = run_sweep(&tiny_sweep(0), &SweepOptions::sequential()).unwrap();
+        let res = run_workload(&tiny_sweep(0), &WorkloadOptions::sequential()).unwrap();
         let s = &res.scenarios[0];
         assert_eq!(s.targets_ps.len(), 2);
         assert_eq!(s.targets_ps[0], 110.0);
@@ -864,7 +820,7 @@ mod tests {
             }],
             rho: 0.0,
         };
-        let err = run_sweep(&sweep, &SweepOptions::sequential()).unwrap_err();
+        let err = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap_err();
         assert!(err.to_string().contains("moments"), "{err}");
     }
 
@@ -880,7 +836,7 @@ mod tests {
             if let Some(v) = variation {
                 sweep.scenarios[1].variation = v;
             }
-            let err = run_sweep(&sweep, &SweepOptions::sequential()).unwrap_err();
+            let err = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap_err();
             assert!(err.to_string().contains("grid"), "{err}");
         };
         let grid = |stages, depth, size| {
@@ -929,7 +885,7 @@ mod tests {
         // silently ignoring the field would mislead users.
         let mut sweep = tiny_sweep(0);
         sweep.scenarios[0].variation = VariationSpec::RandomOnly { sigma_mv: 35.0 };
-        let err = run_sweep(&sweep, &SweepOptions::sequential()).unwrap_err();
+        let err = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap_err();
         assert!(err.to_string().contains("Nominal"), "{err}");
     }
 
@@ -937,7 +893,7 @@ mod tests {
     fn absurd_trial_counts_rejected() {
         let mut sweep = tiny_sweep(0);
         sweep.scenarios[1].trials = MAX_TRIALS + 1;
-        let err = run_sweep(&sweep, &SweepOptions::sequential()).unwrap_err();
+        let err = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap_err();
         assert!(err.to_string().contains("cap"), "{err}");
     }
 }

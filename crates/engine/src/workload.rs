@@ -482,6 +482,13 @@ impl<R> WorkloadOptions<'_, R> {
         }
     }
 
+    /// Every unit on `std::thread::available_parallelism` workers, no
+    /// resume — the default when no worker count is given.
+    pub fn parallel() -> Self {
+        Self::sequential()
+            .with_workers(std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+    }
+
     /// Sets the worker count (clamped to at least 1).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {

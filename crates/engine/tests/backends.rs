@@ -3,8 +3,8 @@
 //! gate-level Monte-Carlo in the paper's Table-1 regime.
 
 use vardelay_engine::{
-    run_sweep, BackendSpec, CircuitSpec, KernelSpec, LatchSpec, PipelineSpec, Scenario, Sweep,
-    SweepOptions, TrialPlanSpec, VariationSpec,
+    run_workload, BackendSpec, CircuitSpec, KernelSpec, LatchSpec, PipelineSpec, Scenario, Sweep,
+    TrialPlanSpec, VariationSpec, WorkloadOptions,
 };
 
 fn chain_5x8() -> PipelineSpec {
@@ -36,7 +36,7 @@ fn scenario(label: &str, backend: BackendSpec, trials: u64) -> Scenario {
 }
 
 /// Acceptance: a netlist-backend spec runs in parallel through
-/// `run_sweep` and produces byte-identical JSON at 1 and 8 workers.
+/// `run_workload` and produces byte-identical JSON at 1 and 8 workers.
 #[test]
 fn netlist_backend_sweep_bit_identical_across_worker_counts() {
     let mut sweep = Sweep::example_netlist();
@@ -46,11 +46,11 @@ fn netlist_backend_sweep_bit_identical_across_worker_counts() {
             s.trials = 1_200;
         }
     }
-    let baseline = run_sweep(&sweep, &SweepOptions::sequential())
+    let baseline = run_workload(&sweep, &WorkloadOptions::sequential())
         .unwrap()
         .to_json();
     for workers in [2, 8] {
-        let run = run_sweep(&sweep, &SweepOptions { workers })
+        let run = run_workload(&sweep, &WorkloadOptions::sequential().with_workers(workers))
             .unwrap()
             .to_json();
         assert_eq!(
@@ -74,7 +74,7 @@ fn analytic_backend_tracks_netlist_mc_within_one_percent() {
         ],
         grid: None,
     };
-    let res = run_sweep(&sweep, &SweepOptions::default()).unwrap();
+    let res = run_workload(&sweep, &WorkloadOptions::parallel()).unwrap();
     let mc = res.scenarios[0].mc.as_ref().expect("netlist trials ran");
     let model = &res.scenarios[1].analytic;
     assert!(
@@ -113,7 +113,7 @@ fn pipeline_and_netlist_backends_are_bit_identical() {
         ],
         grid: None,
     };
-    let res = run_sweep(&sweep, &SweepOptions::default()).unwrap();
+    let res = run_workload(&sweep, &WorkloadOptions::parallel()).unwrap();
     assert_eq!(
         res.scenarios[0].id, res.scenarios[1].id,
         "backend must not change scenario identity"
@@ -136,8 +136,8 @@ fn histogram_streams_deterministically() {
         grid: None,
     };
     sweep.scenarios[0].histogram_bins = 16;
-    let seq = run_sweep(&sweep, &SweepOptions::sequential()).unwrap();
-    let par = run_sweep(&sweep, &SweepOptions { workers: 8 }).unwrap();
+    let seq = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap();
+    let par = run_workload(&sweep, &WorkloadOptions::sequential().with_workers(8)).unwrap();
     assert_eq!(seq.to_json(), par.to_json());
     let hist = seq.scenarios[0]
         .mc
@@ -163,7 +163,7 @@ fn backend_mismatches_are_rejected_with_context() {
     };
     // Analytic backend with trials.
     sweep.scenarios[0].backend = BackendSpec::Analytic;
-    let err = run_sweep(&sweep, &SweepOptions::sequential()).unwrap_err();
+    let err = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap_err();
     assert!(err.to_string().contains("analytic"), "{err}");
     // Netlist backend on a moments pipeline.
     sweep.scenarios[0] = Scenario {
@@ -184,12 +184,12 @@ fn backend_mismatches_are_rejected_with_context() {
         kernel: KernelSpec::default(),
         histogram_bins: 0,
     };
-    let err = run_sweep(&sweep, &SweepOptions::sequential()).unwrap_err();
+    let err = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap_err();
     assert!(err.to_string().contains("netlist"), "{err}");
     // Histogram without trials.
     sweep.scenarios[0] = scenario("no trials", BackendSpec::Pipeline, 0);
     sweep.scenarios[0].histogram_bins = 8;
-    let err = run_sweep(&sweep, &SweepOptions::sequential()).unwrap_err();
+    let err = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap_err();
     assert!(err.to_string().contains("histogram"), "{err}");
     // Invalid circuit inside a Circuits pipeline.
     sweep.scenarios[0] = scenario("bad circuit", BackendSpec::Netlist, 100);
@@ -197,6 +197,6 @@ fn backend_mismatches_are_rejected_with_context() {
         stages: vec![CircuitSpec::Decoder { bits: 7 }],
         latch: LatchSpec::Ideal,
     };
-    let err = run_sweep(&sweep, &SweepOptions::sequential()).unwrap_err();
+    let err = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap_err();
     assert!(err.to_string().contains("decoder"), "{err}");
 }

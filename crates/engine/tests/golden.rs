@@ -21,8 +21,8 @@
 //! and say so in the PR — a diff in this file's fixtures is an
 //! experiment change, never a by-product.
 
-use vardelay_engine::optimize::{run_campaign, OptimizationCampaign};
-use vardelay_engine::{run_sweep, Sweep, SweepOptions};
+use vardelay_engine::optimize::OptimizationCampaign;
+use vardelay_engine::{run_workload, Sweep, WorkloadOptions};
 
 const SPEC: &str = include_str!("golden/campaign_spec.json");
 const GOLDEN: &str = include_str!("golden/campaign_result.json");
@@ -33,8 +33,11 @@ fn campaign_result_bytes_are_frozen() {
     // Covers both yield backends (the spec has one run on each), the
     // frontier-quantile target resolution, and MC verification.
     for workers in [1usize, 4] {
-        let res = run_campaign(&campaign, &SweepOptions::sequential().with_workers(workers))
-            .expect("golden campaign runs");
+        let res = run_workload(
+            &campaign,
+            &WorkloadOptions::sequential().with_workers(workers),
+        )
+        .expect("golden campaign runs");
         assert_eq!(
             res.to_json(),
             GOLDEN,
@@ -66,7 +69,7 @@ fn mc_matrix_result_bytes_are_frozen() {
     let sweep = Sweep::from_json(MATRIX_SPEC).expect("matrix spec parses");
     assert_eq!(sweep.expand().len(), 30, "3 backends x 2 kernels x 5 plans");
     for workers in [1usize, 4] {
-        let res = run_sweep(&sweep, &SweepOptions::sequential().with_workers(workers))
+        let res = run_workload(&sweep, &WorkloadOptions::sequential().with_workers(workers))
             .expect("matrix sweep runs");
         assert_eq!(
             res.to_json(),
@@ -88,8 +91,11 @@ fn mc_matrix_result_bytes_are_frozen() {
 fn mc_matrix_campaign_bytes_are_frozen() {
     let campaign = OptimizationCampaign::from_json(MATRIX_CAMPAIGN_SPEC).expect("spec parses");
     for workers in [1usize, 4] {
-        let res = run_campaign(&campaign, &SweepOptions::sequential().with_workers(workers))
-            .expect("matrix campaign runs");
+        let res = run_workload(
+            &campaign,
+            &WorkloadOptions::sequential().with_workers(workers),
+        )
+        .expect("matrix campaign runs");
         assert_eq!(
             res.to_json(),
             MATRIX_CAMPAIGN_GOLDEN,
@@ -125,14 +131,18 @@ fn v3_plan_bytes_are_frozen() {
     let sweep = Sweep::from_json(V3_PLANS_SPEC).expect("v3 plan spec parses");
     let campaign = OptimizationCampaign::from_json(V3_PLANS_CAMPAIGN_SPEC).expect("spec parses");
     for workers in [1usize, 4] {
-        let opts = SweepOptions::sequential().with_workers(workers);
-        let res = run_sweep(&sweep, &opts).expect("v3 plan sweep runs");
+        let res = run_workload(&sweep, &WorkloadOptions::sequential().with_workers(workers))
+            .expect("v3 plan sweep runs");
         assert_eq!(
             res.to_json(),
             V3_PLANS_GOLDEN,
             "v3 plan sweep bytes drifted at {workers} workers"
         );
-        let res = run_campaign(&campaign, &opts).expect("v3 plan campaign runs");
+        let res = run_workload(
+            &campaign,
+            &WorkloadOptions::sequential().with_workers(workers),
+        )
+        .expect("v3 plan campaign runs");
         assert_eq!(
             res.to_json(),
             V3_PLANS_CAMPAIGN_GOLDEN,

@@ -19,9 +19,7 @@ use vardelay_engine::optimize::OptimizationCampaign;
 use vardelay_engine::workload::{
     checkpoint_line, run_units, run_workload, Checkpoint, Shard, Workload, WorkloadOptions,
 };
-use vardelay_engine::{
-    run_sweep, KernelSpec, StrategySpec, Sweep, SweepOptions, TrialPlanSpec, VariationSpec,
-};
+use vardelay_engine::{KernelSpec, StrategySpec, Sweep, TrialPlanSpec, VariationSpec};
 
 /// The example sweep with every scenario flipped to the v3 kernel and
 /// the trial budget shrunk but still spanning several blocks (and
@@ -91,10 +89,11 @@ fn journal<W: Workload>(
 #[test]
 fn v3_sweep_bit_identical_across_worker_counts() {
     let sweep = v3_sweep();
-    let baseline = run_sweep(&sweep, &SweepOptions::sequential()).unwrap();
+    let baseline = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap();
     let baseline_json = baseline.to_json();
     for workers in [2, 8] {
-        let run = run_sweep(&sweep, &SweepOptions { workers }).unwrap();
+        let run =
+            run_workload(&sweep, &WorkloadOptions::sequential().with_workers(workers)).unwrap();
         assert_eq!(
             baseline_json,
             run.to_json(),
@@ -260,8 +259,8 @@ fn v3_agrees_statistically_with_v1_but_not_bitwise() {
         s.kernel = KernelSpec::V3;
     }
 
-    let a = run_sweep(&v1, &SweepOptions::sequential()).unwrap();
-    let c = run_sweep(&v3, &SweepOptions::sequential()).unwrap();
+    let a = run_workload(&v1, &WorkloadOptions::sequential()).unwrap();
+    let c = run_workload(&v3, &WorkloadOptions::sequential()).unwrap();
     for (x, y) in a.scenarios.iter().zip(&c.scenarios) {
         assert_eq!(x.analytic, y.analytic, "analytic model is kernel-free");
         let (mx, my) = (x.mc.as_ref().unwrap(), y.mc.as_ref().unwrap());
@@ -287,14 +286,14 @@ fn v3_presence_leaves_v1_scenarios_byte_unchanged() {
     for s in &mut sweep.scenarios {
         s.trials = 600;
     }
-    let pure = run_sweep(&sweep, &SweepOptions::sequential()).unwrap();
+    let pure = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap();
 
     let mut mixed = sweep.clone();
     let mut twin = mixed.scenarios[0].clone();
     twin.label = format!("{} (v3)", twin.label);
     twin.kernel = KernelSpec::V3;
     mixed.scenarios.push(twin);
-    let run = run_sweep(&mixed, &SweepOptions::sequential()).unwrap();
+    let run = run_workload(&mixed, &WorkloadOptions::sequential()).unwrap();
 
     for (x, y) in pure.scenarios.iter().zip(&run.scenarios) {
         assert_eq!(

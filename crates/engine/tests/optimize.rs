@@ -3,7 +3,7 @@
 
 use vardelay_engine::optimize::{OptimizationCampaign, OptimizeSpec, YieldBackendSpec};
 use vardelay_engine::spec::{LatchSpec, PipelineSpec, VariationSpec};
-use vardelay_engine::{plan_campaign, run_campaign, KernelSpec, SweepOptions, TrialPlanSpec};
+use vardelay_engine::{plan_campaign, run_workload, KernelSpec, TrialPlanSpec, WorkloadOptions};
 use vardelay_opt::{OptimizationGoal, TargetDelayPolicy};
 
 /// The golden Table-II-style operating point.
@@ -55,9 +55,9 @@ fn campaign_results_are_worker_count_invariant() {
         run.verify_trials = 512;
         run.eval_trials = 512;
     }
-    let seq = run_campaign(&campaign, &SweepOptions::sequential()).unwrap();
-    let par = run_campaign(&campaign, &SweepOptions { workers: 8 }).unwrap();
-    let odd = run_campaign(&campaign, &SweepOptions { workers: 3 }).unwrap();
+    let seq = run_workload(&campaign, &WorkloadOptions::sequential()).unwrap();
+    let par = run_workload(&campaign, &WorkloadOptions::sequential().with_workers(8)).unwrap();
+    let odd = run_workload(&campaign, &WorkloadOptions::sequential().with_workers(3)).unwrap();
     assert_eq!(seq.to_json(), par.to_json(), "1 vs 8 workers");
     assert_eq!(seq.to_json(), odd.to_json(), "1 vs 3 workers");
     assert_eq!(seq.runs.len(), campaign.expand().len());
@@ -76,7 +76,7 @@ fn golden_global_flow_beats_individual_at_table2_point() {
         runs: vec![table2_style(YieldBackendSpec::Analytic)],
         grid: None,
     };
-    let result = run_campaign(&campaign, &SweepOptions::default()).unwrap();
+    let result = run_workload(&campaign, &WorkloadOptions::parallel()).unwrap();
     let run = &result.runs[0];
 
     // The conventional flow misses the pipeline target (paper: 73.9%)…
@@ -131,7 +131,7 @@ fn golden_yield_backend_flip_keeps_mc_agreement() {
         runs: vec![table2_style(YieldBackendSpec::Netlist)],
         grid: None,
     };
-    let result = run_campaign(&campaign, &SweepOptions::default()).unwrap();
+    let result = run_workload(&campaign, &WorkloadOptions::parallel()).unwrap();
     let run = &result.runs[0];
     let mc = run.mc.as_ref().unwrap();
     let model = mc.model_from_mc.expect("measured moments are valid");

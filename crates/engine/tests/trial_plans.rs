@@ -13,9 +13,7 @@ use vardelay_cache::{ResultStore, UnitCache};
 use vardelay_engine::workload::{
     checkpoint_line, run_units, run_workload, Checkpoint, Shard, Workload, WorkloadOptions,
 };
-use vardelay_engine::{
-    run_sweep, OptimizationCampaign, StrategySpec, Sweep, SweepOptions, TrialPlanSpec,
-};
+use vardelay_engine::{OptimizationCampaign, StrategySpec, Sweep, TrialPlanSpec};
 
 const STRATEGIES: [StrategySpec; 4] = [
     StrategySpec::Antithetic,
@@ -38,11 +36,12 @@ fn plan_sweep(strategy: StrategySpec) -> Sweep {
 fn every_strategy_is_bit_identical_across_worker_counts() {
     for strategy in STRATEGIES {
         let sweep = plan_sweep(strategy);
-        let baseline = run_sweep(&sweep, &SweepOptions::sequential())
+        let baseline = run_workload(&sweep, &WorkloadOptions::sequential())
             .unwrap()
             .to_json();
         for workers in [3, 8] {
-            let run = run_sweep(&sweep, &SweepOptions { workers }).unwrap();
+            let run =
+                run_workload(&sweep, &WorkloadOptions::sequential().with_workers(workers)).unwrap();
             assert_eq!(
                 baseline,
                 run.to_json(),
@@ -180,8 +179,8 @@ fn explicit_plain_plan_is_byte_inert() {
         bare,
         "and serializes back to the bare count"
     );
-    let a = run_sweep(&sweep, &SweepOptions::sequential()).unwrap();
-    let b = run_sweep(&parsed, &SweepOptions::sequential()).unwrap();
+    let a = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap();
+    let b = run_workload(&parsed, &WorkloadOptions::sequential()).unwrap();
     assert_eq!(a.to_json(), b.to_json());
 }
 
@@ -193,7 +192,7 @@ fn explicit_plain_plan_is_byte_inert() {
 #[test]
 fn strategy_twins_share_seeds_but_not_bytes_or_keys() {
     let plain = plan_sweep(StrategySpec::Plain);
-    let plain_run = run_sweep(&plain, &SweepOptions::sequential()).unwrap();
+    let plain_run = run_workload(&plain, &WorkloadOptions::sequential()).unwrap();
     let plain_mean = plain_run.scenarios[0].mc.as_ref().unwrap().mean_ps;
     let mut keys = vec![
         run_units(&plain, &WorkloadOptions::sequential(), |_, _, _, _| Ok(()))
@@ -215,7 +214,7 @@ fn strategy_twins_share_seeds_but_not_bytes_or_keys() {
                 strategy.keyword()
             );
         }
-        let run = run_sweep(&sweep, &SweepOptions::sequential()).unwrap();
+        let run = run_workload(&sweep, &WorkloadOptions::sequential()).unwrap();
         let mean = run.scenarios[0].mc.as_ref().unwrap().mean_ps;
         assert_ne!(
             mean.to_bits(),

@@ -384,6 +384,7 @@ impl PreparedPipelineMc {
     }
 
     /// A fresh workspace sized for this pipeline.
+    // Kept: bench_summary and the prepared-path tests call it.
     pub fn workspace(&self) -> TrialWorkspace {
         let mut ws = TrialWorkspace::new();
         self.prepare_workspace(&mut ws);

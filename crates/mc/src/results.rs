@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use vardelay_stats::{
-    cap_phi, effective_sample_size, weighted_fraction_ci, Histogram, Quantiles, RunningStats,
+    effective_sample_size, weighted_fraction_ci, Histogram, Quantiles, RunningStats,
 };
 
 /// Optional fixed-range histogram attached to a block accumulator.
@@ -45,6 +45,7 @@ impl McConfig {
     }
 
     /// A small/fast configuration for tests and examples.
+    // Kept: the mc engine and pipeline_mc tests call it.
     pub fn quick(trials: usize, seed: u64) -> Self {
         McConfig {
             trials,
@@ -475,12 +476,6 @@ impl McResult {
         let ok = self.samples.iter().filter(|&&x| x <= target).count();
         YieldEstimate::from_counts(ok, self.samples.len())
     }
-
-    /// The yield a Gaussian fit of the samples would predict — used to
-    /// quantify the Gaussian-approximation error (paper §2.4).
-    pub fn gaussian_yield_at(&self, target: f64) -> f64 {
-        cap_phi((target - self.mean()) / self.sd())
-    }
 }
 
 #[cfg(test)]
@@ -515,14 +510,5 @@ mod tests {
         assert!((y.value - 0.6).abs() < 1e-12);
         assert_eq!(r.histogram(5).total(), 5);
         assert!((r.quantiles().median() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gaussian_yield_close_for_symmetric_samples() {
-        let xs: Vec<f64> = (0..10_001).map(|i| (i as f64 - 5000.0) / 1000.0).collect();
-        let r = McResult::new(xs);
-        // Uniform, but symmetric: at the mean both estimates give ~0.5.
-        assert!((r.gaussian_yield_at(0.0) - 0.5).abs() < 1e-6);
-        assert!((r.yield_at(0.0).value - 0.5).abs() < 1e-3);
     }
 }

@@ -318,12 +318,6 @@ pub fn instant(cat: &'static str, name: &'static str, key: Option<u64>) {
     }
 }
 
-/// Whether a tracing session is currently active.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Flushes the calling thread's buffered events to the global sink.
 ///
 /// Pool workers must call this as the last statement of their thread
@@ -552,6 +546,7 @@ fn sum_at<T>(map: &BTreeMap<String, T>, q: &str, f: impl Fn(&T) -> u64) -> u64 {
 impl Aggregate {
     /// Total span nanoseconds of phase `q` (`"cat/name"`), summed over
     /// every attributed variant `q{…}` (0 if absent).
+    // Kept: crates/engine/tests/trace_invariance.rs calls it.
     pub fn phase_ns(&self, q: &str) -> u64 {
         sum_at(&self.phases, q, |p| p.total_ns)
     }

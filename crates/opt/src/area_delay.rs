@@ -123,14 +123,6 @@ impl AreaDelayCurve {
         let r = (da / p.area).abs() / (dd / p.stat_delay_ps).abs();
         Some(r)
     }
-
-    /// Minimum area over feasible points (the Pareto-optimal area at the
-    /// most relaxed target).
-    pub fn min_feasible_area(&self) -> Option<f64> {
-        self.feasible_points()
-            .map(|p| p.area)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite areas"))
-    }
 }
 
 #[cfg(test)]
@@ -193,15 +185,5 @@ mod tests {
         let c = AreaDelayCurve::generate(&s, &n, 0, &targets, 0.9);
         let r = c.normalized_slope(d0).expect("enough feasible points");
         assert!(r.is_finite() && r >= 0.0, "R = {r}");
-    }
-
-    #[test]
-    fn min_area_at_most_relaxed_target() {
-        let s = sizer();
-        let n = stage();
-        let d0 = s.engine().stage_delay(&n, 0).mean();
-        let c = AreaDelayCurve::generate(&s, &n, 0, &[d0 * 0.9, d0 * 1.5], 0.9);
-        let relaxed_area = c.points().last().unwrap().area;
-        assert_eq!(c.min_feasible_area(), Some(relaxed_area));
     }
 }

@@ -161,6 +161,7 @@ impl StatisticalSizer {
     /// kernel. This is the reference implementation kept for
     /// equivalence tests and old-vs-new benchmarks — it produces
     /// bit-identical results, only slower.
+    // Kept: bench_summary and the kernel tests in sizing.rs and global.rs call it.
     #[doc(hidden)]
     pub fn with_full_pass_kernel(mut self) -> Self {
         self.kernel = SizingKernel::FullPass;
@@ -206,6 +207,7 @@ impl StatisticalSizer {
     /// # Panics
     ///
     /// Panics if `stage_yield` is outside `(0, 1)`.
+    // Kept: the reference moments_meet's test compares against.
     pub fn stage_meets(
         &self,
         netlist: &Netlist,

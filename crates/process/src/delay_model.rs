@@ -191,23 +191,6 @@ impl AlphaPowerDelay {
     pub fn nominal_delay(&self, x: f64, c_load: f64) -> f64 {
         self.gate_delay(x, c_load, 0.0)
     }
-
-    /// First-order (linearized) delay under a threshold shift:
-    /// `d ≈ d_nom · (1 + s · dvth)` with `s = α/(Vdd − Vth0)`.
-    ///
-    /// This is the model the SSTA engine uses; [`Self::gate_delay`] is the
-    /// "exact" nonlinear evaluation the Monte-Carlo engine uses, so the two
-    /// engines diverge exactly where the paper's Gaussian assumption does.
-    #[inline]
-    pub fn linearized_delay(&self, x: f64, c_load: f64, dvth: f64) -> f64 {
-        self.nominal_delay(x, c_load) * (1.0 + self.tech.delay_vth_sensitivity() * dvth)
-    }
-
-    /// Absolute delay sensitivity `∂d/∂Vth` (ps per volt) at nominal.
-    #[inline]
-    pub fn delay_sensitivity_abs(&self, x: f64, c_load: f64) -> f64 {
-        self.nominal_delay(x, c_load) * self.tech.delay_vth_sensitivity()
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +220,8 @@ mod tests {
         let m = model();
         for dvth in [-0.02, -0.01, 0.01, 0.02] {
             let exact = m.gate_delay(1.0, 1.0, dvth);
-            let lin = m.linearized_delay(1.0, 1.0, dvth);
+            // The SSTA engine's model: d_nom · (1 + s · dvth).
+            let lin = m.nominal_delay(1.0, 1.0) * (1.0 + m.tech.delay_vth_sensitivity() * dvth);
             // Second-order error: |exact - lin| = O(dvth^2).
             let rel = ((exact - lin) / exact).abs();
             assert!(rel < 0.01, "dvth={dvth}: rel error {rel}");

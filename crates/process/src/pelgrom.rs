@@ -28,29 +28,9 @@ pub fn pelgrom_sigma(sigma_min_v: f64, x: f64) -> f64 {
     sigma_min_v / x.sqrt()
 }
 
-/// Inverse problem: the size factor needed to reach a target random σVth.
-///
-/// # Panics
-///
-/// Panics unless both sigmas are positive.
-#[inline]
-pub fn size_for_sigma(sigma_min_v: f64, target_sigma_v: f64) -> f64 {
-    assert!(
-        sigma_min_v > 0.0 && target_sigma_v > 0.0,
-        "sigmas must be positive"
-    );
-    (sigma_min_v / target_sigma_v).powi(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inverse_roundtrip() {
-        let x = size_for_sigma(0.035, pelgrom_sigma(0.035, 2.7));
-        assert!((x - 2.7).abs() < 1e-12);
-    }
 
     #[test]
     fn monotone_decreasing_in_size() {

@@ -193,6 +193,7 @@ impl ProcessSampler {
 
     /// The v3 (inverse-CDF fill, plain) case of
     /// [`ProcessSampler::sample_die_with`].
+    // Kept: perfbench's v3 die probe calls it.
     pub fn sample_die_into_v3<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -323,22 +324,6 @@ impl ProcessSampler {
             return 0.0;
         }
         pelgrom_sigma(self.variation.sigma_vth_rand_v(), x) * sample_standard_normal(rng)
-    }
-
-    /// Total ΔVth for a gate: shared (inter + region) plus freshly-drawn
-    /// random component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x <= 0` or the region index is invalid.
-    pub fn sample_gate_total<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        die: &DieSample,
-        region: usize,
-        x: f64,
-    ) -> f64 {
-        die.shared_dvth(region) + self.sample_gate_random(rng, x)
     }
 }
 

@@ -164,18 +164,7 @@ impl SpatialCorrelator {
     }
 
     /// Transforms iid standard normals (one per region) into correlated
-    /// region values with unit marginal variance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z.len() != region_count()`.
-    pub fn correlate(&self, z: &[f64]) -> Vec<f64> {
-        self.chol.transform(z)
-    }
-
-    /// Allocation-free variant of [`SpatialCorrelator::correlate`]:
-    /// writes the correlated values into `out`. Bit-identical to
-    /// `correlate` for the same `z`.
+    /// region values with unit marginal variance, written into `out`.
     ///
     /// # Panics
     ///
@@ -232,9 +221,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let n = 100_000;
         let (mut s0, mut s1, mut s01, mut q0, mut q1) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        let mut v = [0.0; 4];
         for _ in 0..n {
             let z: Vec<f64> = (0..4).map(|_| sample_standard_normal(&mut rng)).collect();
-            let v = corr.correlate(&z);
+            corr.correlate_into(&z, &mut v);
             s0 += v[0];
             s1 += v[1];
             s01 += v[0] * v[1];

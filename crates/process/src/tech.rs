@@ -81,37 +81,6 @@ impl Technology {
         }
     }
 
-    /// Fully custom technology.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `vdd > vth0 > 0`, `alpha >= 1`, and the delay/mismatch
-    /// parameters are positive.
-    pub fn custom(
-        name: &str,
-        node_nm: u32,
-        vdd: f64,
-        vth0: f64,
-        alpha: f64,
-        tau_fo1_ps: f64,
-        sigma_vth_rand_min_v: f64,
-    ) -> Self {
-        assert!(vth0 > 0.0 && vdd > vth0, "need vdd > vth0 > 0");
-        assert!(alpha >= 1.0, "alpha-power exponent must be >= 1");
-        assert!(tau_fo1_ps > 0.0, "unit delay must be positive");
-        assert!(sigma_vth_rand_min_v >= 0.0, "mismatch sigma must be >= 0");
-        Technology {
-            name: name.to_owned(),
-            node_nm,
-            vdd,
-            vth0,
-            alpha,
-            tau_fo1_ps,
-            sigma_vth_rand_min_v,
-            inv_area_unit: 1.0,
-        }
-    }
-
     /// Technology name.
     pub fn name(&self) -> &str {
         &self.name
@@ -208,11 +177,5 @@ mod tests {
             Technology::bptm70().sigma_vth_rand_min_v()
                 > Technology::generic100().sigma_vth_rand_min_v()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "vdd > vth0")]
-    fn custom_validates_voltages() {
-        let _ = Technology::custom("bad", 70, 0.2, 0.3, 1.3, 8.0, 0.03);
     }
 }

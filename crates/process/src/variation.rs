@@ -91,21 +91,6 @@ impl VariationConfig {
         Self::combined(20.0, 35.0, 15.0)
     }
 
-    /// Returns a copy with a different spatial correlation length
-    /// (fraction of the die edge).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `length > 0`.
-    pub fn with_correlation_length(mut self, length: f64) -> Self {
-        assert!(
-            length.is_finite() && length > 0.0,
-            "correlation length must be positive"
-        );
-        self.correlation_length = length;
-        self
-    }
-
     /// σVth of the inter-die component (V).
     #[inline]
     pub fn sigma_vth_inter_v(&self) -> f64 {
@@ -147,12 +132,6 @@ impl VariationConfig {
     pub fn has_systematic(&self) -> bool {
         self.sigma_sys_v > 0.0
     }
-
-    /// Total σVth if all components applied to a single minimum device
-    /// (components are independent, so variances add).
-    pub fn sigma_vth_total_v(&self) -> f64 {
-        (self.sigma_inter_v.powi(2) + self.sigma_rand_v.powi(2) + self.sigma_sys_v.powi(2)).sqrt()
-    }
 }
 
 impl Default for VariationConfig {
@@ -175,20 +154,8 @@ mod tests {
     }
 
     #[test]
-    fn total_sigma_adds_in_quadrature() {
-        let v = VariationConfig::combined(30.0, 40.0, 0.0);
-        assert!((v.sigma_vth_total_v() - 0.050).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn rejects_negative_sigma() {
         let _ = VariationConfig::random_only(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_bad_correlation_length() {
-        let _ = VariationConfig::none().with_correlation_length(0.0);
     }
 }

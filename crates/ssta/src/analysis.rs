@@ -167,55 +167,6 @@ impl SstaEngine {
         self.stage_delay_canonical(netlist, region).to_normal()
     }
 
-    /// Statistical **contamination (min) delay** of a stage: Clark-min of
-    /// the earliest arrival over primary outputs. This is the quantity a
-    /// hold-time check races against the clock edge — under variation a
-    /// fast path on a fast die can violate hold even when the nominal
-    /// design is safe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist has no outputs or `region` is out of range.
-    pub fn stage_min_delay(&self, netlist: &Netlist, region: usize) -> Normal {
-        assert!(
-            !netlist.outputs().is_empty(),
-            "min delay requires at least one primary output"
-        );
-        let loads = netlist.loads(self.output_load);
-        let nsignals = netlist.input_count() + netlist.gate_count();
-        let mut at: Vec<CanonicalDelay> = Vec::with_capacity(nsignals);
-        for _ in 0..netlist.input_count() {
-            at.push(self.basis.zero());
-        }
-        for (i, g) in netlist.gates().iter().enumerate() {
-            let out = netlist.input_count() + i;
-            let d = self.basis.gate_delay(
-                &self.lib,
-                &self.variation,
-                g.kind,
-                g.size,
-                loads[out],
-                region,
-            );
-            let t_in = CanonicalDelay::min_of(g.fanins.iter().map(|f| &at[f.0]));
-            at.push(t_in.add(&d));
-        }
-        CanonicalDelay::min_of(netlist.outputs().iter().map(|o| &at[o.0])).to_normal()
-    }
-
-    /// Probability that a stage meets a hold requirement: its
-    /// contamination delay (plus the launching latch's clock-to-Q) exceeds
-    /// `t_hold_ps`.
-    ///
-    /// # Panics
-    ///
-    /// See [`Self::stage_min_delay`].
-    pub fn hold_yield(&self, netlist: &Netlist, region: usize, tcq_ps: f64, t_hold_ps: f64) -> f64 {
-        let min_d = self.stage_min_delay(netlist, region);
-        // Pr{tcq + min_delay >= t_hold}.
-        1.0 - min_d.cdf(t_hold_ps - tcq_ps)
-    }
-
     /// Full-pipeline analysis: per-stage delay (combinational + latch
     /// overhead, eq. 1) and the stage correlation matrix.
     ///
@@ -328,38 +279,6 @@ mod tests {
             t.correlation.get(0, 1),
             t.correlation.get(0, 7)
         );
-    }
-
-    #[test]
-    fn min_delay_bounds_max_delay() {
-        let e = engine(VariationConfig::random_only(35.0));
-        let c = inverter_chain(8, 1.0);
-        // Single-path circuit: min == max.
-        let mn = e.stage_min_delay(&c, 0);
-        let mx = e.stage_delay(&c, 0);
-        assert!((mn.mean() - mx.mean()).abs() < 1e-9);
-        // Multi-path circuit: min strictly below max.
-        use vardelay_circuit::generators::{random_logic, RandomLogicConfig};
-        let n = random_logic(&RandomLogicConfig::new("hold", 41));
-        let mn = e.stage_min_delay(&n, 0);
-        let mx = e.stage_delay(&n, 0);
-        assert!(
-            mn.mean() < mx.mean(),
-            "min {} !< max {}",
-            mn.mean(),
-            mx.mean()
-        );
-        assert!(mn.mean() > 0.0);
-    }
-
-    #[test]
-    fn hold_yield_monotone_in_requirement() {
-        let e = engine(VariationConfig::random_only(35.0));
-        let c = inverter_chain(4, 1.0);
-        let y_easy = e.hold_yield(&c, 0, 5.0, 10.0);
-        let y_hard = e.hold_yield(&c, 0, 5.0, 45.0);
-        assert!(y_easy > y_hard, "easier hold target, higher yield");
-        assert!(y_easy > 0.999, "4 FO1 gates + tcq easily beat 10 ps hold");
     }
 
     #[test]

@@ -153,15 +153,6 @@ impl CanonicalDelay {
         }
     }
 
-    /// Adds a deterministic offset.
-    pub fn add_constant(&self, c: f64) -> CanonicalDelay {
-        CanonicalDelay {
-            mean: self.mean + c,
-            shared: self.shared.clone(),
-            indep: self.indep,
-        }
-    }
-
     /// Adds an independent Gaussian term (mean `m`, sd `s`).
     ///
     /// # Panics
@@ -287,36 +278,6 @@ impl CanonicalDelay {
         let first = it.next().expect("max_of requires at least one input");
         it.fold(first.clone(), |acc, x| acc.max(x))
     }
-
-    /// Negation `-d` (exact: flips the mean and shared sensitivities).
-    pub fn neg(&self) -> CanonicalDelay {
-        CanonicalDelay {
-            mean: -self.mean,
-            shared: self.shared.iter().map(|a| -a).collect(),
-            indep: self.indep,
-        }
-    }
-
-    /// Clark **min** in canonical form: `min(a, b) = -max(-a, -b)`.
-    /// Used by hold-time (earliest-arrival) analysis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if factor counts differ.
-    pub fn min(&self, other: &CanonicalDelay) -> CanonicalDelay {
-        self.neg().max(&other.neg()).neg()
-    }
-
-    /// Min over a non-empty iterator of canonical delays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iterator is empty.
-    pub fn min_of<'a, I: IntoIterator<Item = &'a CanonicalDelay>>(items: I) -> CanonicalDelay {
-        let mut it = items.into_iter();
-        let first = it.next().expect("min_of requires at least one input");
-        it.fold(first.clone(), |acc, x| acc.min(x))
-    }
 }
 
 #[cfg(test)]
@@ -392,30 +353,6 @@ mod tests {
             (0..6).map(|i| cd(100.0 + i as f64, &[1.0], 2.0)).collect();
         let m = CanonicalDelay::max_of(&items);
         assert!(m.mean() >= 105.0);
-    }
-
-    #[test]
-    fn min_is_dual_of_max() {
-        let a = cd(100.0, &[4.0], 3.0);
-        let b = cd(102.0, &[2.0], 2.0);
-        let mn = a.min(&b);
-        let mx = a.max(&b);
-        // E[min] + E[max] = E[a] + E[b] (identity for any pair).
-        assert!((mn.mean() + mx.mean() - (a.mean() + b.mean())).abs() < 1e-9);
-        // Min sits below both means minus nothing: E[min] <= min(means).
-        assert!(mn.mean() <= a.mean().min(b.mean()) + 1e-9);
-        assert!(mn.variance() >= -1e-12);
-    }
-
-    #[test]
-    fn min_of_dominated_is_the_smaller() {
-        let a = cd(10.0, &[1.0], 1.0);
-        let b = cd(200.0, &[1.0], 1.0);
-        let mn = a.min(&b);
-        assert!((mn.mean() - 10.0).abs() < 1e-9);
-        assert!((mn.sd() - a.sd()).abs() < 1e-9);
-        let m2 = CanonicalDelay::min_of([&a, &b]);
-        assert!((m2.mean() - mn.mean()).abs() < 1e-12);
     }
 
     #[test]

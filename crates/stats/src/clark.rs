@@ -248,10 +248,6 @@ pub fn max_of_with_order(vars: &[Normal], corr: &CorrelationMatrix, order: &[usi
     partial
 }
 
-/// Exact mean of the max of two *independent* zero-mean unit-variance
-/// Gaussians — handy reference constant for tests: `1/sqrt(pi)`.
-pub const MAX_OF_TWO_IID_STD: f64 = 0.564_189_583_547_756_3;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +263,8 @@ mod tests {
     #[test]
     fn iid_standard_pair_matches_closed_form() {
         let m = max_pair_moments(n(0.0, 1.0), n(0.0, 1.0), 0.0);
-        assert!((m.mean - MAX_OF_TWO_IID_STD).abs() < 1e-12);
+        // E[max] = 1/sqrt(pi) for iid standard normals.
+        assert!((m.mean - 1.0 / std::f64::consts::PI.sqrt()).abs() < 1e-12);
         // Var[max] = 1 - 1/pi for iid standard normals.
         assert!((m.variance - (1.0 - 1.0 / std::f64::consts::PI)).abs() < 1e-12);
     }

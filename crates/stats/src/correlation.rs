@@ -102,28 +102,6 @@ impl CorrelationMatrix {
         })
     }
 
-    /// Distance-decay correlation for variables at 1-D positions
-    /// `positions`, with `rho(i, j) = exp(-|p_i - p_j| / length)`.
-    ///
-    /// Models spatially correlated systematic intra-die variation for
-    /// pipeline stages laid out along the die.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `length <= 0`.
-    pub fn exponential_decay(positions: &[f64], length: f64) -> Self {
-        assert!(length > 0.0, "correlation length must be positive");
-        CorrelationMatrix {
-            inner: SymMatrix::from_fn(positions.len(), |i, j| {
-                if i == j {
-                    1.0
-                } else {
-                    (-(positions[i] - positions[j]).abs() / length).exp()
-                }
-            }),
-        }
-    }
-
     /// Builds from an arbitrary symmetric matrix, validating diagonal and
     /// range.
     ///
@@ -151,6 +129,7 @@ impl CorrelationMatrix {
     /// # Errors
     ///
     /// Returns an error if any diagonal entry of `cov` is non-positive.
+    // Kept: crates/stats/tests/properties.rs calls it.
     pub fn from_covariance(cov: &SymMatrix) -> Result<Self, CorrelationError> {
         let n = cov.dim();
         for i in 0..n {
@@ -187,18 +166,6 @@ impl CorrelationMatrix {
         self.inner.get(i, j)
     }
 
-    /// Borrow the underlying symmetric matrix.
-    #[inline]
-    pub fn as_matrix(&self) -> &SymMatrix {
-        &self.inner
-    }
-
-    /// Consumes self, returning the underlying symmetric matrix.
-    #[inline]
-    pub fn into_matrix(self) -> SymMatrix {
-        self.inner
-    }
-
     /// Scales into a covariance matrix given per-variable standard
     /// deviations: `cov_ij = rho_ij * sd_i * sd_j`.
     ///
@@ -228,13 +195,6 @@ mod tests {
         assert_eq!(c.get(0, 0), 1.0);
         assert_eq!(c.get(0, 2), 0.25);
         assert!(CorrelationMatrix::uniform(3, 1.5).is_err());
-    }
-
-    #[test]
-    fn exponential_decay_monotone_in_distance() {
-        let c = CorrelationMatrix::exponential_decay(&[0.0, 1.0, 3.0], 2.0);
-        assert!(c.get(0, 1) > c.get(0, 2));
-        assert!((c.get(0, 1) - (-0.5_f64).exp()).abs() < 1e-14);
     }
 
     #[test]

@@ -238,23 +238,10 @@ impl Quantiles {
     }
 
     /// Median shortcut.
+    // Kept: the mc results tests call it.
     #[inline]
     pub fn median(&self) -> f64 {
         self.at(0.5)
-    }
-
-    /// Fraction of the sample `<= x` — the empirical CDF, which is also the
-    /// Monte-Carlo yield estimate at a target delay `x`.
-    pub fn ecdf(&self, x: f64) -> f64 {
-        // partition_point gives the number of elements <= x on sorted data.
-        let k = self.sorted.partition_point(|&v| v <= x);
-        k as f64 / self.sorted.len() as f64
-    }
-
-    /// The sorted sample.
-    #[inline]
-    pub fn as_sorted(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -518,14 +505,6 @@ mod tests {
         assert_eq!(q.at(1.0), 4.0);
         assert!((q.median() - 2.5).abs() < 1e-15);
         assert!((q.at(0.25) - 1.75).abs() < 1e-15);
-    }
-
-    #[test]
-    fn ecdf_counts_inclusive() {
-        let q = Quantiles::new(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(q.ecdf(2.0), 0.5);
-        assert_eq!(q.ecdf(0.5), 0.0);
-        assert_eq!(q.ecdf(4.0), 1.0);
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub fn ks_statistic<F: Fn(f64) -> f64>(samples: &[f64], cdf: F) -> f64 {
 /// # Panics
 ///
 /// Panics if `samples` is empty.
+// Kept: tests/distribution_fit.rs calls it.
 pub fn ks_against_normal(samples: &[f64], dist: &Normal) -> f64 {
     ks_statistic(samples, |x| dist.cdf(x))
 }
@@ -42,6 +43,7 @@ pub fn ks_against_normal(samples: &[f64], dist: &Normal) -> f64 {
 /// `n`, via the asymptotic Kolmogorov distribution
 /// `Q(λ) = 2 Σ_{k≥1} (-1)^{k-1} exp(-2 k² λ²)` with Stephens' small-sample
 /// correction.
+// Kept: the KS API stays whole for tests/distribution_fit.rs.
 pub fn ks_p_value(d: f64, n: usize) -> f64 {
     let nf = n as f64;
     let lambda = (nf.sqrt() + 0.12 + 0.11 / nf.sqrt()) * d;

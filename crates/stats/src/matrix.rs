@@ -75,6 +75,7 @@ impl SymMatrix {
     ///
     /// Returns [`MatrixError::DimensionMismatch`] if `data.len() != n * n`.
     /// Asymmetric input is symmetrized by averaging `(a_ij + a_ji)/2`.
+    // Kept: crates/stats/tests/properties.rs and the correlation tests call it.
     pub fn from_rows(n: usize, data: &[f64]) -> Result<Self, MatrixError> {
         if data.len() != n * n {
             return Err(MatrixError::DimensionMismatch {
@@ -136,30 +137,6 @@ impl SymMatrix {
         assert!(i < self.n && j < self.n, "index out of bounds");
         self.data[i * self.n + j] = v;
         self.data[j * self.n + i] = v;
-    }
-
-    /// Matrix–vector product `A x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "vector length mismatch");
-        (0..self.n)
-            .map(|i| {
-                let row = &self.data[i * self.n..(i + 1) * self.n];
-                row.iter().zip(x).map(|(a, b)| a * b).sum()
-            })
-            .collect()
-    }
-
-    /// Quadratic form `x^T A x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != dim()`.
-    pub fn quadratic_form(&self, x: &[f64]) -> f64 {
-        self.mul_vec(x).iter().zip(x).map(|(a, b)| a * b).sum()
     }
 
     /// Lower-triangular Cholesky factor `L` with `L L^T = A`.
@@ -275,6 +252,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `z.len() != dim()`.
+    // Kept: the mvn tests call it.
     pub fn transform(&self, z: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.n];
         self.transform_into(z, &mut y);
@@ -298,6 +276,7 @@ impl Cholesky {
     }
 
     /// Reconstructs `L L^T` (mainly for testing/diagnostics).
+    // Kept: crates/stats/tests/properties.rs calls it.
     pub fn reconstruct(&self) -> SymMatrix {
         SymMatrix::from_fn(self.n, |i, j| {
             (0..=i.min(j))
@@ -375,14 +354,6 @@ mod tests {
                 actual: 3
             })
         ));
-    }
-
-    #[test]
-    fn mul_vec_and_quadratic_form() {
-        let a = SymMatrix::from_rows(2, &[2.0, 1.0, 1.0, 3.0]).unwrap();
-        let y = a.mul_vec(&[1.0, -1.0]);
-        assert_eq!(y, vec![1.0, -2.0]);
-        assert!((a.quadratic_form(&[1.0, -1.0]) - 3.0).abs() < 1e-15);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::correlation::CorrelationMatrix;
 use crate::draw::{DrawOverlay, NormalFill};
@@ -261,50 +260,46 @@ impl MultivariateNormal {
     }
 }
 
-/// A `SampleStats` summary of empirical mean/sd per dimension plus the
-/// empirical correlation — diagnostics used by tests and the harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SampleStats {
-    /// Per-dimension sample means.
-    pub mean: Vec<f64>,
-    /// Per-dimension sample standard deviations.
-    pub sd: Vec<f64>,
-}
-
-/// Computes per-dimension mean and standard deviation of row-wise samples.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or rows are ragged.
-pub fn sample_stats(samples: &[Vec<f64>]) -> SampleStats {
-    assert!(!samples.is_empty(), "need at least one sample");
-    let d = samples[0].len();
-    let n = samples.len() as f64;
-    let mut mean = vec![0.0; d];
-    for s in samples {
-        assert_eq!(s.len(), d, "ragged sample rows");
-        for (m, x) in mean.iter_mut().zip(s) {
-            *m += x;
-        }
-    }
-    for m in &mut mean {
-        *m /= n;
-    }
-    let mut var = vec![0.0; d];
-    for s in samples {
-        for ((v, x), m) in var.iter_mut().zip(s).zip(&mean) {
-            *v += (x - m) * (x - m);
-        }
-    }
-    let sd = var.iter().map(|v| (v / (n - 1.0)).sqrt()).collect();
-    SampleStats { mean, sd }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Per-dimension sample means and standard deviations.
+    struct SampleStats {
+        mean: Vec<f64>,
+        sd: Vec<f64>,
+    }
+
+    /// Computes per-dimension mean and standard deviation of row-wise samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty or rows are ragged.
+    fn sample_stats(samples: &[Vec<f64>]) -> SampleStats {
+        assert!(!samples.is_empty(), "need at least one sample");
+        let d = samples[0].len();
+        let n = samples.len() as f64;
+        let mut mean = vec![0.0; d];
+        for s in samples {
+            assert_eq!(s.len(), d, "ragged sample rows");
+            for (m, x) in mean.iter_mut().zip(s) {
+                *m += x;
+            }
+        }
+        for m in &mut mean {
+            *m /= n;
+        }
+        let mut var = vec![0.0; d];
+        for s in samples {
+            for ((v, x), m) in var.iter_mut().zip(s).zip(&mean) {
+                *v += (x - m) * (x - m);
+            }
+        }
+        let sd = var.iter().map(|v| (v / (n - 1.0)).sqrt()).collect();
+        SampleStats { mean, sd }
+    }
 
     #[test]
     fn dimensions_validated() {

@@ -408,6 +408,7 @@ impl Normal {
     }
 
     /// A degenerate (zero-variance) distribution concentrated at `value`.
+    // Kept: the crates/opt/src/verify.rs tests call it.
     #[inline]
     pub fn degenerate(value: f64) -> Self {
         Normal {
@@ -487,14 +488,6 @@ impl Normal {
         Normal {
             mean: self.mean + other.mean,
             sd: (self.variance() + other.variance()).sqrt(),
-        }
-    }
-
-    /// The distribution of `c * X + d`.
-    pub fn affine(&self, c: f64, d: f64) -> Normal {
-        Normal {
-            mean: c * self.mean + d,
-            sd: (c * self.sd).abs(),
         }
     }
 }
@@ -726,9 +719,6 @@ mod tests {
         let s = a.add_independent(&b);
         assert!((s.mean() - 4.0).abs() < 1e-15);
         assert!((s.sd() - 20.0_f64.sqrt()).abs() < 1e-15);
-        let t = a.affine(-2.0, 1.0);
-        assert!((t.mean() - -1.0).abs() < 1e-15);
-        assert!((t.sd() - 4.0).abs() < 1e-15);
     }
 
     #[test]

@@ -105,6 +105,7 @@ pub fn dispatch<K: Kernel>(k: K) -> K::Output {
 
 /// Runs `k` under `tier`, or returns `None` when the CPU lacks it — how
 /// the tests compare tiers bit for bit.
+// Kept: the tier-equality tests in stats, process and mc call it.
 pub fn run_on<K: Kernel>(tier: SimdTier, k: K) -> Option<K::Output> {
     // SAFETY: the tier was just checked to be supported.
     tier.supported().then(|| unsafe { run_unchecked(tier, k) })

@@ -243,25 +243,34 @@ fn take_flag(args: &mut Vec<String>, key: &str) -> bool {
     }
 }
 
+/// Parses a finite number; `nan` and `inf` are rejected like any other
+/// non-number.
 fn parse_f64(s: &str, what: &str) -> Result<f64, CliError> {
     s.parse::<f64>()
-        .map_err(|_| CliError(format!("invalid {what}: '{s}'")))
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| CliError(format!("invalid {what}: '{s}'")))
+}
+
+/// Takes an optional non-negative sigma flag (mV), `default` when absent.
+fn take_sigma(args: &mut Vec<String>, key: &str, default: f64) -> Result<f64, CliError> {
+    let Some(s) = take_opt(args, key)? else {
+        return Ok(default);
+    };
+    let v = parse_f64(&s, key)?;
+    if v < 0.0 {
+        return Err(CliError(format!(
+            "invalid {key}: '{s}' (sigma must be non-negative)"
+        )));
+    }
+    Ok(v)
 }
 
 /// `analyze` subcommand over already-loaded text.
 pub fn analyze(name: &str, bench_text: &str, mut opts: Vec<String>) -> Result<String, CliError> {
-    let inter = take_opt(&mut opts, "--inter")?
-        .map(|v| parse_f64(&v, "--inter"))
-        .transpose()?
-        .unwrap_or(20.0);
-    let rand = take_opt(&mut opts, "--rand")?
-        .map(|v| parse_f64(&v, "--rand"))
-        .transpose()?
-        .unwrap_or(35.0);
-    let sys = take_opt(&mut opts, "--sys")?
-        .map(|v| parse_f64(&v, "--sys"))
-        .transpose()?
-        .unwrap_or(0.0);
+    let inter = take_sigma(&mut opts, "--inter", 20.0)?;
+    let rand = take_sigma(&mut opts, "--rand", 35.0)?;
+    let sys = take_sigma(&mut opts, "--sys", 0.0)?;
     if !opts.is_empty() {
         return Err(CliError(format!("unrecognized arguments: {opts:?}")));
     }
@@ -699,11 +708,10 @@ where
         .transpose()?;
 
     let progress = args.progress.then(StderrProgress::new);
-    let mut options: WorkloadOptions<'_, W::UnitResult> = WorkloadOptions::sequential()
-        .with_workers(
-            args.workers
-                .unwrap_or(vardelay_engine::SweepOptions::default().workers),
-        );
+    let mut options: WorkloadOptions<'_, W::UnitResult> = WorkloadOptions::parallel();
+    if let Some(workers) = args.workers {
+        options = options.with_workers(workers);
+    }
     if let Some(shard) = args.shard {
         options = options.with_shard(shard);
     }
@@ -2172,13 +2180,41 @@ mod tests {
     #[test]
     fn yield_cmd_validates() {
         assert!(yield_cmd(vec![]).is_err());
-        assert!(yield_cmd(
-            ["--stages", "bad", "--target", "210"]
+        for args in [
+            ["--stages", "bad", "--target", "210"],
+            ["--stages", "100:5,100:5", "--target", "nan"],
+            ["--stages", "100:5,100:5", "--target", "inf"],
+            ["--stages", "100:5,100:5", "--target", "-inf"],
+            ["--stages", "100:nan,100:5", "--target", "210"],
+            ["--stages", "inf:5,100:5", "--target", "210"],
+        ] {
+            let err = yield_cmd(args.iter().map(|s| s.to_string()).collect());
+            assert!(err.is_err(), "{args:?} accepted: {err:?}");
+        }
+        let err = yield_cmd(
+            ["--stages", "100:5,100:5", "--target", "210", "--rho", "NaN"]
                 .iter()
                 .map(|s| s.to_string())
-                .collect()
-        )
-        .is_err());
+                .collect(),
+        );
+        assert_eq!(err.unwrap_err().0, "invalid --rho: 'NaN'");
+    }
+
+    #[test]
+    fn analyze_rejects_negative_and_non_finite_sigmas() {
+        let bench = generate("chain:4").unwrap();
+        for (flag, value) in [
+            ("--inter", "-5"),
+            ("--rand", "nan"),
+            ("--sys", "inf"),
+            ("--rand", "-1e-9"),
+        ] {
+            let err = analyze("chain", &bench, vec![flag.into(), value.into()]).unwrap_err();
+            assert!(
+                err.0.starts_with(&format!("invalid {flag}: '{value}'")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
