@@ -121,7 +121,13 @@ const V3_PLANS_CAMPAIGN_GOLDEN: &str = include_str!("golden/v3_plans_campaign_re
 /// antithetic) variation on both gate-level backends: the lanes the
 /// lane-interleaved generator serves outside its four-stream groups.
 /// Those were added before the v3 pass drew its normals gate-major,
-/// with the first six entries unchanged. Regenerate with
+/// with the first six entries unchanged. The last eight pin the v3
+/// statistics fold at ragged lengths 257 and 261: `histogram_bins`
+/// under the plain, antithetic and Sobol plans and blockade's weighted
+/// sums (which refuse a histogram), with two and four targets, on the
+/// gate-level and moment-form backends; they were generated before the
+/// fold moved to structure-of-arrays rows, with every earlier entry
+/// unchanged. Regenerate with
 /// `vardelay sweep crates/engine/tests/golden/v3_plans_spec.json
 /// --out crates/engine/tests/golden/v3_plans_result.json` and
 /// `vardelay optimize crates/engine/tests/golden/v3_plans_campaign_spec.json
