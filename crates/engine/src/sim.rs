@@ -31,8 +31,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vardelay_circuit::StagedPipeline;
 use vardelay_mc::{
-    LaneFold, PipelineBlockStats, PipelineMc, PlanSampler, PreparedPipelineMc, TrialKernel,
-    TrialPlan, TrialWorkspace,
+    PipelineBlockStats, PipelineMc, PlanSampler, PreparedPipelineMc, TrialKernel, TrialPlan,
+    TrialWorkspace, V3Fold, V3_WIDTH,
 };
 use vardelay_stats::MultivariateNormal;
 
@@ -68,9 +68,10 @@ pub struct MvnSim {
 
 impl MvnSim {
     /// Wraps a stage-delay joint distribution. The trial kernel's normal
-    /// fill draws the iid normals and its [`LaneFold`] folds the
-    /// statistics; the trial plan is a draw overlay on the leading stage
-    /// dimensions (plain is the identity overlay).
+    /// fill draws the iid normals and its fold records them (v3 through
+    /// a [`V3Fold`], [`V3_WIDTH`] trials a pass); the trial plan is a
+    /// draw overlay on the leading stage dimensions (plain is the
+    /// identity overlay).
     pub fn new(mvn: MultivariateNormal, kernel: TrialKernel, plan: TrialPlan) -> Self {
         MvnSim { mvn, kernel, plan }
     }
@@ -86,19 +87,43 @@ impl Simulator for MvnSim {
     ) {
         let mut ps = PlanSampler::new(self.plan, self.mvn.dim(), trial_seed(scenario_id, 0));
         let fill = self.kernel.normal_fill();
-        let mut fold = LaneFold::new(self.kernel, stats);
         let mut z = Vec::new();
         let mut x = Vec::new();
-        for t in trials {
+        // Trial `t`'s stage delays into `x`; returns its pipeline delay
+        // and importance weight.
+        let mut trial = |t: u64, x: &mut Vec<f64>| {
             let (seed_index, overlay) = ps.prepare_trial(t);
             let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, seed_index));
-            let w = self
-                .mvn
-                .sample_into(fill, &overlay, &mut rng, &mut z, &mut x);
-            let maxd = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            fold.record(t, &x, maxd, w);
+            let w = self.mvn.sample_into(fill, &overlay, &mut rng, &mut z, x);
+            (x.iter().copied().fold(f64::NEG_INFINITY, f64::max), w)
+        };
+        match self.kernel {
+            TrialKernel::V1 => {
+                for t in trials {
+                    let (maxd, w) = trial(t, &mut x);
+                    stats.record_weighted(&x, maxd, w);
+                }
+            }
+            TrialKernel::V3 => {
+                let mut fold = V3Fold::default();
+                fold.begin(stats);
+                let mut sd = vec![0.0; self.mvn.dim() * V3_WIDTH];
+                let (mut maxd, mut weight) = ([0.0; V3_WIDTH], [0.0; V3_WIDTH]);
+                let mut t = trials.start;
+                while t < trials.end {
+                    let w = ((trials.end - t) as usize).min(V3_WIDTH);
+                    for i in 0..w {
+                        (maxd[i], weight[i]) = trial(t + i as u64, &mut x);
+                        for (s, &d) in x.iter().enumerate() {
+                            sd[s * V3_WIDTH + i] = d;
+                        }
+                    }
+                    fold.fold_pass(&sd, &maxd, &weight, w, stats);
+                    t += w as u64;
+                }
+                fold.finish(trials.start, stats);
+            }
         }
-        fold.finish();
     }
 }
 

@@ -21,7 +21,7 @@
 //!   Box–Muller + exact `powf`, the byte-frozen reference) and v3
 //!   (16-wide lane-major passes, inverse-CDF sampling, frozen polynomial
 //!   slowdown, lane-folded statistics — the fast path), each with its
-//!   normal fill and [`LaneFold`].
+//!   normal fill, and v3's structure-of-arrays [`V3Fold`].
 //! * [`strategy`] — the versioned trial-plan contracts (antithetic,
 //!   stratified, Sobol QMC, statistical blockade): a draw overlay each
 //!   kernel's sampler applies, with plain as the identity overlay.
@@ -50,7 +50,7 @@ pub mod results;
 pub mod strategy;
 
 pub use engine::NetlistMc;
-pub use kernel::{LaneFold, TrialKernel, V3_LANES, V3_WIDTH};
+pub use kernel::{TrialKernel, V3Fold, V3_LANES, V3_WIDTH};
 pub use pipeline_mc::{PipelineMc, PipelineMcResult};
 pub use prepared::{PreparedPipelineMc, TrialWorkspace};
 pub use results::{HistogramSpec, McConfig, McResult, PipelineBlockStats, YieldEstimate};

@@ -14,7 +14,8 @@
 //! Every gate-level Monte-Carlo surface runs through one entry point,
 //! [`PreparedPipelineMc::run_block_plan`]: one per-trial sampler per
 //! trial kernel, each consuming the trial plan as a draw overlay (plain
-//! is the identity overlay), folded by the kernel's [`LaneFold`]. Under
+//! is the identity overlay): v1 records each trial straight into the
+//! block's statistics, v3 folds each pass through its [`V3Fold`]. Under
 //! the v1 kernel and the plain plan the RNG consumption order and
 //! floating-point arithmetic are **identical** to
 //! [`PipelineMc::sample_trial`], so for the same per-trial seeds the
@@ -33,7 +34,7 @@ use vardelay_stats::normal::sample_standard_normal;
 use vardelay_stats::simd;
 use vardelay_stats::{DrawOverlay, NormalFill};
 
-use crate::kernel::{LaneFold, TrialKernel, V3_WIDTH};
+use crate::kernel::{TrialKernel, V3Fold, V3_WIDTH};
 use crate::pipeline_mc::PipelineMc;
 use crate::results::PipelineBlockStats;
 use crate::strategy::{PlanSampler, TrialPlan};
@@ -193,6 +194,9 @@ struct WideScratch {
     maxd: [f64; V3_WIDTH],
     /// Per-lane importance weights (`1.0` unless the plan shifts).
     weight: [f64; V3_WIDTH],
+    /// The statistics rows each pass folds `sd`, `maxd` and `weight`
+    /// into.
+    fold: V3Fold,
     /// Per-lane generators, parked after the die/latch draws at each
     /// lane's first gate normal; every stage's gate normals are drawn
     /// from them lane-interleaved.
@@ -215,11 +219,12 @@ impl TrialWorkspace {
     /// Every scratch buffer's storage address and capacity, in a fixed
     /// order — what the zero-allocation checks watch for growth and
     /// moves.
-    fn buffers(&self) -> [(*const u8, usize); 15] {
+    fn buffers(&self) -> [(*const u8, usize); 18] {
         fn storage<T>(v: &Vec<T>) -> (*const u8, usize) {
             (v.as_ptr().cast(), v.capacity())
         }
         let w = &self.wide;
+        let [fold_stages, fail_w, fail_w2] = w.fold.storage();
         [
             storage(&self.z),
             storage(&self.die.region_dvth),
@@ -236,6 +241,9 @@ impl TrialWorkspace {
             storage(&w.at),
             storage(&w.sd),
             storage(&w.rngs),
+            fold_stages,
+            fail_w,
+            fail_w2,
         ]
     }
 }
@@ -339,6 +347,12 @@ impl PreparedPipelineMc {
     /// enough). Grow-only, so one workspace can serve interleaved blocks
     /// of different scenarios without reallocating per block.
     pub fn prepare_workspace(&self, ws: &mut TrialWorkspace) {
+        self.grow_workspace(ws, 0);
+    }
+
+    /// [`PreparedPipelineMc::prepare_workspace`], with v3 fold rows for
+    /// `weighted_targets` weighted yield targets.
+    fn grow_workspace(&self, ws: &mut TrialWorkspace, weighted_targets: usize) {
         let grow = |v: &mut Vec<f64>, n: usize| v.reserve(n.saturating_sub(v.len()));
         let max_gates = self
             .stages
@@ -377,6 +391,7 @@ impl PreparedPipelineMc {
             ws.wide.sd.resize(stages * V3_WIDTH, 0.0);
             let rngs = &mut ws.wide.rngs;
             rngs.reserve(V3_WIDTH.saturating_sub(rngs.len()));
+            ws.wide.fold.reserve(stages, weighted_targets);
         }
         if before != ws.buffers() {
             ws.reuses = 0;
@@ -665,14 +680,14 @@ impl PreparedPipelineMc {
     /// `seed_of(0)` — a pure function of the spec, so all workers,
     /// shards and resumed runs agree; the plain plan is the identity
     /// overlay, which leaves every drawn bit as the unmodified stream
-    /// produced it. The kernel's sampler then runs the trial and its
-    /// [`LaneFold`] records it: under v1, straight into `stats`
-    /// (bit-identical to [`PipelineMc::sample_trial`] for the same seeds
-    /// under the plain plan); under v3 through the kernel's fixed
-    /// lanes, folded in ascending order at the end of the call, so the
-    /// output is a pure function of the trial range — identical however
-    /// ranges are split across workers or shards, as long as the block
-    /// boundaries themselves are fixed.
+    /// produced it. The kernel's sampler then runs the trial: v1 records
+    /// it straight into `stats` (bit-identical to
+    /// [`PipelineMc::sample_trial`] for the same seeds under the plain
+    /// plan); v3 folds each pass into the workspace's [`V3Fold`] rows,
+    /// whose lanes merge in ascending order at the end of the call, so
+    /// the output is a pure function of the trial range — identical
+    /// however ranges are split across workers or shards, as long as the
+    /// block boundaries themselves are fixed.
     ///
     /// Weighted plans ([`TrialPlan::is_weighted`]) require `stats` built
     /// with [`PipelineBlockStats::with_weighted_tail`]; unweighted plans
@@ -695,52 +710,52 @@ impl PreparedPipelineMc {
             plan.is_weighted(),
             "stats weighted-tail configuration does not match the plan"
         );
-        self.prepare_workspace(ws);
+        let weighted_targets = if plan.is_weighted() {
+            stats.targets().len()
+        } else {
+            0
+        };
+        self.grow_workspace(ws, weighted_targets);
         // The zero-allocation contract, made checkable: after the
         // workspace is warm, no buffer may move for the rest of the
         // block.
         let warm = ws.buffers();
         let mut ps = PlanSampler::new(plan, self.die_dims(), seed_of(0));
-        let mut fold = LaneFold::new(self.kernel, stats);
         match self.kernel {
             TrialKernel::V1 => {
                 for t in trials {
                     let (seed_index, overlay) = ps.prepare_trial(t);
                     let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
                     let (maxd, w) = self.sample_trial(ws, &mut rng, &overlay);
-                    fold.record(t, &ws.stage_delays, maxd, w);
+                    stats.record_weighted(&ws.stage_delays, maxd, w);
                     debug_assert_eq!(ws.buffers(), warm, "hot-path buffer reallocated mid-block");
                 }
             }
             TrialKernel::V3 => {
+                ws.wide.fold.begin(stats);
                 let mut t = trials.start;
                 while t < trials.end {
                     let w = ((trials.end - t) as usize).min(V3_WIDTH);
                     self.sample_pass_v3(ws, &mut ps, t, w, &seed_of);
-                    for i in 0..w {
-                        for s in 0..self.stages.len() {
-                            ws.stage_delays[s] = ws.wide.sd[s * V3_WIDTH + i];
-                        }
-                        fold.record(
-                            t + i as u64,
-                            &ws.stage_delays,
-                            ws.wide.maxd[i],
-                            ws.wide.weight[i],
-                        );
-                    }
+                    let wide = &mut ws.wide;
+                    wide.fold
+                        .fold_pass(&wide.sd, &wide.maxd, &wide.weight, w, stats);
                     ws.reuses += w as u64;
                     t += w as u64;
                     debug_assert_eq!(ws.buffers(), warm, "hot-path buffer reallocated mid-block");
                 }
+                ws.wide.fold.finish(trials.start, stats);
             }
         }
-        fold.finish();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::V3_LANES;
+    use crate::results::HistogramSpec;
+    use crate::strategy::TrialStrategy;
     use vardelay_circuit::LatchParams;
     use vardelay_process::VariationConfig;
     use vardelay_stats::batch::sample_standard_normal_inv_cdf;
@@ -1058,6 +1073,155 @@ mod tests {
         run(&prepared, &mut ws, 64..128, &mut stats);
         assert_eq!(ws.reuses(), 128, "v3 hot path must not reallocate");
         assert_eq!(stats.trials(), 128);
+        // Weighted statistics grow the fold's per-target rows once, before
+        // the block's trials; after that no block moves a buffer.
+        let blockade = TrialPlan::of(TrialStrategy::Blockade);
+        let weighted =
+            || PipelineBlockStats::new(p.stage_count(), &[60.0, 70.0]).with_weighted_tail();
+        prepared.run_block_plan(&mut ws, 0..40, seed_of, blockade, &mut weighted());
+        let warm = ws.buffers();
+        prepared.run_block_plan(&mut ws, 40..80, seed_of, blockade, &mut weighted());
+        assert_eq!(ws.buffers(), warm, "a warm blockade block moved a buffer");
+        assert_eq!(ws.reuses(), 80, "the fold rows grew once");
+    }
+
+    /// One v3 pass's fold input: stage rows, pipeline delays, weights
+    /// and width.
+    type Pass = (Vec<f64>, [f64; V3_WIDTH], [f64; V3_WIDTH], usize);
+
+    /// The v3 passes over `trials` under `plan`, as the runner folds
+    /// them.
+    fn capture_passes(
+        prepared: &PreparedPipelineMc,
+        ws: &mut TrialWorkspace,
+        trials: std::ops::Range<u64>,
+        plan: TrialPlan,
+    ) -> Vec<Pass> {
+        prepared.prepare_workspace(ws);
+        let mut ps = PlanSampler::new(plan, prepared.die_dims(), seed_of(0));
+        let mut passes = Vec::new();
+        let mut t = trials.start;
+        while t < trials.end {
+            let w = ((trials.end - t) as usize).min(V3_WIDTH);
+            prepared.sample_pass_v3(ws, &mut ps, t, w, &seed_of);
+            passes.push((ws.wide.sd.clone(), ws.wide.maxd, ws.wide.weight, w));
+            t += w as u64;
+        }
+        passes
+    }
+
+    /// The per-lane fold [`V3Fold`] replaced, kept as its oracle: one
+    /// block of statistics per lane, trial `t` recorded into lane
+    /// `t % V3_LANES`, the lanes merged in ascending order.
+    fn per_lane_fold(stats: &mut PipelineBlockStats, start: u64, passes: &[Pass]) {
+        let mut lanes: Vec<_> = (0..V3_LANES).map(|_| stats.fresh_like()).collect();
+        let stages = stats.stage_stats().len();
+        let mut t = start;
+        for (sd, maxd, weight, w) in passes {
+            for i in 0..*w {
+                let delays: Vec<f64> = (0..stages).map(|s| sd[s * V3_WIDTH + i]).collect();
+                let lane = &mut lanes[(t % V3_LANES as u64) as usize];
+                lane.record_weighted(&delays, maxd[i], weight[i]);
+                t += 1;
+            }
+        }
+        for lane in &lanes {
+            stats.merge(lane);
+        }
+    }
+
+    /// `Debug` prints every `f64` in its shortest round-trip form (sign
+    /// of zero included), so equal renderings are equal bits: every
+    /// moment, count, extreme, success count, bin and weighted sum.
+    fn bits(stats: &PipelineBlockStats) -> String {
+        format!("{stats:?}")
+    }
+
+    /// The structure-of-arrays fold is the per-lane fold, byte for byte:
+    /// every plan, start and length (ragged passes, a lane order that
+    /// does not start at lane 0), histogram on and off, 0, 1 and 4
+    /// targets, on every SIMD tier — and the runner folds exactly so.
+    #[test]
+    fn v3_fold_matches_the_per_lane_reference() {
+        let mc = PipelineMc::new(
+            CellLibrary::default(),
+            VariationConfig::combined(20.0, 35.0, 15.0),
+            None,
+        )
+        .with_kernel(TrialKernel::V3);
+        let p = pipe(3, 2);
+        let prepared = PreparedPipelineMc::new(&mc, &p);
+        let mut ws = prepared.workspace();
+        let hist = HistogramSpec {
+            lo: 20.0,
+            hi: 50.0,
+            bins: 9,
+        };
+        let target_sets: [&[f64]; 3] = [&[], &[36.0], &[30.0, 34.0, 36.0, 40.0]];
+        let mut skipped = [false; 3];
+        for strategy in [
+            TrialStrategy::Plain,
+            TrialStrategy::Antithetic,
+            TrialStrategy::Stratified,
+            TrialStrategy::Sobol,
+            TrialStrategy::Blockade,
+        ] {
+            let plan = TrialPlan::of(strategy);
+            let fresh = |targets: &[f64], histogram: bool| {
+                let mut s = PipelineBlockStats::new(p.stage_count(), targets);
+                if histogram {
+                    s = s.with_histogram(hist);
+                }
+                if plan.is_weighted() {
+                    s = s.with_weighted_tail();
+                }
+                s
+            };
+            for start in [0u64, 5, 256, 1023] {
+                for len in [1u64, 15, 16, 17, 257, 1024] {
+                    let range = start..start + len;
+                    let passes = capture_passes(&prepared, &mut ws, range.clone(), plan);
+                    for targets in target_sets {
+                        for histogram in [false, true] {
+                            let case = format!("{strategy:?} {range:?} {targets:?} {histogram}");
+                            let mut want = fresh(targets, histogram);
+                            per_lane_fold(&mut want, start, &passes);
+                            for (t, tier) in simd::SimdTier::ALL.into_iter().enumerate() {
+                                if !tier.supported() {
+                                    skipped[t] = true;
+                                    continue;
+                                }
+                                let mut got = fresh(targets, histogram);
+                                let mut fold = V3Fold::default();
+                                fold.begin(&got);
+                                for (sd, maxd, weight, w) in &passes {
+                                    fold.fold_pass_with(
+                                        |k| simd::run_on(tier, k).expect("supported"),
+                                        sd,
+                                        maxd,
+                                        weight,
+                                        *w,
+                                        &mut got,
+                                    );
+                                }
+                                fold.finish(start, &mut got);
+                                assert_eq!(bits(&got), bits(&want), "{tier:?} {case}");
+                            }
+                        }
+                    }
+                    let mut got = fresh(target_sets[2], true);
+                    prepared.run_block_plan(&mut ws, range.clone(), seed_of, plan, &mut got);
+                    let mut want = fresh(target_sets[2], true);
+                    per_lane_fold(&mut want, start, &passes);
+                    assert_eq!(bits(&got), bits(&want), "runner {strategy:?} {range:?}");
+                }
+            }
+        }
+        for (t, tier) in simd::SimdTier::ALL.into_iter().enumerate() {
+            if skipped[t] {
+                eprintln!("skipped the {} tier: this CPU lacks it", tier.name());
+            }
+        }
     }
 
     /// [`Arrivals`] on `tier` over `slow`, with the arrival rows it wrote.

@@ -117,11 +117,11 @@ impl YieldEstimate {
 /// yield target. Sums merge by addition, so the weighted estimator
 /// inherits the block-merge determinism contract unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct WeightedTail {
-    sum_w: f64,
-    sum_w2: f64,
-    fail_w: Vec<f64>,
-    fail_w2: Vec<f64>,
+pub(crate) struct WeightedTail {
+    pub(crate) sum_w: f64,
+    pub(crate) sum_w2: f64,
+    pub(crate) fail_w: Vec<f64>,
+    pub(crate) fail_w2: Vec<f64>,
 }
 
 impl WeightedTail {
@@ -191,7 +191,6 @@ impl PipelineBlockStats {
     /// An empty accumulator with this block's exact configuration —
     /// stage count, targets, and histogram range/binning — so the result
     /// can always be [`PipelineBlockStats::merge`]d back into `self`.
-    /// This is how the v3 kernel builds its per-lane accumulators.
     pub fn fresh_like(&self) -> Self {
         PipelineBlockStats {
             pipeline: RunningStats::new(),
@@ -224,6 +223,14 @@ impl PipelineBlockStats {
         for (acc, &d) in self.stage_stats.iter_mut().zip(stage_delays) {
             acc.push(d);
         }
+        self.count_trial(pipeline_delay);
+    }
+
+    /// Counts one trial's pipeline delay into the success counts and the
+    /// histogram. Both are integers, so a trial counts the same however
+    /// the trials are grouped — the v3 fold counts straight into the
+    /// block while its moments go through lanes.
+    pub(crate) fn count_trial(&mut self, pipeline_delay: f64) {
         for (ok, &t) in self.successes.iter_mut().zip(&self.targets) {
             *ok += u64::from(pipeline_delay <= t);
         }
@@ -232,23 +239,34 @@ impl PipelineBlockStats {
         }
     }
 
-    /// Folds one *weighted* trial into the block.
+    /// The floating-point accumulators a lane fold merges into: the
+    /// pipeline-delay and per-stage moments, and the weighted tail.
+    pub(crate) fn moments_mut(
+        &mut self,
+    ) -> (
+        &mut RunningStats,
+        &mut [RunningStats],
+        Option<&mut WeightedTail>,
+    ) {
+        (
+            &mut self.pipeline,
+            &mut self.stage_stats,
+            self.weighted.as_mut(),
+        )
+    }
+
+    /// Folds one trial with importance weight `w` into the block.
     ///
     /// The unweighted moments, success counts, and histogram are updated
     /// exactly as [`PipelineBlockStats::record`] does — they describe
-    /// the *sampled* (e.g. mean-shifted) distribution — while the
-    /// importance weight `w` feeds the reweighted tail sums that
-    /// estimate the unshifted yields.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weighted tail accumulator was not enabled.
+    /// the *sampled* (e.g. mean-shifted) distribution — while `w` feeds
+    /// the reweighted tail sums that estimate the unshifted yields. The
+    /// weight is ignored when the weighted tail is not enabled.
     pub fn record_weighted(&mut self, stage_delays: &[f64], pipeline_delay: f64, w: f64) {
         self.record(stage_delays, pipeline_delay);
-        let tail = self
-            .weighted
-            .as_mut()
-            .expect("record_weighted requires with_weighted_tail");
+        let Some(tail) = self.weighted.as_mut() else {
+            return;
+        };
         tail.sum_w += w;
         tail.sum_w2 += w * w;
         for (i, &t) in self.targets.iter().enumerate() {

@@ -40,21 +40,32 @@ impl RunningStats {
         }
     }
 
+    /// An accumulator holding `count` observations with mean and
+    /// central moment sums `[mean, m2, m3, m4]` and extremes `min` and
+    /// `max` — the fields a lane-parallel fold of [`pebay_step`] keeps
+    /// in rows, turned back into the accumulator [`RunningStats::push`]
+    /// would have built from the same observations.
+    pub fn from_parts(count: u64, moments: [f64; 4], min: f64, max: f64) -> Self {
+        let [mean, m2, m3, m4] = moments;
+        RunningStats {
+            count,
+            mean,
+            m2,
+            m3,
+            m4,
+            min,
+            max,
+        }
+    }
+
     /// Adds one observation (Pébay's single-pass update through the 4th
     /// central moment).
     pub fn push(&mut self, x: f64) {
         let n1 = self.count as f64;
         self.count += 1;
         let n = self.count as f64;
-        let delta = x - self.mean;
-        let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
-        let term1 = delta * delta_n * n1;
-        self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
-        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
-        self.m2 += term1;
+        [self.mean, self.m2, self.m3, self.m4] =
+            pebay_step(n1, n, x, [self.mean, self.m2, self.m3, self.m4]);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -160,6 +171,27 @@ impl RunningStats {
     pub fn max(&self) -> f64 {
         self.max
     }
+}
+
+/// One observation `x` folded into the mean and central moment sums
+/// `[mean, m2, m3, m4]` of `n1` earlier observations, `n = n1 + 1`
+/// (P. Pébay, SAND2008-6212) — the one body of [`RunningStats::push`]
+/// and of the v3 kernel's lane-parallel statistics fold, so both round
+/// every step alike. Inlined so a vectorized caller's tier compiles it.
+#[inline(always)]
+pub fn pebay_step(n1: f64, n: f64, x: f64, moments: [f64; 4]) -> [f64; 4] {
+    let [mean, m2, m3, m4] = moments;
+    let delta = x - mean;
+    let delta_n = delta / n;
+    let delta_n2 = delta_n * delta_n;
+    let term1 = delta * delta_n * n1;
+    [
+        mean + delta_n,
+        m2 + term1,
+        m3 + (term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2),
+        m4 + (term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * m2
+            - 4.0 * delta_n * m3),
+    ]
 }
 
 impl Default for RunningStats {

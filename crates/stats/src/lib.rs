@@ -66,7 +66,7 @@ pub use batch::{
 };
 pub use clark::{max_of, max_of_with_order, max_pair, MaxPairMoments};
 pub use correlation::CorrelationMatrix;
-pub use descriptive::{Histogram, Quantiles, RunningStats};
+pub use descriptive::{pebay_step, Histogram, Quantiles, RunningStats};
 pub use draw::{DrawOverlay, NormalFill};
 pub use matrix::SymMatrix;
 pub use mix::{counter_seed, splitmix64_mix};
