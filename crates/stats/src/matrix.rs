@@ -231,7 +231,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `i >= dim()` or `z` has fewer than `i + 1` rows.
-    #[inline]
+    #[inline(always)]
     pub fn transform_row_lanes<const W: usize>(&self, i: usize, z: &[[f64; W]]) -> [f64; W] {
         let (l0, rest) = self.row(i).split_first().expect("row has a diagonal");
         let mut y = [0.0; W];

@@ -7,6 +7,7 @@ use rand::Rng;
 use crate::correlation::CorrelationMatrix;
 use crate::draw::{DrawOverlay, NormalFill};
 use crate::matrix::{Cholesky, MatrixError, SymMatrix};
+use crate::simd;
 
 /// Error constructing a [`MultivariateNormal`].
 #[derive(Debug, Clone, PartialEq)]
@@ -205,28 +206,19 @@ impl MultivariateNormal {
             left -= rows;
             let block = &mut z[..rows * dim];
             fill.fill(rng, block);
-            for group in block.chunks(LANES * dim) {
-                for (lane, row) in group.chunks_exact(dim).enumerate() {
-                    for (l, &v) in lanes.iter_mut().zip(row) {
-                        l[lane] = v;
-                    }
-                }
-                // Lanes past the group's rows hold stale draws; their
-                // argmax is computed and never counted.
-                let n = group.len() / dim;
-                for (mvn, w) in mvns.iter().zip(&mut wins) {
-                    for &a in &mvn.argmax_lanes(&lanes)[..n] {
-                        w[a] += 1;
-                    }
-                }
-            }
+            simd::dispatch(ArgmaxBlock {
+                mvns,
+                block,
+                lanes: &mut lanes,
+                wins: &mut wins,
+            });
         }
         wins
     }
 
     /// The argmax of `mean + L z` for each of the 16 lanes of the
     /// dim-major draws `lanes`, branch-free.
-    #[inline]
+    #[inline(always)]
     fn argmax_lanes(&self, lanes: &[[f64; LANES]]) -> [usize; LANES] {
         let mut best = [f64::NEG_INFINITY; LANES];
         let mut arg = [0usize; LANES];
@@ -257,6 +249,50 @@ impl MultivariateNormal {
                     .fold(f64::NEG_INFINITY, f64::max)
             })
             .collect()
+    }
+}
+
+/// One filled block of [`MultivariateNormal::argmax_wins`]: each group
+/// of 16 rows transposed to dim-major lanes, every distribution's lane
+/// argmax, and the wins counted — compiled once per [`simd`] tier. The
+/// wins are integers and the arithmetic is `transform_into`'s, so no
+/// count depends on the tier.
+struct ArgmaxBlock<'a> {
+    mvns: &'a [MultivariateNormal],
+    /// Row-major draws, `rows × dim`.
+    block: &'a [f64],
+    /// Dim-major transpose scratch, one row per dim.
+    lanes: &'a mut [[f64; LANES]],
+    wins: &'a mut [Vec<usize>],
+}
+
+impl simd::Kernel for ArgmaxBlock<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let ArgmaxBlock {
+            mvns,
+            block,
+            lanes,
+            wins,
+        } = self;
+        let dim = lanes.len();
+        for group in block.chunks(LANES * dim) {
+            for (lane, row) in group.chunks_exact(dim).enumerate() {
+                for (l, &v) in lanes.iter_mut().zip(row) {
+                    l[lane] = v;
+                }
+            }
+            // Lanes past the group's rows hold stale draws; their
+            // argmax is computed and never counted.
+            let n = group.len() / dim;
+            for (mvn, w) in mvns.iter().zip(wins.iter_mut()) {
+                for &a in &mvn.argmax_lanes(lanes)[..n] {
+                    w[a] += 1;
+                }
+            }
+        }
     }
 }
 
@@ -450,6 +486,44 @@ mod tests {
         // and carries the likelihood ratio of the pre-shift normal.
         assert!((w - crate::strata::mean_shift_weight(2.0, 1.5)).abs() < 1e-12);
         assert!(b[0] > a[0]);
+    }
+
+    /// The argmax block kernel counts the same wins on every SIMD tier,
+    /// for full and ragged blocks (a final group of fewer than 16 rows).
+    #[test]
+    fn argmax_block_wins_are_identical_on_every_tier() {
+        let corr = CorrelationMatrix::uniform(4, 0.35).unwrap();
+        let mvns = [
+            MultivariateNormal::from_correlation(&[200.0, 204.0, 199.0, 202.0], &[6.0; 4], &corr)
+                .unwrap(),
+            MultivariateNormal::from_correlation(&[201.0, 200.0, 203.0, 198.0], &[5.0; 4], &corr)
+                .unwrap(),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xC817);
+        for rows in [1, 16, 37, ARGMAX_BLOCK] {
+            let mut block = vec![0.0; rows * 4];
+            NormalFill::InvCdf.fill(&mut rng, &mut block);
+            let wins_on = |tier| {
+                let mut wins = vec![vec![0usize; 4]; mvns.len()];
+                simd::run_on(
+                    tier,
+                    ArgmaxBlock {
+                        mvns: &mvns,
+                        block: &block,
+                        lanes: &mut [[f64::NAN; LANES]; 4],
+                        wins: &mut wins,
+                    },
+                )
+                .map(|()| wins)
+            };
+            let portable = wins_on(simd::SimdTier::Portable).expect("always supported");
+            assert!(portable.iter().all(|w| w.iter().sum::<usize>() == rows));
+            for tier in simd::SimdTier::ALL {
+                if let Some(wins) = wins_on(tier) {
+                    assert_eq!(wins, portable, "{tier:?} at {rows} rows");
+                }
+            }
+        }
     }
 
     #[test]
