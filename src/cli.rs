@@ -642,9 +642,12 @@ fn write_aggregate(path: &str, empty_report: &str, keys: &[u64]) -> Result<usize
 ///   `f`.
 ///
 /// The stdout summary table comes from the typed results the sink
-/// keeps, with or without `--out`. A `--trace`/`--metrics` recording
-/// covers the run and the `--out` write (an `io/aggregate` span whose
-/// value is the bytes written).
+/// keeps, with or without `--out` (a `report/assemble` span). A
+/// `--trace`/`--metrics` recording and its `wall_ms` start with the
+/// session: they cover the spec parse, the `--resume` parse
+/// (`io/resume_parse`, valued at the journal's bytes), the cache open
+/// (`io/cache_open`), the run and the `--out` write (an `io/aggregate`
+/// span whose value is the bytes written).
 fn run_workload_cmd<W>(
     kind: &str,
     spec_text: &str,
@@ -661,13 +664,18 @@ where
     // instrumentation is out-of-band: result bytes are identical.
     let session =
         (args.trace.is_some() || args.metrics.is_some()).then(vardelay_obs::Session::start);
+    // The recorded wall starts with the session, so the spec parse, the
+    // resume parse and the cache open are inside it, as their spans are.
+    let started = std::time::Instant::now();
     let w = &{
         let _sp = vardelay_obs::span("spec", "parse").value(spec_text.len() as f64);
         parse(spec_text).map_err(|e| CliError(format!("invalid {kind} spec: {e}")))?
     };
     let resume_ckpt: Option<Checkpoint<W::UnitResult>> = match &args.resume {
         Some(path) => {
+            let sp = vardelay_obs::span("io", "resume_parse");
             let text = std::fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
+            let _sp = sp.value(text.len() as f64);
             let ckpt = Checkpoint::parse(&text)
                 .map_err(|e| CliError(format!("invalid checkpoint '{path}': {e}")))?;
             if ckpt.torn_tail() {
@@ -701,6 +709,7 @@ where
         .cache
         .as_deref()
         .map(|dir| {
+            let _sp = vardelay_obs::span("io", "cache_open");
             ResultStore::open(std::path::Path::new(dir))
                 .map(UnitCache::new)
                 .map_err(|e| CliError(format!("cannot open cache: {e}")))
@@ -754,7 +763,6 @@ where
     // of the summary table.
     let mut kept: Vec<Option<W::UnitResult>> = Vec::new();
 
-    let started = std::time::Instant::now();
     let stats = run_units(w, &options, |slot, id, result, origin| {
         // Only journal-spliced units already have their line in the
         // append-mode journal; cache-spliced units are new to it.
@@ -839,6 +847,7 @@ where
             stats.cached, stats.executed
         );
     }
+    let sp = vardelay_obs::span("report", "assemble");
     let report = w.assemble(
         kept.into_iter()
             .map(|r| r.expect("every unit sinks exactly once"))
@@ -851,6 +860,7 @@ where
         w.seed(),
         report.summary_table()
     );
+    drop(sp);
     if let Some(path) = &args.out {
         let sp = vardelay_obs::span("io", "aggregate");
         let written = write_aggregate(path, &w.assemble(Vec::new()).to_json(), &stats.keys)?;

@@ -1,9 +1,11 @@
-//! What a `--metrics` file of a `vardelay optimize … --out` run
-//! attributes: one `spec/expand` span, one `opt/resolve_target` span
-//! per run, one `io/serialize` span per streamed unit and one
-//! `io/aggregate` span whose value is the bytes of the `--out` file; its
-//! run section, and the `vardelay report` header, name the SIMD tier the
-//! kernels ran under. The run is a child process, so no other test's
+//! What a `--metrics` file of a `vardelay optimize … --out --resume
+//! --cache` run attributes: one `spec/expand` span, one
+//! `io/resume_parse` span valued at the journal's bytes, one
+//! `io/cache_open` span, one `opt/resolve_target` span per run, one
+//! `io/serialize` span per streamed unit, one `report/assemble` span and
+//! one `io/aggregate` span whose value is the bytes of the `--out` file;
+//! its run section, and the `vardelay report` header, name the SIMD tier
+//! the kernels ran under. The run is a child process, so no other test's
 //! spans reach its recording and the counts are exact.
 
 use std::process::Command;
@@ -34,12 +36,15 @@ fn campaign_metrics_count_one_target_resolution_per_run_and_the_aggregate_write(
     }
     let dir = std::env::temp_dir().join(format!("vardelay-cli-metrics-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let (spec, out, metrics) = (
+    let (spec, out, metrics, journal) = (
         dir.join("campaign.json"),
         dir.join("out.json"),
         dir.join("metrics.json"),
+        dir.join("journal.jsonl"),
     );
     std::fs::write(&spec, campaign.to_json()).unwrap();
+    // An empty journal: the resume parse runs and every unit executes.
+    std::fs::write(&journal, "").unwrap();
 
     let run = Command::new(env!("CARGO_BIN_EXE_vardelay"))
         .arg("optimize")
@@ -48,6 +53,10 @@ fn campaign_metrics_count_one_target_resolution_per_run_and_the_aggregate_write(
         .arg(&out)
         .arg("--metrics")
         .arg(&metrics)
+        .arg("--resume")
+        .arg(&journal)
+        .arg("--cache")
+        .arg(dir.join("cache"))
         .output()
         .expect("the binary runs");
     assert!(
@@ -68,6 +77,11 @@ fn campaign_metrics_count_one_target_resolution_per_run_and_the_aggregate_write(
     assert_eq!(num(expand.get("count")), 1.0);
     assert_eq!(num(expand.get("value_sum")), 2.0, "units expanded");
     assert_eq!(num(phase("io/serialize").get("count")), 2.0);
+    let resume = phase("io/resume_parse");
+    assert_eq!(num(resume.get("count")), 1.0);
+    assert_eq!(num(resume.get("value_sum")), 0.0, "the journal was empty");
+    assert_eq!(num(phase("io/cache_open").get("count")), 1.0);
+    assert_eq!(num(phase("report/assemble").get("count")), 1.0);
     let tier = match m.get("simd_tier") {
         Some(Value::String(t)) => t.clone(),
         other => panic!("simd_tier is not a string: {other:?}"),
