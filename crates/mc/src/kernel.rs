@@ -323,6 +323,10 @@ impl simd::Kernel for FoldPass<'_> {
         } = self;
         // Every pass of a call but the last is full, so all `w` active
         // positions hold the same count: position 0's.
+        debug_assert!(
+            fold.count[..w].iter().all(|&c| c == fold.count[0]),
+            "only a call's last pass may be ragged"
+        );
         let n1 = fold.count[0] as f64;
         let n = (fold.count[0] + 1) as f64;
         fold.pipeline.push(n1, n, maxd, w);
