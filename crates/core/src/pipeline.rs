@@ -385,4 +385,57 @@ mod tests {
             }
         }
     }
+
+    /// The premise of sharing one criticality estimate per stage model
+    /// across optimization runs: a pipeline's wins in a batch are its
+    /// wins estimated alone, bit for bit, whatever else the batch holds
+    /// and in whatever order.
+    #[test]
+    fn batched_criticality_never_depends_on_the_rest_of_the_batch() {
+        use vardelay_stats::SymMatrix;
+        for ns in 2..=8 {
+            let stages = |skew: f64| -> Vec<StageDelay> {
+                (0..ns)
+                    .map(|i| {
+                        sd(
+                            200.0 + skew * ((i * 5 % 7) as f64 - 3.0),
+                            3.0 + 0.4 * i as f64,
+                        )
+                    })
+                    .collect()
+            };
+            let decay = SymMatrix::from_fn(ns, |i, j| 0.6f64.powi(i.abs_diff(j) as i32));
+            let pipelines = [
+                Pipeline::independent(stages(1.0)).unwrap(),
+                Pipeline::equicorrelated(stages(0.5), 0.3).unwrap(),
+                Pipeline::equicorrelated(stages(2.0), 0.7).unwrap(),
+                Pipeline::new(stages(0.0), CorrelationMatrix::from_matrix(decay).unwrap()).unwrap(),
+            ];
+            for fill in [NormalFill::Scalar, NormalFill::InvCdf] {
+                let (trials, seed) = (2_600, 0xC817);
+                let alone: Vec<Vec<f64>> = pipelines
+                    .iter()
+                    .map(|p| p.criticality_probabilities_with(fill, trials, seed))
+                    .collect();
+                let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                    v.iter()
+                        .map(|c| c.iter().map(|x| x.to_bits()).collect())
+                        .collect()
+                };
+                let ctx = format!("{fill:?}, {ns} stages");
+                let batch =
+                    Pipeline::shared_criticality_probabilities(&pipelines, fill, trials, seed);
+                assert_eq!(bits(&batch), bits(&alone), "{ctx}");
+                let mut reversed = pipelines.to_vec();
+                reversed.reverse();
+                let mut back =
+                    Pipeline::shared_criticality_probabilities(&reversed, fill, trials, seed);
+                back.reverse();
+                assert_eq!(bits(&back), bits(&alone), "{ctx}, reversed batch");
+                let pair =
+                    Pipeline::shared_criticality_probabilities(&pipelines[2..], fill, trials, seed);
+                assert_eq!(bits(&pair), bits(&alone[2..]), "{ctx}, sub-batch");
+            }
+        }
+    }
 }

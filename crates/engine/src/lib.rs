@@ -15,8 +15,9 @@
 //!   one pipeline every workload runs through —
 //!   [`workload::run_workload`] / [`workload::run_units`] — with
 //!   deterministic sharding ([`Shard`]), JSONL checkpoint streaming
-//!   ([`workload::checkpoint_line`]) and byte-exact resume
-//!   ([`Checkpoint`]).
+//!   ([`workload::checkpoint_line`]), byte-exact resume
+//!   ([`Checkpoint`]) and the per-call [`KeyedCells`] through which
+//!   units share sub-results that are pure functions of a key.
 //! * [`spec`] — serializable [`Scenario`]/[`Sweep`] descriptions with
 //!   cartesian grid expansion, stable content-hash scenario IDs, a
 //!   spec-selected simulation [`BackendSpec`] and named [`CircuitSpec`]
@@ -106,7 +107,7 @@ pub use spec::{
 };
 pub use verify::verify_yield_pooled;
 pub use workload::{
-    checkpoint_line, plan_workload, run_units, run_workload, split_checkpoint_line, Checkpoint,
-    Progress, ProgressUpdate, ResultCache, Shard, StepContext, UnitOrigin, Workload,
-    WorkloadOptions, WorkloadPlan, WorkloadReport, WorkloadStats, CONTRACT_VERSION,
+    checkpoint_line, plan_workload, run_units, run_workload, split_checkpoint_line, CellRef,
+    Checkpoint, KeyedCells, Progress, ProgressUpdate, ResultCache, Shard, StepContext, UnitOrigin,
+    Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, WorkloadStats, CONTRACT_VERSION,
 };

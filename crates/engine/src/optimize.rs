@@ -24,18 +24,24 @@
 //! campaign seed), every Monte-Carlo trial inside a run — in-loop yield
 //! evaluations and final verification alike — is counter-seeded from
 //! that ID, the sizer is deterministic, and results are assembled in
-//! expansion order.
+//! expansion order. What does not read the run ID — the resolved target,
+//! the individually-optimized baseline and its flow start, and each
+//! stage-criticality estimate — is computed once per key and shared
+//! across the runs of one call ([`CampaignCells`]); each is a pure
+//! function of its key, so sharing cannot move a byte.
 
 use vardelay_circuit::power::{pipeline_power, PowerParams};
 use vardelay_circuit::{CellLibrary, StagedPipeline};
 use vardelay_core::design_space::DesignSpace;
-use vardelay_core::stage_yield_target;
-use vardelay_mc::{PipelineMc, PreparedPipelineMc, TrialWorkspace};
+use vardelay_core::{stage_yield_target, Pipeline};
+use vardelay_mc::{PipelineMc, PreparedPipelineMc, TrialKernel, TrialWorkspace};
 use vardelay_opt::{
-    AnalyticYieldEval, GlobalPipelineOptimizer, NetlistMcYieldEval, OptimizationGoal, SizingConfig,
-    StatisticalSizer, TargetDelayPolicy, MAX_EVAL_TRIALS,
+    estimate_criticality, AnalyticYieldEval, FlowStart, GlobalPipelineOptimizer,
+    NetlistMcYieldEval, OptimizationGoal, SizingConfig, StatisticalSizer, TargetDelayPolicy,
+    MAX_EVAL_TRIALS,
 };
-use vardelay_ssta::SstaEngine;
+use vardelay_ssta::{PipelineTiming, SstaEngine};
+use vardelay_stats::NormalFill;
 
 use serde::{Deserialize, Serialize};
 
@@ -47,7 +53,7 @@ use crate::spec::{
     is_default, keyword_enum, trials_from_value, trials_to_value, KernelSpec, PipelineSpec,
     StrategySpec, TrialPlanSpec, VariationSpec,
 };
-use crate::workload::{StepContext, Workload};
+use crate::workload::{KeyedCells, StepContext, Workload};
 
 keyword_enum! {
     /// Which backend measures pipeline yield *inside* the sizing loop.
@@ -447,6 +453,8 @@ impl OptimizationCampaign {
 pub struct PreparedRun {
     pub(crate) spec: OptimizeSpec,
     pub(crate) id: u64,
+    /// The [`baseline_key`] of the run's spec.
+    pub(crate) baseline_key: u64,
     pub(crate) stages: usize,
     /// Total gates across all stage netlists.
     pub(crate) gates: usize,
@@ -561,6 +569,7 @@ fn build_run(spec: OptimizeSpec, seed: u64) -> PreparedRun {
         .expect("gate-level specs build a pipeline");
     PreparedRun {
         id: spec.id(seed),
+        baseline_key: baseline_key(&spec),
         stages,
         gates: pipeline.total_gates(),
         stage_allocation: stage_yield_target(spec.yield_target, stages),
@@ -576,14 +585,80 @@ const VERIFY_SALT: u64 = 0x7AB2_AC7A_1D1E_1D01; // "table 2 actual yield"
 /// Salt for the individually-optimized baseline's verification stream.
 const BASELINE_SALT: u64 = 0x7AB2_1D01_BA5E_0002;
 
+/// The content hash of everything a run's target resolution and flow
+/// start read: the pipeline, variation, target-delay policy and yield
+/// target. The sizer config and cell library are fixed defaults today;
+/// they join the key if they ever become spec fields. Runs that differ
+/// only in goal, yield backend, rounds, kernel, trial budgets or verify
+/// plan share one key.
+fn baseline_key(spec: &OptimizeSpec) -> u64 {
+    let text = format!(
+        "{}|{}|{}|{:016x}",
+        serde_json::to_string(&spec.pipeline).expect("checked runs are finite"),
+        serde_json::to_string(&spec.variation).expect("checked runs are finite"),
+        serde_json::to_string(&spec.target_delay).expect("checked runs are finite"),
+        spec.yield_target.to_bits(),
+    );
+    fnv1a64(text.as_bytes())
+}
+
+/// What every run with one [`baseline_key`] starts from: the resolved
+/// target delay and the individually-optimized baseline's flow start
+/// (the baseline, its SSTA and its sizing-probe slopes).
+#[derive(Debug)]
+struct BaselineStart {
+    target_ps: f64,
+    start: FlowStart,
+}
+
+/// A Gaussian stage model and normal fill, by bits: the criticality
+/// estimate's whole input.
+type CriticalityKey = (NormalFill, Vec<u64>);
+
+/// The bits of `model`'s stage means, sds and correlations, with `fill`.
+fn criticality_key(model: &Pipeline, fill: NormalFill) -> CriticalityKey {
+    let stages = model.stages();
+    let n = stages.len();
+    let corr = model.correlation();
+    let moments = stages.iter().flat_map(|s| [s.mean(), s.sd()]);
+    let correlations = (0..n).flat_map(|i| (i + 1..n).map(move |j| corr.get(i, j)));
+    (
+        fill,
+        moments.chain(correlations).map(f64::to_bits).collect(),
+    )
+}
+
+/// The sub-results a campaign's runs share within one
+/// [`crate::run_units`] call: one [`BaselineStart`] per
+/// [`baseline_key`], and one stage-criticality estimate per distinct
+/// stage model. Both are pure functions of their keys, so sharing moves
+/// no result byte; MC verification and in-loop netlist evaluation are
+/// seeded by the run ID and stay per run.
+#[derive(Debug)]
+pub struct CampaignCells {
+    baselines: KeyedCells<u64, BaselineStart>,
+    criticality: KeyedCells<CriticalityKey, Vec<f64>>,
+}
+
+impl Default for CampaignCells {
+    fn default() -> Self {
+        CampaignCells {
+            baselines: KeyedCells::new("cell/baseline_hit"),
+            criticality: KeyedCells::new("cell/criticality_hit"),
+        }
+    }
+}
+
 /// Executes one prepared run on the calling thread. `verify_workers`
 /// sizes the nested pool the v3 kernel's verification chunks dispatch
 /// to (1 keeps everything on this thread); it never affects result
-/// bytes.
+/// bytes. The run's target, baseline and criticality estimates come
+/// from `cells`, computed there by whichever run asks first.
 fn execute_run(
     p: &PreparedRun,
     ws: &mut TrialWorkspace,
     verify_workers: usize,
+    cells: &CampaignCells,
 ) -> OptimizationRunResult {
     let spec = &p.spec;
     let variation = spec.variation.to_config();
@@ -595,32 +670,52 @@ fn execute_run(
         .with_kernel(spec.kernel.to_kernel());
 
     // Resolve the target and the individually-optimized baseline (the
-    // Fig. 9 flow's stated input) from the pipeline prepare_run built.
-    let resolved = spec
-        .target_delay
-        .resolve(&opt, &p.pipeline, spec.yield_target);
-    let target = resolved.target_ps;
+    // Fig. 9 flow's stated input) once per baseline key. The pipeline is
+    // renamed so the cell holds nothing of the run that filled it.
+    let base = cells.baselines.get_or_init(p.baseline_key, || {
+        let resolved = {
+            let _sp = vardelay_obs::span("opt", "resolve_target").key(p.baseline_key);
+            let pipeline =
+                StagedPipeline::new("baseline", p.pipeline.stages().to_vec(), p.pipeline.latch());
+            spec.target_delay
+                .resolve(&opt, &pipeline, spec.yield_target)
+        };
+        BaselineStart {
+            target_ps: resolved.target_ps,
+            start: opt.flow_start(resolved.baseline, spec.yield_target),
+        }
+    });
+    let target = base.target_ps;
+    let baseline = base.start.pipeline();
 
     let mc = PipelineMc::new(lib, variation, None).with_kernel(spec.kernel.to_kernel());
+    // Each stage model's criticality comes from the run's cells. An
+    // estimate never depends on the models batched with it, so one
+    // estimated alone serves every run whose flow reaches that model.
+    let criticality = |models: &[Pipeline], kernel: TrialKernel| -> Vec<Vec<f64>> {
+        let estimate = |model: &Pipeline| {
+            let key = criticality_key(model, kernel.normal_fill());
+            let cell = cells.criticality.get_or_init(key, || {
+                let mut one = estimate_criticality(std::slice::from_ref(model), kernel);
+                one.pop().expect("one model in, one estimate out")
+            });
+            cell.to_vec()
+        };
+        models.iter().map(estimate).collect()
+    };
     let (optimized, report) = {
         let _sp = vardelay_obs::span("opt", "flow").key(p.id);
         match spec.yield_backend {
-            YieldBackendSpec::Analytic => opt.optimize_with(
-                &resolved.baseline,
+            YieldBackendSpec::Analytic => opt.optimize_from(
+                &base.start,
                 target,
-                spec.yield_target,
                 spec.goal,
                 &AnalyticYieldEval,
+                &criticality,
             ),
             YieldBackendSpec::Netlist => {
                 let eval = NetlistMcYieldEval::new(mc.clone(), spec.eval_trials, p.id);
-                opt.optimize_with(
-                    &resolved.baseline,
-                    target,
-                    spec.yield_target,
-                    spec.goal,
-                    &eval,
-                )
+                opt.optimize_from(&base.start, target, spec.goal, &eval, &criticality)
             }
         }
     };
@@ -633,9 +728,8 @@ fn execute_run(
     // stage moments (§2.4: isolate the max-operator error from the
     // stage-characterization error), like a sweep's `model_from_mc`.
     let vplan = spec.verify_plan.to_plan();
-    let mut assess = |pipe: &vardelay_circuit::StagedPipeline, salt: u64| {
-        let timing = engine.analyze_pipeline(pipe);
-        let analytic = AnalyticYieldEval::yield_of(&timing, target);
+    let mut assess = |pipe: &StagedPipeline, timing: &PipelineTiming, salt: u64| {
+        let analytic = AnalyticYieldEval::yield_of(timing, target);
         let mc_check = (spec.verify_trials > 0).then(|| {
             let attrs = vardelay_obs::Attrs::of(
                 spec.kernel.to_kernel().name(),
@@ -708,8 +802,12 @@ fn execute_run(
         });
         (analytic, mc_check)
     };
-    let (analytic_after, mc_after) = assess(&optimized, VERIFY_SALT);
-    let (baseline_analytic, mc_baseline) = assess(&resolved.baseline, BASELINE_SALT);
+    let (analytic_after, mc_after) = assess(
+        &optimized,
+        &engine.analyze_pipeline(&optimized),
+        VERIFY_SALT,
+    );
+    let (baseline_analytic, mc_baseline) = assess(baseline, base.start.timing(), BASELINE_SALT);
 
     // §4: "optimize area (hence, power)" — quote both designs' power so
     // every campaign row makes the claim checkable.
@@ -727,8 +825,8 @@ fn execute_run(
         power: power(&optimized),
         mc: mc_after,
         individual: BaselineOutcome {
-            area: resolved.baseline.total_area(),
-            power: power(&resolved.baseline),
+            area: baseline.total_area(),
+            power: power(baseline),
             analytic_yield: baseline_analytic,
             met: baseline_analytic >= spec.yield_target,
             mc: mc_baseline,
@@ -750,6 +848,7 @@ impl Workload for OptimizationCampaign {
     type Report = CampaignResult;
     type UnitPlan = RunPlan;
     type Plan = CampaignPlan;
+    type Shared = CampaignCells;
 
     fn name(&self) -> &str {
         &self.name
@@ -810,13 +909,13 @@ impl Workload for OptimizationCampaign {
         unit: &PreparedRun,
         _step: usize,
         ws: &mut TrialWorkspace,
-        ctx: StepContext,
+        ctx: StepContext<'_, CampaignCells>,
     ) -> OptimizationRunResult {
         // A campaign's runs are single-step units, so on a one-run
         // campaign the outer pool collapses to the calling thread and
         // the full worker budget flows to the run's nested
         // verification dispatch.
-        execute_run(unit, ws, ctx.workers)
+        execute_run(unit, ws, ctx.workers, ctx.shared)
     }
 
     fn fold_step(

@@ -460,6 +460,7 @@ impl Workload for Sweep {
     type Report = SweepResult;
     type UnitPlan = ScenarioPlan;
     type Plan = SweepPlan;
+    type Shared = ();
 
     fn name(&self) -> &str {
         &self.name
@@ -517,7 +518,7 @@ impl Workload for Sweep {
         unit: &Prepared,
         step: usize,
         ws: &mut TrialWorkspace,
-        _ctx: StepContext,
+        _ctx: StepContext<'_, ()>,
     ) -> PipelineBlockStats {
         let start = step as u64 * BLOCK_TRIALS;
         let end = (start + BLOCK_TRIALS).min(unit.scenario.trials);

@@ -39,6 +39,8 @@
 //!   concatenated checkpoints of `n` shard runs **is** the shard merge.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize, Value};
 use vardelay_mc::TrialWorkspace;
@@ -75,6 +77,11 @@ pub trait Workload: Sync {
     type UnitPlan;
     /// The aggregate plan assembled from footprint rows.
     type Plan;
+    /// Sub-results the units of one [`run_units`] call share
+    /// ([`KeyedCells`] keyed by what each sub-result reads), handed to
+    /// every step through [`StepContext::shared`]; `()` shares nothing.
+    /// A fresh one is made per call, so sharing never outlives a run.
+    type Shared: Default + Sync;
 
     /// Workload name (reported in results and logs).
     fn name(&self) -> &str;
@@ -136,13 +143,14 @@ pub trait Workload: Sync {
     fn init_acc(&self, unit: &Self::Unit) -> Self::Acc;
     /// Runs one step. Must be a pure function of `(unit, step)`; the
     /// workspace is arbitrary reusable scratch, and the context carries
-    /// execution knobs (worker count) that must never affect results.
+    /// execution knobs (worker count) and the run's shared cells, none
+    /// of which may affect results.
     fn run_step(
         &self,
         unit: &Self::Unit,
         step: usize,
         ws: &mut TrialWorkspace,
-        ctx: StepContext,
+        ctx: StepContext<'_, Self::Shared>,
     ) -> Self::StepOut;
     /// Folds a step output into the accumulator. Called strictly in
     /// step order — this *is* the fixed floating-point merge tree.
@@ -428,17 +436,82 @@ pub struct ProgressUpdate {
 
 /// Per-step execution context handed to [`Workload::run_step`].
 ///
-/// Carries the runner's execution knobs down into a step without
-/// threading them through every workload struct. Everything here is
-/// strictly *how* to execute — a step's result bytes must be identical
-/// for every possible context (that is the determinism contract).
-#[derive(Debug, Clone, Copy)]
-pub struct StepContext {
+/// Carries the runner's execution knobs and the run's shared cells down
+/// into a step without threading them through every workload struct.
+/// Everything here is strictly *how* to execute — a step's result bytes
+/// must be identical for every possible context (that is the
+/// determinism contract).
+#[derive(Debug)]
+pub struct StepContext<'a, S> {
     /// The worker count the runner was launched with. A step that fans
     /// nested work back out to the pool (the v3 kernel's chunked
     /// verification) sizes its dispatch with this; steps that are
     /// wholly sequential ignore it.
     pub workers: usize,
+    /// The [`Workload::Shared`] cells of this [`run_units`] call.
+    pub shared: &'a S,
+}
+
+/// A map of write-once cells, one per key, that the workers of one
+/// [`run_units`] call share: the first step to ask for a key computes
+/// its value, a step asking while that runs waits for it, and every
+/// later step reads it.
+///
+/// Sharing is byte-neutral only if each value is a **pure function of
+/// its key** — then which unit, worker or shard computes it first
+/// cannot reach a result. An initializer must not dispatch to the worker
+/// pool: the workers waiting on its cell could be the ones it needs.
+///
+/// Every lookup whose initializer did not run (the value was there, or
+/// another worker was computing it) adds one to the `--metrics` counter
+/// named at construction.
+#[derive(Debug)]
+pub struct KeyedCells<K, V> {
+    cells: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+    hit_counter: &'static str,
+}
+
+impl<K: Eq + Hash, V> KeyedCells<K, V> {
+    /// An empty map whose hits count into `hit_counter`.
+    pub fn new(hit_counter: &'static str) -> Self {
+        KeyedCells {
+            cells: Mutex::new(HashMap::new()),
+            hit_counter,
+        }
+    }
+
+    /// The value of `key`, computed by `init` if no step has computed it
+    /// yet in this run.
+    pub fn get_or_init(&self, key: K, init: impl FnOnce() -> V) -> CellRef<V> {
+        let cell = Arc::clone(
+            self.cells
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .entry(key)
+                .or_default(),
+        );
+        let mut ran = false;
+        cell.get_or_init(|| {
+            ran = true;
+            init()
+        });
+        if !ran {
+            vardelay_obs::counter(self.hit_counter, 1);
+        }
+        CellRef(cell)
+    }
+}
+
+/// A filled [`KeyedCells`] value; dereferences to it.
+#[derive(Debug)]
+pub struct CellRef<V>(Arc<OnceLock<V>>);
+
+impl<V> std::ops::Deref for CellRef<V> {
+    type Target = V;
+
+    fn deref(&self) -> &V {
+        self.0.get().expect("a returned cell is filled")
+    }
 }
 
 /// Execution options for [`run_workload`] / [`run_units`].
@@ -727,9 +800,7 @@ pub fn run_units<W: Workload>(
     report_progress(units_done, steps_done, trials_done);
 
     let mut sink_err: Option<EngineError> = None;
-    let ctx = StepContext {
-        workers: opts.workers,
-    };
+    let (workers, shared) = (opts.workers, W::Shared::default());
     dispatch(
         items.len(),
         opts.workers,
@@ -739,6 +810,10 @@ pub fn run_units<W: Workload>(
             let _sp = vardelay_obs::span("step", w.unit_noun())
                 .key(stats.keys[*slot])
                 .value(item.step as f64);
+            let ctx = StepContext {
+                workers,
+                shared: &shared,
+            };
             w.run_step(unit, item.step, ws, ctx)
         },
         |k, out| {

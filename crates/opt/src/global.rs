@@ -198,6 +198,9 @@ impl GlobalPipelineOptimizer {
     /// `σ`, which only the analysis provides cheaply).
     ///
     /// Returns the optimized pipeline and the Table II/III-style report.
+    /// This is [`GlobalPipelineOptimizer::optimize_from`] on a fresh
+    /// [`GlobalPipelineOptimizer::flow_start`], with
+    /// [`estimate_criticality`] as the criticality source.
     ///
     /// # Panics
     ///
@@ -210,25 +213,33 @@ impl GlobalPipelineOptimizer {
         goal: OptimizationGoal,
         eval: &dyn PipelineYieldEval,
     ) -> (StagedPipeline, OptimizationReport) {
+        let start = self.flow_start(pipeline.clone(), yield_target);
+        self.optimize_from(&start, target_ps, goal, eval, &estimate_criticality)
+    }
+
+    /// Step 1 of the flow on `pipeline`: its SSTA and the area-delay
+    /// slopes of its stages at the eq.-12 allocation of `yield_target`.
+    /// Reads only the sizer, so optimizers that differ in rounds or
+    /// kernel share it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `yield_target` is outside `(0, 1)`.
+    pub fn flow_start(&self, pipeline: StagedPipeline, yield_target: f64) -> FlowStart {
         assert!(
             yield_target > 0.0 && yield_target < 1.0,
             "yield target must be in (0, 1)"
         );
         let engine = self.sizer.engine();
         let ns = pipeline.stage_count();
-        let latch_overhead = pipeline.latch().overhead_ps();
-
         // --- Step 1: initial analysis + area-delay slopes. ---
         // Timing is served by a per-stage canonical cache for the whole
         // flow: each round only re-analyzes the stages whose netlist it
         // actually replaced and recombines the Clark max / correlation
         // matrix from cached moments (bit-identical to the full pass).
         let mut cache = PipelineTimingCache::new();
-        let timing0 = cache.analyze(engine, pipeline);
-        let yield0 = eval.pipeline_yield(pipeline, &timing0, target_ps);
-        let areas0 = pipeline.stage_areas();
+        let timing = cache.analyze(engine, &pipeline);
         let y_stage = stage_yield_target(yield_target, ns);
-
         let slopes: Vec<f64> = {
             let _sp = vardelay_obs::span("opt", "sizing_probes").value(ns as f64);
             (0..ns)
@@ -236,7 +247,7 @@ impl GlobalPipelineOptimizer {
                     let region = engine
                         .grid()
                         .map_or(0, |g| g.region_of(pipeline.positions()[i]));
-                    let d_now = timing0.stage_delays[i].mean();
+                    let d_now = timing.stage_delays[i].mean();
                     let targets = [d_now * 0.92, d_now * 1.0, d_now * 1.12];
                     let curve = AreaDelayCurve::generate(
                         &self.sizer,
@@ -249,9 +260,39 @@ impl GlobalPipelineOptimizer {
                 })
                 .collect()
         };
+        FlowStart {
+            pipeline,
+            yield_target,
+            cache,
+            timing,
+            slopes,
+        }
+    }
+
+    /// The Fig. 9 flow (see [`GlobalPipelineOptimizer::optimize_with`])
+    /// from a precomputed step 1, which must come from an optimizer with
+    /// this one's sizer; `criticality` supplies the report's stage
+    /// criticalities.
+    pub fn optimize_from(
+        &self,
+        start: &FlowStart,
+        target_ps: f64,
+        goal: OptimizationGoal,
+        eval: &dyn PipelineYieldEval,
+        criticality: &CriticalitySource<'_>,
+    ) -> (StagedPipeline, OptimizationReport) {
+        let engine = self.sizer.engine();
+        let (pipeline, yield_target) = (&start.pipeline, start.yield_target);
+        let (timing0, slopes) = (&start.timing, &start.slopes);
+        let ns = pipeline.stage_count();
+        let latch_overhead = pipeline.latch().overhead_ps();
+        let mut cache = start.cache.clone();
+        let yield0 = eval.pipeline_yield(pipeline, timing0, target_ps);
+        let areas0 = pipeline.stage_areas();
+        let y_stage = stage_yield_target(yield_target, ns);
 
         // --- Step 2: order stages by slope (cheap delay first). ---
-        let order = order_by_slope(&slopes);
+        let order = order_by_slope(slopes);
 
         // --- Steps 3–9: per-stage sizing with global feedback. ---
         // Per-stage budget scales implement the eq.-14 trade directly:
@@ -336,7 +377,10 @@ impl GlobalPipelineOptimizer {
         let timing_f = engine.analyze_pipeline(&final_pipe);
         let areas_f = final_pipe.stage_areas();
 
-        let (crit0, crit_f) = self.criticality(&timing0, &timing_f);
+        let [crit0, crit_f]: [Vec<f64>; 2] =
+            criticality(&[stage_model(timing0), stage_model(&timing_f)], self.kernel)
+                .try_into()
+                .expect("one estimate per timing");
         let stage_y0 = timing0.stage_yields(target_ps);
         let stage_yf = timing_f.stage_yields(target_ps);
 
@@ -365,38 +409,74 @@ impl GlobalPipelineOptimizer {
         };
         (final_pipe, report)
     }
+}
 
-    /// The report's before and after stage criticalities: one
-    /// [`CRITICALITY_TRIALS`]-trial draw on the optimizer's kernel, scored
-    /// against both timings (the two estimates share seed and stage count,
-    /// so their draws are identical). One `opt/criticality` span, with the
-    /// kernel attribute, covers both estimates; its value is the trials
-    /// drawn.
-    fn criticality(&self, before: &PipelineTiming, after: &PipelineTiming) -> (Vec<f64>, Vec<f64>) {
-        let _sp = vardelay_obs::span("opt", "criticality")
-            .attrs(vardelay_obs::Attrs::of_kernel(self.kernel.name()))
-            .value(CRITICALITY_TRIALS as f64);
-        let pipelines: Vec<Pipeline> = [before, after]
-            .into_iter()
-            .map(|timing| {
-                let stages = timing
-                    .stage_delays
-                    .iter()
-                    .map(|n| StageDelay::from_normal(*n))
-                    .collect();
-                Pipeline::new(stages, timing.correlation.clone()).expect("dims")
-            })
-            .collect();
-        let [before, after]: [Vec<f64>; 2] = Pipeline::shared_criticality_probabilities(
-            &pipelines,
-            self.kernel.normal_fill(),
-            CRITICALITY_TRIALS,
-            CRITICALITY_SEED,
-        )
-        .try_into()
-        .expect("one estimate per timing");
-        (before, after)
+/// Step 1 of the Fig. 9 flow on one input design
+/// ([`GlobalPipelineOptimizer::flow_start`]): the design, its SSTA —
+/// held in the per-stage timing cache the flow keeps using — and the
+/// eq.-14 area-delay slopes at a yield target's per-stage allocation.
+/// A pure function of the sizer, the design and the yield target, so
+/// every run that starts from one design can share it.
+#[derive(Debug, Clone)]
+pub struct FlowStart {
+    pipeline: StagedPipeline,
+    yield_target: f64,
+    cache: PipelineTimingCache,
+    timing: PipelineTiming,
+    slopes: Vec<f64>,
+}
+
+impl FlowStart {
+    /// The input design.
+    pub fn pipeline(&self) -> &StagedPipeline {
+        &self.pipeline
     }
+
+    /// The input design's SSTA (bit-identical to
+    /// `SstaEngine::analyze_pipeline` on it).
+    pub fn timing(&self) -> &PipelineTiming {
+        &self.timing
+    }
+}
+
+/// Where the flow's stage criticalities come from: each model's
+/// estimate on a kernel's draws. A source may only choose *when* an
+/// estimate is computed; every answer must be byte-identical to
+/// [`estimate_criticality`] on the same models.
+pub type CriticalitySource<'a> = dyn Fn(&[Pipeline], TrialKernel) -> Vec<Vec<f64>> + 'a;
+
+/// The report's stage-criticality estimator: one 20,000-trial draw
+/// from a fixed seed on `kernel`'s normal fill, scored against every
+/// model of one stage count. Entry `k` is
+/// byte-identical to `models[k]` estimated alone, so an estimate never
+/// depends on what it was batched with. One `opt/criticality` span,
+/// with the kernel attribute, covers the call; its value is the trials
+/// drawn.
+///
+/// # Panics
+///
+/// Panics if the models differ in stage count.
+pub fn estimate_criticality(models: &[Pipeline], kernel: TrialKernel) -> Vec<Vec<f64>> {
+    let _sp = vardelay_obs::span("opt", "criticality")
+        .attrs(vardelay_obs::Attrs::of_kernel(kernel.name()))
+        .value(CRITICALITY_TRIALS as f64);
+    Pipeline::shared_criticality_probabilities(
+        models,
+        kernel.normal_fill(),
+        CRITICALITY_TRIALS,
+        CRITICALITY_SEED,
+    )
+}
+
+/// The Gaussian stage-delay model of a timing — what the criticality
+/// estimator reads.
+fn stage_model(timing: &PipelineTiming) -> Pipeline {
+    let stages = timing
+        .stage_delays
+        .iter()
+        .map(|n| StageDelay::from_normal(*n))
+        .collect();
+    Pipeline::new(stages, timing.correlation.clone()).expect("dims")
 }
 
 #[cfg(test)]

@@ -59,7 +59,10 @@ pub mod verify;
 pub mod yield_eval;
 
 pub use area_delay::AreaDelayCurve;
-pub use global::{GlobalPipelineOptimizer, OptimizationGoal, OptimizationReport};
+pub use global::{
+    estimate_criticality, CriticalitySource, FlowStart, GlobalPipelineOptimizer, OptimizationGoal,
+    OptimizationReport,
+};
 pub use sizing::{SizingConfig, SizingResult, StatisticalSizer};
 pub use target::{ResolvedTarget, TargetDelayPolicy};
 pub use verify::{verify_yield, VerifiedYield, VERIFY_CHUNK_TRIALS};

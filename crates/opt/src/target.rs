@@ -153,7 +153,6 @@ impl TargetDelayPolicy {
         yield_target: f64,
     ) -> ResolvedTarget {
         self.validate().expect("policy must be validated");
-        let _sp = vardelay_obs::span("opt", "resolve_target");
         let engine = opt.sizer().engine();
         match *self {
             TargetDelayPolicy::Absolute { ps } => ResolvedTarget {
