@@ -777,19 +777,26 @@ pub fn compact_dir(
 /// [`vardelay_engine::run_units`] can splice hits and record executed
 /// units. Fetch/store take `&self` in the engine trait, so the store
 /// sits behind a `RefCell` (the pipeline only calls from one thread).
+///
+/// The adapter also keeps the compact bytes of the one record it last
+/// served or wrote, for [`UnitCache::take_bytes`]: `run_units` sinks a
+/// unit right after that unit's fetch or store, so the sink can splice
+/// a hit's checksummed payload, or the string an executed unit was just
+/// encoded to, into its journal and `--out` lines without encoding the
+/// result again.
 pub struct UnitCache {
     store: RefCell<ResultStore>,
     contract: u32,
+    /// `(key, compact result bytes)` of the last record served or
+    /// written; at most one record.
+    last: RefCell<Option<(u64, String)>>,
 }
 
 impl UnitCache {
     /// Binds a store to the engine's current
     /// [`vardelay_engine::CONTRACT_VERSION`].
     pub fn new(store: ResultStore) -> Self {
-        UnitCache {
-            store: RefCell::new(store),
-            contract: vardelay_engine::CONTRACT_VERSION,
-        }
+        Self::with_contract(store, vardelay_engine::CONTRACT_VERSION)
     }
 
     /// Binds a store to an explicit contract version — test hook for
@@ -799,6 +806,7 @@ impl UnitCache {
         UnitCache {
             store: RefCell::new(store),
             contract,
+            last: RefCell::new(None),
         }
     }
 
@@ -808,11 +816,23 @@ impl UnitCache {
     pub fn into_store(self) -> ResultStore {
         self.store.into_inner()
     }
+
+    /// The compact result bytes of the record the last fetch served or
+    /// the last store wrote, if that record's key is `key` — the exact
+    /// bytes [`serde_json::to_string`] writes for the result. Either
+    /// way the held record is released, so each is handed out at most
+    /// once; a miss, a failed call or another key yields `None`.
+    pub fn take_bytes(&self, key: u64) -> Option<String> {
+        self.last
+            .take()
+            .and_then(|(held, bytes)| (held == key).then_some(bytes))
+    }
 }
 
 impl<R: Serialize + Deserialize> vardelay_engine::ResultCache<R> for UnitCache {
     fn fetch(&self, key: u64) -> Result<Option<R>, EngineError> {
         let _sp = vardelay_obs::span("io", "cache_lookup").key(key);
+        self.last.take();
         let text = self
             .store
             .borrow_mut()
@@ -830,6 +850,7 @@ impl<R: Serialize + Deserialize> vardelay_engine::ResultCache<R> for UnitCache {
         let result = R::from_value(&v).map_err(|e| {
             EngineError::new(format!("cache: invalid record for unit {key:016x}: {e}"))
         })?;
+        self.last.replace(Some((key, text)));
         Ok(Some(result))
     }
 
@@ -839,11 +860,14 @@ impl<R: Serialize + Deserialize> vardelay_engine::ResultCache<R> for UnitCache {
 
     fn store(&self, key: u64, result: &R) -> Result<(), EngineError> {
         let _sp = vardelay_obs::span("io", "cache_append").key(key);
+        self.last.take();
         let json = serde_json::to_string(result)
             .map_err(|e| EngineError::new(format!("cache: cannot serialize result: {e}")))?;
         self.store
             .borrow_mut()
             .append(key, self.contract, &json)
-            .map_err(|e| EngineError::new(format!("cache: {e}")))
+            .map_err(|e| EngineError::new(format!("cache: {e}")))?;
+        self.last.replace(Some((key, json)));
+        Ok(())
     }
 }

@@ -5,7 +5,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use vardelay_cache::{compact_dir, verify_dir, ResultStore, UnitCache};
-use vardelay_engine::{run_units, ResultCache, Sweep, WorkloadOptions};
+use vardelay_engine::{
+    checkpoint_line, run_units, Checkpoint, ResultCache, Sweep, UnitOrigin, WorkloadOptions,
+};
 
 /// A fresh per-test cache directory under the system temp dir.
 fn tmp(name: &str) -> PathBuf {
@@ -288,4 +290,117 @@ fn a_warm_unit_cache_run_builds_no_units() {
     let (warm, warm_builds) = run(&dir);
     assert_eq!((warm.cached, warm.executed), (2, 0));
     assert_eq!(warm_builds, 0, "cache hits skip the build");
+}
+
+#[test]
+fn unit_cache_hands_bytes_only_to_the_key_it_just_served_or_stored() {
+    let dir = tmp("take-bytes");
+    let (a, b) = (vec![1.5f64, -0.0, 1e-300], vec![2.25f64]);
+    let (a_json, b_json) = (
+        serde_json::to_string(&a).unwrap(),
+        serde_json::to_string(&b).unwrap(),
+    );
+    let cache = UnitCache::new(ResultStore::open(&dir).unwrap());
+    let c: &dyn ResultCache<Vec<f64>> = &cache;
+
+    // A store's bytes go to its own key, once.
+    c.store(1, &a).unwrap();
+    assert_eq!(cache.take_bytes(1), Some(a_json.clone()));
+    assert_eq!(cache.take_bytes(1), None, "handed out at most once");
+
+    // Another key gets nothing, and the record is released.
+    c.store(1, &a).unwrap();
+    assert_eq!(cache.take_bytes(2), None);
+    assert_eq!(cache.take_bytes(1), None);
+
+    // At most one record: a second store replaces the first.
+    c.store(2, &b).unwrap();
+    c.store(1, &a).unwrap();
+    assert_eq!(cache.take_bytes(2), None, "only the last record is held");
+    c.store(2, &b).unwrap();
+    assert_eq!(cache.take_bytes(2), Some(b_json.clone()));
+
+    // A hit's bytes are the stored payload, as the encoder writes it.
+    assert_eq!(c.fetch(1).unwrap(), Some(a.clone()));
+    assert_eq!(cache.take_bytes(1), Some(a_json));
+
+    // A miss holds nothing, and releases what an earlier call held.
+    c.store(2, &b).unwrap();
+    assert!(c.fetch(3).unwrap().is_none());
+    assert_eq!(cache.take_bytes(3), None);
+    assert_eq!(cache.take_bytes(2), None);
+    drop(cache);
+
+    // A failed fetch (checksum mismatch) holds nothing either.
+    let seg = dir.join(&seg_files(&dir)[0]);
+    let text = fs::read_to_string(&seg).unwrap().replace("2.25", "9.25");
+    fs::write(&seg, text).unwrap();
+    let cache = UnitCache::new(ResultStore::open(&dir).unwrap());
+    let c: &dyn ResultCache<Vec<f64>> = &cache;
+    c.store(1, &a).unwrap();
+    assert!(c.fetch(2).is_err());
+    assert_eq!(cache.take_bytes(2), None);
+    assert_eq!(cache.take_bytes(1), None);
+}
+
+#[test]
+fn every_cached_or_executed_unit_sinks_right_after_its_bytes() {
+    // Four units: the journal holds the first, the cache the first two,
+    // the last two execute (over two workers, so steps finish in the
+    // pool). Each sink finds the bytes of its own unit, and only there.
+    let mut sweep = Sweep::example();
+    sweep.grid = None;
+    for s in &mut sweep.scenarios {
+        s.trials = 512;
+    }
+    let mut twins = sweep.scenarios.clone();
+    for s in &mut twins {
+        s.label.push_str(" twin");
+    }
+    sweep.scenarios.extend(twins);
+    let dir = tmp("sink-order");
+    let warm = Sweep {
+        scenarios: sweep.scenarios[..2].to_vec(),
+        ..sweep.clone()
+    };
+    let cache = UnitCache::new(ResultStore::open(&dir).unwrap());
+    let mut journal = String::new();
+    run_units(
+        &warm,
+        &WorkloadOptions::sequential().with_cache(&cache),
+        |_, id, r, _| {
+            if journal.is_empty() {
+                journal = checkpoint_line(id, &r);
+            }
+            Ok(())
+        },
+    )
+    .unwrap();
+    let resume = Checkpoint::parse(&journal).unwrap();
+
+    let opts = WorkloadOptions::sequential()
+        .with_workers(2)
+        .with_resume(&resume)
+        .with_cache(&cache);
+    let mut origins = Vec::new();
+    run_units(&sweep, &opts, |_, id, result, origin| {
+        let bytes = cache.take_bytes(id);
+        match origin {
+            UnitOrigin::Journal => assert_eq!(bytes, None),
+            _ => assert_eq!(bytes, Some(serde_json::to_string(&result).unwrap())),
+        }
+        origins.push(origin);
+        Ok(())
+    })
+    .unwrap();
+    origins.sort_by_key(|o| *o as u8);
+    assert_eq!(
+        origins,
+        [
+            UnitOrigin::Executed,
+            UnitOrigin::Executed,
+            UnitOrigin::Journal,
+            UnitOrigin::Cache
+        ]
+    );
 }

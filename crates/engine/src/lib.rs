@@ -107,7 +107,8 @@ pub use spec::{
 };
 pub use verify::verify_yield_pooled;
 pub use workload::{
-    checkpoint_line, plan_workload, run_units, run_workload, split_checkpoint_line, CellRef,
-    Checkpoint, KeyedCells, Progress, ProgressUpdate, ResultCache, Shard, StepContext, UnitOrigin,
-    Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, WorkloadStats, CONTRACT_VERSION,
+    checkpoint_line, join_checkpoint_line, plan_workload, run_units, run_workload,
+    split_checkpoint_line, CellRef, Checkpoint, KeyedCells, Progress, ProgressUpdate, ResultCache,
+    Shard, StepContext, UnitOrigin, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport,
+    WorkloadStats, CONTRACT_VERSION,
 };

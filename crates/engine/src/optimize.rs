@@ -703,7 +703,7 @@ fn execute_run(
         };
         models.iter().map(estimate).collect()
     };
-    let (optimized, report) = {
+    let (optimized, report, optimized_timing) = {
         let _sp = vardelay_obs::span("opt", "flow").key(p.id);
         match spec.yield_backend {
             YieldBackendSpec::Analytic => opt.optimize_from(
@@ -802,11 +802,7 @@ fn execute_run(
         });
         (analytic, mc_check)
     };
-    let (analytic_after, mc_after) = assess(
-        &optimized,
-        &engine.analyze_pipeline(&optimized),
-        VERIFY_SALT,
-    );
+    let (analytic_after, mc_after) = assess(&optimized, &optimized_timing, VERIFY_SALT);
     let (baseline_analytic, mc_baseline) = assess(baseline, base.start.timing(), BASELINE_SALT);
 
     // §4: "optimize area (hence, power)" — quote both designs' power so

@@ -243,17 +243,28 @@ impl Shard {
 }
 
 /// Formats one completed unit as a checkpoint / stream line:
-/// `{"unit":"<016x id>","result":<compact result JSON>}`.
+/// `{"unit":"<016x id>","result":<compact result JSON>}` — the result
+/// encoded once ([`serde_json::to_string`]), then
+/// [`join_checkpoint_line`].
 ///
 /// Compact serialization uses shortest-roundtrip float printing, so
 /// parsing the line back yields bit-identical numbers — the property
 /// that makes resume byte-exact.
 pub fn checkpoint_line<R: Serialize>(id: u64, result: &R) -> String {
-    let line = Value::Object(vec![
-        ("unit".to_owned(), Value::String(format!("{id:016x}"))),
-        ("result".to_owned(), result.to_value()),
-    ]);
-    serde_json::to_string(&line).expect("unit results are finite")
+    let compact = serde_json::to_string(result).expect("unit results are finite");
+    join_checkpoint_line(id, &compact)
+}
+
+/// Formats the [`checkpoint_line`] of a unit whose result is already
+/// encoded: `compact` must be the result's compact JSON, as
+/// [`serde_json::to_string`] writes it (a cache record's payload is).
+/// The inverse of [`split_checkpoint_line`].
+pub fn join_checkpoint_line(id: u64, compact: &str) -> String {
+    use std::fmt::Write as _;
+    // `{"unit":"` + 16 hex digits + `","result":` + `}`.
+    let mut line = String::with_capacity(compact.len() + 37);
+    let _ = write!(line, "{{\"unit\":\"{id:016x}\",\"result\":{compact}}}");
+    line
 }
 
 /// Splits a [`checkpoint_line`] into its unit ID and the compact bytes
@@ -658,6 +669,14 @@ struct Folding<A, S> {
 /// ([`ResultCache::contains`]) are never built. Every *executed* unit
 /// is recorded back into the cache before it sinks; spliced units are
 /// not re-recorded.
+///
+/// A unit's sink follows its cache call at once: a hit's
+/// [`ResultCache::fetch`], or an executed unit's
+/// [`ResultCache::store`], is the last cache call before that unit's
+/// sink, and both run on the calling thread. A cache may therefore keep
+/// the bytes of the one record it last served or wrote and hand them to
+/// the sink that asks for the same key (`vardelay-cache`'s `UnitCache`
+/// does), so a line is spliced from them instead of encoded again.
 ///
 /// This function retains **no** unit results — callers stream them out
 /// (checkpoint files, `--out` JSONL) or collect them ([`run_workload`]).

@@ -214,7 +214,9 @@ impl GlobalPipelineOptimizer {
         eval: &dyn PipelineYieldEval,
     ) -> (StagedPipeline, OptimizationReport) {
         let start = self.flow_start(pipeline.clone(), yield_target);
-        self.optimize_from(&start, target_ps, goal, eval, &estimate_criticality)
+        let (optimized, report, _) =
+            self.optimize_from(&start, target_ps, goal, eval, &estimate_criticality);
+        (optimized, report)
     }
 
     /// Step 1 of the flow on `pipeline`: its SSTA and the area-delay
@@ -272,7 +274,9 @@ impl GlobalPipelineOptimizer {
     /// The Fig. 9 flow (see [`GlobalPipelineOptimizer::optimize_with`])
     /// from a precomputed step 1, which must come from an optimizer with
     /// this one's sizer; `criticality` supplies the report's stage
-    /// criticalities.
+    /// criticalities. Returns the optimized pipeline, the report and the
+    /// optimized pipeline's SSTA (`SstaEngine::analyze_pipeline` on it
+    /// with the sizer's engine), which the report's after-columns read.
     pub fn optimize_from(
         &self,
         start: &FlowStart,
@@ -280,7 +284,7 @@ impl GlobalPipelineOptimizer {
         goal: OptimizationGoal,
         eval: &dyn PipelineYieldEval,
         criticality: &CriticalitySource<'_>,
-    ) -> (StagedPipeline, OptimizationReport) {
+    ) -> (StagedPipeline, OptimizationReport, PipelineTiming) {
         let engine = self.sizer.engine();
         let (pipeline, yield_target) = (&start.pipeline, start.yield_target);
         let (timing0, slopes) = (&start.timing, &start.slopes);
@@ -407,7 +411,7 @@ impl GlobalPipelineOptimizer {
             yield_target,
             met: final_yield >= yield_target,
         };
-        (final_pipe, report)
+        (final_pipe, report, timing_f)
     }
 }
 

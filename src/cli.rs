@@ -38,9 +38,9 @@ use vardelay_circuit::generators::{inverter_chain, iscas};
 use vardelay_circuit::{parse_bench, write_bench, CellLibrary, Netlist};
 use vardelay_core::{Pipeline, StageDelay};
 use vardelay_engine::{
-    checkpoint_line, plan_workload, run_units, split_checkpoint_line, Checkpoint, EngineError,
-    KernelSpec, Shard, StrategySpec, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport,
-    CONTRACT_VERSION,
+    checkpoint_line, join_checkpoint_line, plan_workload, run_units, split_checkpoint_line,
+    Checkpoint, EngineError, KernelSpec, Shard, StrategySpec, Workload, WorkloadOptions,
+    WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
 };
 use vardelay_process::VariationConfig;
 use vardelay_ssta::SstaEngine;
@@ -767,9 +767,15 @@ where
         // Only journal-spliced units already have their line in the
         // append-mode journal; cache-spliced units are new to it.
         let journal_skips = origin == vardelay_engine::UnitOrigin::Journal && journal_appends;
+        // A cache hit's line splices the record's checksummed bytes, and
+        // an executed unit's the string its cache record was just encoded
+        // to; only a unit the cache did not just handle is encoded here.
         let line = (out_stream.is_some() || (journal.is_some() && !journal_skips)).then(|| {
             let _sp = vardelay_obs::span("io", "serialize").key(id);
-            checkpoint_line(id, &result)
+            match cache.as_ref().and_then(|c| c.take_bytes(id)) {
+                Some(compact) => join_checkpoint_line(id, &compact),
+                None => checkpoint_line(id, &result),
+            }
         });
         if let Some((path, f)) = &mut journal {
             if !journal_skips {
