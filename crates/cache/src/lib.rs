@@ -65,7 +65,7 @@ use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use vardelay_engine::journal::scan_jsonl;
 use vardelay_engine::run::EngineError;
 use vardelay_engine::seed::fnv1a64;
@@ -844,10 +844,7 @@ impl<R: Serialize + Deserialize> vardelay_engine::ResultCache<R> for UnitCache {
         };
         vardelay_obs::counter("cache/hit", 1);
         vardelay_obs::counter("cache/bytes_saved", text.len() as u64);
-        let v: Value = serde_json::from_str(&text).map_err(|e| {
-            EngineError::new(format!("cache: invalid record for unit {key:016x}: {e}"))
-        })?;
-        let result = R::from_value(&v).map_err(|e| {
+        let result: R = serde_json::from_str(&text).map_err(|e| {
             EngineError::new(format!("cache: invalid record for unit {key:016x}: {e}"))
         })?;
         self.last.replace(Some((key, text)));

@@ -252,6 +252,31 @@ fn unit_cache_adapter_roundtrips_results_bit_exactly() {
 }
 
 #[test]
+fn too_deep_records_fail_cleanly_on_fetch() {
+    use serde::Value;
+    let dir = tmp("deep");
+    let mut store = ResultStore::open(&dir).unwrap();
+    let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+    for (key, depth) in [(128u64, 128usize), (129, 129), (200_000, 200_000)] {
+        store
+            .append(key, vardelay_engine::CONTRACT_VERSION, &nested(depth))
+            .unwrap();
+    }
+    let cache = UnitCache::new(store);
+    let c: &dyn ResultCache<Value> = &cache;
+    assert!(c.fetch(128).unwrap().is_some(), "128 containers parse");
+    for key in [129u64, 200_000] {
+        let err = c.fetch(key).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            format!(
+                "cache: invalid record for unit {key:016x}: nesting deeper than 128 at byte 128"
+            )
+        );
+    }
+}
+
+#[test]
 fn unit_cache_lists_exactly_what_it_can_fetch() {
     let dir = tmp("contains");
     let cache = UnitCache::new(ResultStore::open(&dir).unwrap());

@@ -67,6 +67,11 @@ macro_rules! keyword_enum {
             fn to_value(&self) -> ::serde::Value {
                 ::serde::Value::String(self.keyword().to_owned())
             }
+
+            fn write_json(&self, out: &mut String) -> Result<(), ::serde::Error> {
+                ::serde::json::write_str(out, self.keyword());
+                Ok(())
+            }
         }
 
         impl ::serde::Deserialize for $name {
@@ -75,6 +80,10 @@ macro_rules! keyword_enum {
                     ::serde::Value::String(s) => Self::parse(s).map_err(::serde::Error::new),
                     _ => Err(::serde::Error::new(concat!($what, " must be a string"))),
                 }
+            }
+
+            fn read_json(r: &mut ::serde::json::Reader<'_>) -> Result<Self, ::serde::Error> {
+                Self::parse(&r.read_str()?).map_err(::serde::Error::new)
             }
         }
     };

@@ -348,7 +348,17 @@ impl<R: Deserialize> Checkpoint<R> {
     }
 }
 
+/// Parses one checkpoint line. A line in [`checkpoint_line`]'s layout
+/// reads its result straight from the split-off bytes, one container
+/// deep as in the whole line; any other layout, and any direct read
+/// that fails, goes through the `Value` tree of the whole line, which
+/// decides the value or the error.
 fn parse_checkpoint_line<R: Deserialize>(line: &str) -> Result<(u64, R), serde::Error> {
+    if let Some((id, compact)) = split_checkpoint_line(line) {
+        if let Ok(result) = serde::json::Reader::nested(compact, 1).read_all() {
+            return Ok((id, result));
+        }
+    }
     let v: Value = serde_json::from_str(line)?;
     let id_hex: String = Deserialize::from_value(v.field("unit")?)?;
     let id = u64::from_str_radix(&id_hex, 16)

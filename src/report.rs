@@ -416,4 +416,21 @@ mod tests {
         assert!(report_cmd("x.json", "{}").is_err());
         assert!(report_cmd("x.json", "not json").is_err());
     }
+
+    #[test]
+    fn too_deep_input_is_invalid_json() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let err = report_cmd("x.json", &nested(128)).unwrap_err().0;
+        assert!(
+            err.contains("neither a trace"),
+            "128 containers parse: {err}"
+        );
+        for depth in [129, 200_000] {
+            let err = report_cmd("x.json", &nested(depth)).unwrap_err().0;
+            assert_eq!(
+                err,
+                "'x.json' is not valid JSON: nesting deeper than 128 at byte 128"
+            );
+        }
+    }
 }
