@@ -21,7 +21,7 @@
 //! its contract. v1 records each trial straight into the block, in
 //! trial order. v3 folds each pass into [`V3Fold`]'s per-lane rows with
 //! one [`simd`] kernel, the Pébay step [`RunningStats::push`] runs, and
-//! merges the lanes in the frozen [`V3_LANES`] order at the end of the
+//! merges the lanes in the frozen `V3_LANES` order at the end of the
 //! call.
 
 use vardelay_stats::{pebay_step, simd, NormalFill, RunningStats};
@@ -46,15 +46,15 @@ pub enum TrialKernel {
     /// frozen polynomial `exp(α·ln(od/(od−ΔVth)))` slowdown evaluation
     /// and arrival-time propagation amortize their per-gate bookkeeping
     /// across the whole pass and vectorize. Statistics fold through
-    /// [`V3_LANES`] lanes, one pass at a time ([`V3Fold`]), in a fixed
+    /// `V3_LANES` lanes, one pass at a time ([`V3Fold`]), in a fixed
     /// merge order.
     V3,
 }
 
 impl TrialKernel {
-    /// Every kernel contract, oldest first — the one list the CLI help,
-    /// spec parser and validators derive the valid keyword set from, so
-    /// a new kernel version cannot leave a stale keyword list behind.
+    /// Every kernel contract, oldest first; the engine's `KernelSpec::ALL`
+    /// keyword list mirrors it.
+    // Kept: the mc tests run every kernel through it.
     pub const ALL: [TrialKernel; 2] = [TrialKernel::V1, TrialKernel::V3];
 
     /// Stable lowercase name (`"v1"` / `"v3"`), used in specs, spans and
@@ -379,7 +379,7 @@ pub const V3_WIDTH: usize = 16;
 /// position (lane `L` is position `(L − start) mod 16`); frozen
 /// independently all the same, and the fold's row types only compile
 /// while the two are equal.
-pub const V3_LANES: usize = 16;
+pub(crate) const V3_LANES: usize = 16;
 
 #[cfg(test)]
 mod tests {

@@ -2,58 +2,40 @@
 //! `T_P = max_i (T_C-Q + T_comb,i + T_setup)`.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use vardelay_circuit::{CellLibrary, StagedPipeline};
+use vardelay_circuit::{CellLibrary, Netlist, StagedPipeline};
 use vardelay_process::spatial::SpatialGrid;
-use vardelay_process::VariationConfig;
+use vardelay_process::{DieSample, ProcessSampler, VariationConfig};
+use vardelay_ssta::sta::{arrival_times, DEFAULT_OUTPUT_LOAD};
 use vardelay_stats::normal::sample_standard_normal;
-use vardelay_stats::RunningStats;
 
-use crate::engine::NetlistMc;
 use crate::kernel::TrialKernel;
-use crate::results::{McConfig, McResult};
 
-/// Results of a pipeline Monte-Carlo campaign.
-#[derive(Debug, Clone)]
-pub struct PipelineMcResult {
-    /// Distribution of the pipeline delay `max_i SD_i`.
-    pub pipeline: McResult,
-    /// Per-stage streaming statistics (means/sds of each `SD_i`).
-    pub stage_stats: Vec<RunningStats>,
-}
-
-impl PipelineMcResult {
-    /// Per-stage empirical means.
-    pub fn stage_means(&self) -> Vec<f64> {
-        self.stage_stats.iter().map(RunningStats::mean).collect()
-    }
-
-    /// Per-stage empirical standard deviations.
-    pub fn stage_sds(&self) -> Vec<f64> {
-        self.stage_stats
-            .iter()
-            .map(RunningStats::sample_sd)
-            .collect()
-    }
-}
-
-/// Monte-Carlo runner for a [`StagedPipeline`].
+/// Monte-Carlo configuration for a [`StagedPipeline`]: the library, the
+/// process sampler, the output load and the trial kernel that
+/// [`crate::PreparedPipelineMc`] compiles from it.
 ///
 /// Each trial samples one die; all stages see the same inter-die shift and
 /// the correlated systematic values of their respective regions, so the
 /// stage-delay correlation structure of §2.1 emerges naturally rather than
-/// being imposed.
+/// being imposed. Gate delays use the exact (nonlinear) alpha-power
+/// slowdown, and each stage delay is the exact max over its outputs — no
+/// Gaussian assumptions.
 #[derive(Debug, Clone)]
 pub struct PipelineMc {
-    inner: NetlistMc,
+    pub(crate) lib: CellLibrary,
+    pub(crate) sampler: ProcessSampler,
+    pub(crate) output_load: f64,
     kernel: TrialKernel,
 }
 
 impl PipelineMc {
-    /// Creates a runner (v1 trial kernel).
+    /// Creates a runner (v1 trial kernel). A default grid is synthesized
+    /// when systematic variation is configured without one.
     pub fn new(lib: CellLibrary, variation: VariationConfig, grid: Option<SpatialGrid>) -> Self {
         PipelineMc {
-            inner: NetlistMc::new(lib, variation, grid),
+            lib,
+            sampler: ProcessSampler::new(variation, grid),
+            output_load: DEFAULT_OUTPUT_LOAD,
             kernel: TrialKernel::default(),
         }
     }
@@ -63,8 +45,10 @@ impl PipelineMc {
     /// # Panics
     ///
     /// Panics if `load < 0`.
+    // Kept: the mc tests match an `SstaEngine::with_output_load` load.
     pub fn with_output_load(mut self, load: f64) -> Self {
-        self.inner = self.inner.with_output_load(load);
+        assert!(load >= 0.0, "output load must be non-negative");
+        self.output_load = load;
         self
     }
 
@@ -80,23 +64,18 @@ impl PipelineMc {
         self.kernel
     }
 
-    /// Access to the single-netlist runner.
-    pub fn netlist_mc(&self) -> &NetlistMc {
-        &self.inner
-    }
-
     /// One pipeline trial: per-stage delays (including latch overhead)
     /// and their max, allocating fresh vectors. The reference v1 trial:
     /// [`crate::PreparedPipelineMc`] reproduces it bit for bit under the
     /// plain plan, and its tests use it as the oracle.
     pub fn sample_trial(&self, pipeline: &StagedPipeline, rng: &mut StdRng) -> (Vec<f64>, f64) {
-        let die = self.inner.sampler().sample_die(rng);
+        let die = self.sampler.sample_die(rng);
         let latch = pipeline.latch();
         let mut stage_delays = Vec::with_capacity(pipeline.stage_count());
         let mut max_d = f64::NEG_INFINITY;
         for (stage, pos) in pipeline.stages().iter().zip(pipeline.positions()) {
-            let region = self.inner.sampler().region_of(*pos);
-            let comb = self.inner.sample_delay_on_die(stage, region, &die, rng);
+            let region = self.sampler.region_of(*pos);
+            let comb = self.sample_delay_on_die(stage, region, &die, rng);
             let overhead =
                 latch.overhead_ps() + latch.overhead_sigma_ps() * sample_standard_normal(rng);
             let sd = comb + overhead;
@@ -106,74 +85,89 @@ impl PipelineMc {
         (stage_delays, max_d)
     }
 
-    /// Runs a full campaign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.trials == 0`.
-    pub fn run(&self, pipeline: &StagedPipeline, config: &McConfig) -> PipelineMcResult {
-        assert!(config.trials > 0, "need at least one trial");
-        let threads = config.effective_threads().min(config.trials);
-        let run_chunk = |seed: u64, n: usize| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut samples = Vec::with_capacity(n);
-            let mut stage_stats = vec![RunningStats::new(); pipeline.stage_count()];
-            for _ in 0..n {
-                let (stages, maxd) = self.sample_trial(pipeline, &mut rng);
-                for (st, d) in stage_stats.iter_mut().zip(&stages) {
-                    st.push(*d);
-                }
-                samples.push(maxd);
-            }
-            (samples, stage_stats)
-        };
-
-        if threads == 1 {
-            let (samples, stage_stats) = run_chunk(config.seed, config.trials);
-            return PipelineMcResult {
-                pipeline: McResult::new(samples),
-                stage_stats,
-            };
-        }
-
-        let chunk = config.trials / threads;
-        let rem = config.trials % threads;
-        let mut all = Vec::with_capacity(config.trials);
-        let mut stage_stats = vec![RunningStats::new(); pipeline.stage_count()];
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..threads {
-                let n = chunk + usize::from(w < rem);
-                let seed = config
-                    .seed
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(w as u64 + 1));
-                let run_chunk = &run_chunk;
-                handles.push(scope.spawn(move |_| run_chunk(seed, n)));
-            }
-            for h in handles {
-                let (samples, stats) = h.join().expect("MC worker panicked");
-                all.extend(samples);
-                for (acc, s) in stage_stats.iter_mut().zip(&stats) {
-                    acc.merge(s);
-                }
-            }
-        })
-        .expect("MC thread scope failed");
-        PipelineMcResult {
-            pipeline: McResult::new(all),
-            stage_stats,
-        }
+    /// One netlist's delay on an existing die sample: an independent
+    /// random shift per gate on top of the die's shared shift for
+    /// `region`, then the exact max over outputs.
+    fn sample_delay_on_die(
+        &self,
+        netlist: &Netlist,
+        region: usize,
+        die: &DieSample,
+        rng: &mut StdRng,
+    ) -> f64 {
+        let shared = die.shared_dvth(if die.region_dvth.is_empty() {
+            0
+        } else {
+            region
+        });
+        let slowdown: Vec<f64> = netlist
+            .gates()
+            .iter()
+            .map(|g| {
+                let rand = self
+                    .sampler
+                    .sample_gate_random(rng, g.size * g.kind.mismatch_area());
+                self.lib.vth_slowdown_factor(shared + rand)
+            })
+            .collect();
+        let at = arrival_times(netlist, &self.lib, self.output_load, Some(&slowdown));
+        netlist
+            .outputs()
+            .iter()
+            .map(|o| at[o.0])
+            .fold(0.0, f64::max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+    use vardelay_circuit::generators::inverter_chain;
     use vardelay_circuit::LatchParams;
-    use vardelay_stats::{max_of, CorrelationMatrix};
+    use vardelay_ssta::sta::nominal_delay;
+    use vardelay_ssta::SstaEngine;
+    use vardelay_stats::{counter_seed, max_of, CorrelationMatrix, RunningStats};
 
     fn pipe(ns: usize, nl: usize) -> StagedPipeline {
         StagedPipeline::inverter_grid(ns, nl, 1.0, LatchParams::ideal())
+    }
+
+    /// `trials` reference trials drawn in order from one `StdRng` stream
+    /// seeded with `seed`: per-stage and pipeline-delay statistics.
+    fn sequential(
+        mc: &PipelineMc,
+        p: &StagedPipeline,
+        trials: usize,
+        seed: u64,
+    ) -> (Vec<RunningStats>, RunningStats) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut stages = vec![RunningStats::new(); p.stage_count()];
+        let mut pipeline = RunningStats::new();
+        for _ in 0..trials {
+            let (sd, maxd) = mc.sample_trial(p, &mut rng);
+            for (acc, d) in stages.iter_mut().zip(&sd) {
+                acc.push(*d);
+            }
+            pipeline.push(maxd);
+        }
+        (stages, pipeline)
+    }
+
+    /// Single-netlist delay statistics over trials `0..trials`, trial `t`
+    /// on its own stream `counter_seed(seed, t)`.
+    fn netlist_delays(mc: &PipelineMc, c: &Netlist, trials: u64, seed: u64) -> RunningStats {
+        (0..trials)
+            .map(|t| {
+                let mut rng = StdRng::seed_from_u64(counter_seed(seed, t));
+                let die = mc.sampler.sample_die(&mut rng);
+                mc.sample_delay_on_die(c, 0, &die, &mut rng)
+            })
+            .collect()
+    }
+
+    fn netlist_runner(var: VariationConfig) -> PipelineMc {
+        PipelineMc::new(CellLibrary::default(), var, None).with_output_load(1.0)
     }
 
     #[test]
@@ -199,18 +193,17 @@ mod tests {
         let var = VariationConfig::random_only(35.0);
         let mc = PipelineMc::new(CellLibrary::default(), var, None).with_output_load(3.0);
         let p = pipe(5, 8);
-        let res = mc.run(&p, &McConfig::quick(20_000, 13));
+        let (stage_stats, pipeline) = sequential(&mc, &p, 20_000, 13);
 
         // Analytic: per-stage Normal from MC stage stats, folded with Clark.
-        let stages: Vec<vardelay_stats::Normal> = res
-            .stage_stats
+        let stages: Vec<vardelay_stats::Normal> = stage_stats
             .iter()
             .map(|s| vardelay_stats::Normal::new(s.mean(), s.sample_sd()).unwrap())
             .collect();
         let corr = CorrelationMatrix::identity(stages.len());
         let analytic = max_of(&stages, &corr);
-        let mc_mean = res.pipeline.mean();
-        let mc_sd = res.pipeline.sd();
+        let mc_mean = pipeline.mean();
+        let mc_sd = pipeline.sample_sd();
         assert!(
             ((analytic.mean() - mc_mean) / mc_mean).abs() < 0.005,
             "mean {} vs {}",
@@ -226,33 +219,61 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential_sample_count() {
-        let mc = PipelineMc::new(
-            CellLibrary::default(),
-            VariationConfig::combined(20.0, 35.0, 15.0),
-            None,
-        );
-        let p = pipe(3, 5);
-        let res = mc.run(
-            &p,
-            &McConfig {
-                trials: 500,
-                seed: 1,
-                threads: 3,
-            },
-        );
-        assert_eq!(res.pipeline.samples().len(), 500);
-        assert_eq!(res.stage_stats[0].count(), 500);
-    }
-
-    #[test]
     fn latch_variability_contributes() {
         let var = VariationConfig::none();
         let mc = PipelineMc::new(CellLibrary::default(), var, None);
         let latchy = StagedPipeline::inverter_grid(2, 8, 1.0, LatchParams::tg_msff_70nm());
-        let res = mc.run(&latchy, &McConfig::quick(4_000, 2));
+        let (stage_stats, _) = sequential(&mc, &latchy, 4_000, 2);
         // Only latch sigma remains: stage sd ~ 0.32 ps.
-        let sd = res.stage_stats[0].sample_sd();
+        let sd = stage_stats[0].sample_sd();
         assert!((sd - 0.32).abs() < 0.03, "stage sd {sd}");
+    }
+
+    #[test]
+    fn zero_variation_reproduces_nominal_delay() {
+        let mc = netlist_runner(VariationConfig::none());
+        let c = inverter_chain(6, 1.0);
+        let res = netlist_delays(&mc, &c, 10, 1);
+        let nominal = nominal_delay(&c, &mc.lib, 1.0);
+        assert!((res.mean() - nominal).abs() < 1e-9);
+        assert!(res.sample_sd() < 1e-12);
+    }
+
+    #[test]
+    fn mc_matches_ssta_for_random_variation() {
+        let var = VariationConfig::random_only(35.0);
+        let mc = netlist_runner(var);
+        let c = inverter_chain(10, 1.0);
+        let res = netlist_delays(&mc, &c, 20_000, 7);
+        let (mean, sd) = (res.mean(), res.sample_sd());
+        let ssta = SstaEngine::new(CellLibrary::default(), var, None)
+            .with_output_load(1.0)
+            .stage_delay(&c, 0);
+        // Paper §2.4: mean error < 0.2%, sd error < 3% (plus MC noise and
+        // the nonlinear-vs-linearized model gap).
+        assert!(
+            ((mean - ssta.mean()) / ssta.mean()).abs() < 0.01,
+            "mean {} vs {}",
+            mean,
+            ssta.mean()
+        );
+        assert!(
+            ((sd - ssta.sd()) / ssta.sd()).abs() < 0.08,
+            "sd {} vs {}",
+            sd,
+            ssta.sd()
+        );
+    }
+
+    #[test]
+    fn inter_die_shifts_whole_distribution() {
+        let mc = netlist_runner(VariationConfig::inter_only(40.0));
+        let c = inverter_chain(10, 1.0);
+        let res = netlist_delays(&mc, &c, 5_000, 11);
+        // All gates shift together: sd/mean should be close to the per-gate
+        // fractional sensitivity times sigma (no sqrt-N averaging).
+        let s = mc.lib.delay_vth_sensitivity() * 0.040;
+        let v = res.variability();
+        assert!((v - s).abs() < 0.2 * s, "variability {v} vs sens {s}");
     }
 }

@@ -123,9 +123,9 @@ impl simd::Kernel for Arrivals<'_> {
 /// Reusable per-worker scratch buffers for [`PreparedPipelineMc`].
 ///
 /// Create one per worker thread with
-/// [`PreparedPipelineMc::workspace`] (or [`TrialWorkspace::new`] plus
-/// [`PreparedPipelineMc::prepare_workspace`], which is grow-only and may
-/// be re-used across scenarios). After the first trial warms the
+/// [`PreparedPipelineMc::workspace`] or [`TrialWorkspace::new`]; every
+/// block run grows it to fit (grow-only), so one workspace may be
+/// re-used across scenarios. After the first trial warms the
 /// buffers, running further trials performs **no heap allocation** — the
 /// block runner debug-asserts that every buffer's storage is stable
 /// across a block.
@@ -264,13 +264,12 @@ impl PreparedPipelineMc {
     /// output load: loads and per-gate nominal delays are evaluated once
     /// here, never again per trial.
     pub fn new(mc: &PipelineMc, pipeline: &StagedPipeline) -> Self {
-        let inner = mc.netlist_mc();
         let mut prepared = PreparedPipelineMc {
-            lib: inner.library().clone(),
-            sampler: inner.sampler().clone(),
+            lib: mc.lib.clone(),
+            sampler: mc.sampler.clone(),
             stages: Vec::new(),
             latch: pipeline.latch(),
-            output_load: inner.output_load(),
+            output_load: mc.output_load,
             kernel: mc.kernel(),
         };
         prepared.reprepare(pipeline);
@@ -346,7 +345,7 @@ impl PreparedPipelineMc {
     /// Grows `ws` to fit this pipeline (no-op when already large
     /// enough). Grow-only, so one workspace can serve interleaved blocks
     /// of different scenarios without reallocating per block.
-    pub fn prepare_workspace(&self, ws: &mut TrialWorkspace) {
+    pub(crate) fn prepare_workspace(&self, ws: &mut TrialWorkspace) {
         self.grow_workspace(ws, 0);
     }
 

@@ -1,9 +1,8 @@
-//! Monte-Carlo configuration and result containers.
+//! Monte-Carlo result containers: streaming block statistics and yield
+//! estimates.
 
 use serde::{Deserialize, Serialize};
-use vardelay_stats::{
-    effective_sample_size, weighted_fraction_ci, Histogram, Quantiles, RunningStats,
-};
+use vardelay_stats::{effective_sample_size, weighted_fraction_ci, Histogram, RunningStats};
 
 /// Optional fixed-range histogram attached to a block accumulator.
 ///
@@ -20,50 +19,6 @@ pub struct HistogramSpec {
     pub hi: f64,
     /// Number of equal-width bins.
     pub bins: usize,
-}
-
-/// Monte-Carlo run configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct McConfig {
-    /// Number of trials (dies simulated).
-    pub trials: usize,
-    /// Base RNG seed; each worker derives its own stream from it.
-    pub seed: u64,
-    /// Worker threads (1 = sequential).
-    pub threads: usize,
-}
-
-impl McConfig {
-    /// A configuration suitable for the paper's experiments
-    /// (10 000 trials, 4 threads).
-    pub fn standard(seed: u64) -> Self {
-        McConfig {
-            trials: 10_000,
-            seed,
-            threads: 4,
-        }
-    }
-
-    /// A small/fast configuration for tests and examples.
-    // Kept: the mc engine and pipeline_mc tests call it.
-    pub fn quick(trials: usize, seed: u64) -> Self {
-        McConfig {
-            trials,
-            seed,
-            threads: 1,
-        }
-    }
-
-    /// Validated thread count (at least 1).
-    pub fn effective_threads(&self) -> usize {
-        self.threads.max(1)
-    }
-}
-
-impl Default for McConfig {
-    fn default() -> Self {
-        McConfig::standard(0)
-    }
 }
 
 /// A yield estimate with a binomial (Wilson) 95% confidence interval.
@@ -85,7 +40,7 @@ impl YieldEstimate {
     /// # Panics
     ///
     /// Panics if `trials == 0` or `successes > trials`.
-    pub fn from_counts(successes: usize, trials: usize) -> Self {
+    pub(crate) fn from_counts(successes: usize, trials: usize) -> Self {
         assert!(trials > 0, "yield estimate requires at least one trial");
         assert!(successes <= trials, "successes cannot exceed trials");
         let n = trials as f64;
@@ -101,11 +56,6 @@ impl YieldEstimate {
             hi: (center + half).min(1.0),
             trials,
         }
-    }
-
-    /// Whether the interval contains a reference probability.
-    pub fn contains(&self, p: f64) -> bool {
-        p >= self.lo && p <= self.hi
     }
 }
 
@@ -138,8 +88,8 @@ impl WeightedTail {
 /// Streaming statistics of a block of pipeline Monte-Carlo trials —
 /// the unit of work the sweep engine fans out across workers.
 ///
-/// Unlike [`McResult`] no samples are retained, so a block is O(stages)
-/// memory regardless of trial count and cheap to send between threads.
+/// No samples are retained, so a block is O(stages) memory regardless
+/// of trial count and cheap to send between threads.
 /// [`PipelineBlockStats::merge`] combines disjoint blocks. Merging is
 /// deterministic for a fixed merge tree (same partition, same order),
 /// which is the property the sweep engine's reproducibility relies on;
@@ -333,7 +283,7 @@ impl PipelineBlockStats {
     }
 
     /// The yield targets (ps) counted during recording.
-    pub fn targets(&self) -> &[f64] {
+    pub(crate) fn targets(&self) -> &[f64] {
         &self.targets
     }
 
@@ -418,84 +368,6 @@ impl PipelineBlockStats {
     }
 }
 
-/// Samples plus derived statistics from a Monte-Carlo run.
-#[derive(Debug, Clone)]
-pub struct McResult {
-    samples: Vec<f64>,
-    stats: RunningStats,
-}
-
-impl McResult {
-    /// Wraps a sample vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    pub fn new(samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty(), "MC result requires samples");
-        let stats = samples.iter().copied().collect();
-        McResult { samples, stats }
-    }
-
-    /// The raw samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Merges another result into this one (parallel reduction).
-    ///
-    /// Samples are concatenated in call order and the streaming moments
-    /// are combined with Pébay's pairwise formulas. The merged moments
-    /// agree with a single sequential pass to floating-point accuracy
-    /// (~1e-13 relative), and folding partials in a *fixed* order is
-    /// exactly reproducible — which is why the sweep engine fixes both
-    /// its block size and its merge order.
-    pub fn merge(&mut self, other: &McResult) {
-        self.samples.extend_from_slice(&other.samples);
-        self.stats.merge(&other.stats);
-    }
-
-    /// Streaming moments (mean, sd, min, max).
-    pub fn stats(&self) -> &RunningStats {
-        &self.stats
-    }
-
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Sample standard deviation.
-    pub fn sd(&self) -> f64 {
-        self.stats.sample_sd()
-    }
-
-    /// σ/μ variability.
-    pub fn variability(&self) -> f64 {
-        self.stats.variability()
-    }
-
-    /// Empirical quantiles (sorts a copy on each call — cache if hot).
-    pub fn quantiles(&self) -> Quantiles {
-        Quantiles::new(&self.samples)
-    }
-
-    /// Histogram over the sample range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0`.
-    pub fn histogram(&self, bins: usize) -> Histogram {
-        Histogram::auto(&self.samples, bins)
-    }
-
-    /// Monte-Carlo yield at a target delay, with confidence interval.
-    pub fn yield_at(&self, target: f64) -> YieldEstimate {
-        let ok = self.samples.iter().filter(|&&x| x <= target).count();
-        YieldEstimate::from_counts(ok, self.samples.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,7 +378,6 @@ mod tests {
         assert!((y.value - 0.8).abs() < 1e-12);
         assert!(y.lo < 0.8 && y.hi > 0.8);
         assert!(y.hi - y.lo < 0.2);
-        assert!(y.contains(0.8));
         // Extremes stay in [0,1].
         let y0 = YieldEstimate::from_counts(0, 50);
         assert!(y0.lo >= 0.0);
@@ -518,15 +389,5 @@ mod tests {
     #[should_panic(expected = "at least one trial")]
     fn wilson_rejects_zero_trials() {
         let _ = YieldEstimate::from_counts(0, 0);
-    }
-
-    #[test]
-    fn result_statistics() {
-        let r = McResult::new(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert!((r.mean() - 3.0).abs() < 1e-12);
-        let y = r.yield_at(3.0);
-        assert!((y.value - 0.6).abs() < 1e-12);
-        assert_eq!(r.histogram(5).total(), 5);
-        assert!((r.quantiles().median() - 3.0).abs() < 1e-12);
     }
 }

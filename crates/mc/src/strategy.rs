@@ -55,7 +55,7 @@ use vardelay_stats::{inv_cap_phi_lanes, splitmix64_mix, uniform_open_from_u64, D
 /// so a scheduled block covers every stratum exactly once, but frozen
 /// here as part of the stratified contract: the stratum of a trial is a
 /// pure function of its global index, never of scheduling.
-pub const STRATA_BLOCK: u64 = 256;
+pub(crate) const STRATA_BLOCK: u64 = 256;
 
 /// Domain-separation salt for plan stream keys (scrambles, permutation
 /// keys, jitters) so they never collide with trial seeds.
@@ -63,7 +63,7 @@ const PLAN_SALT: u64 = 0x7121_A150_0B0C_0001;
 
 /// Default mean shift (in sigmas of the inter-die normal) for the
 /// blockade plan.
-pub const DEFAULT_SHIFT_SIGMAS: f64 = 3.0;
+pub(crate) const DEFAULT_SHIFT_SIGMAS: f64 = 3.0;
 
 /// Which sampling-plan contract a Monte-Carlo runner executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -143,7 +143,7 @@ impl Default for TrialPlan {
 /// derived from the scenario's counter seed at trial 0 — so any worker,
 /// shard, or resumed run derives identical modifications without
 /// coordination. Stratified and Sobol values are derived a whole aligned
-/// [`STRATA_BLOCK`] at a time (one permutation table and one
+/// `STRATA_BLOCK` at a time (one permutation table and one
 /// lane-interleaved quantile pass per block, [`inv_cap_phi_lanes`]) the
 /// first time a trial of that block is prepared; a trial's values do
 /// not depend on which of its block's trials are run, or in what order.

@@ -3,7 +3,7 @@
 //! aggregation.
 
 use proptest::prelude::*;
-use vardelay_mc::{McResult, PipelineBlockStats};
+use vardelay_mc::PipelineBlockStats;
 use vardelay_stats::RunningStats;
 
 fn samples() -> impl Strategy<Value = Vec<f64>> {
@@ -11,25 +11,6 @@ fn samples() -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    #[test]
-    fn mc_result_merge_equals_single_pass(xs in samples(), split in 1usize..100) {
-        let cut = split.min(xs.len() - 1);
-        let mut left = McResult::new(xs[..cut].to_vec());
-        let right = McResult::new(xs[cut..].to_vec());
-        left.merge(&right);
-        let full = McResult::new(xs.clone());
-
-        prop_assert_eq!(left.samples(), full.samples(), "samples concatenate in order");
-        prop_assert_eq!(left.stats().count(), full.stats().count());
-        prop_assert!((left.mean() - full.mean()).abs() < 1e-9);
-        prop_assert!((left.sd() - full.sd()).abs() < 1e-9);
-        prop_assert_eq!(left.stats().min(), full.stats().min());
-        prop_assert_eq!(left.stats().max(), full.stats().max());
-        // Quantiles and yields see the same sample multiset.
-        let t = xs[0];
-        prop_assert_eq!(left.yield_at(t).value, full.yield_at(t).value);
-    }
-
     #[test]
     fn running_stats_merge_equals_single_pass(xs in samples(), split in 1usize..100) {
         let cut = split.min(xs.len() - 1);

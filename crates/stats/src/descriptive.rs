@@ -1,4 +1,4 @@
-//! Streaming descriptive statistics, quantiles, and histograms.
+//! Streaming descriptive statistics and histograms.
 
 use std::fmt;
 
@@ -232,51 +232,6 @@ impl fmt::Display for RunningStats {
     }
 }
 
-/// Empirical quantiles of a sample (sorted copy held internally).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Quantiles {
-    sorted: Vec<f64>,
-}
-
-impl Quantiles {
-    /// Builds from any collection of finite values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty or contains NaN.
-    pub fn new(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "quantiles of an empty sample");
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-        Quantiles { sorted }
-    }
-
-    /// Linear-interpolated quantile at probability `p` in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn at(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
-        let idx = p * (n - 1) as f64;
-        let lo = idx.floor() as usize;
-        let hi = idx.ceil() as usize;
-        let frac = idx - lo as f64;
-        self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
-    }
-
-    /// Median shortcut.
-    // Kept: the mc results tests call it.
-    #[inline]
-    pub fn median(&self) -> f64 {
-        self.at(0.5)
-    }
-}
-
 /// A fixed-range equal-width histogram.
 ///
 /// ```
@@ -312,21 +267,6 @@ impl Histogram {
             underflow: 0,
             overflow: 0,
         }
-    }
-
-    /// Creates a histogram sized to cover a sample with the given bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty or `bins == 0`.
-    pub fn auto(values: &[f64], bins: usize) -> Self {
-        assert!(!values.is_empty(), "histogram of an empty sample");
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let pad = ((hi - lo) * 1e-9).max(f64::MIN_POSITIVE);
-        let mut h = Histogram::new(lo, hi + pad, bins);
-        h.extend(values.iter().copied());
-        h
     }
 
     /// Adds one observation.
@@ -531,15 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_interpolate() {
-        let q = Quantiles::new(&[4.0, 1.0, 3.0, 2.0]);
-        assert_eq!(q.at(0.0), 1.0);
-        assert_eq!(q.at(1.0), 4.0);
-        assert!((q.median() - 2.5).abs() < 1e-15);
-        assert!((q.at(0.25) - 1.75).abs() < 1e-15);
-    }
-
-    #[test]
     fn histogram_bins_and_density() {
         let mut h = Histogram::new(0.0, 10.0, 10);
         h.extend((0..100).map(|i| f64::from(i) * 0.1)); // uniform over [0,10)
@@ -549,13 +480,5 @@ mod tests {
             assert!((h.density(i) - 0.1).abs() < 1e-12);
         }
         assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_auto_covers_extremes() {
-        let h = Histogram::auto(&[-5.0, 0.0, 5.0], 4);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.total(), 3);
     }
 }

@@ -14,7 +14,7 @@
 //! * [`mvn`] — sampling from multivariate normal distributions.
 //! * [`draw`] — the per-kernel normal fill and the trial-plan draw
 //!   overlay every Monte-Carlo sampler consumes.
-//! * [`descriptive`] — streaming moments (Welford), quantiles, histograms.
+//! * [`descriptive`] — streaming moments (Welford) and histograms.
 //! * [`mix`] — SplitMix64 bit-mixing for counter-based Monte-Carlo
 //!   seeding (shared by the sweep engine and the MC runners).
 //! * [`batch`] — batch-shaped normal samplers (pinned-coefficient
@@ -66,7 +66,7 @@ pub use batch::{
 };
 pub use clark::{max_of, max_of_with_order, max_pair, MaxPairMoments};
 pub use correlation::CorrelationMatrix;
-pub use descriptive::{pebay_step, Histogram, Quantiles, RunningStats};
+pub use descriptive::{pebay_step, Histogram, RunningStats};
 pub use draw::{DrawOverlay, NormalFill};
 pub use matrix::SymMatrix;
 pub use mix::{counter_seed, splitmix64_mix};

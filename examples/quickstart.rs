@@ -8,9 +8,10 @@
 
 use vardelay::circuit::{CellLibrary, LatchParams, StagedPipeline};
 use vardelay::core::{Pipeline, StageDelay};
-use vardelay::mc::{McConfig, PipelineMc};
+use vardelay::mc::{PipelineBlockStats, PipelineMc, PreparedPipelineMc, TrialPlan, TrialWorkspace};
 use vardelay::process::VariationConfig;
 use vardelay::ssta::SstaEngine;
+use vardelay::stats::counter_seed;
 
 fn main() {
     // 1. A pipeline: 5 stages of 8 inverters each, with TG-MSFF latches.
@@ -51,12 +52,21 @@ fn main() {
         model.jensen_lower_bound()
     );
 
-    // 5. Yield at a target, analytically and by Monte-Carlo.
+    // 5. Yield at a target, analytically and by Monte-Carlo: 10,000
+    //    gate-level trials, trial t on its own stream counter_seed(42, t).
     let target = t_p.quantile(0.9).round();
     let analytic_yield = model.yield_at(target);
-    let mc = PipelineMc::new(CellLibrary::default(), variation, None)
-        .run(&pipeline, &McConfig::standard(42));
-    let mc_yield = mc.pipeline.yield_at(target);
+    let mc = PipelineMc::new(CellLibrary::default(), variation, None);
+    let prepared = PreparedPipelineMc::new(&mc, &pipeline);
+    let mut stats = PipelineBlockStats::new(pipeline.stage_count(), &[target]);
+    prepared.run_block_plan(
+        &mut TrialWorkspace::new(),
+        0..10_000,
+        |t| counter_seed(42, t),
+        TrialPlan::plain(),
+        &mut stats,
+    );
+    let mc_yield = stats.yield_estimate(0);
     println!("\nyield at {target:.0} ps:");
     println!("  analytical (eq. 9): {:.2}%", 100.0 * analytic_yield);
     println!(

@@ -2,9 +2,11 @@
 //! Gaussian vs the full Monte-Carlo sample (the strongest form of the
 //! paper's Fig. 2 comparison — not just moments, but the whole CDF).
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use vardelay::circuit::{CellLibrary, LatchParams, StagedPipeline};
 use vardelay::core::{Pipeline, StageDelay};
-use vardelay::mc::{McConfig, PipelineMc};
+use vardelay::mc::PipelineMc;
 use vardelay::process::VariationConfig;
 use vardelay::ssta::SstaEngine;
 use vardelay::stats::ks::ks_against_normal;
@@ -24,9 +26,13 @@ fn model_and_samples(
     let model = Pipeline::new(stages, timing.correlation)
         .expect("dims")
         .delay_distribution();
-    let mc =
-        PipelineMc::new(CellLibrary::default(), var, None).run(&pipe, &McConfig::quick(12_000, 99));
-    (model, mc.pipeline.samples().to_vec())
+    // 12,000 reference trials drawn in order from one stream.
+    let mc = PipelineMc::new(CellLibrary::default(), var, None);
+    let mut rng = StdRng::seed_from_u64(99);
+    let samples = (0..12_000)
+        .map(|_| mc.sample_trial(&pipe, &mut rng).1)
+        .collect();
+    (model, samples)
 }
 
 #[test]
